@@ -42,8 +42,8 @@ use timeloop_lite::{EvalResult, Mapping};
 /// File magic: "THISTLAS".
 pub const MAGIC: [u8; 8] = *b"THISTLAS";
 /// Current format revision. Bumped to 2 when the solve report gained the
-/// batched-sweep fields (`batch_classes`/`batch_members`); v1 snapshots are
-/// rejected at load and the atlas re-warms from scratch.
+/// sweep deduplication counts (`batch_classes`/`batch_members`); v1
+/// snapshots are rejected at load and the atlas re-warms from scratch.
 pub const VERSION: u32 = 2;
 
 const KIND_ENTRY: u8 = 1;

@@ -135,10 +135,10 @@ impl TraceCapture {
 /// The serve tier already tail-samples served requests (trigger span
 /// `request`); a figure run is one process optimizing dozens of layers, so
 /// the interesting unit is the per-permutation-pair `gp_solve` span inside
-/// each sweep — or, under the batched engine, the `batch_solve` span that
-/// covers a whole structural-class group. This sink retains the slowest (or
-/// failed) of either across the whole run and writes the single worst one as
-/// a Chrome trace for triage.
+/// each sweep, or the `batch_solve` span around it that covers a whole group
+/// of duplicate pairs. This sink retains the slowest (or failed) of either
+/// across the whole run and writes the single worst one as a Chrome trace
+/// for triage.
 pub struct ExemplarCapture {
     sink: Arc<ExemplarSink>,
     out: PathBuf,

@@ -19,10 +19,7 @@ use crate::report::SolveReport;
 use std::fmt;
 use std::sync::Mutex;
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
-use thistle_gp::{
-    content_fingerprint, structural_signature, BatchProblem, Deadline, GpError, GpProblem,
-    Solution, SolveOptions, SolveStatus,
-};
+use thistle_gp::{content_fingerprint, Deadline, GpError, Solution, SolveOptions, SolveStatus};
 use thistle_model::{
     ArchMode, ConvLayer, Dim, GeneratedGp, Level, Objective, PermPair, ProblemGenerator,
     RegisterCostModel, Workload,
@@ -59,12 +56,6 @@ pub struct OptimizerOptions {
     /// solutions with the *exact* halo expressions before integerization
     /// (0 = pure posynomial upper bound, the paper's DGP treatment).
     pub condensation_rounds: usize,
-    /// Drive the permutation sweep through the batched lockstep engine
-    /// (structural classes screened [`thistle_expr::LANES`]-wide, winners
-    /// confirmed by exact per-problem re-solves) instead of one independent
-    /// solve per pair. Winner selection is bit-identical either way; the
-    /// batched sweep is several times faster.
-    pub batch_sweep: bool,
 }
 
 impl Default for OptimizerOptions {
@@ -83,19 +74,9 @@ impl Default for OptimizerOptions {
             register_cost: RegisterCostModel::default(),
             spatial_stencils: true,
             condensation_rounds: 0,
-            batch_sweep: true,
         }
     }
 }
-
-/// Duality-gap floor for the screening pass of the batched sweep: ranks are
-/// stable at this accuracy, and the winners get exact re-solves anyway.
-const SCREEN_GAP_TOL: f64 = 1e-4;
-/// Relative objective margin around the top-`k` screening boundary inside
-/// which members are confirmed too (guards rank flips from screening error).
-const CONFIRM_MARGIN: f64 = 1e-3;
-/// Extra screening ranks past `top_solutions` always confirmed.
-const CONFIRM_PAD: usize = 4;
 
 /// A fully-resolved design: architecture, mapping, and the referee's verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +105,9 @@ pub struct DesignPoint {
     /// Sweep index of the winning permutation-class pair (stable across
     /// thread counts; lets callers correlate a winner with injected faults).
     pub perm_pair: usize,
-    /// GPs solved during the sweep.
+    /// Permutation pairs that ended the sweep with a relaxed solution,
+    /// duplicates included (64 on a typical layer, where only 16–25
+    /// distinct GPs are actually solved; see `report.batch_classes`).
     pub gp_solves: usize,
     /// Integer candidates evaluated by the referee.
     pub candidates_evaluated: usize,
@@ -245,23 +228,15 @@ impl SweepSolution {
     }
 }
 
-/// What a sweep strategy hands back to the shared selection tail.
+/// What the sweep hands back to the selection tail.
 struct SweepOutcome {
     solved: Vec<SweepSolution>,
     ledger: FailureLedger,
     last_error: Option<String>,
-    /// `(structural classes, members screened through the batch engine)`
-    /// when the batched sweep ran; `None` for the sequential sweep.
-    batch: Option<(u32, u32)>,
-}
-
-/// A member that survived the screening pass of the batched sweep.
-struct Screened {
-    pair_index: usize,
-    sol: Solution,
-    /// Whether `sol` came from the exact per-problem path (a confirm or
-    /// panic-recovery re-solve) rather than the screening engine.
-    exact: bool,
+    /// Distinct GP contents solved (one exact solve each).
+    groups: u32,
+    /// Pairs that entered deduplication (generated and past the solve gate).
+    members: u32,
 }
 
 /// Tallies a failed solve into the ledger by error cause.
@@ -613,26 +588,18 @@ impl Optimizer {
 
         // The GP sweep over permutation classes. Each solution carries its
         // permutation-pair index so the final sort is a total order: results
-        // are bit-identical for any thread count or scheduling — and for
-        // either sweep strategy, because the batched sweep confirms every
-        // competitive member through the exact per-problem path the
-        // sequential sweep runs.
+        // are bit-identical for any thread count or scheduling.
         let mut sweep = span!(ctx, "gp_sweep", pairs = pairs.len());
         let SweepOutcome {
             solved,
             ledger,
             last_error,
-            batch,
-        } = if self.options.batch_sweep {
-            self.sweep_batched(&generator, &pairs, objective, mode, deadline, ctx)?
-        } else {
-            self.sweep_sequential(&generator, &pairs, objective, mode, deadline, ctx)?
-        };
+            groups,
+            members,
+        } = self.sweep(&generator, &pairs, objective, mode, deadline, ctx)?;
         sweep.set("solved", solved.len());
-        if let Some((classes, members)) = batch {
-            sweep.set("classes", classes as usize);
-            sweep.set("batch_members", members as usize);
-        }
+        sweep.set("classes", groups as usize);
+        sweep.set("batch_members", members as usize);
         drop(sweep);
         if deadline.expired() {
             return Err(OptimizeError::Cancelled);
@@ -646,158 +613,27 @@ impl Optimizer {
             workload, objective, mode, solved, gp_solves, ledger, deadline, ctx,
         );
         result.map(|mut point| {
-            if let Some((classes, members)) = batch {
-                point.report.batch_classes = classes;
-                point.report.batch_members = members;
-            }
+            point.report.batch_classes = groups;
+            point.report.batch_members = members;
             point
         })
     }
 
-    /// One independent exact solve per pair — the pre-batching sweep, kept
-    /// as the reference implementation the batched strategy must match
-    /// bit-for-bit (and the baseline `solver_bench` measures against).
-    fn sweep_sequential(
-        &self,
-        generator: &ProblemGenerator,
-        pairs: &[PermPair],
-        objective: Objective,
-        mode: &ArchMode,
-        deadline: &Deadline,
-        ctx: &TraceCtx,
-    ) -> Result<SweepOutcome, OptimizeError> {
-        let solved: Mutex<Vec<SweepSolution>> = Mutex::new(Vec::new());
-        let last_error: Mutex<Option<String>> = Mutex::new(None);
-        let ledger_acc: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let chunk = pairs.len().div_ceil(self.options.threads.max(1)).max(1);
-        crossbeam::scope(|scope| {
-            for (chunk_index, work) in pairs.chunks(chunk).enumerate() {
-                let generator = &generator;
-                let solved = &solved;
-                let last_error = &last_error;
-                let ledger_acc = &ledger_acc;
-                scope.spawn(move |_| {
-                    // Per-worker ledger, merged once at the end: failure
-                    // counts never contend with the solve hot path.
-                    let mut ledger = FailureLedger::default();
-                    for (offset, (p1, p3)) in work.iter().enumerate() {
-                        let pair_index = chunk_index * chunk + offset;
-                        if deadline.expired() {
-                            break;
-                        }
-                        // A panicking solve (ill-conditioned class, model
-                        // bug) fails this pair only; the sweep carries on
-                        // with the surviving classes.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                thistle_fault::panic_if("core.sweep.panic", pair_index as u64);
-                                let mut gp_span = span!(ctx, "gp_solve", perm_pair = pair_index);
-                                let Ok(gp) = generator.generate(p1, p3, objective, mode) else {
-                                    gp_span.set("generated", false);
-                                    ledger.generation_failures += 1;
-                                    return;
-                                };
-                                let result =
-                                    if thistle_fault::fire("core.sweep.solve", pair_index as u64) {
-                                        Err(GpError::NumericalFailure(
-                                            "injected sweep solve failure".into(),
-                                        ))
-                                    } else {
-                                        gp.problem.solve_cancellable(
-                                            &self.options.solve_options,
-                                            deadline,
-                                            ctx,
-                                        )
-                                    };
-                                match result {
-                                    Ok(sol) => {
-                                        if gp_span.enabled() {
-                                            gp_span.set("solved", true);
-                                            gp_span.set("objective", sol.objective);
-                                            gp_span.set("newton_iterations", sol.newton_iterations);
-                                        }
-                                        if sol.recovery.recovered_by.is_some() {
-                                            ledger.recovered += 1;
-                                        }
-                                        match sol.status {
-                                            SolveStatus::Degraded => ledger.degraded_solves += 1,
-                                            SolveStatus::Inaccurate => ledger.stalled_solves += 1,
-                                            SolveStatus::Optimal => {}
-                                        }
-                                        solved.lock().expect("solved lock").push(SweepSolution {
-                                            objective: sol.objective,
-                                            pair_index,
-                                            gp,
-                                            point: sol.assignment,
-                                            status: sol.status,
-                                            newton_iterations: sol.newton_iterations,
-                                            newton_per_center: sol.newton_per_center,
-                                            gap_trajectory: sol.gap_trajectory,
-                                            recovery_attempts: sol.recovery.attempts,
-                                            recovered_by: sol
-                                                .recovery
-                                                .recovered_by
-                                                .map(|r| r.to_string()),
-                                            condensation_rounds: 0,
-                                        });
-                                    }
-                                    Err(e) => {
-                                        gp_span.set("solved", false);
-                                        match &e {
-                                            GpError::Infeasible => ledger.infeasible += 1,
-                                            GpError::InvalidProblem(_) => ledger.invalid += 1,
-                                            GpError::NumericalFailure(_) => ledger.numerical += 1,
-                                            GpError::Cancelled => ledger.cancelled += 1,
-                                        }
-                                        *last_error.lock().expect("err lock") = Some(e.to_string());
-                                    }
-                                }
-                            }));
-                        if let Err(payload) = outcome {
-                            ledger.solver_panics += 1;
-                            *last_error.lock().expect("err lock") = Some(format!(
-                                "sweep worker panicked on pair {pair_index}: {}",
-                                panic_message(payload)
-                            ));
-                        }
-                    }
-                    ledger_acc.lock().expect("ledger lock").merge(&ledger);
-                });
-            }
-        })
-        .map_err(|p| {
-            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
-        })?;
-
-        Ok(SweepOutcome {
-            solved: solved.into_inner().expect("solved lock"),
-            ledger: ledger_acc.into_inner().expect("ledger lock"),
-            last_error: last_error.into_inner().expect("err lock"),
-            batch: None,
-        })
-    }
-
-    /// The batched sweep: group the pairs into structural classes, then
-    /// run a two-tier engine over each class.
+    /// The permutation sweep with exact-content deduplication.
     ///
-    /// **Tier 1 — duplicate elimination.** Members are grouped by content
-    /// fingerprint. On real workloads most structural classes collapse to a
-    /// single fingerprint (2.5–4× duplication in the fig5 sweep): the
-    /// permutation pairs the upstream pruner cannot collapse lower to
-    /// byte-identical GPs. Each pure-duplicate class is solved once through
-    /// the exact per-problem path and the solution cloned to every member —
-    /// bit-identical to [`Optimizer::sweep_sequential`] *by construction*,
-    /// at any thread count, because the solver is deterministic.
-    ///
-    /// **Tier 2 — lockstep screen + confirm.** Classes holding several
-    /// distinct contents screen one representative per content through the
-    /// lockstep engine ([`thistle_expr::LANES`] problems per solve,
-    /// warm-chained within the class, relaxed duality gap), then every
-    /// representative that could plausibly reach the `top_solutions` cut is
-    /// confirmed with an exact per-problem re-solve and its duplicates
-    /// inherit the confirmed bits. See DESIGN.md §14 for the keying rules
-    /// and the confirm-margin argument.
-    fn sweep_batched(
+    /// 1. Generate every pair's GP in parallel (`core.sweep.panic` fires
+    ///    per pair, keyed by its sweep index).
+    /// 2. Apply the per-pair `core.sweep.solve` gate, then group the
+    ///    survivors by [`content_fingerprint`] in first-seen pair order.
+    ///    Permutation pairs the upstream class pruner cannot collapse
+    ///    routinely lower to byte-identical GPs (2.5–4× duplication on the
+    ///    paper's layers).
+    /// 3. Workers claim groups off a shared counter and give each one exact
+    ///    solve ([`Optimizer::solve_duplicate_group`]); every member gets a
+    ///    clone of the result. The solver is deterministic, so a clone is
+    ///    bit-for-bit what solving the duplicate itself would produce, at any
+    ///    thread count. See DESIGN.md §14.
+    fn sweep(
         &self,
         generator: &ProblemGenerator,
         pairs: &[PermPair],
@@ -810,31 +646,39 @@ impl Optimizer {
 
         let mut ledger = FailureLedger::default();
         let last_error: Mutex<Option<String>> = Mutex::new(None);
+        let threads = self.options.threads.max(1);
 
-        // Stage 1: generate every pair's GP (parallel; `core.sweep.panic`
-        // fires at the same per-pair key as the sequential sweep, so chaos
-        // plans hit both strategies identically).
-        let gen_results: Mutex<Vec<(usize, GeneratedGp)>> = Mutex::new(Vec::new());
+        // Step 1: generate and fingerprint every pair's GP.
+        type Generated = (usize, (u64, u64), GeneratedGp);
+        let gen_results: Mutex<Vec<Generated>> = Mutex::new(Vec::new());
         let gen_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let chunk = pairs.len().div_ceil(self.options.threads.max(1)).max(1);
+        let chunk = pairs.len().div_ceil(threads).max(1);
         crossbeam::scope(|scope| {
             for (chunk_index, work) in pairs.chunks(chunk).enumerate() {
                 let gen_results = &gen_results;
                 let gen_ledger = &gen_ledger;
                 let last_error = &last_error;
                 scope.spawn(move |_| {
+                    // Per-worker ledger, merged once at the end: failure
+                    // counts never contend with generation.
                     let mut ledger = FailureLedger::default();
                     for (offset, (p1, p3)) in work.iter().enumerate() {
                         let pair_index = chunk_index * chunk + offset;
                         if deadline.expired() {
                             break;
                         }
+                        // A panicking generation (model bug) fails this pair
+                        // only; the sweep carries on with the survivors.
                         let outcome =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 thistle_fault::panic_if("core.sweep.panic", pair_index as u64);
                                 match generator.generate(p1, p3, objective, mode) {
                                     Ok(gp) => {
-                                        gen_results.lock().expect("gen lock").push((pair_index, gp))
+                                        let fp = content_fingerprint(&gp.problem);
+                                        gen_results
+                                            .lock()
+                                            .expect("gen lock")
+                                            .push((pair_index, fp, gp));
                                     }
                                     Err(_) => ledger.generation_failures += 1,
                                 }
@@ -855,420 +699,79 @@ impl Optimizer {
             OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
         })?;
         ledger.merge(&gen_ledger.into_inner().expect("ledger lock"));
+        let mut generated = gen_results.into_inner().expect("gen lock");
+        generated.sort_by_key(|&(pair_index, ..)| pair_index);
+
+        // Step 2: the solve gate fires once per pair, in pair order, so a
+        // killed pair fails alone and its duplicates carry on. Survivors
+        // group by content in first-seen order.
         let mut gen_map: Vec<Option<GeneratedGp>> = (0..pairs.len()).map(|_| None).collect();
-        for (pair_index, gp) in gen_results.into_inner().expect("gen lock") {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: std::collections::HashMap<(u64, u64), usize> =
+            std::collections::HashMap::new();
+        let mut members = 0u32;
+        for (pair_index, fp, gp) in generated {
             gen_map[pair_index] = Some(gp);
-        }
-
-        // Stage 2: structural classes, keyed by the variable-index pattern
-        // of the lowering (exponent values excluded — permutation classmates
-        // differ exactly there), in first-seen pair order.
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        let mut class_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for (pair_index, slot) in gen_map.iter().enumerate() {
-            if let Some(gp) = slot {
-                let sig = structural_signature(&gp.problem).raw();
-                let next = classes.len();
-                let class = *class_of.entry(sig).or_insert(next);
-                if class == next {
-                    classes.push(Vec::new());
-                }
-                classes[class].push(pair_index);
-            }
-        }
-
-        // Stage 3: duplicate elimination, then lockstep screening. Within
-        // each structural class the surviving members are grouped by
-        // content fingerprint. The common case on real workloads is that a
-        // whole class shares ONE fingerprint — permutation pairs the
-        // upstream class pruner cannot collapse lower to byte-identical
-        // GPs — so one exact solve serves every duplicate bit-identically
-        // (the solver is deterministic: same bytes in, same bits out).
-        // Classes holding several distinct contents screen one
-        // representative per content through the lockstep engine
-        // (warm-chained within the class, relaxed duality gap) and expand
-        // the duplicates after the confirm stage. Classes run in parallel;
-        // `core.sweep.solve` fires exactly once per member, here.
-        let screen_options = SolveOptions {
-            gap_tolerance: self.options.solve_options.gap_tolerance.max(SCREEN_GAP_TOL),
-            ..self.options.solve_options.clone()
-        };
-        let screened_acc: Mutex<Vec<Screened>> = Mutex::new(Vec::new());
-        // Mixed-class duplicates, expanded in stage 5.5 from their
-        // representative's post-confirm solution: `(rep, duplicates)`.
-        let deferred_acc: Mutex<Vec<(usize, Vec<usize>)>> = Mutex::new(Vec::new());
-        let screen_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let batch_members = AtomicUsize::new(0);
-        // Classes are claimed off a shared counter (work stealing) rather
-        // than pre-chunked: class costs vary with duplicate multiplicity,
-        // and with ~2-4 classes per worker a static split leaves threads
-        // idle. Results are position-independent (sorted in stage 4), so
-        // the claim order cannot affect the outcome.
-        let next_class = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..self.options.threads.max(1) {
-                let classes = &classes;
-                let next_class = &next_class;
-                let gen_map = &gen_map;
-                let screen_options = &screen_options;
-                let screened_acc = &screened_acc;
-                let deferred_acc = &deferred_acc;
-                let screen_ledger = &screen_ledger;
-                let batch_members = &batch_members;
-                let last_error = &last_error;
-                scope.spawn(move |_| {
-                    let mut ledger = FailureLedger::default();
-                    loop {
-                        let class_index = next_class.fetch_add(1, Ordering::Relaxed);
-                        let Some(class) = classes.get(class_index) else {
-                            break;
-                        };
-                        if deadline.expired() {
-                            break;
-                        }
-                        // Gate: the injected-failure site fires per member,
-                        // at the same per-pair key as the sequential sweep,
-                        // so a killed member fails alone — its classmates
-                        // (and byte-identical duplicates) carry on.
-                        let mut survivors: Vec<usize> = Vec::with_capacity(class.len());
-                        for &pair_index in class {
-                            if thistle_fault::fire("core.sweep.solve", pair_index as u64) {
-                                ledger.numerical += 1;
-                                *last_error.lock().expect("err lock") = Some(
-                                    GpError::NumericalFailure(
-                                        "injected sweep solve failure".into(),
-                                    )
-                                    .to_string(),
-                                );
-                            } else {
-                                survivors.push(pair_index);
-                            }
-                        }
-                        if survivors.is_empty() {
-                            continue;
-                        }
-                        batch_members.fetch_add(survivors.len(), Ordering::Relaxed);
-                        // Duplicate groups, in first-seen pair order.
-                        let mut groups: Vec<Vec<usize>> = Vec::new();
-                        let mut group_of: std::collections::HashMap<(u64, u64), usize> =
-                            std::collections::HashMap::new();
-                        for &pair_index in &survivors {
-                            let fp = content_fingerprint(
-                                &gen_map[pair_index]
-                                    .as_ref()
-                                    .expect("generated member")
-                                    .problem,
-                            );
-                            let next = groups.len();
-                            let g = *group_of.entry(fp).or_insert(next);
-                            if g == next {
-                                groups.push(Vec::new());
-                            }
-                            groups[g].push(pair_index);
-                        }
-                        if groups.len() == 1 {
-                            // Pure-duplicate class: one exact solve, cloned
-                            // to every member. No screening, no confirm.
-                            self.solve_duplicate_group(
-                                &groups[0],
-                                &mut ledger,
-                                gen_map,
-                                screened_acc,
-                                last_error,
-                                deadline,
-                                ctx,
-                            );
-                            continue;
-                        }
-                        // Mixed class: screen one representative per
-                        // content; duplicates expand in stage 5.5 from
-                        // their representative's post-confirm solution.
-                        let reps: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-                        {
-                            let mut deferred = deferred_acc.lock().expect("deferred lock");
-                            for g in &groups {
-                                if g.len() > 1 {
-                                    deferred.push((g[0], g[1..].to_vec()));
-                                }
-                            }
-                        }
-                        let mut donor: Option<Vec<f64>> = None;
-                        for group in reps.chunks(thistle_expr::LANES) {
-                            if deadline.expired() {
-                                break;
-                            }
-                            let members: Vec<usize> = group.to_vec();
-                            let attempt =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let refs: Vec<&GpProblem> = members
-                                        .iter()
-                                        .map(|&pi| {
-                                            &gen_map[pi].as_ref().expect("generated member").problem
-                                        })
-                                        .collect();
-                                    let batch = {
-                                        let mut lower =
-                                            span!(ctx, "batch_lower", members = refs.len());
-                                        let batch = BatchProblem::compile(&refs);
-                                        lower.set("shared", batch.is_shared());
-                                        batch
-                                    };
-                                    let mut solve =
-                                        span!(ctx, "batch_solve", members = members.len());
-                                    let outcomes = batch.solve_batch(
-                                        screen_options,
-                                        donor.as_deref(),
-                                        deadline,
-                                    );
-                                    if solve.enabled() {
-                                        solve.set("warm", donor.is_some());
-                                        solve.set(
-                                            "lockstep",
-                                            outcomes.iter().filter(|o| o.lockstep).count(),
-                                        );
-                                    }
-                                    outcomes
-                                }));
-                            match attempt {
-                                Ok(outcomes) => {
-                                    for (outcome, &pair_index) in outcomes.into_iter().zip(&members)
-                                    {
-                                        match outcome.result {
-                                            Ok(sol) => {
-                                                let problem = &gen_map[pair_index]
-                                                    .as_ref()
-                                                    .expect("generated member")
-                                                    .problem;
-                                                let n = problem.registry().len();
-                                                donor = Some(
-                                                    (0..n)
-                                                        .map(|i| {
-                                                            sol.assignment.get(
-                                                                thistle_expr::Var::from_index(i),
-                                                            )
-                                                        })
-                                                        .collect(),
-                                                );
-                                                screened_acc.lock().expect("screen lock").push(
-                                                    Screened {
-                                                        pair_index,
-                                                        sol,
-                                                        exact: false,
-                                                    },
-                                                );
-                                            }
-                                            Err(e) => {
-                                                record_failure(&mut ledger, &e);
-                                                *last_error.lock().expect("err lock") =
-                                                    Some(e.to_string());
-                                            }
-                                        }
-                                    }
-                                }
-                                Err(payload) => {
-                                    // The batch engine contains its own
-                                    // panics; one escaping here is a
-                                    // compile-stage bug. Count it once and
-                                    // keep the members alive through exact
-                                    // scalar solves.
-                                    ledger.solver_panics += 1;
-                                    *last_error.lock().expect("err lock") = Some(format!(
-                                        "sweep worker panicked on pair {}: {}",
-                                        members[0],
-                                        panic_message(payload)
-                                    ));
-                                    for &pair_index in &members {
-                                        let problem = &gen_map[pair_index]
-                                            .as_ref()
-                                            .expect("generated member")
-                                            .problem;
-                                        match problem.solve_cancellable(
-                                            &self.options.solve_options,
-                                            deadline,
-                                            ctx,
-                                        ) {
-                                            Ok(sol) => screened_acc
-                                                .lock()
-                                                .expect("screen lock")
-                                                .push(Screened {
-                                                    pair_index,
-                                                    sol,
-                                                    exact: true,
-                                                }),
-                                            Err(e) => {
-                                                record_failure(&mut ledger, &e);
-                                                *last_error.lock().expect("err lock") =
-                                                    Some(e.to_string());
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    screen_ledger.lock().expect("ledger lock").merge(&ledger);
-                });
-            }
-        })
-        .map_err(|p| {
-            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
-        })?;
-        ledger.merge(&screen_ledger.into_inner().expect("ledger lock"));
-        let mut screened = screened_acc.into_inner().expect("screen lock");
-
-        // Stage 4: rank the screening results and pick the confirm set —
-        // the `top_solutions` cut plus a fixed pad, extended by everything
-        // whose screened objective sits within the confirm margin of the
-        // boundary (screening error cannot flip a winner out of this set).
-        screened.sort_by(|a, b| {
-            a.sol
-                .objective
-                .total_cmp(&b.sol.objective)
-                .then(a.pair_index.cmp(&b.pair_index))
-        });
-        let k = self.options.top_solutions.min(screened.len());
-        let confirm_cut = if k == 0 {
-            0
-        } else {
-            let boundary = screened[k - 1].sol.objective;
-            let margin = boundary + boundary.abs() * CONFIRM_MARGIN;
-            let mut cut = (k + CONFIRM_PAD).min(screened.len());
-            while cut < screened.len() && screened[cut].sol.objective <= margin {
-                cut += 1;
-            }
-            cut
-        };
-
-        // Stage 5: confirm — exact re-solves through the same per-problem
-        // path the sequential sweep runs, in parallel. The surviving
-        // solutions (and therefore the winners) are bit-identical to it.
-        let confirm: Vec<usize> = (0..confirm_cut).filter(|&i| !screened[i].exact).collect();
-        type Confirmed = (usize, Option<Result<Solution, GpError>>);
-        let confirmed_acc: Mutex<Vec<Confirmed>> = Mutex::new(Vec::with_capacity(confirm.len()));
-        let confirm_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let confirm_chunk = confirm.len().div_ceil(self.options.threads.max(1)).max(1);
-        crossbeam::scope(|scope| {
-            for work in confirm.chunks(confirm_chunk) {
-                let gen_map = &gen_map;
-                let screened = &screened;
-                let confirmed_acc = &confirmed_acc;
-                let confirm_ledger = &confirm_ledger;
-                let last_error = &last_error;
-                scope.spawn(move |_| {
-                    let mut ledger = FailureLedger::default();
-                    for &index in work {
-                        if deadline.expired() {
-                            break;
-                        }
-                        let pair_index = screened[index].pair_index;
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut gp_span = span!(ctx, "gp_solve", perm_pair = pair_index);
-                                let result = gen_map[pair_index]
-                                    .as_ref()
-                                    .expect("generated member")
-                                    .problem
-                                    .solve_cancellable(&self.options.solve_options, deadline, ctx);
-                                match &result {
-                                    Ok(sol) => {
-                                        if gp_span.enabled() {
-                                            gp_span.set("solved", true);
-                                            gp_span.set("objective", sol.objective);
-                                            gp_span.set("newton_iterations", sol.newton_iterations);
-                                        }
-                                    }
-                                    Err(_) => gp_span.set("solved", false),
-                                }
-                                result
-                            }));
-                        match outcome {
-                            Ok(result) => confirmed_acc
-                                .lock()
-                                .expect("confirm lock")
-                                .push((index, Some(result))),
-                            Err(payload) => {
-                                ledger.solver_panics += 1;
-                                *last_error.lock().expect("err lock") = Some(format!(
-                                    "sweep worker panicked on pair {pair_index}: {}",
-                                    panic_message(payload)
-                                ));
-                                confirmed_acc
-                                    .lock()
-                                    .expect("confirm lock")
-                                    .push((index, None));
-                            }
-                        }
-                    }
-                    confirm_ledger.lock().expect("ledger lock").merge(&ledger);
-                });
-            }
-        })
-        .map_err(|p| {
-            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
-        })?;
-        ledger.merge(&confirm_ledger.into_inner().expect("ledger lock"));
-        let mut dropped = vec![false; screened.len()];
-        for (index, result) in confirmed_acc.into_inner().expect("confirm lock") {
-            match result {
-                Some(Ok(sol)) => {
-                    screened[index].sol = sol;
-                    screened[index].exact = true;
-                }
-                Some(Err(e)) => {
-                    record_failure(&mut ledger, &e);
-                    *last_error.lock().expect("err lock") = Some(e.to_string());
-                    dropped[index] = true;
-                }
-                // Panic during confirm: already tallied, member dropped.
-                None => dropped[index] = true,
-            }
-        }
-
-        // Stage 5.5: expand mixed-class duplicates from their
-        // representative's final (post-confirm) solution — byte-identical
-        // problems share bits, so a clone of the representative's exact
-        // solution is exactly what a per-pair solve would have produced. A
-        // dropped or screen-failed representative drops its duplicates
-        // (identical bytes fail identically). A representative left
-        // unconfirmed stays screened, and the confirm-margin argument
-        // covers its duplicates too: they share its screened objective, so
-        // none of them can reach the `top_solutions` cut either.
-        let deferred = deferred_acc.into_inner().expect("deferred lock");
-        if !deferred.is_empty() {
-            let rep_slot: std::collections::HashMap<usize, usize> = screened
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.pair_index, i))
-                .collect();
-            for (rep, dups) in deferred {
-                let Some(&i) = rep_slot.get(&rep) else {
-                    continue;
-                };
-                if dropped[i] {
-                    continue;
-                }
-                let (sol, exact) = (screened[i].sol.clone(), screened[i].exact);
-                for dup in dups {
-                    screened.push(Screened {
-                        pair_index: dup,
-                        sol: sol.clone(),
-                        exact,
-                    });
-                    dropped.push(false);
-                }
-            }
-        }
-
-        // Stage 6: assemble. Status and recovery tallies come from each
-        // member's final solution — the exact one where a confirm ran.
-        let mut solved: Vec<SweepSolution> = Vec::with_capacity(screened.len());
-        for (index, s) in screened.into_iter().enumerate() {
-            if dropped[index] {
+            if thistle_fault::fire("core.sweep.solve", pair_index as u64) {
+                ledger.numerical += 1;
+                *last_error.lock().expect("err lock") = Some(
+                    GpError::NumericalFailure("injected sweep solve failure".into()).to_string(),
+                );
                 continue;
             }
-            let Screened {
-                pair_index, sol, ..
-            } = s;
+            members += 1;
+            let next = groups.len();
+            let g = *group_of.entry(fp).or_insert(next);
+            if g == next {
+                groups.push(Vec::new());
+            }
+            groups[g].push(pair_index);
+        }
+
+        // Step 3: one exact solve per group. Groups are claimed off a shared
+        // counter rather than pre-chunked, because their costs vary; the
+        // results are sorted downstream, so claim order cannot matter.
+        let solved_acc: Mutex<Vec<(usize, Solution)>> = Mutex::new(Vec::new());
+        let solve_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
+        let next_group = AtomicUsize::new(0);
+        crossbeam::scope(|scope| {
+            for _ in 0..threads {
+                let groups = &groups;
+                let gen_map = &gen_map;
+                let next_group = &next_group;
+                let solved_acc = &solved_acc;
+                let solve_ledger = &solve_ledger;
+                let last_error = &last_error;
+                scope.spawn(move |_| {
+                    let mut ledger = FailureLedger::default();
+                    while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
+                        if deadline.expired() {
+                            break;
+                        }
+                        self.solve_duplicate_group(
+                            group,
+                            &mut ledger,
+                            gen_map,
+                            solved_acc,
+                            last_error,
+                            deadline,
+                            ctx,
+                        );
+                    }
+                    solve_ledger.lock().expect("ledger lock").merge(&ledger);
+                });
+            }
+        })
+        .map_err(|p| {
+            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
+        })?;
+        ledger.merge(&solve_ledger.into_inner().expect("ledger lock"));
+
+        // Assemble. Status and recovery tallies count per member, exactly
+        // as if each duplicate had been solved on its own.
+        let results = solved_acc.into_inner().expect("solved lock");
+        let mut solved: Vec<SweepSolution> = Vec::with_capacity(results.len());
+        for (pair_index, sol) in results {
             if sol.recovery.recovered_by.is_some() {
                 ledger.recovered += 1;
             }
@@ -1296,36 +799,30 @@ impl Optimizer {
             solved,
             ledger,
             last_error: last_error.into_inner().expect("err lock"),
-            batch: Some((
-                classes.len() as u32,
-                batch_members.load(Ordering::Relaxed) as u32,
-            )),
+            groups: groups.len() as u32,
+            members,
         })
     }
 
     /// Solves one duplicate group — members whose GPs are byte-identical —
-    /// through the exact per-problem path. The first member that solves
-    /// becomes the source; every other member receives a clone of its
-    /// solution, which is bit-for-bit what a sequential per-pair solve
-    /// would have produced, because the solver is deterministic. A
-    /// panicking source solve (e.g. an injected kill) fails that member
-    /// alone and promotes the next duplicate, so one killed member cannot
-    /// poison its classmates; a clean solver error is deterministic for
-    /// identical bytes and is tallied once per remaining member without
-    /// re-solving.
+    /// with one exact solve under a `batch_solve` span. The first member
+    /// that solves becomes the source and every other member receives a
+    /// clone of its solution. A panicking source solve (e.g. an injected
+    /// kill) fails that member alone and promotes the next duplicate; a
+    /// clean solver error is deterministic for identical bytes and is
+    /// tallied once per remaining member without re-solving.
     #[allow(clippy::too_many_arguments)]
     fn solve_duplicate_group(
         &self,
         group: &[usize],
         ledger: &mut FailureLedger,
         gen_map: &[Option<GeneratedGp>],
-        screened_acc: &Mutex<Vec<Screened>>,
+        solved_acc: &Mutex<Vec<(usize, Solution)>>,
         last_error: &Mutex<Option<String>>,
         deadline: &Deadline,
         ctx: &TraceCtx,
     ) {
         let mut solve = span!(ctx, "batch_solve", members = group.len());
-        solve.set("dedup", true);
         for (attempt, &pair_index) in group.iter().enumerate() {
             if deadline.expired() {
                 return;
@@ -1355,13 +852,9 @@ impl Optimizer {
                         solve.set("source", pair_index);
                         solve.set("objective", sol.objective);
                     }
-                    let mut screened = screened_acc.lock().expect("screen lock");
+                    let mut solved = solved_acc.lock().expect("solved lock");
                     for &dup in &group[attempt..] {
-                        screened.push(Screened {
-                            pair_index: dup,
-                            sol: sol.clone(),
-                            exact: true,
-                        });
+                        solved.push((dup, sol.clone()));
                     }
                     return;
                 }
@@ -1384,8 +877,7 @@ impl Optimizer {
     }
 
     /// Sorts, truncates, optionally condensation-refines, and
-    /// rescore-picks the sweep's surviving solutions — the shared tail of
-    /// both sweep strategies.
+    /// rescore-picks the sweep's surviving solutions.
     #[allow(clippy::too_many_arguments)]
     fn refine_and_pick(
         &self,

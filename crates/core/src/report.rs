@@ -59,11 +59,11 @@ pub struct SolveReport {
     /// Lowered constraint rows actually re-lowered during the near-miss
     /// patch (0 for cold solves).
     pub rows_relowered: u64,
-    /// Structural classes the batched sweep grouped the permutation pairs
-    /// into (0 when the sweep ran sequentially).
+    /// Distinct GP contents the sweep solved, one exact solve each (0 for a
+    /// near-miss warm start, which skips the sweep).
     pub batch_classes: u32,
-    /// Permutation-pair members driven through the batched lockstep engine
-    /// during the sweep (0 when the sweep ran sequentially).
+    /// Permutation pairs that entered the sweep's deduplication: generated
+    /// and not failed at the solve gate (0 for a near-miss warm start).
     pub batch_members: u32,
 }
 

@@ -48,7 +48,6 @@
 
 mod arena;
 mod assignment;
-mod batch;
 mod compiled;
 mod monomial;
 mod posynomial;
@@ -57,7 +56,6 @@ mod var;
 
 pub use arena::{thread_arena_stats, ArenaSignomial, ArenaStats, ExprArena, TermDiff, UnitId};
 pub use assignment::Assignment;
-pub use batch::{SignatureBuilder, SoaCsr, StructuralSignature, LANES};
 pub use compiled::{CompiledPosynomial, CompiledSignomial, EvalScratch};
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;

@@ -42,7 +42,6 @@
 //! # }
 //! ```
 
-mod batch;
 pub mod condensation;
 mod deadline;
 pub mod linalg;
@@ -50,10 +49,9 @@ mod problem;
 mod solver;
 mod transform;
 
-pub use batch::{content_fingerprint, structural_signature, BatchOutcome, BatchProblem};
 pub use condensation::{monomialize, CondensationResult, SignomialProblem};
 pub use deadline::Deadline;
-pub use problem::{GpProblem, SolveOptions};
+pub use problem::{content_fingerprint, GpProblem, SolveOptions};
 pub use solver::{GpError, RecoveryInfo, RecoveryRung, Solution, SolveStatus, WarmInfo};
 pub use transform::{LogSumExp, LoweringReuse, LseScratch, TransformedProblem};
 

@@ -33,10 +33,8 @@ impl Default for SolveOptions {
 }
 
 /// The [`BarrierOptions`] a cold [`GpProblem::solve`] runs with for the given
-/// caller-facing options. Shared with the batched engine so its per-member
-/// scalar fallbacks (and the sweep's confirmation re-solves) are bit-identical
-/// to the sequential path.
-pub(crate) fn cold_barrier_options(options: &SolveOptions) -> BarrierOptions {
+/// caller-facing options.
+fn cold_barrier_options(options: &SolveOptions) -> BarrierOptions {
     BarrierOptions {
         gap_tol: options.gap_tolerance,
         newton_tol: options.newton_tolerance,
@@ -369,9 +367,118 @@ impl GpProblem {
     }
 }
 
+/// The content fingerprint of a GP: a 128-bit hash over every coefficient
+/// and exponent *bit pattern*, every variable index, and the exact term and
+/// constraint order. Two problems with equal fingerprints are (modulo a
+/// ~2^-128 collision) byte-identical inputs to the solver, and the solver is
+/// deterministic, so their solutions are bit-identical. The optimizer's
+/// sweep deduplicates on this: permutation pairs routinely lower to the
+/// *same* GP (loop symmetries the class pruner cannot see), and one exact
+/// solve serves every duplicate with perfect fidelity.
+pub fn content_fingerprint(p: &GpProblem) -> (u64, u64) {
+    // Two independent FNV-1a streams with distinct offset bases; together
+    // they behave as one 128-bit fingerprint.
+    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h2: u64 = 0x6c62_272e_07bb_0142;
+    let mut put = |v: u64| {
+        h1 = (h1 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        h2 = (h2 ^ v.rotate_left(17)).wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let put_posynomial = |put: &mut dyn FnMut(u64), g: &Posynomial| {
+        for (c, m) in g.terms() {
+            put(c.to_bits());
+            for (v, a) in m.powers() {
+                put(v.index() as u64);
+                put(a.to_bits());
+            }
+            put(u64::MAX); // term separator
+        }
+        put(u64::MAX - 1); // posynomial separator
+    };
+    put(p.registry().len() as u64);
+    match p.objective() {
+        Some(obj) => put_posynomial(&mut put, obj),
+        None => put(u64::MAX - 3),
+    }
+    for g in p.inequalities() {
+        put_posynomial(&mut put, g);
+    }
+    for m in p.equalities() {
+        for (v, a) in m.powers() {
+            put(v.index() as u64);
+            put(a.to_bits());
+        }
+        put(u64::MAX - 2); // equality separator
+    }
+    (h1, h2)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// min x + y s.t. x*y >= 16 and x <= 50*y (or the two constraints in
+    /// the opposite order), with the coefficient of x given.
+    fn fingerprinted(x_coeff: f64, swapped: bool) -> GpProblem {
+        let mut reg = VarRegistry::new();
+        let x = reg.var("x");
+        let y = reg.var("y");
+        let mut prob = GpProblem::new(reg);
+        prob.set_objective(
+            Posynomial::from(Monomial::new(x_coeff, [(x, 1.0)])) + Posynomial::from_var(y),
+        );
+        let product = Posynomial::from(Monomial::new(16.0, [(x, -1.0), (y, -1.0)]));
+        let ratio = Posynomial::from(Monomial::new(0.02, [(x, 1.0), (y, -1.0)]));
+        let (first, second) = if swapped {
+            (ratio, product)
+        } else {
+            (product, ratio)
+        };
+        prob.add_le(first, Monomial::one());
+        prob.add_le(second, Monomial::one());
+        prob
+    }
+
+    #[test]
+    fn identical_builds_fingerprint_equal() {
+        assert_eq!(
+            content_fingerprint(&fingerprinted(1.0, false)),
+            content_fingerprint(&fingerprinted(1.0, false))
+        );
+    }
+
+    #[test]
+    fn one_ulp_coefficient_change_differs() {
+        let nudged = f64::from_bits(1.0f64.to_bits() + 1);
+        assert_ne!(
+            content_fingerprint(&fingerprinted(1.0, false)),
+            content_fingerprint(&fingerprinted(nudged, false))
+        );
+    }
+
+    #[test]
+    fn constraint_order_changes_the_fingerprint() {
+        assert_ne!(
+            content_fingerprint(&fingerprinted(1.0, false)),
+            content_fingerprint(&fingerprinted(1.0, true))
+        );
+    }
+
+    #[test]
+    fn exponent_on_another_variable_differs() {
+        // The same exponent value on a different variable index.
+        let build = |on: usize| {
+            let mut reg = VarRegistry::new();
+            let vars = [reg.var("x"), reg.var("y")];
+            let mut prob = GpProblem::new(reg);
+            prob.set_objective(Posynomial::from(Monomial::new(1.0, [(vars[on], 2.0)])));
+            prob
+        };
+        assert_ne!(
+            content_fingerprint(&build(0)),
+            content_fingerprint(&build(1))
+        );
+    }
 
     #[test]
     fn missing_objective_is_invalid() {

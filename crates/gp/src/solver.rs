@@ -190,23 +190,23 @@ const LADDER_PERTURB: f64 = 0.25;
 /// centering step opens at `t0 = m / WARM_GAP_START` instead of `t = 1`,
 /// skipping the early outer iterations a near-optimal start point does not
 /// need.
-pub(crate) const WARM_GAP_START: f64 = 5e-1;
+const WARM_GAP_START: f64 = 5e-1;
 /// Fault/perturbation key for the warm attempt, disjoint from the cold
 /// ladder's attempt indices 0..=3.
-pub(crate) const WARM_FAULT_KEY: u64 = 4;
+const WARM_FAULT_KEY: u64 = 4;
 /// Newton budget per *intermediate* centering on warm runs (see
 /// [`BarrierOptions::inexact_cap`]); the final centering is never capped.
-pub(crate) const WARM_INEXACT_CAP: usize = 6;
+const WARM_INEXACT_CAP: usize = 6;
 /// Slack-variable start margin for a *warm* phase I. The cold path starts
 /// at `s0 = worst + 1.0` because its start point can be arbitrarily bad; a
 /// warm start's violation is small, and a tight margin keeps the phase-I
 /// descent short.
-pub(crate) const WARM_PHASE1_MARGIN: f64 = 0.05;
+const WARM_PHASE1_MARGIN: f64 = 0.05;
 /// Initial barrier `t` for a *warm* phase I: weighting the slack objective
 /// heavily makes phase I dive straight for feasibility with minimal drift
 /// from the donor point, instead of re-centering toward the analytic
 /// center like the cold path's `t = 1` start.
-pub(crate) const WARM_PHASE1_T0: f64 = 100.0;
+const WARM_PHASE1_T0: f64 = 100.0;
 /// Interior margin the warm-start repair pass restores on violated
 /// inequalities (in log-space constraint value).
 const WARM_REPAIR_MARGIN: f64 = 1e-4;
@@ -622,9 +622,8 @@ fn solve_attempt(
 /// The warm-start initial barrier weight: `m / WARM_GAP_START`, snapped down
 /// onto the grid `t_final / warm_mu^j` so the warm schedule's last centering
 /// lands on the same final `t` a cold solve reaches (see the comment in
-/// [`warm_attempt`]). Shared with the batched engine, whose screening runs
-/// open their warm-chained phase II at the same point.
-pub(crate) fn warm_t0(m: usize, cold: &BarrierOptions, warm_mu: f64) -> f64 {
+/// [`warm_attempt`]).
+fn warm_t0(m: usize, cold: &BarrierOptions, warm_mu: f64) -> f64 {
     if m == 0 {
         return 1.0;
     }

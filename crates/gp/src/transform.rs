@@ -193,19 +193,6 @@ impl LogSumExp {
         self.n
     }
 
-    /// The raw CSR parts `(row_ptr, cols, vals, offsets, live)`, exposed for
-    /// the batched engine's shared-structure verification and SoA interleave.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn csr_parts(&self) -> (&[u32], &[u32], &[f64], &[f64], &[u32]) {
-        (
-            &self.row_ptr,
-            &self.cols,
-            &self.vals,
-            &self.offsets,
-            &self.live,
-        )
-    }
-
     /// The sparse row of term `k`: parallel `(cols, vals)` slices.
     fn row(&self, k: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (self.row_ptr[k] as usize, self.row_ptr[k + 1] as usize);

@@ -51,8 +51,8 @@ pub enum Stage {
     PermEnum,
     /// One geometric-program solve (per permutation pair).
     GpSolve,
-    /// One batched lockstep solve of a structural-class group (up to
-    /// `thistle_expr::LANES` permutation pairs per solve).
+    /// One exact solve shared by a group of permutation pairs whose GPs are
+    /// byte-identical (the sweep's deduplication).
     BatchSolve,
     /// Lowering a GP into its compiled log-sum-exp evaluation form.
     ExprCompile,

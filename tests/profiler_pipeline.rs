@@ -77,7 +77,6 @@ fn profiled_service_run_names_real_pipeline_spans() {
         "perm_enum",
         "level_classes",
         "gp_sweep",
-        "batch_lower",
         "batch_solve",
         "gp_solve",
         "expr_compile",
