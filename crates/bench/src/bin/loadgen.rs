@@ -651,7 +651,7 @@ fn main() {
         }
     }
     if let Some(bound) = assert_healthz_ms {
-        if !(healthz_worst_ms <= bound) || healthz_failures > 0 {
+        if healthz_worst_ms.is_nan() || healthz_worst_ms > bound || healthz_failures > 0 {
             eprintln!(
                 "ASSERT FAILED: healthz worst {healthz_worst_ms} ms (bound {bound}), \
                  {healthz_failures} failures"

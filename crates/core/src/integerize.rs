@@ -14,8 +14,12 @@
 //! 4. evaluating every survivor with the Timeloop model and keeping the
 //!    best.
 //!
-//! This module implements steps 1–3; step 4 lives in
-//! [`crate::optimizer`].
+//! This module provides the candidate lists of steps 1–2 and the capped
+//! cross product of tile sizes. The optimizer ([`crate::optimizer`]) never
+//! materializes the full (architecture, mapping) cross product: it streams
+//! each tile-size combination through the area filter, the capacity
+//! prefilter (evaluated once per combination, at [`tiling_assignment`]) and
+//! the referee of step 4.
 
 /// All divisors of `n`, ascending.
 ///
@@ -166,6 +170,23 @@ pub fn candidate_assignment(
     arch: &thistle_arch::ArchConfig,
     mapping: &timeloop_lite::Mapping,
 ) -> thistle_expr::Assignment {
+    let mut point = tiling_assignment(gp, mapping);
+    if let Some(av) = gp.arch_vars {
+        point.set(av.regs, arch.regs_per_pe as f64);
+        point.set(av.sram, arch.sram_words as f64);
+        point.set(av.pes, arch.pe_count as f64);
+    }
+    point
+}
+
+/// [`candidate_assignment`] without the architecture: every free trip-count
+/// variable takes its mapping factor and the co-design variables stay at 1.
+/// The compiled footprints read no architecture variable, so they evaluate
+/// bit-identically here for every architecture paired with `mapping`.
+pub fn tiling_assignment(
+    gp: &thistle_model::GeneratedGp,
+    mapping: &timeloop_lite::Mapping,
+) -> thistle_expr::Assignment {
     use thistle_model::{Dim, Level, TripCount};
     let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
     let levels = [
@@ -180,11 +201,6 @@ pub fn candidate_assignment(
                 point.set(v, factor as f64);
             }
         }
-    }
-    if let Some(av) = gp.arch_vars {
-        point.set(av.regs, arch.regs_per_pe as f64);
-        point.set(av.sram, arch.sram_words as f64);
-        point.set(av.pes, arch.pe_count as f64);
     }
     point
 }

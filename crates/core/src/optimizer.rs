@@ -12,7 +12,8 @@
 
 use crate::convert::to_problem_spec;
 use crate::integerize::{
-    candidate_assignment, closest_powers_of_two, cross_product_capped, dim_candidates, DimTiling,
+    candidate_assignment, closest_powers_of_two, cross_product_capped, dim_candidates,
+    tiling_assignment, DimTiling,
 };
 use crate::ledger::FailureLedger;
 use crate::report::SolveReport;
@@ -25,7 +26,7 @@ use thistle_model::{
     RegisterCostModel, Workload,
 };
 use thistle_obs::{span, TraceCtx};
-use timeloop_lite::{evaluate, ArchSpec, EvalResult, Mapping};
+use timeloop_lite::{evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec};
 
 /// Tuning knobs for the optimizer pipeline.
 #[derive(Debug, Clone)]
@@ -39,7 +40,7 @@ pub struct OptimizerOptions {
     pub candidate_limit: usize,
     /// How many of the best relaxed solutions to integerize.
     pub top_solutions: usize,
-    /// Worker threads for the GP sweep.
+    /// Worker threads for the GP sweep and rescore.
     pub threads: usize,
     /// GP solver settings.
     pub solve_options: SolveOptions,
@@ -126,11 +127,7 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// The design's score under `objective`.
     pub fn score(&self, objective: Objective) -> f64 {
-        match objective {
-            Objective::Energy => self.eval.energy_pj,
-            Objective::Delay => self.eval.cycles,
-            Objective::EnergyDelayProduct => self.eval.energy_pj * self.eval.cycles,
-        }
+        objective_score(objective, &self.eval)
     }
 }
 
@@ -945,6 +942,12 @@ impl Optimizer {
     /// solutions, returning the best surviving design point. Shared between
     /// the full permutation sweep and the near-miss warm-start path (which
     /// feeds exactly one solution).
+    ///
+    /// Workers claim solutions off a shared counter, up to
+    /// `options.threads` (one thread runs inline), and each solution yields
+    /// a [`RescoreOutcome`]. The outcomes are folded here in solution order
+    /// with the strict `<` a serial loop applies, so the winner, the leaders
+    /// and every count are identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     fn rescore_and_pick(
         &self,
@@ -957,140 +960,103 @@ impl Optimizer {
         deadline: &Deadline,
         ctx: &TraceCtx,
     ) -> Result<DesignPoint, OptimizeError> {
-        // Integerize and referee-evaluate.
-        let prob_spec = to_problem_spec(workload);
-        let mut best: Option<DesignPoint> = None;
-        let mut candidates_evaluated = 0usize;
-        // Sweep-wide rescore filter totals, patched into the winning
-        // report below.
-        let (mut total_prefiltered, mut total_rejected_infeasible, mut total_rejected_utilization) =
-            (0u64, 0u64, 0u64);
-        let relaxed_best = solved[0].objective;
-        // Leaders kept aside for the delay-mode spatial packing pass.
-        let mut leaders: Vec<(f64, usize, ArchConfig, Mapping)> = Vec::new();
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
-        for (solution_index, sol) in solved.iter().enumerate() {
-            if deadline.expired() {
-                return Err(OptimizeError::Cancelled);
+        let prob_spec = to_problem_spec(workload);
+        // Per-candidate referee calls are too hot to trace individually; one
+        // `rescore` span per solve carries the verdict totals instead.
+        let mut rescore_span = span!(ctx, "rescore", solutions = solved.len());
+
+        // Integerization and rescoring run over referee code paths that may
+        // panic on pathological candidates; each solution is contained so
+        // one bad leader cannot sink the survivors. The counter only hands
+        // out indices (hence `Relaxed`); outcomes come back through `join`.
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= solved.len() || deadline.expired() {
+                    return done;
+                }
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.rescore_solution(
+                        workload,
+                        &prob_spec,
+                        objective,
+                        &solved[index],
+                        index,
+                        ctx,
+                    )
+                }));
+                done.push((index, outcome));
             }
-            // Integerization and rescoring run over referee code paths that
-            // may panic on pathological candidates; contain each solution so
-            // one bad leader cannot sink the survivors.
-            let contained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                thistle_fault::panic_if("core.integerize.panic", solution_index as u64);
-                let gp = &sol.gp;
-                let point = &sol.point;
-                let candidates = {
-                    let mut int_span = span!(ctx, "integerize", solution = solution_index);
-                    let (candidates, stats) = self.integer_candidates(workload, gp, point);
-                    if int_span.enabled() {
-                        int_span.set("combos", stats.combos);
-                        int_span.set("arch_choices", stats.arch_choices);
-                        int_span.set("rejected_area", stats.rejected_area);
-                        int_span.set("candidates", candidates.len());
+        };
+        let threads = self.options.threads.clamp(1, solved.len());
+        let mut finished = if threads == 1 {
+            claim()
+        } else {
+            crossbeam::scope(|scope| {
+                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(|_| claim())).collect();
+                workers
+                    .into_iter()
+                    .map(|worker| worker.join())
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .and_then(|joined| joined)
+            .map_err(|p| {
+                OptimizeError::Internal(format!("rescore thread died: {}", panic_message(p)))
+            })?
+            .into_iter()
+            .flatten()
+            .collect()
+        };
+        // A solution nobody claimed was skipped by an expired deadline.
+        if finished.len() < solved.len() {
+            return Err(OptimizeError::Cancelled);
+        }
+        finished.sort_by_key(|&(index, _)| index);
+
+        let mut counts = RescoreCounts::default();
+        let mut best: Option<(usize, Scored)> = None;
+        // Leaders kept aside for the delay-mode spatial packing pass.
+        let mut leaders: Vec<(f64, (usize, ArchConfig, Mapping))> = Vec::new();
+        for (index, outcome) in finished {
+            match outcome {
+                // A panicked solution contributes nothing but the count.
+                Err(_) => ledger.integerize_panics += 1,
+                Ok(outcome) => {
+                    counts.add(&outcome.counts);
+                    if let Some(scored) = outcome.best {
+                        if best.as_ref().is_none_or(|(_, b)| scored.score < b.score) {
+                            best = Some((index, scored));
+                        }
                     }
-                    candidates
-                };
-                // Per-candidate referee calls are too hot to trace individually;
-                // one `rescore` span per relaxed solution aggregates the verdict
-                // counts instead.
-                let mut rescore_span = span!(ctx, "rescore", solution = solution_index);
-                let (mut evaluated, mut rejected_infeasible, mut rejected_utilization) =
-                    (0usize, 0usize, 0usize);
-                let mut prefiltered = 0usize;
-                let mut scratch = thistle_expr::EvalScratch::default();
-                for (arch, mapping) in candidates {
-                    candidates_evaluated += 1;
-                    evaluated += 1;
-                    // Capacity prefilter on the compiled exact footprints. The
-                    // symbolic footprints equal the referee's integer counts at
-                    // integer points, so an overflowing candidate here is exactly
-                    // a referee reject; the tolerance keeps exactly-at-capacity
-                    // candidates (compiled exp/ln evaluation rounds at ~1e-15).
-                    let point = candidate_assignment(gp, &arch, &mapping);
-                    let reg_fp = gp
-                        .compiled_register_footprint()
-                        .eval_with(&point, &mut scratch);
-                    let sram_fp = gp.compiled_sram_footprint().eval_with(&point, &mut scratch);
-                    if reg_fp > arch.regs_per_pe as f64 * (1.0 + 1e-9)
-                        || sram_fp > arch.sram_words as f64 * (1.0 + 1e-9)
-                    {
-                        rejected_infeasible += 1;
-                        prefiltered += 1;
-                        continue;
-                    }
-                    let arch_spec = ArchSpec::from_config(
-                        "candidate",
-                        &arch,
-                        &self.tech,
-                        self.bandwidths.clone(),
-                    );
-                    let Ok(eval) = evaluate(&prob_spec, &arch_spec, &mapping) else {
-                        rejected_infeasible += 1;
-                        continue;
-                    };
-                    if self.options.min_utilization > 0.0
-                        && eval.utilization < self.options.min_utilization
-                    {
-                        rejected_utilization += 1;
-                        continue;
-                    }
-                    let score = match objective {
-                        Objective::Energy => eval.energy_pj,
-                        Objective::Delay => eval.cycles,
-                        Objective::EnergyDelayProduct => eval.energy_pj * eval.cycles,
-                    };
-                    if objective != Objective::Energy {
-                        leaders.push((score, solution_index, arch, mapping.clone()));
-                    }
-                    if best.as_ref().is_none_or(|b| score < b.score(objective)) {
-                        best = Some(DesignPoint {
-                            workload_name: workload.name.clone(),
-                            arch,
-                            mapping: mapping.clone(),
-                            eval,
-                            relaxed_objective: relaxed_best,
-                            relaxed_point: sol.point.clone(),
-                            perm1: gp.perm1.clone(),
-                            perm3: gp.perm3.clone(),
-                            perm_pair: sol.pair_index,
-                            gp_solves,
-                            candidates_evaluated: 0, // patched below
-                            degraded: matches!(sol.status, SolveStatus::Degraded),
-                            ledger: FailureLedger::default(), // patched below
-                            report: sol.report(workload),
-                        });
+                    for (score, (arch, mapping)) in outcome.leaders {
+                        push_leader(&mut leaders, score, || (index, arch, mapping));
                     }
                 }
-                total_prefiltered += prefiltered as u64;
-                total_rejected_infeasible += rejected_infeasible as u64;
-                total_rejected_utilization += rejected_utilization as u64;
-                if rescore_span.enabled() {
-                    rescore_span.set("evaluated", evaluated);
-                    rescore_span.set("rejected_infeasible", rejected_infeasible);
-                    rescore_span.set("rejected_utilization", rejected_utilization);
-                    rescore_span.set("prefiltered", prefiltered);
-                }
-            }));
-            if contained.is_err() {
-                ledger.integerize_panics += 1;
             }
         }
+        if rescore_span.enabled() {
+            rescore_span.set("evaluated", counts.evaluated);
+            rescore_span.set("rejected_area", counts.rejected_area);
+            rescore_span.set("rejected_infeasible", counts.rejected_infeasible);
+            rescore_span.set("rejected_utilization", counts.rejected_utilization);
+            rescore_span.set("prefiltered", counts.prefiltered);
+        }
+        drop(rescore_span);
+        let mut candidates_evaluated = counts.evaluated as usize;
 
         // Delay-sensitive objectives only: the GP's PE allocation is a flat
         // direction of the relaxation, so per-dimension rounding can strand
         // PEs. Re-split the temporal/spatial factors of the leading
         // candidates to pack the PE array as fully as possible, and let the
         // referee re-judge.
-        if objective != Objective::Energy && !leaders.is_empty() {
-            // Stable sort + deterministic insertion order keeps ties stable.
-            leaders.sort_by(|a, b| a.0.total_cmp(&b.0));
-            leaders.truncate(24);
+        if !leaders.is_empty() {
             let mut pack_span = span!(ctx, "pack_spatial", leaders = leaders.len());
             let mut repacked = 0usize;
-            for (_, solution_index, arch, mapping) in leaders {
-                let sol = &solved[solution_index];
-                let gp = &sol.gp;
+            for (_, (index, arch, mapping)) in leaders {
                 // Fixed mode packs into the given array; co-design sets the
                 // PE count itself, so the true limit is what the remaining
                 // chip area affords at this register-file size.
@@ -1104,7 +1070,7 @@ impl Optimizer {
                         ((available / per_pe).floor().max(1.0) as u64).min(spec.pe_range.1 as u64)
                     }
                 };
-                let Some(packed) = pack_spatial(&gp.space, &mapping, pe_limit) else {
+                let Some(packed) = pack_spatial(&solved[index].gp.space, &mapping, pe_limit) else {
                     continue;
                 };
                 repacked += 1;
@@ -1114,67 +1080,166 @@ impl Optimizer {
                         ArchConfig::new(packed.pe_count(), arch.regs_per_pe, arch.sram_words)
                     }
                 };
-                candidates_evaluated += 1;
                 let arch_spec =
                     ArchSpec::from_config("packed", &arch, &self.tech, self.bandwidths.clone());
                 let Ok(eval) = evaluate(&prob_spec, &arch_spec, &packed) else {
                     continue;
                 };
-                let packed_score = match objective {
-                    Objective::Energy => eval.energy_pj,
-                    Objective::Delay => eval.cycles,
-                    Objective::EnergyDelayProduct => eval.energy_pj * eval.cycles,
-                };
-                if best
-                    .as_ref()
-                    .is_none_or(|b| packed_score < b.score(objective))
-                {
-                    best = Some(DesignPoint {
-                        workload_name: workload.name.clone(),
-                        arch,
-                        mapping: packed,
-                        eval,
-                        relaxed_objective: relaxed_best,
-                        relaxed_point: sol.point.clone(),
-                        perm1: gp.perm1.clone(),
-                        perm3: gp.perm3.clone(),
-                        perm_pair: sol.pair_index,
-                        gp_solves,
-                        candidates_evaluated: 0,
-                        degraded: matches!(sol.status, SolveStatus::Degraded),
-                        ledger: FailureLedger::default(),
-                        report: sol.report(workload),
-                    });
+                let score = objective_score(objective, &eval);
+                if best.as_ref().is_none_or(|(_, b)| score < b.score) {
+                    best = Some((
+                        index,
+                        Scored {
+                            score,
+                            arch,
+                            mapping: packed,
+                            eval,
+                        },
+                    ));
                 }
             }
             pack_span.set("repacked", repacked);
+            candidates_evaluated += repacked;
         }
 
-        match best {
-            Some(mut b) => {
-                b.candidates_evaluated = candidates_evaluated;
-                // A sweep that lost classes (or leaders) to contained
-                // failures still answers, but the answer is marked degraded
-                // and carries the full per-cause breakdown.
-                b.degraded |= ledger.failed() > 0;
-                b.ledger = ledger;
-                b.report.prefiltered = total_prefiltered;
-                b.report.rejected_infeasible = total_rejected_infeasible;
-                b.report.rejected_utilization = total_rejected_utilization;
-                Ok(b)
-            }
-            None => Err(OptimizeError::NoFeasibleDesign),
-        }
+        let Some((index, winner)) = best else {
+            return Err(OptimizeError::NoFeasibleDesign);
+        };
+        let sol = &solved[index];
+        let mut report = sol.report(workload);
+        report.prefiltered = counts.prefiltered;
+        report.rejected_infeasible = counts.rejected_infeasible;
+        report.rejected_utilization = counts.rejected_utilization;
+        Ok(DesignPoint {
+            workload_name: workload.name.clone(),
+            arch: winner.arch,
+            mapping: winner.mapping,
+            eval: winner.eval,
+            relaxed_objective: solved[0].objective,
+            relaxed_point: sol.point.clone(),
+            perm1: sol.gp.perm1.clone(),
+            perm3: sol.gp.perm3.clone(),
+            perm_pair: sol.pair_index,
+            gp_solves,
+            candidates_evaluated,
+            // A sweep that lost classes (or leaders) to contained failures
+            // still answers, but the answer is marked degraded and carries
+            // the full per-cause breakdown.
+            degraded: matches!(sol.status, SolveStatus::Degraded) || ledger.failed() > 0,
+            ledger,
+            report,
+        })
     }
 
-    /// Integer (architecture, mapping) candidates for one relaxed solution,
-    /// plus the generation/filter counts for the `integerize` trace span.
-    fn integer_candidates(
+    /// Integerizes one relaxed solution and streams its candidates. Each
+    /// tile-size combination becomes one mapping whose register and SRAM
+    /// footprints are evaluated once; each architecture choice then runs
+    /// the area filter, the capacity compare and the referee call. A
+    /// mapping is cloned only when it becomes the solution's best or enters
+    /// its leaders.
+    fn rescore_solution(
+        &self,
+        workload: &Workload,
+        prob_spec: &ProblemSpec,
+        objective: Objective,
+        sol: &SweepSolution,
+        solution_index: usize,
+        ctx: &TraceCtx,
+    ) -> RescoreOutcome {
+        thistle_fault::panic_if("core.integerize.panic", solution_index as u64);
+        let gp = &sol.gp;
+        let space = {
+            let mut int_span = span!(ctx, "integerize", solution = solution_index);
+            let space = self.integer_space(workload, gp, &sol.point);
+            if int_span.enabled() {
+                int_span.set("combos", space.combos.len());
+                int_span.set("arch_choices", space.arch_choices.len());
+            }
+            space
+        };
+        let keep_leaders = objective != Objective::Energy;
+        let mut out = RescoreOutcome::default();
+        let counts = &mut out.counts;
+        let mut scratch = thistle_expr::EvalScratch::default();
+        for combo in &space.combos {
+            let mapping = self.build_mapping(workload, gp, &space.tiled, combo);
+            let pes = mapping.pe_count();
+            // Capacity prefilter on the compiled exact footprints. They read
+            // only tiling variables, so one evaluation per combination serves
+            // every architecture choice. The symbolic footprints equal the
+            // referee's integer counts at integer points, so an overflowing
+            // candidate here is exactly a referee reject; the tolerance keeps
+            // exactly-at-capacity candidates (compiled exp/ln evaluation
+            // rounds at ~1e-15).
+            let point = tiling_assignment(gp, &mapping);
+            let reg_fp = gp
+                .compiled_register_footprint()
+                .eval_with(&point, &mut scratch);
+            let sram_fp = gp.compiled_sram_footprint().eval_with(&point, &mut scratch);
+            for choice in &space.arch_choices {
+                let arch = match *choice {
+                    ArchChoice::Fixed(a) => a,
+                    // Use exactly as many PEs as the mapping occupies; reject
+                    // over-budget combinations (paper's area filter).
+                    ArchChoice::CoDesign {
+                        regs,
+                        sram,
+                        area_budget,
+                    } => {
+                        let arch = ArchConfig::new(pes, regs, sram);
+                        if arch.area_um2(&self.tech) <= area_budget {
+                            arch
+                        } else {
+                            counts.rejected_area += 1;
+                            continue;
+                        }
+                    }
+                };
+                counts.evaluated += 1;
+                if reg_fp > arch.regs_per_pe as f64 * (1.0 + 1e-9)
+                    || sram_fp > arch.sram_words as f64 * (1.0 + 1e-9)
+                {
+                    counts.rejected_infeasible += 1;
+                    counts.prefiltered += 1;
+                    continue;
+                }
+                let arch_spec =
+                    ArchSpec::from_config("candidate", &arch, &self.tech, self.bandwidths.clone());
+                let Ok(eval) = evaluate(prob_spec, &arch_spec, &mapping) else {
+                    counts.rejected_infeasible += 1;
+                    continue;
+                };
+                if self.options.min_utilization > 0.0
+                    && eval.utilization < self.options.min_utilization
+                {
+                    counts.rejected_utilization += 1;
+                    continue;
+                }
+                let score = objective_score(objective, &eval);
+                if keep_leaders {
+                    push_leader(&mut out.leaders, score, || (arch, mapping.clone()));
+                }
+                if out.best.as_ref().is_none_or(|b| score < b.score) {
+                    out.best = Some(Scored {
+                        score,
+                        arch,
+                        mapping: mapping.clone(),
+                        eval,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// One relaxed solution's integer design space: the capped tile-size
+    /// combinations and the architecture choices each is paired with.
+    fn integer_space(
         &self,
         workload: &Workload,
         gp: &GeneratedGp,
         point: &thistle_expr::Assignment,
-    ) -> (Vec<(ArchConfig, Mapping)>, IntegerizeStats) {
+    ) -> IntegerSpace {
         let n = self.options.candidates_per_var;
         let tiled = gp.space.variable_dims();
 
@@ -1234,38 +1299,11 @@ impl Optimizer {
                 choices
             }
         };
-
-        let mut stats = IntegerizeStats {
-            combos: combos.len(),
-            arch_choices: arch_choices.len(),
-            rejected_area: 0,
-        };
-        let mut out = Vec::with_capacity(combos.len() * arch_choices.len());
-        for combo in &combos {
-            let mapping = self.build_mapping(workload, gp, &tiled, combo);
-            for choice in &arch_choices {
-                match choice {
-                    ArchChoice::Fixed(a) => out.push((*a, mapping.clone())),
-                    ArchChoice::CoDesign {
-                        regs,
-                        sram,
-                        area_budget,
-                    } => {
-                        // Use exactly as many PEs as the mapping occupies;
-                        // reject over-budget combinations (paper's area
-                        // filter).
-                        let pes = mapping.pe_count();
-                        let arch = ArchConfig::new(pes, *regs, *sram);
-                        if arch.area_um2(&self.tech) <= *area_budget {
-                            out.push((arch, mapping.clone()));
-                        } else {
-                            stats.rejected_area += 1;
-                        }
-                    }
-                }
-            }
+        IntegerSpace {
+            tiled,
+            combos,
+            arch_choices,
         }
-        (out, stats)
     }
 
     fn build_mapping(
@@ -1301,15 +1339,18 @@ impl Optimizer {
     }
 }
 
-/// Counts from one relaxed solution's integerization, reported on the
-/// `integerize` trace span.
-struct IntegerizeStats {
+/// Candidates kept for the delay-mode spatial packing pass.
+const LEADERS: usize = 24;
+
+/// The tile-size combinations of one relaxed solution crossed with its
+/// architecture choices, never materialized as pairs.
+struct IntegerSpace {
+    /// Dims with a free tiling variable, in the order of each combo.
+    tiled: Vec<Dim>,
     /// Tile-size combinations after the rank-sum cap.
-    combos: usize,
+    combos: Vec<Vec<DimTiling>>,
     /// Architecture choices paired with each combination.
-    arch_choices: usize,
-    /// Co-design candidates dropped by the area filter.
-    rejected_area: usize,
+    arch_choices: Vec<ArchChoice>,
 }
 
 enum ArchChoice {
@@ -1319,6 +1360,72 @@ enum ArchChoice {
         sram: u64,
         area_budget: f64,
     },
+}
+
+/// A referee-scored integer candidate.
+struct Scored {
+    score: f64,
+    arch: ArchConfig,
+    mapping: Mapping,
+    eval: EvalResult,
+}
+
+/// Candidate verdict counts of one relaxed solution (or, summed, of a
+/// solve).
+#[derive(Default)]
+struct RescoreCounts {
+    /// Candidates past the area filter.
+    evaluated: u64,
+    /// Co-design candidates dropped by the area filter.
+    rejected_area: u64,
+    /// Candidates over capacity: prefiltered, or refused by the referee.
+    rejected_infeasible: u64,
+    /// Candidates under `min_utilization`.
+    rejected_utilization: u64,
+    /// Candidates the footprint prefilter dropped before the referee.
+    prefiltered: u64,
+}
+
+impl RescoreCounts {
+    fn add(&mut self, other: &RescoreCounts) {
+        self.evaluated += other.evaluated;
+        self.rejected_area += other.rejected_area;
+        self.rejected_infeasible += other.rejected_infeasible;
+        self.rejected_utilization += other.rejected_utilization;
+        self.prefiltered += other.prefiltered;
+    }
+}
+
+/// What integerizing and rescoring one relaxed solution produced.
+#[derive(Default)]
+struct RescoreOutcome {
+    /// The first candidate with the lowest score.
+    best: Option<Scored>,
+    /// Top-[`LEADERS`] candidates by score (delay-sensitive objectives
+    /// only), ties in candidate order.
+    leaders: Vec<(f64, (ArchConfig, Mapping))>,
+    counts: RescoreCounts,
+}
+
+/// Inserts into a score-ordered list capped at [`LEADERS`] entries. A new
+/// entry goes after every entry with an equal score, so the list is always
+/// the head of a stable sort of everything offered; `make` runs only for an
+/// entry that gets in.
+fn push_leader<T>(leaders: &mut Vec<(f64, T)>, score: f64, make: impl FnOnce() -> T) {
+    let at = leaders.partition_point(|(s, _)| s.total_cmp(&score).is_le());
+    if at < LEADERS {
+        leaders.insert(at, (score, make()));
+        leaders.truncate(LEADERS);
+    }
+}
+
+/// An evaluation's score under `objective` (lower is better).
+fn objective_score(objective: Objective, eval: &EvalResult) -> f64 {
+    match objective {
+        Objective::Energy => eval.energy_pj,
+        Objective::Delay => eval.cycles,
+        Objective::EnergyDelayProduct => eval.energy_pj * eval.cycles,
+    }
 }
 
 fn trip_value(gp: &GeneratedGp, point: &thistle_expr::Assignment, level: Level, d: Dim) -> f64 {
@@ -1641,6 +1748,20 @@ mod tests {
         let mut small: Vec<usize> = (0..5).collect();
         subsample(&mut small, 10);
         assert_eq!(small.len(), 5);
+    }
+
+    #[test]
+    fn bounded_leaders_are_the_head_of_a_stable_sort() {
+        // Many ties, and more entries than the cap.
+        let scores: Vec<f64> = (0..100).map(|i| ((i * 7) % 5) as f64).collect();
+        let mut leaders = Vec::new();
+        for (i, &score) in scores.iter().enumerate() {
+            push_leader(&mut leaders, score, || i);
+        }
+        let mut reference: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0));
+        reference.truncate(LEADERS);
+        assert_eq!(leaders, reference);
     }
 
     #[test]

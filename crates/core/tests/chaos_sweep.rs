@@ -46,11 +46,18 @@ fn kill_all_but(site: &str, winner: usize) -> String {
     format!("{site}={}", keys.join(","))
 }
 
+/// A clean solve under an installed empty plan, which serializes it against
+/// the tests that arm faults in the process-global registry.
+fn clean_solve(layer: &ConvLayer, mode: &ArchMode) -> thistle::DesignPoint {
+    let _guard = FaultPlan::new().install();
+    optimizer(2)
+        .optimize_layer(layer, Objective::Energy, mode)
+        .unwrap()
+}
+
 #[test]
 fn armed_feature_without_a_plan_changes_nothing() {
-    let clean = optimizer(2)
-        .optimize_layer(&layer(), Objective::Energy, &mode())
-        .unwrap();
+    let clean = clean_solve(&layer(), &mode());
     assert!(!clean.degraded);
     assert!(clean.ledger.is_clean());
     assert_eq!(clean.ledger.failed(), 0);
@@ -63,9 +70,7 @@ fn armed_feature_without_a_plan_changes_nothing() {
 #[test]
 fn killing_losing_pairs_leaves_the_winner_bit_identical() {
     let (layer, mode) = (layer(), mode());
-    let clean = optimizer(2)
-        .optimize_layer(&layer, Objective::Energy, &mode)
-        .unwrap();
+    let clean = clean_solve(&layer, &mode);
     let plan = kill_all_but("core.sweep.solve", clean.perm_pair);
 
     let mut degraded_runs = Vec::new();
@@ -97,9 +102,7 @@ fn killing_losing_pairs_leaves_the_winner_bit_identical() {
 #[test]
 fn panicking_losing_pairs_are_contained_and_counted() {
     let (layer, mode) = (layer(), mode());
-    let clean = optimizer(2)
-        .optimize_layer(&layer, Objective::Energy, &mode)
-        .unwrap();
+    let clean = clean_solve(&layer, &mode);
     let plan = kill_all_but("core.sweep.panic", clean.perm_pair);
     let _guard = FaultPlan::parse(&plan).unwrap().install();
     let point = optimizer(4)

@@ -751,6 +751,46 @@ mod tests {
         assert!(reg_fp.eval(&refined.solution.assignment) <= 512.0 + 1e-6);
     }
 
+    /// The rescore prefilter evaluates the footprints once per tile-size
+    /// combination and reuses them for every architecture choice. That is
+    /// exact only because the footprints read no co-design variable.
+    #[test]
+    fn compiled_footprints_ignore_the_codesign_arch_variables() {
+        let layer = ConvLayer::new("t", 1, 32, 32, 28, 28, 3, 3, 1);
+        let gen = ProblemGenerator::new(layer.workload(), tech(), Bandwidths::default());
+        let mode = ArchMode::CoDesign(CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), &tech()));
+        for (p1, p3) in gen.permutation_classes().into_iter().take(4) {
+            let gp = gen.generate(&p1, &p3, Objective::Energy, &mode).unwrap();
+            let av = gp.arch_vars.unwrap();
+            let mut point = gp
+                .problem
+                .solve(&SolveOptions::default())
+                .unwrap()
+                .assignment;
+            let mut scratch = EvalScratch::default();
+            let mut footprints = |point: &Assignment| {
+                [
+                    gp.compiled_register_footprint()
+                        .eval_with(point, &mut scratch),
+                    gp.compiled_sram_footprint().eval_with(point, &mut scratch),
+                ]
+                .map(f64::to_bits)
+            };
+            let reference = footprints(&point);
+            for (regs, sram, pes) in [(1.0, 1.0, 1.0), (16.0, 65536.0, 168.0), (3.5, 700.25, 12.0)]
+            {
+                point.set(av.regs, regs);
+                point.set(av.sram, sram);
+                point.set(av.pes, pes);
+                assert_eq!(
+                    footprints(&point),
+                    reference,
+                    "regs {regs} sram {sram} pes {pes}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn class_count_is_square_of_level_classes() {
         let wl = matmul_workload(64, 64, 64);

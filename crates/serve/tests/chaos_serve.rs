@@ -318,6 +318,9 @@ fn recovered_nan_solve_is_introspectable_via_the_debug_endpoints() {
 fn abandoned_solve_is_cancelled_not_leaked() {
     // Full-size sweep so the solve reliably outlives the request timeout;
     // no fault plan needed — this exercises the cancellation token alone.
+    // The empty plan still serializes it against the armed tests, whose
+    // hit windows its pool solves would otherwise consume.
+    let _guard = FaultPlan::new().install();
     let optimizer =
         Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
             threads: 2,

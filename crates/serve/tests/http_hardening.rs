@@ -167,7 +167,7 @@ proptest! {
     fn oversized_header_line_gets_413(extra in 1usize..4096) {
         let port = shared_port();
         let mut request = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
-        request.extend(std::iter::repeat(b'a').take((8 << 10) + extra));
+        request.extend(std::iter::repeat_n(b'a', (8 << 10) + extra));
         request.extend_from_slice(b"\r\n\r\n");
         let response = exchange(port, &request);
         prop_assert_eq!(status_of(&response), Some(413));

@@ -6,7 +6,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use thistle::{Optimizer, OptimizerOptions};
@@ -31,12 +31,12 @@ fn temp_ts(tag: &str) -> PathBuf {
     ))
 }
 
-fn observed_options(path: &PathBuf) -> ServiceOptions {
+fn observed_options(path: &Path) -> ServiceOptions {
     ServiceOptions {
         workers: 2,
         cache_capacity: 16,
         default_timeout: Duration::from_secs(300),
-        timeseries_path: Some(path.clone()),
+        timeseries_path: Some(path.to_path_buf()),
         // Long cadence: the test drives samples via the startup append, the
         // explicit recorder, and the final flush on drop — not the timer.
         timeseries_every: Duration::from_secs(3600),

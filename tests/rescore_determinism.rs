@@ -1,0 +1,165 @@
+//! Determinism of the parallel integerize→rescore phase.
+//!
+//! Workers claim relaxed solutions off a shared counter and the caller folds
+//! their outcomes in solution order, so the whole `DesignPoint` — arch,
+//! mapping, referee evaluation, report, ledger and candidate count — must be
+//! identical at any thread count: clean, in delay mode (bounded leaders and
+//! spatial packing), and with any single solution panicking.
+
+use std::sync::Arc;
+use thistle::{DesignPoint, Optimizer, OptimizerOptions};
+use thistle_arch::{ArchConfig, TechnologyParams};
+use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
+use thistle_obs::{CollectingSink, FieldValue, Record, SpanRecord, TraceCtx};
+
+/// Relaxed solutions rescored per solve: enough for every worker to claim
+/// several.
+const TOP_SOLUTIONS: usize = 6;
+
+fn layer() -> ConvLayer {
+    ConvLayer::new("rescore_det", 1, 16, 16, 18, 18, 3, 3, 1)
+}
+
+fn fixed_mode() -> ArchMode {
+    ArchMode::Fixed(ArchConfig::eyeriss())
+}
+
+fn codesign_mode() -> ArchMode {
+    ArchMode::CoDesign(CoDesignSpec::same_area_as(
+        &ArchConfig::eyeriss(),
+        &TechnologyParams::cgo2022_45nm(),
+    ))
+}
+
+fn optimizer(threads: usize) -> Optimizer {
+    Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
+        max_perm_pairs: 9,
+        candidate_limit: 300,
+        top_solutions: TOP_SOLUTIONS,
+        threads,
+        ..OptimizerOptions::default()
+    })
+}
+
+fn solve(threads: usize, objective: Objective, mode: &ArchMode) -> DesignPoint {
+    optimizer(threads)
+        .optimize_layer(&layer(), objective, mode)
+        .expect("solve succeeds")
+}
+
+/// Whole-point equality, plus the referee's floats bit for bit (`==` would
+/// let `-0.0` match `0.0`).
+fn assert_identical(a: &DesignPoint, b: &DesignPoint, context: &str) {
+    assert_eq!(a, b, "{context}");
+    let bits = |p: &DesignPoint| {
+        [
+            p.eval.energy_pj,
+            p.eval.cycles,
+            p.eval.utilization,
+            p.eval.pj_per_mac,
+        ]
+        .map(f64::to_bits)
+    };
+    assert_eq!(bits(a), bits(b), "{context}: eval bits");
+}
+
+fn assert_thread_count_invariant(objective: Objective, mode: &ArchMode) -> DesignPoint {
+    #[cfg(feature = "fault-inject")]
+    let _guard = thistle_fault::FaultPlan::new().install();
+    let serial = solve(1, objective, mode);
+    assert!(serial.candidates_evaluated > 0);
+    for threads in [2, 4] {
+        let parallel = solve(threads, objective, mode);
+        assert_identical(
+            &serial,
+            &parallel,
+            &format!("{objective} threads={threads}"),
+        );
+    }
+    serial
+}
+
+#[test]
+fn fixed_arch_energy_is_thread_count_invariant() {
+    assert_thread_count_invariant(Objective::Energy, &fixed_mode());
+}
+
+#[test]
+fn codesign_energy_is_thread_count_invariant() {
+    let point = assert_thread_count_invariant(Objective::Energy, &codesign_mode());
+    // The area filter ran: the co-designed arch fits the Eyeriss budget.
+    let tech = TechnologyParams::cgo2022_45nm();
+    assert!(point.arch.area_um2(&tech) <= ArchConfig::eyeriss().area_um2(&tech));
+}
+
+#[test]
+fn codesign_delay_is_thread_count_invariant() {
+    assert_thread_count_invariant(Objective::Delay, &codesign_mode());
+}
+
+fn field_u64(span: &SpanRecord, key: &str) -> Option<u64> {
+    span.fields.iter().find_map(|(k, v)| match v {
+        FieldValue::U64(x) if *k == key => Some(*x),
+        _ => None,
+    })
+}
+
+/// One `rescore` span per solve, on the solve thread, carrying the layer
+/// totals; a delay solve hands its leaders to `pack_spatial`, and the
+/// candidate count is exactly what the two spans report.
+#[test]
+fn rescore_span_carries_the_solve_totals() {
+    #[cfg(feature = "fault-inject")]
+    let _guard = thistle_fault::FaultPlan::new().install();
+    let sink = Arc::new(CollectingSink::new());
+    let ctx = TraceCtx::new(Arc::clone(&sink) as Arc<dyn thistle_obs::Sink>);
+    let point = optimizer(4)
+        .optimize_layer_traced(&layer(), Objective::Delay, &codesign_mode(), &ctx)
+        .expect("solve succeeds");
+    let records = sink.take();
+    let spans: Vec<&SpanRecord> = records.iter().filter_map(Record::as_span).collect();
+    let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+
+    let root = named("optimize_workload")[0];
+    let rescore = named("rescore");
+    assert_eq!(rescore.len(), 1, "one rescore span per solve");
+    let rescore = rescore[0];
+    assert_eq!(rescore.tid, root.tid, "rescore runs on the solve thread");
+    assert_eq!(field_u64(rescore, "solutions"), Some(TOP_SOLUTIONS as u64));
+    assert_eq!(named("integerize").len(), TOP_SOLUTIONS);
+
+    let pack = named("pack_spatial");
+    assert_eq!(pack.len(), 1, "delay mode packs its leaders");
+    let leaders = field_u64(pack[0], "leaders").unwrap();
+    assert!((1..=24).contains(&leaders), "leaders {leaders}");
+    let evaluated = field_u64(rescore, "evaluated").unwrap();
+    let repacked = field_u64(pack[0], "repacked").unwrap();
+    assert_eq!(point.candidates_evaluated as u64, evaluated + repacked);
+    assert_eq!(
+        Some(point.report.prefiltered),
+        field_u64(rescore, "prefiltered")
+    );
+}
+
+/// A panicking solution contributes nothing: whichever solution panics, the
+/// answer is the same at one thread and at four, and the ledger counts
+/// exactly one panic.
+#[cfg(feature = "fault-inject")]
+#[test]
+fn integerize_panic_on_any_solution_is_thread_count_invariant() {
+    use thistle_fault::FaultPlan;
+    for objective in [Objective::Energy, Objective::Delay] {
+        for k in 0..TOP_SOLUTIONS {
+            let plan = format!("core.integerize.panic={k}");
+            let run = |threads: usize| {
+                let _guard = FaultPlan::parse(&plan).unwrap().install();
+                solve(threads, objective, &codesign_mode())
+            };
+            let serial = run(1);
+            let context = format!("{objective} {plan}");
+            assert_eq!(serial.ledger.integerize_panics, 1, "{context}");
+            assert!(serial.degraded, "{context}");
+            assert_identical(&serial, &run(4), &context);
+        }
+    }
+}
