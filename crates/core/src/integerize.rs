@@ -170,7 +170,8 @@ pub fn candidate_assignment(
     arch: &thistle_arch::ArchConfig,
     mapping: &timeloop_lite::Mapping,
 ) -> thistle_expr::Assignment {
-    let mut point = tiling_assignment(gp, mapping);
+    let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
+    tiling_assignment(gp, mapping, &mut point);
     if let Some(av) = gp.arch_vars {
         point.set(av.regs, arch.regs_per_pe as f64);
         point.set(av.sram, arch.sram_words as f64);
@@ -179,16 +180,19 @@ pub fn candidate_assignment(
     point
 }
 
-/// [`candidate_assignment`] without the architecture: every free trip-count
-/// variable takes its mapping factor and the co-design variables stay at 1.
-/// The compiled footprints read no architecture variable, so they evaluate
-/// bit-identically here for every architecture paired with `mapping`.
+/// [`candidate_assignment`] without the architecture, written into `point`:
+/// every free trip-count variable takes its mapping factor and every other
+/// variable keeps its value. Starting from ones, the co-design variables
+/// stay at 1; the compiled footprints read no architecture variable, so
+/// they evaluate bit-identically there for every architecture paired with
+/// `mapping`. One buffer serves every mapping of `gp`, since each call
+/// overwrites the same variables.
 pub fn tiling_assignment(
     gp: &thistle_model::GeneratedGp,
     mapping: &timeloop_lite::Mapping,
-) -> thistle_expr::Assignment {
+    point: &mut thistle_expr::Assignment,
+) {
     use thistle_model::{Dim, Level, TripCount};
-    let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
     let levels = [
         (Level::Register, &mapping.register_factors),
         (Level::PeTemporal, &mapping.pe_temporal_factors),
@@ -202,7 +206,6 @@ pub fn tiling_assignment(
             }
         }
     }
-    point
 }
 
 /// The cross product of per-dimension candidates, visited in order of

@@ -26,7 +26,7 @@ use thistle_model::{
     RegisterCostModel, Workload,
 };
 use thistle_obs::{span, TraceCtx};
-use timeloop_lite::{evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec};
+use timeloop_lite::{evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec, Traffic};
 
 /// Tuning knobs for the optimizer pipeline.
 #[derive(Debug, Clone)]
@@ -127,7 +127,7 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// The design's score under `objective`.
     pub fn score(&self, objective: Objective) -> f64 {
-        objective_score(objective, &self.eval)
+        objective_score(objective, self.eval.energy_pj, self.eval.cycles)
     }
 }
 
@@ -1044,6 +1044,7 @@ impl Optimizer {
             rescore_span.set("rejected_infeasible", counts.rejected_infeasible);
             rescore_span.set("rejected_utilization", counts.rejected_utilization);
             rescore_span.set("prefiltered", counts.prefiltered);
+            rescore_span.set("traffic_counts", counts.traffic_counts);
         }
         drop(rescore_span);
         let mut candidates_evaluated = counts.evaluated as usize;
@@ -1085,7 +1086,7 @@ impl Optimizer {
                 let Ok(eval) = evaluate(&prob_spec, &arch_spec, &packed) else {
                     continue;
                 };
-                let score = objective_score(objective, &eval);
+                let score = objective_score(objective, eval.energy_pj, eval.cycles);
                 if best.as_ref().is_none_or(|(_, b)| score < b.score) {
                     best = Some((
                         index,
@@ -1132,11 +1133,13 @@ impl Optimizer {
     }
 
     /// Integerizes one relaxed solution and streams its candidates. Each
-    /// tile-size combination becomes one mapping whose register and SRAM
-    /// footprints are evaluated once; each architecture choice then runs
-    /// the area filter, the capacity compare and the referee call. A
-    /// mapping is cloned only when it becomes the solution's best or enters
-    /// its leaders.
+    /// tile-size combination is written into one reused mapping whose
+    /// register and SRAM footprints are evaluated once; each architecture
+    /// choice then runs the area filter and the capacity compare. The
+    /// referee's traffic reads no architecture parameter, so it is counted
+    /// once per combination, at the first choice past the prefilter, and
+    /// priced per choice. A mapping is cloned, and a full evaluation built,
+    /// only when it becomes the solution's best; leaders clone the mapping.
     fn rescore_solution(
         &self,
         workload: &Workload,
@@ -1161,8 +1164,25 @@ impl Optimizer {
         let mut out = RescoreOutcome::default();
         let counts = &mut out.counts;
         let mut scratch = thistle_expr::EvalScratch::default();
+        // Buffers overwritten per combination: one spec per architecture
+        // choice (co-design overwrites its PE count, which no other field
+        // of the spec depends on), the mapping, and the footprints'
+        // evaluation point.
+        let mut specs: Vec<ArchSpec> = space
+            .arch_choices
+            .iter()
+            .map(|choice| {
+                let arch = match *choice {
+                    ArchChoice::Fixed(a) => a,
+                    ArchChoice::CoDesign { regs, sram, .. } => ArchConfig::new(1, regs, sram),
+                };
+                ArchSpec::from_config("candidate", &arch, &self.tech, self.bandwidths.clone())
+            })
+            .collect();
+        let mut mapping = base_mapping(workload, gp, &space.tiled);
+        let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
         for combo in &space.combos {
-            let mapping = self.build_mapping(workload, gp, &space.tiled, combo);
+            set_tiling(&mut mapping, &space.tiled, combo);
             let pes = mapping.pe_count();
             // Capacity prefilter on the compiled exact footprints. They read
             // only tiling variables, so one evaluation per combination serves
@@ -1171,12 +1191,13 @@ impl Optimizer {
             // candidate here is exactly a referee reject; the tolerance keeps
             // exactly-at-capacity candidates (compiled exp/ln evaluation
             // rounds at ~1e-15).
-            let point = tiling_assignment(gp, &mapping);
+            tiling_assignment(gp, &mapping, &mut point);
             let reg_fp = gp
                 .compiled_register_footprint()
                 .eval_with(&point, &mut scratch);
             let sram_fp = gp.compiled_sram_footprint().eval_with(&point, &mut scratch);
-            for choice in &space.arch_choices {
+            let mut traffic = None;
+            for (choice, spec) in space.arch_choices.iter().zip(&mut specs) {
                 let arch = match *choice {
                     ArchChoice::Fixed(a) => a,
                     // Use exactly as many PEs as the mapping occupies; reject
@@ -1188,6 +1209,7 @@ impl Optimizer {
                     } => {
                         let arch = ArchConfig::new(pes, regs, sram);
                         if arch.area_um2(&self.tech) <= area_budget {
+                            spec.pe_count = pes;
                             arch
                         } else {
                             counts.rejected_area += 1;
@@ -1203,19 +1225,26 @@ impl Optimizer {
                     counts.prefiltered += 1;
                     continue;
                 }
-                let arch_spec =
-                    ArchSpec::from_config("candidate", &arch, &self.tech, self.bandwidths.clone());
-                let Ok(eval) = evaluate(prob_spec, &arch_spec, &mapping) else {
+                let traffic = traffic.get_or_insert_with(|| {
+                    counts.traffic_counts += 1;
+                    Traffic::count(prob_spec, &mapping)
+                });
+                let Ok(traffic) = traffic else {
                     counts.rejected_infeasible += 1;
                     continue;
                 };
+                if traffic.fits(spec).is_err() {
+                    counts.rejected_infeasible += 1;
+                    continue;
+                }
                 if self.options.min_utilization > 0.0
-                    && eval.utilization < self.options.min_utilization
+                    && traffic.utilization(spec) < self.options.min_utilization
                 {
                     counts.rejected_utilization += 1;
                     continue;
                 }
-                let score = objective_score(objective, &eval);
+                let score =
+                    objective_score(objective, traffic.energy_pj(spec), traffic.cycles(spec));
                 if keep_leaders {
                     push_leader(&mut out.leaders, score, || (arch, mapping.clone()));
                 }
@@ -1224,7 +1253,7 @@ impl Optimizer {
                         score,
                         arch,
                         mapping: mapping.clone(),
-                        eval,
+                        eval: traffic.evaluate(spec).expect("capacities were checked"),
                     });
                 }
             }
@@ -1305,38 +1334,6 @@ impl Optimizer {
             arch_choices,
         }
     }
-
-    fn build_mapping(
-        &self,
-        workload: &Workload,
-        gp: &GeneratedGp,
-        tiled: &[Dim],
-        combo: &[DimTiling],
-    ) -> Mapping {
-        let ndims = workload.dims.len();
-        let mut mapping = Mapping {
-            register_factors: vec![1; ndims],
-            pe_temporal_factors: vec![1; ndims],
-            pe_temporal_perm: full_perm(&gp.perm1, ndims),
-            spatial_factors: vec![1; ndims],
-            outer_factors: vec![1; ndims],
-            outer_perm: full_perm(&gp.perm3, ndims),
-        };
-        // Dims without any free variable run entirely at the register level.
-        for (d, spec) in workload.dims.iter().enumerate() {
-            if !tiled.contains(&Dim(d)) {
-                mapping.register_factors[d] = spec.extent;
-            }
-        }
-        for (&d, tiling) in tiled.iter().zip(combo) {
-            let (r, q, p, t) = tiling.factors();
-            mapping.register_factors[d.index()] = r;
-            mapping.pe_temporal_factors[d.index()] = q;
-            mapping.spatial_factors[d.index()] = p;
-            mapping.outer_factors[d.index()] = t;
-        }
-        mapping
-    }
 }
 
 /// Candidates kept for the delay-mode spatial packing pass.
@@ -1384,6 +1381,9 @@ struct RescoreCounts {
     rejected_utilization: u64,
     /// Candidates the footprint prefilter dropped before the referee.
     prefiltered: u64,
+    /// [`Traffic::count`] calls: at most one per tile-size combination,
+    /// shared by its architecture choices.
+    traffic_counts: u64,
 }
 
 impl RescoreCounts {
@@ -1393,6 +1393,7 @@ impl RescoreCounts {
         self.rejected_infeasible += other.rejected_infeasible;
         self.rejected_utilization += other.rejected_utilization;
         self.prefiltered += other.prefiltered;
+        self.traffic_counts += other.traffic_counts;
     }
 }
 
@@ -1419,12 +1420,46 @@ fn push_leader<T>(leaders: &mut Vec<(f64, T)>, score: f64, make: impl FnOnce() -
     }
 }
 
-/// An evaluation's score under `objective` (lower is better).
-fn objective_score(objective: Objective, eval: &EvalResult) -> f64 {
+/// The score under `objective` (lower is better) of a candidate with this
+/// referee energy and cycle count.
+fn objective_score(objective: Objective, energy_pj: f64, cycles: f64) -> f64 {
     match objective {
-        Objective::Energy => eval.energy_pj,
-        Objective::Delay => eval.cycles,
-        Objective::EnergyDelayProduct => eval.energy_pj * eval.cycles,
+        Objective::Energy => energy_pj,
+        Objective::Delay => cycles,
+        Objective::EnergyDelayProduct => energy_pj * cycles,
+    }
+}
+
+/// The mapping every tile-size combination of `gp` starts from: the sweep's
+/// loop orders, and dims without a free tiling variable run entirely at the
+/// register level. [`set_tiling`] writes the rest.
+fn base_mapping(workload: &Workload, gp: &GeneratedGp, tiled: &[Dim]) -> Mapping {
+    let ndims = workload.dims.len();
+    let mut mapping = Mapping {
+        register_factors: vec![1; ndims],
+        pe_temporal_factors: vec![1; ndims],
+        pe_temporal_perm: full_perm(&gp.perm1, ndims),
+        spatial_factors: vec![1; ndims],
+        outer_factors: vec![1; ndims],
+        outer_perm: full_perm(&gp.perm3, ndims),
+    };
+    for (d, spec) in workload.dims.iter().enumerate() {
+        if !tiled.contains(&Dim(d)) {
+            mapping.register_factors[d] = spec.extent;
+        }
+    }
+    mapping
+}
+
+/// Overwrites all four factors of every tiled dim of `mapping` with one
+/// tile-size combination.
+fn set_tiling(mapping: &mut Mapping, tiled: &[Dim], combo: &[DimTiling]) {
+    for (&d, tiling) in tiled.iter().zip(combo) {
+        let (r, q, p, t) = tiling.factors();
+        mapping.register_factors[d.index()] = r;
+        mapping.pe_temporal_factors[d.index()] = q;
+        mapping.spatial_factors[d.index()] = p;
+        mapping.outer_factors[d.index()] = t;
     }
 }
 

@@ -148,30 +148,37 @@ impl Mapping {
             }
         }
         for d in 0..n {
-            let product = self.register_factors[d]
-                * self.pe_temporal_factors[d]
-                * self.spatial_factors[d]
-                * self.outer_factors[d];
-            if product != prob.extents[d] {
-                return Err(MappingError(format!(
-                    "dimension {} factors to {product}, extent is {}",
-                    prob.dim_names[d], prob.extents[d]
-                )));
+            // Factors come from parsed input, so their product may exceed
+            // `u64`; a wrapped product could otherwise pass for the extent.
+            let product = [
+                self.pe_temporal_factors[d],
+                self.spatial_factors[d],
+                self.outer_factors[d],
+            ]
+            .into_iter()
+            .try_fold(self.register_factors[d], u64::checked_mul);
+            if product != Some(prob.extents[d]) {
+                let name = &prob.dim_names[d];
+                let extent = prob.extents[d];
+                return Err(MappingError(match product {
+                    Some(product) => {
+                        format!("dimension {name} factors to {product}, extent is {extent}")
+                    }
+                    None => format!("dimension {name} factors overflow u64, extent is {extent}"),
+                }));
             }
         }
         for (what, perm) in [
             ("pe_temporal_perm", &self.pe_temporal_perm),
             ("outer_perm", &self.outer_perm),
         ] {
-            let mut seen = vec![false; n];
             if perm.len() != n {
                 return Err(MappingError(format!("{what} has wrong arity")));
             }
-            for &d in perm {
-                if d >= n || seen[d] {
+            for (i, &d) in perm.iter().enumerate() {
+                if d >= n || perm[..i].contains(&d) {
                     return Err(MappingError(format!("{what} is not a permutation")));
                 }
-                seen[d] = true;
             }
         }
         Ok(())
@@ -228,6 +235,17 @@ mod tests {
         let mut m = Mapping::untiled(&p);
         m.register_factors[0] = 4; // product now 4, extent 8
         assert!(m.validate(&p).is_err());
+    }
+
+    #[test]
+    fn validation_catches_overflowing_factor_products() {
+        // 3 * 0xAAAA_AAAA_AAAA_AAAB wraps to exactly 1, the extent of I.
+        let p = matmul(1, 4, 4);
+        let mut m = Mapping::untiled(&p);
+        m.register_factors[0] = 3;
+        m.pe_temporal_factors[0] = 0xAAAA_AAAA_AAAA_AAAB;
+        let err = m.validate(&p).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

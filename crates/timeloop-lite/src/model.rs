@@ -12,9 +12,18 @@
 //!   writes its own register copy.
 //! * Read-write tensors move in both directions at every boundary, and add
 //!   one register read *and* write per MAC (the `4 eps_R + eps_op` term).
+//!
+//! An evaluation splits into a **count** and a **price**. [`Traffic::count`]
+//! derives everything that reads only the problem and the mapping: validity,
+//! register and SRAM footprint needs, PEs used, per-level reads and writes,
+//! and the per-PE register-port traffic. It allocates nothing on success.
+//! [`Traffic::evaluate`] then applies one architecture: the capacity checks,
+//! per-access energies and bandwidths. A caller scoring one mapping under
+//! many architectures counts once and prices each; [`evaluate`] is exactly
+//! one count followed by one price, so both paths give the same bits.
 
 use crate::arch::ArchSpec;
-use crate::mapping::{MapLevel, Mapping, MappingError};
+use crate::mapping::{Mapping, MappingError};
 use crate::problem::{DataSpace, ProblemSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -131,36 +140,40 @@ impl FillPattern {
 }
 
 /// Computes the hoisted fill pattern of `ds` for the loops of one temporal
-/// level: `base_tile` is the tile fed from below, `factors` the level's
-/// per-dimension trip counts, `perm` its loop order (outermost first, unit
-/// loops already dropped).
+/// level: `base_tile(d)` is the extent along dim `d` of the tile fed from
+/// below, `factors` the level's per-dimension trip counts, `perm` its loop
+/// order (outermost first). Unit loops do not exist in generated code and
+/// are skipped.
 pub fn fill_pattern(
     ds: &DataSpace,
-    base_tile: &[u64],
+    base_tile: impl Fn(usize) -> u64,
     factors: &[u64],
-    effective_perm: &[usize],
+    perm: &[usize],
 ) -> FillPattern {
+    let exists = |d: usize| factors[d] > 1;
     // Innermost present loop: the copy lands just above it.
-    let innermost_present = effective_perm.iter().rev().find(|&&d| ds.uses(d));
-    match innermost_present {
+    match perm.iter().rposition(|&d| exists(d) && ds.uses(d)) {
         None => FillPattern {
             // Copy hoisted above the whole level: one copy of the base tile.
-            copy_words: ds.footprint(base_tile),
+            copy_words: ds.footprint_with(base_tile),
             copies: 1,
         },
-        Some(&dstar) => {
-            let mut strip = base_tile.to_vec();
-            strip[dstar] *= factors[dstar];
-            let mut copies = 1u64;
-            for &d in effective_perm {
-                if d == dstar {
-                    break;
-                }
-                copies *= factors[d];
-            }
+        Some(pos) => {
+            // The copied strip spans the placement loop's whole range.
+            let dstar = perm[pos];
             FillPattern {
-                copy_words: ds.footprint(&strip),
-                copies,
+                copy_words: ds.footprint_with(|d| {
+                    if d == dstar {
+                        base_tile(d) * factors[d]
+                    } else {
+                        base_tile(d)
+                    }
+                }),
+                copies: perm[..pos]
+                    .iter()
+                    .filter(|&&d| exists(d))
+                    .map(|&d| factors[d])
+                    .product(),
             }
         }
     }
@@ -180,37 +193,234 @@ pub struct TensorTraffic {
     pub spatial_distinct: u64,
 }
 
+/// Extent along dim `d` of the register tile of `m`.
+fn register_tile(m: &Mapping, d: usize) -> u64 {
+    m.register_factors[d]
+}
+
+/// Extent along dim `d` of the SRAM tile of `m` (everything below the outer
+/// loops).
+fn sram_tile(m: &Mapping, d: usize) -> u64 {
+    m.register_factors[d] * m.pe_temporal_factors[d] * m.spatial_factors[d]
+}
+
+/// One tensor's counts for a validated mapping, the single counting helper
+/// behind [`tensor_traffic`] and [`Traffic::count`]: register fill words per
+/// PE per SRAM tile, SRAM fill words in total, and the PEs needing distinct
+/// data.
+fn count_tensor(ds: &DataSpace, m: &Mapping) -> (u64, u64, u64) {
+    let reg = fill_pattern(
+        ds,
+        |d| register_tile(m, d),
+        &m.pe_temporal_factors,
+        &m.pe_temporal_perm,
+    );
+    let sram = fill_pattern(ds, |d| sram_tile(m, d), &m.outer_factors, &m.outer_perm);
+    let spatial_distinct = (0..m.spatial_factors.len())
+        .filter(|&d| ds.uses(d))
+        .map(|d| m.spatial_factors[d])
+        .product();
+    (reg.words(), sram.words(), spatial_distinct)
+}
+
 /// Computes the per-tensor traffic patterns for a validated mapping.
 pub fn tensor_traffic(prob: &ProblemSpec, mapping: &Mapping) -> Vec<TensorTraffic> {
-    let t0 = mapping.tile_through(MapLevel::Register);
-    let t2 = mapping.tile_through(MapLevel::Spatial);
     prob.data_spaces
         .iter()
         .map(|ds| {
-            let reg = fill_pattern(
-                ds,
-                &t0,
-                &mapping.pe_temporal_factors,
-                &mapping.effective_perm(MapLevel::PeTemporal),
-            );
-            let sram = fill_pattern(
-                ds,
-                &t2,
-                &mapping.outer_factors,
-                &mapping.effective_perm(MapLevel::Outer),
-            );
-            let spatial_distinct: u64 = (0..prob.num_dims())
-                .filter(|&d| ds.uses(d))
-                .map(|d| mapping.spatial_factors[d])
-                .product();
+            let (reg_fill, sram_fill, spatial_distinct) = count_tensor(ds, mapping);
             TensorTraffic {
                 name: ds.name.clone(),
-                reg_fill_words_per_pe_per_tile: reg.words(),
-                sram_fill_words_total: sram.words(),
+                reg_fill_words_per_pe_per_tile: reg_fill,
+                sram_fill_words_total: sram_fill,
                 spatial_distinct,
             }
         })
         .collect()
+}
+
+/// Word reads and writes at one memory level.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Accesses {
+    reads: f64,
+    writes: f64,
+}
+
+impl Accesses {
+    fn total(&self) -> f64 {
+        self.reads + self.writes
+    }
+
+    fn stats(&self, name: &str, energy_per_access_pj: f64) -> LevelStats {
+        LevelStats {
+            name: name.into(),
+            reads: self.reads,
+            writes: self.writes,
+            energy_pj: self.total() * energy_per_access_pj,
+        }
+    }
+}
+
+/// The architecture-free half of an evaluation: everything the model derives
+/// from the problem and the mapping alone. Count it once with
+/// [`Traffic::count`], then price it under any number of architectures with
+/// [`Traffic::evaluate`] (or [`Traffic::fits`] and the formulas it guards).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Traffic {
+    macs: u64,
+    /// Register words one PE needs (all tensors' register tiles).
+    reg_need: u64,
+    /// SRAM words needed (all tensors' SRAM tiles).
+    sram_need: u64,
+    pe_used: u64,
+    reg: Accesses,
+    sram: Accesses,
+    dram: Accesses,
+    /// Words one PE moves through its register port, for the bandwidth
+    /// component of the delay.
+    reg_fill_per_pe: f64,
+}
+
+impl Traffic {
+    /// Validates `mapping` and counts its capacity needs and per-level
+    /// accesses. Allocates nothing unless the mapping is invalid.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`MappingError`] of a structurally invalid mapping.
+    pub fn count(prob: &ProblemSpec, mapping: &Mapping) -> Result<Traffic, MappingError> {
+        mapping.validate(prob)?;
+        let need = |tile: fn(&Mapping, usize) -> u64| -> u64 {
+            prob.data_spaces
+                .iter()
+                .map(|ds| ds.footprint_with(|d| tile(mapping, d)))
+                .sum()
+        };
+        let mut t = Traffic {
+            macs: prob.macs(),
+            reg_need: need(register_tile),
+            sram_need: need(sram_tile),
+            pe_used: mapping.pe_count(),
+            reg: Accesses::default(),
+            sram: Accesses::default(),
+            dram: Accesses::default(),
+            reg_fill_per_pe: 0.0,
+        };
+        let macs = t.macs as f64;
+        let pe_used = t.pe_used as f64;
+        let outer_iters: f64 = mapping.outer_factors.iter().product::<u64>() as f64;
+        for ds in &prob.data_spaces {
+            let (reg_fill, sram_fill, spatial_distinct) = count_tensor(ds, mapping);
+            // MAC-operand accesses at the register file.
+            t.reg.reads += macs;
+            if ds.read_write {
+                t.reg.writes += macs;
+            }
+
+            // SRAM -> register fills (and drains for read-write tensors).
+            let per_pe_total = reg_fill as f64 * outer_iters;
+            let directions = if ds.read_write { 2.0 } else { 1.0 };
+            t.reg.writes += per_pe_total * pe_used;
+            t.sram.reads += per_pe_total * spatial_distinct as f64;
+            if ds.read_write {
+                t.reg.reads += per_pe_total * pe_used;
+                t.sram.writes += per_pe_total * spatial_distinct as f64;
+            }
+            t.reg_fill_per_pe += per_pe_total * directions;
+
+            // DRAM -> SRAM fills (and drains).
+            let dram_total = sram_fill as f64;
+            t.dram.reads += dram_total;
+            t.sram.writes += dram_total;
+            if ds.read_write {
+                t.dram.writes += dram_total;
+                t.sram.reads += dram_total;
+            }
+        }
+        Ok(t)
+    }
+
+    /// Checks the counted needs against `arch`: register file, then SRAM,
+    /// then PE array.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first capacity the mapping exceeds.
+    pub fn fits(&self, arch: &ArchSpec) -> Result<(), EvalError> {
+        if self.reg_need > arch.regs_per_pe {
+            return Err(EvalError::RegisterCapacity {
+                need: self.reg_need,
+                have: arch.regs_per_pe,
+            });
+        }
+        if self.sram_need > arch.sram_words {
+            return Err(EvalError::SramCapacity {
+                need: self.sram_need,
+                have: arch.sram_words,
+            });
+        }
+        if self.pe_used > arch.pe_count {
+            return Err(EvalError::PeCount {
+                need: self.pe_used,
+                have: arch.pe_count,
+            });
+        }
+        Ok(())
+    }
+
+    /// Total energy under `arch`, pJ: MACs plus every level's accesses at
+    /// its per-access energy. Equals [`EvalResult::energy_pj`].
+    pub fn energy_pj(&self, arch: &ArchSpec) -> f64 {
+        self.macs as f64 * arch.mac_energy_pj
+            + self.reg.total() * arch.reg_energy_pj
+            + self.sram.total() * arch.sram_energy_pj
+            + self.dram.total() * arch.dram_energy_pj
+    }
+
+    /// Execution cycles under `arch`: the slowest of compute and the three
+    /// bandwidth components. Equals [`EvalResult::cycles`].
+    pub fn cycles(&self, arch: &ArchSpec) -> f64 {
+        let bw = &arch.bandwidths;
+        let compute_cycles = self.macs as f64 / self.pe_used as f64;
+        let sram_cycles = self.sram.total() / bw.sram_words_per_cycle;
+        let dram_cycles = self.dram.total() / bw.dram_words_per_cycle;
+        let reg_cycles = self.reg_fill_per_pe / bw.reg_words_per_cycle_per_pe;
+        compute_cycles
+            .max(sram_cycles)
+            .max(dram_cycles)
+            .max(reg_cycles)
+    }
+
+    /// `pe_used / arch.pe_count`. Equals [`EvalResult::utilization`].
+    pub fn utilization(&self, arch: &ArchSpec) -> f64 {
+        self.pe_used as f64 / arch.pe_count as f64
+    }
+
+    /// Prices the counted traffic under `arch`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`EvalError`] of [`Traffic::fits`].
+    pub fn evaluate(&self, arch: &ArchSpec) -> Result<EvalResult, EvalError> {
+        self.fits(arch)?;
+        let macs = self.macs as f64;
+        let energy_pj = self.energy_pj(arch);
+        let cycles = self.cycles(arch);
+        Ok(EvalResult {
+            energy_pj,
+            cycles,
+            macs: self.macs,
+            pj_per_mac: energy_pj / macs,
+            ipc: macs / cycles,
+            pe_used: self.pe_used,
+            utilization: self.utilization(arch),
+            levels: vec![
+                self.reg.stats("regfile", arch.reg_energy_pj),
+                self.sram.stats("sram", arch.sram_energy_pj),
+                self.dram.stats("dram", arch.dram_energy_pj),
+            ],
+        })
+    }
 }
 
 /// [`evaluate`] under a `"tl_evaluate"` trace span carrying the verdict and
@@ -242,7 +452,7 @@ pub fn evaluate_traced(
 }
 
 /// Evaluates a mapping: validity, capacities, per-level accesses, energy,
-/// cycles.
+/// cycles. [`Traffic::count`] followed by [`Traffic::evaluate`].
 ///
 /// # Errors
 ///
@@ -252,115 +462,13 @@ pub fn evaluate(
     arch: &ArchSpec,
     mapping: &Mapping,
 ) -> Result<EvalResult, EvalError> {
-    mapping.validate(prob)?;
-
-    let t0 = mapping.tile_through(MapLevel::Register);
-    let t2 = mapping.tile_through(MapLevel::Spatial);
-    let reg_need: u64 = prob.data_spaces.iter().map(|ds| ds.footprint(&t0)).sum();
-    if reg_need > arch.regs_per_pe {
-        return Err(EvalError::RegisterCapacity {
-            need: reg_need,
-            have: arch.regs_per_pe,
-        });
-    }
-    let sram_need: u64 = prob.data_spaces.iter().map(|ds| ds.footprint(&t2)).sum();
-    if sram_need > arch.sram_words {
-        return Err(EvalError::SramCapacity {
-            need: sram_need,
-            have: arch.sram_words,
-        });
-    }
-    let pe_used = mapping.pe_count();
-    if pe_used > arch.pe_count {
-        return Err(EvalError::PeCount {
-            need: pe_used,
-            have: arch.pe_count,
-        });
-    }
-
-    let macs = prob.macs() as f64;
-    let outer_iters: f64 = mapping.outer_factors.iter().product::<u64>() as f64;
-    let traffic = tensor_traffic(prob, mapping);
-
-    let mut reg = LevelStats {
-        name: "regfile".into(),
-        reads: 0.0,
-        writes: 0.0,
-        energy_pj: 0.0,
-    };
-    let mut sram = LevelStats {
-        name: "sram".into(),
-        reads: 0.0,
-        writes: 0.0,
-        energy_pj: 0.0,
-    };
-    let mut dram = LevelStats {
-        name: "dram".into(),
-        reads: 0.0,
-        writes: 0.0,
-        energy_pj: 0.0,
-    };
-    let mut reg_fill_per_pe = 0.0; // for the register-port bandwidth component
-
-    for (ds, t) in prob.data_spaces.iter().zip(&traffic) {
-        // MAC-operand accesses at the register file.
-        reg.reads += macs;
-        if ds.read_write {
-            reg.writes += macs;
-        }
-
-        // SRAM -> register fills (and drains for read-write tensors).
-        let per_pe_total = t.reg_fill_words_per_pe_per_tile as f64 * outer_iters;
-        let directions = if ds.read_write { 2.0 } else { 1.0 };
-        reg.writes += per_pe_total * pe_used as f64;
-        sram.reads += per_pe_total * t.spatial_distinct as f64;
-        if ds.read_write {
-            reg.reads += per_pe_total * pe_used as f64;
-            sram.writes += per_pe_total * t.spatial_distinct as f64;
-        }
-        reg_fill_per_pe += per_pe_total * directions;
-
-        // DRAM -> SRAM fills (and drains).
-        let dram_total = t.sram_fill_words_total as f64;
-        dram.reads += dram_total;
-        sram.writes += dram_total;
-        if ds.read_write {
-            dram.writes += dram_total;
-            sram.reads += dram_total;
-        }
-    }
-
-    reg.energy_pj = reg.accesses() * arch.reg_energy_pj;
-    sram.energy_pj = sram.accesses() * arch.sram_energy_pj;
-    dram.energy_pj = dram.accesses() * arch.dram_energy_pj;
-    let mac_energy = macs * arch.mac_energy_pj;
-    let energy_pj = mac_energy + reg.energy_pj + sram.energy_pj + dram.energy_pj;
-
-    let bw = &arch.bandwidths;
-    let compute_cycles = macs / pe_used as f64;
-    let sram_cycles = sram.accesses() / bw.sram_words_per_cycle;
-    let dram_cycles = dram.accesses() / bw.dram_words_per_cycle;
-    let reg_cycles = reg_fill_per_pe / bw.reg_words_per_cycle_per_pe;
-    let cycles = compute_cycles
-        .max(sram_cycles)
-        .max(dram_cycles)
-        .max(reg_cycles);
-
-    Ok(EvalResult {
-        energy_pj,
-        cycles,
-        macs: prob.macs(),
-        pj_per_mac: energy_pj / macs,
-        ipc: macs / cycles,
-        pe_used,
-        utilization: pe_used as f64 / arch.pe_count as f64,
-        levels: vec![reg, sram, dram],
-    })
+    Traffic::count(prob, mapping)?.evaluate(arch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::MapLevel;
     use crate::problem::{conv2d, matmul};
 
     fn small_arch() -> ArchSpec {

@@ -34,12 +34,19 @@ impl DataSpace {
     ///
     /// Panics if `tile` is shorter than the dimensions referenced.
     pub fn footprint(&self, tile: &[u64]) -> u64 {
+        self.footprint_with(|d| tile[d])
+    }
+
+    /// [`DataSpace::footprint`] of a tile given per dimension: `tile(d)` is
+    /// its extent along iteration dim `d`. Lets callers describe a tile
+    /// without materializing it.
+    pub fn footprint_with(&self, tile: impl Fn(usize) -> u64) -> u64 {
         self.projection
             .iter()
             .map(|expr| {
                 let extent: f64 = expr
                     .iter()
-                    .map(|&(d, c)| c * (tile[d] as f64 - 1.0))
+                    .map(|&(d, c)| c * (tile(d) as f64 - 1.0))
                     .sum::<f64>()
                     + 1.0;
                 extent.round().max(1.0) as u64

@@ -7,7 +7,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom as _;
 use rand::{Rng as _, SeedableRng as _};
 use thistle_repro::timeloop_lite::mapping::MapLevel;
-use thistle_repro::timeloop_lite::{evaluate, model, problem, ArchSpec, Mapping};
+use thistle_repro::timeloop_lite::{
+    evaluate, model, problem, ArchSpec, EvalError, EvalResult, Mapping, Traffic,
+};
 
 /// Random valid mapping for a problem, from a seed.
 fn random_mapping(prob: &problem::ProblemSpec, seed: u64) -> Mapping {
@@ -29,6 +31,223 @@ fn random_mapping(prob: &problem::ProblemSpec, seed: u64) -> Mapping {
     m.pe_temporal_perm.shuffle(&mut rng);
     m.outer_perm.shuffle(&mut rng);
     m
+}
+
+/// The referee as one pass, before it was split into a count and a price:
+/// validation, the capacities in order, per-tensor counts over materialized
+/// tiles and loop orders, then pricing. It pins the accumulation and pricing
+/// order that [`evaluate`] must reproduce bit for bit.
+mod reference {
+    use thistle_repro::timeloop_lite::mapping::MapLevel;
+    use thistle_repro::timeloop_lite::model::LevelStats;
+    use thistle_repro::timeloop_lite::problem::{DataSpace, ProblemSpec};
+    use thistle_repro::timeloop_lite::{ArchSpec, EvalError, EvalResult, Mapping};
+
+    /// Words `ds` moves per execution of the enclosing levels: the copy lands
+    /// above the innermost existing loop it uses and spans that loop.
+    fn fill_words(
+        ds: &DataSpace,
+        base_tile: &[u64],
+        factors: &[u64],
+        effective_perm: &[usize],
+    ) -> u64 {
+        match effective_perm.iter().rev().find(|&&d| ds.uses(d)) {
+            None => ds.footprint(base_tile),
+            Some(&dstar) => {
+                let mut strip = base_tile.to_vec();
+                strip[dstar] *= factors[dstar];
+                let mut copies = 1u64;
+                for &d in effective_perm {
+                    if d == dstar {
+                        break;
+                    }
+                    copies *= factors[d];
+                }
+                ds.footprint(&strip) * copies
+            }
+        }
+    }
+
+    pub fn evaluate(
+        prob: &ProblemSpec,
+        arch: &ArchSpec,
+        mapping: &Mapping,
+    ) -> Result<EvalResult, EvalError> {
+        mapping.validate(prob)?;
+
+        let t0 = mapping.tile_through(MapLevel::Register);
+        let t2 = mapping.tile_through(MapLevel::Spatial);
+        let reg_need: u64 = prob.data_spaces.iter().map(|ds| ds.footprint(&t0)).sum();
+        if reg_need > arch.regs_per_pe {
+            return Err(EvalError::RegisterCapacity {
+                need: reg_need,
+                have: arch.regs_per_pe,
+            });
+        }
+        let sram_need: u64 = prob.data_spaces.iter().map(|ds| ds.footprint(&t2)).sum();
+        if sram_need > arch.sram_words {
+            return Err(EvalError::SramCapacity {
+                need: sram_need,
+                have: arch.sram_words,
+            });
+        }
+        let pe_used = mapping.pe_count();
+        if pe_used > arch.pe_count {
+            return Err(EvalError::PeCount {
+                need: pe_used,
+                have: arch.pe_count,
+            });
+        }
+
+        let macs = prob.macs() as f64;
+        let outer_iters: f64 = mapping.outer_factors.iter().product::<u64>() as f64;
+        let level = |name: &str| LevelStats {
+            name: name.into(),
+            reads: 0.0,
+            writes: 0.0,
+            energy_pj: 0.0,
+        };
+        let (mut reg, mut sram, mut dram) = (level("regfile"), level("sram"), level("dram"));
+        let mut reg_fill_per_pe = 0.0;
+        let pe_perm = mapping.effective_perm(MapLevel::PeTemporal);
+        let outer_perm = mapping.effective_perm(MapLevel::Outer);
+
+        for ds in &prob.data_spaces {
+            let reg_fill = fill_words(ds, &t0, &mapping.pe_temporal_factors, &pe_perm);
+            let sram_fill = fill_words(ds, &t2, &mapping.outer_factors, &outer_perm);
+            let spatial_distinct: u64 = (0..prob.num_dims())
+                .filter(|&d| ds.uses(d))
+                .map(|d| mapping.spatial_factors[d])
+                .product();
+
+            reg.reads += macs;
+            if ds.read_write {
+                reg.writes += macs;
+            }
+
+            let per_pe_total = reg_fill as f64 * outer_iters;
+            let directions = if ds.read_write { 2.0 } else { 1.0 };
+            reg.writes += per_pe_total * pe_used as f64;
+            sram.reads += per_pe_total * spatial_distinct as f64;
+            if ds.read_write {
+                reg.reads += per_pe_total * pe_used as f64;
+                sram.writes += per_pe_total * spatial_distinct as f64;
+            }
+            reg_fill_per_pe += per_pe_total * directions;
+
+            let dram_total = sram_fill as f64;
+            dram.reads += dram_total;
+            sram.writes += dram_total;
+            if ds.read_write {
+                dram.writes += dram_total;
+                sram.reads += dram_total;
+            }
+        }
+
+        reg.energy_pj = reg.accesses() * arch.reg_energy_pj;
+        sram.energy_pj = sram.accesses() * arch.sram_energy_pj;
+        dram.energy_pj = dram.accesses() * arch.dram_energy_pj;
+        let mac_energy = macs * arch.mac_energy_pj;
+        let energy_pj = mac_energy + reg.energy_pj + sram.energy_pj + dram.energy_pj;
+
+        let bw = &arch.bandwidths;
+        let compute_cycles = macs / pe_used as f64;
+        let sram_cycles = sram.accesses() / bw.sram_words_per_cycle;
+        let dram_cycles = dram.accesses() / bw.dram_words_per_cycle;
+        let reg_cycles = reg_fill_per_pe / bw.reg_words_per_cycle_per_pe;
+        let cycles = compute_cycles
+            .max(sram_cycles)
+            .max(dram_cycles)
+            .max(reg_cycles);
+
+        Ok(EvalResult {
+            energy_pj,
+            cycles,
+            macs: prob.macs(),
+            pj_per_mac: energy_pj / macs,
+            ipc: macs / cycles,
+            pe_used,
+            utilization: pe_used as f64 / arch.pe_count as f64,
+            levels: vec![reg, sram, dram],
+        })
+    }
+}
+
+/// A random matmul or stride-1/2 conv, a random mapping of it (one in four
+/// made invalid: a wrong factor product, a repeated loop, or factors whose
+/// product wraps `u64` to the extent) and four random architectures. Each
+/// capacity (registers, SRAM, PEs) independently sits one below, at or
+/// above the mapping's need, so every capacity error occurs.
+fn referee_case(
+    conv: bool,
+    a: u64,
+    b: u64,
+    c: u64,
+    seed: u64,
+) -> (problem::ProblemSpec, Mapping, Vec<ArchSpec>) {
+    let prob = if conv {
+        problem::conv2d("p", 1, a, b, c, c, 3, 3, 1 + seed % 2)
+    } else {
+        problem::matmul(a + 1, b + 1, c)
+    };
+    let mut m = random_mapping(&prob, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let d = rng.gen_range(0..prob.num_dims());
+    match rng.gen_range(0..12) {
+        0 => m.register_factors[d] *= 2,
+        1 => m.outer_perm[0] = m.outer_perm[1],
+        2 => {
+            // 3 * (3^-1 mod 2^64 * extent) wraps to the extent.
+            m.register_factors[d] = 3;
+            m.pe_temporal_factors[d] = 0xAAAA_AAAA_AAAA_AAABu64.wrapping_mul(prob.extents[d]);
+            m.spatial_factors[d] = 1;
+            m.outer_factors[d] = 1;
+        }
+        _ => {}
+    }
+    let (reg_need, sram_need, pe_need) = if m.validate(&prob).is_ok() {
+        let t0 = m.tile_through(MapLevel::Register);
+        let t2 = m.tile_through(MapLevel::Spatial);
+        let need = |t: &[u64]| prob.data_spaces.iter().map(|ds| ds.footprint(t)).sum();
+        (need(&t0), need(&t2), m.pe_count())
+    } else {
+        (1, 1, 1)
+    };
+    let archs = (0..4)
+        .map(|_| {
+            let mut straddle = |need: u64| match rng.gen_range(0..3) {
+                0 => need - 1,
+                1 => need,
+                _ => need + rng.gen_range(1..=need),
+            };
+            let mut arch = ArchSpec::eyeriss_like();
+            arch.regs_per_pe = straddle(reg_need);
+            arch.sram_words = straddle(sram_need);
+            arch.pe_count = straddle(pe_need);
+            arch.mac_energy_pj = rng.gen_range(0.001..200.0);
+            arch.reg_energy_pj = rng.gen_range(0.001..200.0);
+            arch.sram_energy_pj = rng.gen_range(0.001..200.0);
+            arch.dram_energy_pj = rng.gen_range(0.001..200.0);
+            arch.bandwidths.dram_words_per_cycle = rng.gen_range(0.25..64.0);
+            arch.bandwidths.sram_words_per_cycle = rng.gen_range(0.25..64.0);
+            arch.bandwidths.reg_words_per_cycle_per_pe = rng.gen_range(0.25..64.0);
+            arch
+        })
+        .collect();
+    (prob, m, archs)
+}
+
+/// Every field of a verdict, floats as bit patterns (`==` would let `-0.0`
+/// match `0.0`).
+fn verdict_bits(r: &Result<EvalResult, EvalError>) -> Result<(Vec<u64>, Vec<String>), EvalError> {
+    r.clone().map(|e| {
+        let mut bits = vec![e.macs, e.pe_used];
+        bits.extend([e.energy_pj, e.cycles, e.pj_per_mac, e.ipc, e.utilization].map(f64::to_bits));
+        for l in &e.levels {
+            bits.extend([l.reads, l.writes, l.energy_pj].map(f64::to_bits));
+        }
+        (bits, e.levels.into_iter().map(|l| l.name).collect())
+    })
 }
 
 fn roomy_arch() -> ArchSpec {
@@ -123,6 +342,45 @@ proptest! {
         for ds in &prob.data_spaces {
             prop_assert!(ds.footprint(&t0) <= ds.footprint(&t2));
             prop_assert!(ds.footprint(&t2) <= ds.total_words(&prob.extents));
+        }
+    }
+
+    /// The count/price split is the one-pass referee bit for bit, error for
+    /// error, on valid and invalid mappings under random architectures.
+    #[test]
+    fn evaluate_matches_the_reference_bit_for_bit(
+        conv in 0u8..2, a in 1u64..7, b in 1u64..7, c in 2u64..9, seed in 0u64..1_000_000,
+    ) {
+        let (prob, m, archs) = referee_case(conv == 1, a, b, c, seed);
+        for arch in &archs {
+            prop_assert_eq!(
+                verdict_bits(&evaluate(&prob, arch, &m)),
+                verdict_bits(&reference::evaluate(&prob, arch, &m))
+            );
+        }
+    }
+
+    /// One count priced under several architectures equals a separate
+    /// `evaluate` per architecture, and the exposed energy, cycle and
+    /// utilization formulas equal the evaluation's fields.
+    #[test]
+    fn one_count_prices_every_arch_like_evaluate(
+        conv in 0u8..2, a in 1u64..7, b in 1u64..7, c in 2u64..9, seed in 0u64..1_000_000,
+    ) {
+        let (prob, m, archs) = referee_case(conv == 1, a, b, c, seed);
+        let counted = Traffic::count(&prob, &m);
+        for arch in &archs {
+            let separate = evaluate(&prob, arch, &m);
+            let priced = counted
+                .clone()
+                .map_err(EvalError::from)
+                .and_then(|t| t.evaluate(arch));
+            prop_assert_eq!(verdict_bits(&priced), verdict_bits(&separate));
+            if let (Ok(t), Ok(e)) = (&counted, &separate) {
+                prop_assert_eq!(t.energy_pj(arch).to_bits(), e.energy_pj.to_bits());
+                prop_assert_eq!(t.cycles(arch).to_bits(), e.cycles.to_bits());
+                prop_assert_eq!(t.utilization(arch).to_bits(), e.utilization.to_bits());
+            }
         }
     }
 

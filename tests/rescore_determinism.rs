@@ -104,20 +104,46 @@ fn field_u64(span: &SpanRecord, key: &str) -> Option<u64> {
     })
 }
 
-/// One `rescore` span per solve, on the solve thread, carrying the layer
-/// totals; a delay solve hands its leaders to `pack_spatial`, and the
-/// candidate count is exactly what the two spans report.
-#[test]
-fn rescore_span_carries_the_solve_totals() {
+/// A traced solve at four threads: the point and every span it recorded.
+fn traced_solve(objective: Objective, mode: &ArchMode) -> (DesignPoint, Vec<SpanRecord>) {
     #[cfg(feature = "fault-inject")]
     let _guard = thistle_fault::FaultPlan::new().install();
     let sink = Arc::new(CollectingSink::new());
     let ctx = TraceCtx::new(Arc::clone(&sink) as Arc<dyn thistle_obs::Sink>);
     let point = optimizer(4)
-        .optimize_layer_traced(&layer(), Objective::Delay, &codesign_mode(), &ctx)
+        .optimize_layer_traced(&layer(), objective, mode, &ctx)
         .expect("solve succeeds");
-    let records = sink.take();
-    let spans: Vec<&SpanRecord> = records.iter().filter_map(Record::as_span).collect();
+    let spans = sink
+        .take()
+        .iter()
+        .filter_map(Record::as_span)
+        .cloned()
+        .collect();
+    (point, spans)
+}
+
+/// With one architecture choice per tile combination, every candidate past
+/// the prefilter counts its own traffic.
+#[test]
+fn fixed_arch_counts_traffic_per_referee_call() {
+    let (_, spans) = traced_solve(Objective::Energy, &fixed_mode());
+    let rescore = spans.iter().find(|s| s.name == "rescore").unwrap();
+    let evaluated = field_u64(rescore, "evaluated").unwrap();
+    let prefiltered = field_u64(rescore, "prefiltered").unwrap();
+    assert!(evaluated > prefiltered);
+    assert_eq!(
+        field_u64(rescore, "traffic_counts"),
+        Some(evaluated - prefiltered)
+    );
+}
+
+/// One `rescore` span per solve, on the solve thread, carrying the layer
+/// totals; a delay solve hands its leaders to `pack_spatial`, and the
+/// candidate count is exactly what the two spans report. Co-design's
+/// architecture choices share each combination's traffic count.
+#[test]
+fn rescore_span_carries_the_solve_totals() {
+    let (point, spans) = traced_solve(Objective::Delay, &codesign_mode());
     let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
 
     let root = named("optimize_workload")[0];
@@ -138,6 +164,12 @@ fn rescore_span_carries_the_solve_totals() {
     assert_eq!(
         Some(point.report.prefiltered),
         field_u64(rescore, "prefiltered")
+    );
+    let referee_calls = evaluated - point.report.prefiltered;
+    let traffic_counts = field_u64(rescore, "traffic_counts").unwrap();
+    assert!(
+        (1..referee_calls).contains(&traffic_counts),
+        "{traffic_counts} traffic counts for {referee_calls} referee calls"
     );
 }
 
