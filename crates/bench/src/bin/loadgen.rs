@@ -10,24 +10,22 @@
 //! responsiveness during the drill, the server's own overload counters,
 //! and the aggregated server-reported per-phase latency breakdowns
 //! (parse / queue-wait / lock-wait / coalesce-wait / solve / serialize,
-//! with a coverage ratio against the client-measured p99) are written to
-//! `BENCH_serve.json` (`BENCH_serve_quick.json` under `--quick`) plus one
-//! summary record in `BENCH_history.jsonl`.
+//! with a coverage ratio against the client-measured p99) are printed to
+//! stdout. Serve performance numbers come from the benchmark's `serve_mix`
+//! workload (`benchmark/`), not from this drill.
 //!
-//! The same binary doubles as the CI overload drill via `--assert-*` flags:
-//! it exits nonzero when the server shed nothing, let its queue grow past
-//! the bound, went unresponsive on `/healthz`, or failed to serve a fresh
+//! The binary is the CI overload drill via `--assert-*` flags: it exits
+//! nonzero when the server shed nothing, let its queue grow past the
+//! bound, went unresponsive on `/healthz`, or failed to serve a fresh
 //! request after the load dropped.
 //!
 //! Flags:
 //!
 //! * `--addr HOST:PORT` — server to drive (default `127.0.0.1:7077`)
 //! * `--seed N` — plan seed (default 42); same seed, same plan
-//! * `--requests N` — plan length (default 400; `--quick` default 120)
+//! * `--requests N` — plan length (default 400)
 //! * `--rate R` — dispatch rate in requests/second (default 100)
 //! * `--timeout-ms N` — per-request client timeout (default 15000)
-//! * `--quick` — smaller plan, separate output file (CI smoke)
-//! * `--out PATH` — result file (default `BENCH_serve[_quick].json`)
 //! * `--assert-shed` — require the server's `shed` counter to be nonzero
 //! * `--assert-queue-p95 N` — require queue-depth p95 ≤ N
 //! * `--assert-healthz-ms N` — require every drill-time `/healthz` ≤ N ms
@@ -295,18 +293,11 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick") || thistle_bench::fast_mode();
     let addr = flag_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".into());
     let seed: u64 = parse_flag(&args, "--seed", 42);
-    let requests: usize = parse_flag(&args, "--requests", if quick { 120 } else { 400 });
+    let requests: usize = parse_flag(&args, "--requests", 400);
     let rate: f64 = parse_flag(&args, "--rate", 100.0);
     let timeout_ms: u64 = parse_flag(&args, "--timeout-ms", 15_000);
-    let default_out = if quick {
-        "BENCH_serve_quick.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    let out = flag_value(&args, "--out").unwrap_or_else(|| default_out.into());
     let assert_shed = args.iter().any(|a| a == "--assert-shed");
     let assert_recovery = args.iter().any(|a| a == "--assert-recovery");
     let assert_queue_p95: Option<f64> =
@@ -568,74 +559,6 @@ fn main() {
     println!(
         "  recovery request: {:?}",
         recovery.as_ref().map(|(status, _)| *status)
-    );
-
-    let class_json = class_stats
-        .iter()
-        .map(|(k, sent, ok, shed, class_p50, class_p99)| {
-            format!(
-                "\"{}\": {{\"sent\": {sent}, \"ok\": {ok}, \"shed\": {shed}, \
-                 \"p50_ms\": {class_p50:.2}, \"p99_ms\": {class_p99:.2}}}",
-                k.name()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let phases_json = phase_stats
-        .iter()
-        .map(|(name, ph_p50, ph_p99)| {
-            format!("\"{name}\": {{\"p50_ms\": {ph_p50:.3}, \"p99_ms\": {ph_p99:.3}}}")
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    let lock_json = |(acq, contended, wait_count, wait_p95): (u64, u64, u64, f64)| {
-        format!(
-            "{{\"acquisitions\": {acq}, \"contended\": {contended}, \
-             \"wait_count\": {wait_count}, \"wait_p95_ms\": {wait_p95:.3}}}"
-        )
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"serve_loadgen\",\n  \"quick\": {quick},\n  \"seed\": {seed},\n  \
-         \"requests\": {requests},\n  \"rate_per_sec\": {rate},\n  \"wall_ms\": {wall_ms:.1},\n  \
-         \"throughput_rps\": {throughput:.2},\n  \"latency\": {{\"p50_ms\": {p50:.2}, \"p99_ms\": {p99:.2}}},\n  \
-         \"latency_by_class\": {{{class_json}}},\n  \
-         \"breakdown\": {{\"samples\": {}, \"ok_p99_ms\": {ok_p99:.2}, \
-         \"total_p99_ms\": {breakdown_total_p99:.2}, \"coverage_p99\": {breakdown_coverage:.4}, \
-         \"phases\": {{{phases_json}}}}},\n  \
-         \"locks\": {{\"solve_cache\": {}, \"inflight\": {}}},\n  \
-         \"healthz_worst_ms\": {healthz_worst_ms:.2},\n  \"healthz_failures\": {healthz_failures},\n  \
-         \"counts\": {{\"ok\": {}, \"shed\": {}, \"bad_request\": {}, \"too_large\": {}, \
-         \"deadline\": {}, \"timeout\": {}, \"other_status\": {}, \"client_error\": {}}},\n  \
-         \"server\": {{\"shed\": {}, \"browned_out\": {}, \"conn_capped\": {}, \
-         \"deadline_closed\": {}, \"queue_depth_p95\": {queue_p95}}},\n  \
-         \"recovered\": {recovered}\n}}\n",
-        breakdowns.len(),
-        lock_json(cache_lock),
-        lock_json(inflight_lock),
-        count(Outcome::Ok200),
-        count(Outcome::Shed503),
-        count(Outcome::BadRequest400),
-        count(Outcome::TooLarge413),
-        count(Outcome::Deadline408),
-        count(Outcome::Timeout504),
-        count(Outcome::OtherStatus),
-        count(Outcome::ClientError),
-        server_u64("shed"),
-        server_u64("browned_out"),
-        server_u64("conn_capped"),
-        server_u64("deadline_closed"),
-    );
-    std::fs::write(&out, json).expect("write loadgen result file");
-    println!("wrote {out}");
-    thistle_bench::append_history(
-        "serve_loadgen",
-        &[
-            ("wall_ms", wall_ms),
-            ("p50_ms", p50),
-            ("p99_ms", p99),
-            ("healthz_worst_ms", healthz_worst_ms),
-            ("breakdown_coverage_p99", breakdown_coverage),
-        ],
     );
 
     // Drill assertions (CI wiring).

@@ -295,35 +295,6 @@ impl ProfileCapture {
     }
 }
 
-/// Appends one JSON line to `BENCH_history.jsonl` in the current directory:
-/// the bench name, the fast/full mode, a wall-clock stamp, and the run's
-/// key scalar metrics. The perf-regression sentinel (`thistle-cli
-/// perfdiff`) compares such records across commits.
-pub fn append_history(bench: &str, metrics: &[(&str, f64)]) {
-    let unix_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    let mut line = format!(
-        "{{\"bench\":\"{bench}\",\"quick\":{},\"unix_ms\":{unix_ms}",
-        fast_mode()
-    );
-    for (name, value) in metrics {
-        line.push_str(&format!(",\"{name}\":{value:.6}"));
-    }
-    line.push_str("}\n");
-    let path = PathBuf::from("BENCH_history.jsonl");
-    let result = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| std::io::Write::write_all(&mut f, line.as_bytes()));
-    match result {
-        Ok(()) => println!("history: appended {bench} record -> {}", path.display()),
-        Err(e) => eprintln!("history: cannot append {}: {e}", path.display()),
-    }
-}
-
 /// Prints how much solve sharing a figure run got out of the service cache.
 pub fn print_service_sharing(service: &Service) {
     let m = service.metrics().snapshot();

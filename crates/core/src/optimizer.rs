@@ -1622,7 +1622,7 @@ fn subsample<T>(items: &mut Vec<T>, limit: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thistle_model::matmul_workload;
+    use thistle_model::{matmul_workload, CoDesignSpec};
 
     fn quick_optimizer() -> Optimizer {
         Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
@@ -1682,10 +1682,7 @@ mod tests {
                 &ArchMode::Fixed(ArchConfig::eyeriss()),
             )
             .unwrap();
-        let spec = thistle_model::problem_gen::CoDesignSpec::same_area_as(
-            &ArchConfig::eyeriss(),
-            opt.tech(),
-        );
+        let spec = CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), opt.tech());
         let codesign = opt
             .optimize_layer(&layer, Objective::Energy, &ArchMode::CoDesign(spec))
             .unwrap();
@@ -1717,59 +1714,65 @@ mod tests {
     #[test]
     fn near_miss_warm_start_answers_batch_variant() {
         let opt = quick_optimizer();
-        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
-        // Batch 2, not 1: an extent-1 batch generates no tiling variable, so
-        // a batch-1 donor is structurally different and nothing lowers
-        // patched (the solve still answers, just without reuse).
-        let donor_layer = ConvLayer::new("t", 2, 32, 32, 28, 28, 3, 3, 1);
-        let donor = opt
-            .optimize_layer(&donor_layer, Objective::Energy, &mode)
-            .unwrap();
+        let same_area = CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), opt.tech());
+        // Fixed Eyeriss, and co-design at Eyeriss area (the Fig. 5 setting).
+        let eyeriss = ArchMode::Fixed(ArchConfig::eyeriss());
+        for mode in [eyeriss, ArchMode::CoDesign(same_area)] {
+            // Batch 2, not 1: an extent-1 batch generates no tiling
+            // variable, so a batch-1 donor is structurally different and
+            // nothing lowers patched (the solve still answers, just
+            // without reuse).
+            let donor_layer = ConvLayer::new("t", 2, 32, 32, 28, 28, 3, 3, 1);
+            let donor = opt
+                .optimize_layer(&donor_layer, Objective::Energy, &mode)
+                .unwrap();
 
-        let near_layer = ConvLayer::new("t", 4, 32, 32, 28, 28, 3, 3, 1);
-        let near = opt
-            .optimize_layer_near_miss_deadline(
-                &near_layer,
-                Objective::Energy,
-                &mode,
-                &donor,
-                2,
-                &Deadline::none(),
-                &TraceCtx::disabled(),
-            )
-            .unwrap();
+            let near_layer = ConvLayer::new("t", 4, 32, 32, 28, 28, 3, 3, 1);
+            let near = opt
+                .optimize_layer_near_miss_deadline(
+                    &near_layer,
+                    Objective::Energy,
+                    &mode,
+                    &donor,
+                    2,
+                    &Deadline::none(),
+                    &TraceCtx::disabled(),
+                )
+                .unwrap();
 
-        // The near-miss answers the batch-4 problem, not the donor's.
-        assert_eq!(near.eval.macs, donor.eval.macs * 2);
-        assert_eq!(near.gp_solves, 1);
-        assert_eq!(near.perm_pair, donor.perm_pair);
+            // The near-miss answers the batch-4 problem, not the donor's.
+            assert_eq!(near.eval.macs, donor.eval.macs * 2, "{mode:?}");
+            assert_eq!(near.gp_solves, 1);
+            assert_eq!(near.perm_pair, donor.perm_pair);
 
-        // Warm-start accounting is populated: the lowering reused the
-        // donor's exponent rows (batch only changes coefficients and the
-        // trip-count equality), and the warm solve beat the donor's cold
-        // solve of the same pair on Newton iterations.
-        assert!(near.report.warm_started);
-        assert!(near.report.rows_reused > 0, "report: {:?}", near.report);
-        assert_eq!(near.report.rows_relowered, 0);
-        assert!(
-            near.report.newton_iterations < donor.report.newton_iterations,
-            "warm {} vs cold {}",
-            near.report.newton_iterations,
-            donor.report.newton_iterations,
-        );
-        assert!(near.report.warm_newton_saved > 0);
+            // Warm-start accounting is populated: the lowering reused the
+            // donor's exponent rows (batch only changes coefficients and
+            // the trip-count equality), and the warm solve beat the
+            // donor's cold solve of the same pair on Newton iterations.
+            assert!(near.report.warm_started, "{mode:?}");
+            assert!(near.report.rows_reused > 0, "report: {:?}", near.report);
+            assert_eq!(near.report.rows_relowered, 0, "{mode:?}");
+            assert!(
+                near.report.newton_iterations < donor.report.newton_iterations,
+                "{mode:?}: warm {} vs cold {}",
+                near.report.newton_iterations,
+                donor.report.newton_iterations,
+            );
+            assert!(near.report.warm_newton_saved > 0, "{mode:?}");
 
-        // Quality: close to a full sweep on the batch-4 layer (the donor's
-        // permutation pair stays competitive across batch sizes).
-        let full = opt
-            .optimize_layer(&near_layer, Objective::Energy, &mode)
-            .unwrap();
-        assert!(
-            near.eval.energy_pj <= full.eval.energy_pj * 1.25,
-            "near-miss {} vs full sweep {}",
-            near.eval.energy_pj,
-            full.eval.energy_pj
-        );
+            // Quality: close to a full sweep on the batch-4 layer (the
+            // donor's permutation pair stays competitive across batch
+            // sizes).
+            let full = opt
+                .optimize_layer(&near_layer, Objective::Energy, &mode)
+                .unwrap();
+            assert!(
+                near.eval.energy_pj <= full.eval.energy_pj * 1.25,
+                "{mode:?}: near-miss {} vs full sweep {}",
+                near.eval.energy_pj,
+                full.eval.energy_pj
+            );
+        }
     }
 
     #[test]

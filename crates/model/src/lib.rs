@@ -66,4 +66,4 @@ pub use problem_gen::{
     RegisterCostModel,
 };
 pub use space::{Level, TilingSpace, TripCount};
-pub use workload::{matmul_workload, ConvLayer, Dim, DimSpec, TensorAccess, Workload};
+pub use workload::{matmul_workload, ConvLayer, Dim, DimSpec, LayerError, TensorAccess, Workload};

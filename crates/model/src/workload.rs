@@ -140,12 +140,115 @@ pub struct ConvLayer {
     pub dilation: u64,
 }
 
+/// Why [`ConvLayer::try_new`] rejected a layer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LayerError {
+    /// An extent, the stride or the dilation is zero; names the field.
+    ZeroExtent(&'static str),
+    /// `(kernel, dilation, image)`: the dilated kernel
+    /// `dilation*(kernel-1) + 1` is larger than the image on one axis.
+    KernelLargerThanImage(u64, u64, u64),
+    /// The layer's multiply-accumulate count overflows `u64`.
+    MacsOverflow,
+}
+
+impl fmt::Display for LayerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            LayerError::ZeroExtent(field) => write!(f, "layer {field} must be positive"),
+            LayerError::KernelLargerThanImage(kernel, dilation, image) => write!(
+                f,
+                "{}kernel larger than input image: dilation {dilation} x kernel {kernel} \
+                 exceeds image {image}",
+                if dilation > 1 { "dilated " } else { "" }
+            ),
+            LayerError::MacsOverflow => write!(f, "layer MAC count overflows u64"),
+        }
+    }
+}
+
+impl std::error::Error for LayerError {}
+
 impl ConvLayer {
-    /// Builds a layer; arguments follow Table II order.
+    /// Builds a layer, checking it: arguments follow Table II order, plus
+    /// the kernel dilation (1 = dense).
+    ///
+    /// Rejects a zero extent, stride or dilation, a dilated kernel larger
+    /// than the image, and a MAC count that overflows `u64`, all in checked
+    /// arithmetic, so any `u64` input gets an answer. Front ends that read
+    /// layers from users call this; [`ConvLayer::new`] and
+    /// [`ConvLayer::with_dilation`] panic on the same errors.
+    #[allow(clippy::too_many_arguments)]
+    pub fn try_new(
+        name: &str,
+        batch: u64,
+        out_channels: u64,
+        in_channels: u64,
+        in_h: u64,
+        in_w: u64,
+        kernel_h: u64,
+        kernel_w: u64,
+        stride: u64,
+        dilation: u64,
+    ) -> Result<Self, LayerError> {
+        ConvLayer {
+            name: name.to_owned(),
+            batch,
+            out_channels,
+            in_channels,
+            in_h,
+            in_w,
+            kernel_h,
+            kernel_w,
+            stride,
+            dilation,
+        }
+        .checked()
+    }
+
+    fn checked(self) -> Result<Self, LayerError> {
+        let extents = [
+            ("batch", self.batch),
+            ("out_channels", self.out_channels),
+            ("in_channels", self.in_channels),
+            ("in_h", self.in_h),
+            ("in_w", self.in_w),
+            ("kernel_h", self.kernel_h),
+            ("kernel_w", self.kernel_w),
+            ("stride", self.stride),
+            ("dilation", self.dilation),
+        ];
+        if let Some(&(field, _)) = extents.iter().find(|(_, v)| *v == 0) {
+            return Err(LayerError::ZeroExtent(field));
+        }
+        // `dilation * (kernel - 1)` is the dilated kernel's span minus one;
+        // it may overflow, and then the kernel certainly does not fit.
+        let dilation = self.dilation;
+        for (kernel, image) in [(self.kernel_h, self.in_h), (self.kernel_w, self.in_w)] {
+            if dilation
+                .checked_mul(kernel - 1)
+                .is_none_or(|span| span >= image)
+            {
+                return Err(LayerError::KernelLargerThanImage(kernel, dilation, image));
+            }
+        }
+        let factors = [
+            self.out_channels,
+            self.in_channels,
+            self.kernel_h,
+            self.kernel_w,
+        ];
+        (factors.into_iter().chain([self.out_h(), self.out_w()]))
+            .try_fold(self.batch, u64::checked_mul)
+            .ok_or(LayerError::MacsOverflow)?;
+        Ok(self)
+    }
+
+    /// Builds a dense layer; arguments follow Table II order.
     ///
     /// # Panics
     ///
-    /// Panics if any extent is zero or the kernel exceeds the image.
+    /// Panics where [`ConvLayer::try_new`] returns an error.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
@@ -158,21 +261,8 @@ impl ConvLayer {
         kernel_w: u64,
         stride: u64,
     ) -> Self {
-        assert!(
-            batch > 0
-                && out_channels > 0
-                && in_channels > 0
-                && kernel_h > 0
-                && kernel_w > 0
-                && stride > 0,
-            "layer extents must be positive"
-        );
-        assert!(
-            in_h >= kernel_h && in_w >= kernel_w,
-            "kernel larger than input image"
-        );
-        ConvLayer {
-            name: name.to_owned(),
+        Self::try_new(
+            name,
             batch,
             out_channels,
             in_channels,
@@ -181,8 +271,9 @@ impl ConvLayer {
             kernel_h,
             kernel_w,
             stride,
-            dilation: 1,
-        }
+            1,
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Sets the kernel dilation (the paper notes dilation is handled like
@@ -190,15 +281,12 @@ impl ConvLayer {
     ///
     /// # Panics
     ///
-    /// Panics if the dilated kernel exceeds the input image.
-    pub fn with_dilation(mut self, dilation: u64) -> Self {
-        assert!(dilation > 0, "dilation must be positive");
-        self.dilation = dilation;
-        assert!(
-            self.dilated_kernel_h() <= self.in_h && self.dilated_kernel_w() <= self.in_w,
-            "dilated kernel larger than input image"
-        );
-        self
+    /// Panics where [`ConvLayer::try_new`] returns an error, e.g. when the
+    /// dilated kernel exceeds the input image.
+    pub fn with_dilation(self, dilation: u64) -> Self {
+        ConvLayer { dilation, ..self }
+            .checked()
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Effective kernel height under dilation: `dilation*(R-1) + 1`.
@@ -455,5 +543,53 @@ mod tests {
     #[should_panic(expected = "dilated kernel larger")]
     fn rejects_oversized_dilation() {
         let _ = ConvLayer::new("d", 1, 8, 4, 5, 5, 3, 3, 1).with_dilation(3);
+    }
+
+    #[test]
+    fn try_new_rejects_zero_extents_and_oversized_kernels() {
+        let layer = |v: [u64; 9]| {
+            ConvLayer::try_new("t", v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8])
+        };
+        let dense = [1, 8, 4, 10, 12, 3, 1, 2, 1];
+        assert_eq!(
+            layer(dense),
+            Ok(ConvLayer::new("t", 1, 8, 4, 10, 12, 3, 1, 2))
+        );
+        for (i, field) in ["batch", "out_channels", "in_channels", "in_h", "in_w"]
+            .into_iter()
+            .chain(["kernel_h", "kernel_w", "stride", "dilation"])
+            .enumerate()
+        {
+            let mut v = dense;
+            v[i] = 0;
+            assert_eq!(layer(v), Err(LayerError::ZeroExtent(field)));
+        }
+        // A dilated kernel exactly as tall as the image fits; one more
+        // row does not, on either axis.
+        let fits = ConvLayer::new("t", 1, 8, 4, 5, 5, 3, 3, 1).with_dilation(2);
+        assert_eq!(layer([1, 8, 4, 5, 5, 3, 3, 1, 2]), Ok(fits));
+        let tall = LayerError::KernelLargerThanImage(3, 3, 5);
+        assert_eq!(layer([1, 8, 4, 5, 9, 3, 3, 1, 3]), Err(tall));
+        let wide = layer([1, 8, 4, 9, 5, 3, 6, 1, 1]).unwrap_err();
+        assert!(wide
+            .to_string()
+            .starts_with("kernel larger than input image"));
+        // `dilation * (R - 1)` overflows u64: rejected, not wrapped to a
+        // small span that seems to fit.
+        let (r, d) = (4_294_967_297, 4_294_967_296);
+        let wrapped = LayerError::KernelLargerThanImage(r, d, 100);
+        assert_eq!(layer([1, 64, 64, 100, 100, r, r, 1, d]), Err(wrapped));
+    }
+
+    #[test]
+    fn try_new_rejects_a_mac_count_past_u64() {
+        let big = 1u64 << 40;
+        let err = ConvLayer::try_new("t", 1, big, big, 8, 8, 3, 3, 1, 1);
+        assert_eq!(err, Err(LayerError::MacsOverflow));
+        // The largest count that fits is accepted, one more factor is not.
+        let max = ConvLayer::try_new("t", u64::MAX, 1, 1, 1, 1, 1, 1, 1, 1).unwrap();
+        assert_eq!(max.macs(), u64::MAX);
+        let over = ConvLayer::try_new("t", u64::MAX, 2, 1, 1, 1, 1, 1, 1, 1);
+        assert_eq!(over, Err(LayerError::MacsOverflow));
     }
 }

@@ -9,7 +9,6 @@
 //! thistle-cli report   --net resnet18|resnet18-blocks|yolo9000 [--json] [options]
 //! thistle-cli mapper   --k 64 --c 64 --hw 56 --rs 3 [--trials 20000]
 //! thistle-cli trace    <workload> [--out trace.json] [--jsonl spans.jsonl]
-//! thistle-cli perfdiff <baseline.json> <candidate.json> [--tolerance 0.25] [--json]
 //! thistle-cli serve    [--addr 127.0.0.1:7878] [--workers 4] [--cache 256]
 //!                      [--atlas atlas.bin] [--checkpoint-every 32] [--pareto]
 //!                      [--timeseries metrics.ts] [--timeseries-every-ms 15000]
@@ -49,7 +48,6 @@ usage:
   thistle-cli report   --net <resnet18|resnet18-blocks|yolo9000> [--json] [options]
   thistle-cli mapper   --k <K> --c <C> --hw <HW> --rs <RS> [--trials N]
   thistle-cli trace    <workload> [--out FILE] [--jsonl FILE] [options]
-  thistle-cli perfdiff <baseline.json> <candidate.json> [--tolerance F] [--json]
   thistle-cli serve    [--addr HOST:PORT] [--workers N] [--cache N] [--fast]
 
 layer options:
@@ -77,19 +75,6 @@ trace options:
   --out FILE        Chrome trace_event JSON (default trace.json); open in
                     Perfetto (https://ui.perfetto.dev) or chrome://tracing
   --jsonl FILE      also stream spans as JSON Lines
-
-perfdiff options:
-  <baseline.json> <candidate.json>
-                    two BENCH_*.json files (or BENCH_history.jsonl lines saved
-                    as JSON) from the same benchmark; numeric leaves are
-                    compared pairwise — *_ns/*_ms/ms_per_* lower is better,
-                    *speedup* higher is better — and any regression beyond the
-                    tolerance exits nonzero
-  --tolerance F     allowed relative slack before a change counts as a
-                    regression (default 0.25 = 25%, noise-aware)
-  --json            machine-readable output: per-leaf verdicts (regression |
-                    improved | ok | informational | missing_in_candidate |
-                    new_in_candidate) as one JSON document on stdout
 
 serve options:
   --addr HOST:PORT  listen address (default 127.0.0.1:7878; port 0 = ephemeral)
@@ -169,7 +154,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         "report" => cmd_report(&args),
         "mapper" => cmd_mapper(&args),
         "trace" => cmd_trace(&argv[1..]),
-        "perfdiff" => cmd_perfdiff(&argv[1..]),
         "serve" => cmd_serve(&args),
         other => Err(format!("unknown command: {other}")),
     }
@@ -183,22 +167,8 @@ fn parse_layer(args: &Args) -> Result<ConvLayer, String> {
     let stride: u64 = args.parse("--stride")?.unwrap_or(1);
     let dilation: u64 = args.parse("--dilation")?.unwrap_or(1);
     let batch: u64 = args.parse("--batch")?.unwrap_or(1);
-    // Validate ahead of the library constructors, which treat violations as
-    // programmer errors (panics).
-    if k == 0 || c == 0 || hw == 0 || rs == 0 || stride == 0 || dilation == 0 || batch == 0 {
-        return Err("layer extents, stride, dilation, and batch must be positive".into());
-    }
-    if dilation * (rs - 1) + 1 > hw {
-        return Err(format!(
-            "kernel does not fit: dilation {dilation} x kernel {rs} exceeds image {hw}"
-        ));
-    }
-    let layer = ConvLayer::new("cli", batch, k, c, hw, hw, rs, rs, stride);
-    Ok(if dilation > 1 {
-        layer.with_dilation(dilation)
-    } else {
-        layer
-    })
+    ConvLayer::try_new("cli", batch, k, c, hw, hw, rs, rs, stride, dilation)
+        .map_err(|e| e.to_string())
 }
 
 fn parse_objective(args: &Args) -> Result<Objective, String> {
@@ -462,231 +432,6 @@ fn report_json(result: &thistle::pipeline::PipelineResult) -> Json {
             ]),
         ),
     ])
-}
-
-/// How a numeric metric should move to count as an improvement.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    LowerBetter,
-    HigherBetter,
-    Informational,
-}
-
-/// Classifies a flattened metric path by its leaf name: times regress
-/// upward, speedups regress downward, everything else (counts, sizes,
-/// timestamps) is context only.
-fn metric_direction(path: &str) -> Direction {
-    let leaf = path.rsplit('.').next().unwrap_or(path);
-    if leaf == "unix_ms" || leaf == "ts_unix_ms" {
-        return Direction::Informational;
-    }
-    if leaf.contains("speedup") {
-        return Direction::HigherBetter;
-    }
-    if leaf == "ns" || leaf == "ms" || leaf.ends_with("_ns") || leaf.ends_with("_ms") {
-        return Direction::LowerBetter;
-    }
-    if leaf.starts_with("ms_per") || leaf.starts_with("ns_per") {
-        return Direction::LowerBetter;
-    }
-    Direction::Informational
-}
-
-/// Collects every numeric leaf of a JSON document as `path -> value`.
-fn flatten_numeric(prefix: &str, value: &Json, out: &mut Vec<(String, f64)>) {
-    match value {
-        Json::Num(n) => out.push((prefix.to_string(), *n)),
-        Json::Obj(fields) => {
-            for (k, v) in fields {
-                let key = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                flatten_numeric(&key, v, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, v) in items.iter().enumerate() {
-                flatten_numeric(&format!("{prefix}[{i}]"), v, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn load_metrics(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = Vec::new();
-    flatten_numeric("", &doc, &mut out);
-    Ok(out)
-}
-
-/// One compared leaf in a perfdiff run, shared by the text table and the
-/// `--json` rendering.
-struct LeafVerdict {
-    path: String,
-    base: Option<f64>,
-    cand: Option<f64>,
-    /// Relative change `cand/base - 1`; `None` when one side is missing.
-    delta: Option<f64>,
-    /// `regression` | `improved` | `ok` | `informational` |
-    /// `missing_in_candidate` | `new_in_candidate`.
-    verdict: &'static str,
-}
-
-/// The perf-regression sentinel: compares two benchmark JSON files leaf by
-/// leaf with noise-aware, direction-aware thresholds. Exits nonzero on any
-/// regression so CI can gate on it. `--json` emits the per-leaf verdicts
-/// as one machine-readable document on stdout instead of the text table.
-fn cmd_perfdiff(argv: &[String]) -> Result<(), String> {
-    let mut positional = argv.iter().take_while(|a| !a.starts_with("--"));
-    let (Some(baseline_path), Some(candidate_path)) = (positional.next(), positional.next()) else {
-        return Err("perfdiff needs two files: <baseline.json> <candidate.json>".into());
-    };
-    let args = Args::new(&argv[2..]);
-    let tolerance: f64 = args.parse("--tolerance")?.unwrap_or(0.25);
-    if !(tolerance >= 0.0 && tolerance.is_finite()) {
-        return Err("--tolerance must be a finite non-negative fraction".into());
-    }
-    let json_mode = argv.iter().any(|a| a == "--json");
-
-    let baseline = load_metrics(baseline_path)?;
-    let candidate = load_metrics(candidate_path)?;
-
-    let mut regressions = 0usize;
-    let mut improvements = 0usize;
-    let mut leaves: Vec<LeafVerdict> = Vec::with_capacity(baseline.len());
-    for (path, base) in &baseline {
-        let Some((_, cand)) = candidate.iter().find(|(p, _)| p == path) else {
-            leaves.push(LeafVerdict {
-                path: path.clone(),
-                base: Some(*base),
-                cand: None,
-                delta: None,
-                verdict: "missing_in_candidate",
-            });
-            continue;
-        };
-        let direction = metric_direction(path);
-        let delta = if base.abs() > 1e-12 {
-            cand / base - 1.0
-        } else {
-            0.0
-        };
-        let verdict = match direction {
-            Direction::Informational => "informational",
-            Direction::LowerBetter if delta > tolerance => {
-                regressions += 1;
-                "regression"
-            }
-            Direction::HigherBetter if delta < -tolerance => {
-                regressions += 1;
-                "regression"
-            }
-            Direction::LowerBetter if delta < -tolerance => {
-                improvements += 1;
-                "improved"
-            }
-            Direction::HigherBetter if delta > tolerance => {
-                improvements += 1;
-                "improved"
-            }
-            _ => "ok",
-        };
-        leaves.push(LeafVerdict {
-            path: path.clone(),
-            base: Some(*base),
-            cand: Some(*cand),
-            delta: Some(delta),
-            verdict,
-        });
-    }
-    for (path, cand) in &candidate {
-        if !baseline.iter().any(|(p, _)| p == path) {
-            leaves.push(LeafVerdict {
-                path: path.clone(),
-                base: None,
-                cand: Some(*cand),
-                delta: None,
-                verdict: "new_in_candidate",
-            });
-        }
-    }
-
-    if json_mode {
-        let num = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-        let doc = Json::Obj(vec![
-            ("baseline".into(), Json::Str(baseline_path.clone())),
-            ("candidate".into(), Json::Str(candidate_path.clone())),
-            ("tolerance".into(), Json::Num(tolerance)),
-            ("regressions".into(), Json::Num(regressions as f64)),
-            ("improvements".into(), Json::Num(improvements as f64)),
-            ("compared".into(), Json::Num(baseline.len() as f64)),
-            (
-                "leaves".into(),
-                Json::Arr(
-                    leaves
-                        .iter()
-                        .map(|l| {
-                            Json::Obj(vec![
-                                ("metric".into(), Json::Str(l.path.clone())),
-                                ("baseline".into(), num(l.base)),
-                                ("candidate".into(), num(l.cand)),
-                                ("delta".into(), num(l.delta)),
-                                ("verdict".into(), Json::Str(l.verdict.into())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        println!("{}", doc.emit());
-    } else {
-        println!(
-            "perfdiff: {baseline_path} -> {candidate_path} (tolerance {tolerance:.0}%)",
-            tolerance = tolerance * 100.0
-        );
-        println!(
-            "{:<40} {:>14} {:>14} {:>9}  verdict",
-            "metric", "baseline", "candidate", "delta"
-        );
-        let fmt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
-        for l in &leaves {
-            // The text verdict column keeps its established vocabulary
-            // (CI greps for the uppercase REGRESSION marker).
-            let verdict = match l.verdict {
-                "regression" => "REGRESSION",
-                "informational" => "",
-                "missing_in_candidate" => "missing in candidate",
-                "new_in_candidate" => "new in candidate",
-                other => other,
-            };
-            let delta = l
-                .delta
-                .map_or(format!("{:>9}", "-"), |d| format!("{:>+8.1}%", d * 100.0));
-            println!(
-                "{:<40} {:>14} {:>14} {delta}  {verdict}",
-                l.path,
-                fmt(l.base),
-                fmt(l.cand)
-            );
-        }
-        println!(
-            "\n{} regression(s), {} improvement(s), {} metric(s) compared",
-            regressions,
-            improvements,
-            baseline.len()
-        );
-    }
-    if regressions > 0 {
-        return Err(format!(
-            "perfdiff: {regressions} metric(s) regressed beyond {:.0}%",
-            tolerance * 100.0
-        ));
-    }
-    Ok(())
 }
 
 fn cmd_mapper(args: &Args) -> Result<(), String> {

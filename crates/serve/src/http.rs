@@ -1646,13 +1646,10 @@ fn parse_optimize_request(
         None => 1,
         Some(_) => field("dilation")?,
     };
-    if dilation * (kernel_h - 1) + 1 > in_h || dilation * (kernel_w - 1) + 1 > in_w {
-        return Err("kernel (with dilation) exceeds the input image".into());
-    }
-    let mut layer = ConvLayer::new(&name, batch, k, c, in_h, in_w, kernel_h, kernel_w, stride);
-    if dilation > 1 {
-        layer = layer.with_dilation(dilation);
-    }
+    let layer = ConvLayer::try_new(
+        &name, batch, k, c, in_h, in_w, kernel_h, kernel_w, stride, dilation,
+    )
+    .map_err(|e| e.to_string())?;
 
     let objective = match v
         .get("objective")

@@ -4,7 +4,8 @@
 //! happens to spell a routable request) — never a panic, a hang, or a
 //! connection reset — and the server must keep answering `/healthz`
 //! afterwards. A deterministic slowloris test covers the per-phase read
-//! deadline.
+//! deadline, and layer payloads whose sizes overflow `u64` arithmetic must
+//! get a 400.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -92,14 +93,12 @@ fn healthz_is_green(port: u16) -> bool {
     status_of(&response) == Some(200)
 }
 
-/// A syntactically complete request the truncation/pipelining strategies
-/// start from.
-fn valid_post() -> Vec<u8> {
-    let body = concat!(
-        "{\"layer\": {\"name\": \"hard\", \"batch\": 1, \"out_channels\": 16, ",
-        "\"in_channels\": 16, \"in_h\": 18, \"in_w\": 18, \"kernel_h\": 3, ",
-        "\"kernel_w\": 3, \"stride\": 1}, \"objective\": \"energy\", ",
-        "\"mode\": \"eyeriss\"}"
+/// `POST /optimize` with `layer` fields spliced into an otherwise valid
+/// body.
+fn post_layer(layer_fields: &str) -> Vec<u8> {
+    let body = format!(
+        "{{\"layer\": {{\"name\": \"hard\", \"batch\": 1, {layer_fields}, \
+         \"stride\": 1}}, \"objective\": \"energy\", \"mode\": \"eyeriss\"}}"
     );
     format!(
         "POST /optimize HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\
@@ -107,6 +106,15 @@ fn valid_post() -> Vec<u8> {
         body.len()
     )
     .into_bytes()
+}
+
+/// A syntactically complete request the truncation/pipelining strategies
+/// start from.
+fn valid_post() -> Vec<u8> {
+    post_layer(concat!(
+        "\"out_channels\": 16, \"in_channels\": 16, \"in_h\": 18, \"in_w\": 18, ",
+        "\"kernel_h\": 3, \"kernel_w\": 3"
+    ))
 }
 
 proptest! {
@@ -187,6 +195,24 @@ proptest! {
         request.extend_from_slice(&garbage);
         let response = exchange(port, &request);
         prop_assert_eq!(status_of(&response), Some(200));
+    }
+}
+
+#[test]
+fn overflowing_layer_sizes_get_400() {
+    let port = shared_port();
+    let payloads = [
+        // `dilation * (kernel - 1)` wraps to a span that seems to fit.
+        "\"out_channels\": 64, \"in_channels\": 64, \"in_h\": 100, \"in_w\": 100, \
+         \"kernel_h\": 4294967297, \"kernel_w\": 4294967297, \"dilation\": 4294967296",
+        // The MAC count wraps.
+        "\"out_channels\": 1099511627776, \"in_channels\": 1099511627776, \
+         \"in_h\": 8, \"in_w\": 8, \"kernel_h\": 3, \"kernel_w\": 3",
+    ];
+    for fields in payloads {
+        let response = exchange(port, &post_layer(fields));
+        assert_eq!(status_of(&response), Some(400), "{fields}: {response}");
+        assert!(healthz_is_green(port));
     }
 }
 
