@@ -32,15 +32,15 @@ pub fn divisors(n: u64) -> Vec<u64> {
     assert!(n > 0, "divisors of zero are undefined");
     let mut small = Vec::new();
     let mut large = Vec::new();
-    let mut d = 1;
-    while d * d <= n {
+    // `d <= isqrt(n)` is `d * d <= n` without the multiply, which wraps
+    // once `d` reaches 2^32.
+    for d in 1..=n.isqrt() {
         if n.is_multiple_of(d) {
             small.push(d);
             if d != n / d {
                 large.push(n / d);
             }
         }
-        d += 1;
     }
     large.reverse();
     small.extend(large);

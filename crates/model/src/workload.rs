@@ -140,11 +140,19 @@ pub struct ConvLayer {
     pub dilation: u64,
 }
 
+/// Largest extent, stride or dilation [`ConvLayer::try_new`] accepts:
+/// 2^53, the largest integer a JSON request carries exactly, and the limit
+/// below which every integer is exact as the `f64` the GP model uses.
+pub const MAX_EXTENT: u64 = 1 << 53;
+
 /// Why [`ConvLayer::try_new`] rejected a layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LayerError {
     /// An extent, the stride or the dilation is zero; names the field.
     ZeroExtent(&'static str),
+    /// An extent, the stride or the dilation is above [`MAX_EXTENT`];
+    /// names the field.
+    ExtentTooLarge(&'static str),
     /// `(kernel, dilation, image)`: the dilated kernel
     /// `dilation*(kernel-1) + 1` is larger than the image on one axis.
     KernelLargerThanImage(u64, u64, u64),
@@ -156,6 +164,9 @@ impl fmt::Display for LayerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             LayerError::ZeroExtent(field) => write!(f, "layer {field} must be positive"),
+            LayerError::ExtentTooLarge(field) => {
+                write!(f, "layer {field} exceeds 2^53 ({MAX_EXTENT})")
+            }
             LayerError::KernelLargerThanImage(kernel, dilation, image) => write!(
                 f,
                 "{}kernel larger than input image: dilation {dilation} x kernel {kernel} \
@@ -173,9 +184,10 @@ impl ConvLayer {
     /// Builds a layer, checking it: arguments follow Table II order, plus
     /// the kernel dilation (1 = dense).
     ///
-    /// Rejects a zero extent, stride or dilation, a dilated kernel larger
-    /// than the image, and a MAC count that overflows `u64`, all in checked
-    /// arithmetic, so any `u64` input gets an answer. Front ends that read
+    /// Rejects a zero extent, stride or dilation, one above [`MAX_EXTENT`],
+    /// a dilated kernel larger than the image, and a MAC count that
+    /// overflows `u64`, all in checked arithmetic, so any `u64` input gets
+    /// an answer. Front ends that read
     /// layers from users call this; [`ConvLayer::new`] and
     /// [`ConvLayer::with_dilation`] panic on the same errors.
     #[allow(clippy::too_many_arguments)]
@@ -220,6 +232,9 @@ impl ConvLayer {
         ];
         if let Some(&(field, _)) = extents.iter().find(|(_, v)| *v == 0) {
             return Err(LayerError::ZeroExtent(field));
+        }
+        if let Some(&(field, _)) = extents.iter().find(|(_, v)| *v > MAX_EXTENT) {
+            return Err(LayerError::ExtentTooLarge(field));
         }
         // `dilation * (kernel - 1)` is the dilated kernel's span minus one;
         // it may overflow, and then the kernel certainly does not fit.
@@ -586,10 +601,34 @@ mod tests {
         let big = 1u64 << 40;
         let err = ConvLayer::try_new("t", 1, big, big, 8, 8, 3, 3, 1, 1);
         assert_eq!(err, Err(LayerError::MacsOverflow));
-        // The largest count that fits is accepted, one more factor is not.
-        let max = ConvLayer::try_new("t", u64::MAX, 1, 1, 1, 1, 1, 1, 1, 1).unwrap();
+        // The largest count that fits is accepted, one more factor is not:
+        // u64::MAX = (2^32 - 1) * (2^32 + 1), both within the extent cap.
+        let (lo, hi) = (u32::MAX as u64, u32::MAX as u64 + 2);
+        let max = ConvLayer::try_new("t", lo, hi, 1, 1, 1, 1, 1, 1, 1).unwrap();
         assert_eq!(max.macs(), u64::MAX);
-        let over = ConvLayer::try_new("t", u64::MAX, 2, 1, 1, 1, 1, 1, 1, 1);
+        let over = ConvLayer::try_new("t", lo, hi, 2, 1, 1, 1, 1, 1, 1);
         assert_eq!(over, Err(LayerError::MacsOverflow));
+    }
+
+    #[test]
+    fn try_new_caps_every_field_at_2_pow_53() {
+        let fields = ["batch", "out_channels", "in_channels", "in_h", "in_w"]
+            .into_iter()
+            .chain(["kernel_h", "kernel_w", "stride", "dilation"]);
+        for (i, field) in fields.enumerate() {
+            let layer = |v: u64| {
+                let mut f = [1; 9];
+                f[i] = v;
+                // A kernel as large as the cap needs an image to fit in.
+                if i == 5 || i == 6 {
+                    f[i - 2] = MAX_EXTENT;
+                }
+                ConvLayer::try_new("t", f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7], f[8])
+            };
+            assert!(layer(MAX_EXTENT).is_ok(), "{field} at 2^53");
+            let over = layer(MAX_EXTENT + 1);
+            assert_eq!(over, Err(LayerError::ExtentTooLarge(field)));
+            assert!(over.unwrap_err().to_string().contains(field));
+        }
     }
 }

@@ -52,8 +52,8 @@ pub use contention::{take_thread_lock_wait, ObservedMutex, ObservedRwLock};
 pub use exemplar::{Exemplar, ExemplarClass, ExemplarSink};
 pub use profiler::{FoldedProfile, Profiler};
 pub use registry::{
-    Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary, MetricsBridge,
-    Registry, RegistrySnapshot,
+    series_key, Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary,
+    MetricsBridge, Registry, RegistrySnapshot,
 };
 pub use sink::{CollectingSink, FanoutSink, JsonlSink, RingSink, Sink};
 

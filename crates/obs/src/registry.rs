@@ -7,23 +7,23 @@
 //! [`HistogramFamily`]) bound their cardinality — past the limit every new
 //! label lands in a shared `_overflow` slot instead of growing memory.
 //!
-//! [`Registry::snapshot`] produces a point-in-time [`RegistrySnapshot`]
-//! renderable as JSON or Prometheus text; both renders come from the same
-//! sample list, so they cannot drift apart.
+//! [`Registry::snapshot`] produces a point-in-time [`RegistrySnapshot`];
+//! [`series_key`] names each of its samples.
 //!
 //! [`MetricsBridge`] adapts the registry to the tracing layer: it is a
-//! [`Sink`] that derives span/event count and duration metrics from every
-//! record that passes through, so any instrumented stage gets metrics for
-//! free.
+//! [`Sink`] that times every span into one duration family and counts
+//! events, so any instrumented stage gets metrics for free.
 
-use crate::export::{json_f64, json_str};
 use crate::{Record, Sink};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Label slot used once a family reaches its cardinality bound.
 pub const OVERFLOW_LABEL: &str = "_overflow";
+
+/// The histogram family, keyed by `span`, that [`MetricsBridge`] times
+/// every span into.
+pub const SPAN_DURATION_MS: &str = "span_duration_ms";
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -340,11 +340,6 @@ impl Registry {
         h
     }
 
-    /// Records into the named histogram without holding its handle.
-    pub fn observe(&self, name: &str, capacity: usize, v: f64) {
-        self.histogram(name, capacity).record(v);
-    }
-
     /// The counter family named `name`, registering it on first use.
     pub fn counter_family(
         &self,
@@ -482,8 +477,7 @@ pub struct HistogramSample {
     pub summary: HistogramSummary,
 }
 
-/// Point-in-time sample of a [`Registry`], renderable as JSON or Prometheus
-/// text.
+/// Point-in-time sample of a [`Registry`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegistrySnapshot {
     /// All counter samples (plain, then family members).
@@ -494,148 +488,22 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<HistogramSample>,
 }
 
-fn json_key(name: &str, label: &Option<(String, String)>) -> String {
+/// The `name{key=label}` key of one snapshot sample (`name` alone for an
+/// unlabelled metric), as the debug surfaces list them.
+pub fn series_key(name: &str, label: &Option<(String, String)>) -> String {
     match label {
         None => name.to_string(),
         Some((k, v)) => format!("{name}{{{k}={v}}}"),
     }
 }
 
-fn prom_series(prefix: &str, name: &str, label: &Option<(String, String)>) -> String {
-    match label {
-        None => format!("{prefix}{name}"),
-        Some((k, v)) => format!("{prefix}{name}{{{k}=\"{}\"}}", escape_label_value(v)),
-    }
-}
-
-/// Escapes a label value per the Prometheus exposition format: backslash,
-/// double quote, and line feed must be written as `\\`, `\"`, and `\n`.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl RegistrySnapshot {
-    /// Renders the snapshot as one JSON object with `counters`, `gauges`,
-    /// and `histograms` members. Family members render under
-    /// `"name{key=label}"` keys; histograms as
-    /// `{"count":…,"p50":…,"p95":…}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{}",
-                json_str(&json_key(&c.name, &c.label)),
-                c.value
-            );
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(&g.name), g.value);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"p50\":{},\"p95\":{}}}",
-                json_str(&json_key(&h.name, &h.label)),
-                h.summary.count,
-                json_f64(h.summary.p50),
-                json_f64(h.summary.p95),
-            );
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Renders the snapshot in Prometheus text exposition format, every
-    /// series name prefixed with `prefix`. Histograms emit
-    /// `<name>{quantile="0.5"|"0.95"}` summary series plus `<name>_count`.
-    pub fn to_prometheus(&self, prefix: &str) -> String {
-        let mut out = String::new();
-        for c in &self.counters {
-            let _ = writeln!(
-                out,
-                "{} {}",
-                prom_series(prefix, &c.name, &c.label),
-                c.value
-            );
-        }
-        for g in &self.gauges {
-            let _ = writeln!(out, "{prefix}{} {}", g.name, g.value);
-        }
-        for h in &self.histograms {
-            let (extra_label, label_prefix) = match &h.label {
-                None => (String::new(), String::new()),
-                Some((k, v)) => {
-                    let v = escape_label_value(v);
-                    (format!("{k}=\"{v}\","), format!("{k}=\"{v}\""))
-                }
-            };
-            let _ = writeln!(
-                out,
-                "{prefix}{}{{{}quantile=\"0.5\"}} {}",
-                h.name,
-                extra_label,
-                fmt_prom_f64(h.summary.p50)
-            );
-            let _ = writeln!(
-                out,
-                "{prefix}{}{{{}quantile=\"0.95\"}} {}",
-                h.name,
-                extra_label,
-                fmt_prom_f64(h.summary.p95)
-            );
-            if label_prefix.is_empty() {
-                let _ = writeln!(out, "{prefix}{}_count {}", h.name, h.summary.count);
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{prefix}{}_count{{{}}} {}",
-                    h.name, label_prefix, h.summary.count
-                );
-            }
-        }
-        out
-    }
-}
-
-/// Renders whole-valued floats without a trailing `.0`, matching the
-/// Prometheus convention used elsewhere in the workspace.
-pub fn fmt_prom_f64(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
-    }
-}
-
 /// [`Sink`] that derives registry metrics from trace records.
 ///
-/// For every span it bumps `span_total{span=<name>}` and records the span's
-/// duration into `span_duration_ms{span=<name>}`; spans closed by a panic
-/// additionally bump `span_unwound_total`. Events bump
-/// `event_total{event=<name>}`.
+/// For every span it records the span's duration into
+/// `span_duration_ms{span=<name>}`, whose `count` is the number of such
+/// spans; spans closed by a panic additionally bump `span_unwound_total`.
+/// Events bump `event_total{event=<name>}`.
 pub struct MetricsBridge {
-    span_total: CounterFamily,
     span_duration_ms: HistogramFamily,
     span_unwound_total: Counter,
     event_total: CounterFamily,
@@ -646,9 +514,8 @@ impl MetricsBridge {
     /// sink. Span-name cardinality is bounded at `max_cardinality`.
     pub fn new(registry: &Registry, window: usize, max_cardinality: usize) -> MetricsBridge {
         MetricsBridge {
-            span_total: registry.counter_family("span_total", "span", max_cardinality),
             span_duration_ms: registry.histogram_family(
-                "span_duration_ms",
+                SPAN_DURATION_MS,
                 "span",
                 window,
                 max_cardinality,
@@ -663,7 +530,6 @@ impl Sink for MetricsBridge {
     fn record(&self, record: Record) {
         match &record {
             Record::Span(s) => {
-                self.span_total.with_label(s.name).inc();
                 self.span_duration_ms
                     .record(s.name, s.dur_ns as f64 / 1_000_000.0);
                 if s.closed_by_unwind {
@@ -693,37 +559,6 @@ mod tests {
             fields: vec![("k", FieldValue::U64(1))],
             closed_by_unwind: unwound,
         })
-    }
-
-    #[test]
-    fn prometheus_label_values_are_escaped() {
-        let reg = Registry::new();
-        let hostile = "he said \"hi\\there\"\nand left";
-        reg.counter_family("solve_total", "layer", 8)
-            .with_label(hostile)
-            .inc();
-        reg.histogram_family("solve_ms", "layer", 16, 8)
-            .with_label(hostile)
-            .record(2.0);
-        let prom = reg.snapshot().to_prometheus("thistle_");
-        let escaped = "he said \\\"hi\\\\there\\\"\\nand left";
-        assert!(
-            prom.contains(&format!("thistle_solve_total{{layer=\"{escaped}\"}} 1")),
-            "counter label must be escaped:\n{prom}"
-        );
-        assert!(
-            prom.contains(&format!("layer=\"{escaped}\",quantile=\"0.5\"")),
-            "histogram quantile label must be escaped:\n{prom}"
-        );
-        assert!(
-            prom.contains(&format!("thistle_solve_ms_count{{layer=\"{escaped}\"}} 1")),
-            "histogram count label must be escaped:\n{prom}"
-        );
-        // No raw newline survives inside any sample line.
-        for line in prom.lines() {
-            assert!(!line.contains("and left") || line.contains("\\nand left"));
-        }
-        assert_eq!(escape_label_value("plain"), "plain");
     }
 
     #[test]
@@ -780,71 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_and_json_renders_agree_per_sample() {
-        let reg = Registry::new();
-        reg.counter("requests_total").add(7);
-        reg.counter_family("span_total", "span", 8)
-            .with_label("gp_solve")
-            .add(3);
-        reg.gauge("in_flight").set(2);
-        let h = reg.histogram("solve_latency_ms", 16);
-        for v in [1.0, 2.0, 3.0, 4.0] {
-            h.record(v);
-        }
-        reg.histogram_family("span_duration_ms", "span", 16, 8)
-            .record("gp_solve", 5.0);
-
-        let snap = reg.snapshot();
-        let json = snap.to_json();
-        let prom = snap.to_prometheus("thistle_");
-
-        // Every counter/gauge sample appears with the same value in both.
-        for c in &snap.counters {
-            let key = json_key(&c.name, &c.label);
-            assert!(
-                json.contains(&format!("{}:{}", json_str(&key), c.value)),
-                "json missing {key}"
-            );
-            assert!(
-                prom.contains(&format!(
-                    "{} {}",
-                    prom_series("thistle_", &c.name, &c.label),
-                    c.value
-                )),
-                "prometheus missing {key}"
-            );
-        }
-        for g in &snap.gauges {
-            assert!(json.contains(&format!("{}:{}", json_str(&g.name), g.value)));
-            assert!(prom.contains(&format!("thistle_{} {}", g.name, g.value)));
-        }
-        // Every histogram's count and quantiles agree across renders.
-        for hs in &snap.histograms {
-            let key = json_key(&hs.name, &hs.label);
-            assert!(
-                json.contains(&format!(
-                    "{}:{{\"count\":{},\"p50\":{},\"p95\":{}}}",
-                    json_str(&key),
-                    hs.summary.count,
-                    json_f64(hs.summary.p50),
-                    json_f64(hs.summary.p95),
-                )),
-                "json missing histogram {key}"
-            );
-            assert!(
-                prom.contains(&format!(
-                    "quantile=\"0.5\"}} {}",
-                    fmt_prom_f64(hs.summary.p50)
-                )),
-                "prometheus missing p50 for {key}"
-            );
-            assert!(prom.contains("_count"), "prometheus missing count");
-        }
-        assert!(prom.contains("thistle_solve_latency_ms_count 4"));
-        assert!(prom.contains("thistle_span_duration_ms_count{span=\"gp_solve\"} 1"));
-    }
-
-    #[test]
     fn bridge_derives_span_metrics() {
         let reg = Registry::new();
         let bridge = MetricsBridge::new(&reg, 64, 16);
@@ -852,30 +622,26 @@ mod tests {
         bridge.record(span("gp_solve", 4_000_000, false));
         bridge.record(span("integerize", 1_000_000, true));
         let snap = reg.snapshot();
-        let find = |name: &str, label: &str| {
-            snap.counters
+        let count = |label: &str| {
+            snap.histograms
                 .iter()
-                .find(|c| c.name == name && c.label.as_ref().is_some_and(|(_, l)| l == label))
-                .map(|c| c.value)
+                .find(|h| {
+                    h.name == SPAN_DURATION_MS && h.label.as_ref().is_some_and(|(_, l)| l == label)
+                })
+                .map(|h| h.summary)
+                .expect("duration family sample")
         };
-        assert_eq!(find("span_total", "gp_solve"), Some(2));
-        assert_eq!(find("span_total", "integerize"), Some(1));
+        assert_eq!(count("gp_solve").count, 2);
+        assert_eq!(count("integerize").count, 1);
+        assert!((count("gp_solve").p50 - 3.0).abs() < 1.01, "ms conversion");
         assert_eq!(
             snap.counters
                 .iter()
-                .find(|c| c.name == "span_unwound_total")
-                .map(|c| c.value),
-            Some(1)
+                .map(|c| series_key(&c.name, &c.label))
+                .collect::<Vec<_>>(),
+            ["span_unwound_total"],
+            "one family per span: no separate span counter"
         );
-        let dur = snap
-            .histograms
-            .iter()
-            .find(|h| {
-                h.name == "span_duration_ms"
-                    && h.label.as_ref().is_some_and(|(_, l)| l == "gp_solve")
-            })
-            .expect("duration family sample");
-        assert_eq!(dur.summary.count, 2);
-        assert!((dur.summary.p50 - 3.0).abs() < 1.01, "ms conversion");
+        assert_eq!(reg.counter("span_unwound_total").get(), 1);
     }
 }

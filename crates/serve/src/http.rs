@@ -44,6 +44,7 @@
 //! for active connections before `shutdown` returns.
 
 use crate::json::{num_u64, Json};
+use crate::metrics::{dist_json, locks_json, summaries_json};
 use crate::service::{ServeError, Service};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -57,6 +58,8 @@ use thistle::{DesignPoint, SolveReport};
 use thistle_arch::ArchConfig;
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
 use thistle_obs::dashboard::{self, escape_html, fmt_value};
+use thistle_obs::registry::SPAN_DURATION_MS;
+use thistle_obs::series_key;
 
 /// Largest accepted request body; optimize requests are a few hundred bytes.
 const MAX_BODY: usize = 1 << 20;
@@ -700,13 +703,8 @@ fn handle_timeseries(service: &Service) -> Reply {
 }
 
 /// JSON rendering of one [`thistle_atlas::TimeSeriesRecord`]. Family
-/// members render under `name{key=value}` keys, matching the registry's own
-/// JSON render.
+/// members render under [`series_key`] `name{key=value}` keys.
 fn timeseries_record_json(r: &thistle_atlas::TimeSeriesRecord) -> Json {
-    let series_key = |name: &str, label: &Option<(String, String)>| match label {
-        None => name.to_string(),
-        Some((k, v)) => format!("{name}{{{k}={v}}}"),
-    };
     let counters = r
         .snapshot
         .counters
@@ -724,13 +722,10 @@ fn timeseries_record_json(r: &thistle_atlas::TimeSeriesRecord) -> Json {
         .histograms
         .iter()
         .map(|h| {
+            let s = &h.summary;
             (
                 series_key(&h.name, &h.label),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(h.summary.count)),
-                    ("p50".into(), Json::Num(h.summary.p50)),
-                    ("p95".into(), Json::Num(h.summary.p95)),
-                ]),
+                dist_json(s.count, s.p50, s.p95),
             )
         })
         .collect();
@@ -750,54 +745,6 @@ fn timeseries_record_json(r: &thistle_atlas::TimeSeriesRecord) -> Json {
 /// per-request breakdowns in arrival order.
 fn handle_contention(service: &Service) -> Reply {
     let snap = service.metrics_snapshot();
-    let locks = snap
-        .locks
-        .iter()
-        .map(|l| {
-            let rate = if l.acquisitions == 0 {
-                0.0
-            } else {
-                l.contended as f64 / l.acquisitions as f64
-            };
-            (
-                l.lock.clone(),
-                Json::Obj(vec![
-                    ("acquisitions".into(), num_u64(l.acquisitions)),
-                    ("contended".into(), num_u64(l.contended)),
-                    ("contention_rate".into(), Json::Num(rate)),
-                    (
-                        "wait_ms".into(),
-                        Json::Obj(vec![
-                            ("count".into(), num_u64(l.wait_count)),
-                            ("p50".into(), Json::Num(l.wait_p50_ms)),
-                            ("p95".into(), Json::Num(l.wait_p95_ms)),
-                        ]),
-                    ),
-                    (
-                        "hold_ms".into(),
-                        Json::Obj(vec![
-                            ("p50".into(), Json::Num(l.hold_p50_ms)),
-                            ("p95".into(), Json::Num(l.hold_p95_ms)),
-                        ]),
-                    ),
-                ]),
-            )
-        })
-        .collect();
-    let phases = snap
-        .phases
-        .iter()
-        .map(|p| {
-            (
-                p.phase.to_string(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(p.count)),
-                    ("p50".into(), Json::Num(p.p50_ms)),
-                    ("p95".into(), Json::Num(p.p95_ms)),
-                ]),
-            )
-        })
-        .collect();
     let recent = service
         .metrics()
         .recent_breakdowns()
@@ -807,8 +754,8 @@ fn handle_contention(service: &Service) -> Reply {
     Reply::new(
         200,
         Body::Json(Json::Obj(vec![
-            ("locks".into(), Json::Obj(locks)),
-            ("phases".into(), Json::Obj(phases)),
+            ("locks".into(), locks_json(&snap.locks)),
+            ("phases".into(), summaries_json(&snap.phases)),
             ("recent_breakdowns".into(), Json::Arr(recent)),
         ])),
     )
@@ -1013,7 +960,7 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     let stage_bars: Vec<(String, f64)> = snap
         .stages
         .iter()
-        .map(|s| (format!("{} (n={})", s.stage, s.count), s.p95_ms))
+        .map(|s| (format!("{} (n={})", s.name, s.count), s.p95_ms))
         .collect();
 
     let reports = service.recent_reports();
@@ -1071,24 +1018,14 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     let counter_rows: Vec<Vec<String>> = registry
         .counters
         .iter()
-        .map(|c| {
-            let name = match &c.label {
-                None => c.name.clone(),
-                Some((k, v)) => format!("{}{{{k}={v}}}", c.name),
-            };
-            vec![name, c.value.to_string()]
-        })
+        .map(|c| vec![series_key(&c.name, &c.label), c.value.to_string()])
         .collect();
     let histogram_rows: Vec<Vec<String>> = registry
         .histograms
         .iter()
         .map(|h| {
-            let name = match &h.label {
-                None => h.name.clone(),
-                Some((k, v)) => format!("{}{{{k}={v}}}", h.name),
-            };
             vec![
-                name,
+                series_key(&h.name, &h.label),
                 h.summary.count.to_string(),
                 fmt_value(h.summary.p50),
                 fmt_value(h.summary.p95),
@@ -1260,15 +1197,18 @@ fn dashboard_timeseries_html(service: &Service) -> String {
             ]),
         }
     }
+    // Each span is one sample of the span-duration family; `queue_wait` is
+    // timed by the pool, not by a span.
     let span_totals: Vec<f64> = load
         .records
         .iter()
         .map(|r| {
             r.snapshot
-                .counters
+                .histograms
                 .iter()
-                .filter(|c| c.name == "span_total")
-                .map(|c| c.value as f64)
+                .filter(|h| h.name == SPAN_DURATION_MS)
+                .filter(|h| h.label.as_ref().is_none_or(|(_, v)| v != "queue_wait"))
+                .map(|h| h.summary.count as f64)
                 .sum()
         })
         .collect();
@@ -1280,7 +1220,7 @@ fn dashboard_timeseries_html(service: &Service) -> String {
                 .histograms
                 .iter()
                 .find(|h| {
-                    h.name == "span_duration_ms"
+                    h.name == SPAN_DURATION_MS
                         && h.label.as_ref().is_some_and(|(_, v)| v == "request")
                 })
                 .map_or(0.0, |h| h.summary.p95)

@@ -17,9 +17,9 @@
 //!    metrics time-series), with graceful shutdown and connection draining.
 //! 4. [`service`] — [`Service::optimize`] / [`Service::optimize_batch`],
 //!    the embedding API the CLI and the Fig. 5/6/8 benchmarks reuse. Every
-//!    solve runs under a `thistle_obs` trace context whose spans feed the
-//!    per-stage latency histograms ([`metrics::Stage`]) in `GET /metrics`,
-//!    a `thistle_obs::Registry` bridge, a tail-sampling
+//!    solve runs under a `thistle_obs` trace context whose spans feed a
+//!    `thistle_obs::MetricsBridge` (its span durations are the per-stage
+//!    histograms, [`metrics::STAGES`], in `GET /metrics`), a tail-sampling
 //!    `thistle_obs::ExemplarSink`, plus any extra sinks from
 //!    [`ServiceOptions::trace_sinks`]. Fresh solves additionally file a
 //!    [`thistle::SolveReport`] retrievable by id.
@@ -49,8 +49,7 @@ pub use http::{HttpOptions, HttpServer};
 pub use json::{Json, JsonError};
 pub use lru::{LruCache, LruStats};
 pub use metrics::{
-    CacheSnapshot, LatencyBreakdown, LockSnapshot, Metrics, MetricsSink, MetricsSnapshot,
-    PhaseSnapshot, Stage, StageSnapshot,
+    CacheSnapshot, LatencyBreakdown, LockSnapshot, Metrics, MetricsSnapshot, SummarySnapshot,
 };
 pub use pool::{PoolError, PoolTimings, SolvePool};
 pub use service::{family_name, ServeError, Service, ServiceOptions, SolveResponse, BUILD_INFO};

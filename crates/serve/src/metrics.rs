@@ -4,113 +4,56 @@
 //! gauges are lock-free atomics, latencies go into windowed histograms
 //! (solves are milliseconds-to-seconds long, so the per-sample locks are
 //! uncontended noise next to them). [`Metrics`] holds typed handles into
-//! the registry and preserves the established `GET /metrics` JSON and
-//! Prometheus renderings exactly. Per-stage histograms are fed by
-//! [`MetricsSink`], a `thistle_obs` sink that routes closed spans to their
-//! [`Stage`] by span name, so the same trace that feeds a Chrome export
-//! also feeds `GET /metrics`.
+//! the registry and keeps every established `GET /metrics` JSON key and
+//! Prometheus series name. The stage block reads the registry's
+//! `span_duration_ms` family, which the service's
+//! [`thistle_obs::MetricsBridge`] fills from every closed span, so the
+//! same trace that feeds a Chrome export also feeds `GET /metrics`.
 
 use crate::json::{num_u64, Json};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{Display, Write as _};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use thistle::FailureLedger;
-use thistle_obs::{contention, Counter, Gauge, Histogram, HistogramFamily, Record, Registry, Sink};
+use thistle_obs::registry::SPAN_DURATION_MS;
+use thistle_obs::{contention, Counter, Gauge, Histogram, HistogramFamily, Registry};
 
 /// Number of recent latencies kept per histogram window for percentile
 /// estimates.
 pub(crate) const WINDOW: usize = 1024;
 
+/// Distinct labels each labelled family here, and the service's span
+/// bridge, may register; past it, new labels share the `_overflow` slot.
+pub(crate) const CARDINALITY: usize = 32;
+
 /// Queue-depth samples retained in arrival order for the dashboard
 /// sparkline (the windowed histogram keeps more, but loses ordering).
 const QUEUE_RING: usize = 240;
-
-/// Distinct stage labels allowed in the stage-latency family (well above
-/// [`Stage::ALL`]; the registry overflow slot catches programming errors).
-const STAGE_CARDINALITY: usize = 16;
 
 /// Recent per-request latency breakdowns kept in arrival order for the
 /// dashboard's phase-stacked view of recent solves.
 const BREAKDOWN_RING: usize = 32;
 
-/// Pipeline stages with their own latency histograms in `GET /metrics`.
+/// Pipeline stages with their own latency histograms in `GET /metrics`, in
+/// rendering order.
 ///
-/// Each stage is fed by the span of the same (snake_case) name via
-/// [`MetricsSink`], except [`Stage::QueueWait`], which the solve pool
-/// records directly (queue wait is measured between threads, which a
-/// single span cannot express).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Whole request, cache lookup through response adaptation.
-    Request,
-    /// Canonical-key LRU probe.
-    CacheLookup,
-    /// Job sat in the pool queue before a worker picked it up.
-    QueueWait,
-    /// Permutation-class enumeration.
-    PermEnum,
-    /// One geometric-program solve (per permutation pair).
-    GpSolve,
-    /// One exact solve shared by a group of permutation pairs whose GPs are
-    /// byte-identical (the sweep's deduplication).
-    BatchSolve,
-    /// Lowering a GP into its compiled log-sum-exp evaluation form.
-    ExprCompile,
-    /// Signomial condensation refinement rounds.
-    Condense,
-    /// Integer candidate generation from a relaxed optimum.
-    Integerize,
-    /// Referee rescoring of integer candidates.
-    Rescore,
-}
-
-impl Stage {
-    pub const ALL: [Stage; 10] = [
-        Stage::Request,
-        Stage::CacheLookup,
-        Stage::QueueWait,
-        Stage::PermEnum,
-        Stage::GpSolve,
-        Stage::BatchSolve,
-        Stage::ExprCompile,
-        Stage::Condense,
-        Stage::Integerize,
-        Stage::Rescore,
-    ];
-
-    /// Stable snake_case name used in span names, JSON, and Prometheus.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Request => "request",
-            Stage::CacheLookup => "cache_lookup",
-            Stage::QueueWait => "queue_wait",
-            Stage::PermEnum => "perm_enum",
-            Stage::GpSolve => "gp_solve",
-            Stage::BatchSolve => "batch_solve",
-            Stage::ExprCompile => "expr_compile",
-            Stage::Condense => "condensation",
-            Stage::Integerize => "integerize",
-            Stage::Rescore => "rescore",
-        }
-    }
-
-    /// Maps a closed span's name onto the stage it times, if any.
-    pub fn from_span_name(name: &str) -> Option<Stage> {
-        match name {
-            "request" => Some(Stage::Request),
-            "cache_lookup" => Some(Stage::CacheLookup),
-            "queue_wait" => Some(Stage::QueueWait),
-            "perm_enum" => Some(Stage::PermEnum),
-            "gp_solve" => Some(Stage::GpSolve),
-            "batch_solve" => Some(Stage::BatchSolve),
-            "expr_compile" => Some(Stage::ExprCompile),
-            "condensation" => Some(Stage::Condense),
-            "integerize" => Some(Stage::Integerize),
-            "rescore" => Some(Stage::Rescore),
-            _ => None,
-        }
-    }
-}
+/// Each is the `span_duration_ms` label of the span with the same name,
+/// except `queue_wait`, which the solve pool records directly through
+/// [`Metrics::record_queue_wait`] (queue wait is measured between threads,
+/// which a single span cannot express).
+pub const STAGES: [&str; 10] = [
+    "request",
+    "cache_lookup",
+    "queue_wait",
+    "perm_enum",
+    "gp_solve",
+    "batch_solve",
+    "expr_compile",
+    "condensation",
+    "integerize",
+    "rescore",
+];
 
 /// Shared service metrics. All methods take `&self`.
 ///
@@ -169,7 +112,9 @@ pub struct Metrics {
     /// folded under one lock, not independent counters.
     ledger: Mutex<FailureLedger>,
     latencies: Histogram,
-    stages: HistogramFamily,
+    /// `span_duration_ms`, keyed by span name: every [`STAGES`] entry is
+    /// read from here.
+    spans: HistogramFamily,
     /// Per-phase request-breakdown histograms
     /// ([`LatencyBreakdown::PHASES`] labels).
     phases: HistogramFamily,
@@ -184,10 +129,10 @@ impl Default for Metrics {
     }
 }
 
-/// One stage's histogram in a snapshot.
+/// One stage's or phase's histogram in a snapshot.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StageSnapshot {
-    pub stage: &'static str,
+pub struct SummarySnapshot {
+    pub name: &'static str,
     pub count: u64,
     pub p50_ms: f64,
     pub p95_ms: f64,
@@ -265,16 +210,6 @@ impl LatencyBreakdown {
     }
 }
 
-/// One phase's histogram in a snapshot, in [`LatencyBreakdown::PHASES`]
-/// order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSnapshot {
-    pub phase: &'static str,
-    pub count: u64,
-    pub p50_ms: f64,
-    pub p95_ms: f64,
-}
-
 /// One named lock's contention accounting in a snapshot, read back from
 /// the `thistle_obs::contention` metric families in the shared registry.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -290,6 +225,17 @@ pub struct LockSnapshot {
     pub wait_p95_ms: f64,
     pub hold_p50_ms: f64,
     pub hold_p95_ms: f64,
+}
+
+impl LockSnapshot {
+    /// Fraction of acquisitions that found the lock already held.
+    pub fn contention_rate(&self) -> f64 {
+        if self.acquisitions == 0 {
+            0.0
+        } else {
+            self.contended as f64 / self.acquisitions as f64
+        }
+    }
 }
 
 /// A point-in-time copy of every metric, for rendering.
@@ -345,11 +291,11 @@ pub struct MetricsSnapshot {
     pub solve_p95_ms: f64,
     /// Largest timeout cap applied to a recorded solve, in ms (0 if none).
     pub solve_timeout_ms: u64,
-    /// Per-stage histograms, in [`Stage::ALL`] order.
-    pub stages: Vec<StageSnapshot>,
+    /// Per-stage histograms, in [`STAGES`] order.
+    pub stages: Vec<SummarySnapshot>,
     /// Per-phase request-breakdown histograms, in
     /// [`LatencyBreakdown::PHASES`] order.
-    pub phases: Vec<PhaseSnapshot>,
+    pub phases: Vec<SummarySnapshot>,
     /// Per-named-lock contention accounting, sorted by lock name. Empty
     /// when lock observation is disabled (`THISTLE_NO_LOCK_OBS`).
     pub locks: Vec<LockSnapshot>,
@@ -395,11 +341,11 @@ impl MetricsSnapshot {
             ("brownout_active".into(), num_u64(self.brownout_active)),
             (
                 "queue_depth_dist".into(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(self.queue_depth_count)),
-                    ("p50".into(), Json::Num(self.queue_depth_p50)),
-                    ("p95".into(), Json::Num(self.queue_depth_p95)),
-                ]),
+                dist_json(
+                    self.queue_depth_count,
+                    self.queue_depth_p50,
+                    self.queue_depth_p95,
+                ),
             ),
             (
                 "atlas_restored_entries".into(),
@@ -417,80 +363,11 @@ impl MetricsSnapshot {
             ),
             (
                 "solve_latency_ms".into(),
-                Json::Obj(vec![
-                    ("count".into(), num_u64(self.solves_recorded)),
-                    ("p50".into(), Json::Num(self.solve_p50_ms)),
-                    ("p95".into(), Json::Num(self.solve_p95_ms)),
-                ]),
+                dist_json(self.solves_recorded, self.solve_p50_ms, self.solve_p95_ms),
             ),
-            (
-                "stages".into(),
-                Json::Obj(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.stage.to_string(),
-                                Json::Obj(vec![
-                                    ("count".into(), num_u64(s.count)),
-                                    ("p50".into(), Json::Num(s.p50_ms)),
-                                    ("p95".into(), Json::Num(s.p95_ms)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "phases".into(),
-                Json::Obj(
-                    self.phases
-                        .iter()
-                        .map(|p| {
-                            (
-                                p.phase.to_string(),
-                                Json::Obj(vec![
-                                    ("count".into(), num_u64(p.count)),
-                                    ("p50".into(), Json::Num(p.p50_ms)),
-                                    ("p95".into(), Json::Num(p.p95_ms)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "locks".into(),
-                Json::Obj(
-                    self.locks
-                        .iter()
-                        .map(|l| {
-                            (
-                                l.lock.clone(),
-                                Json::Obj(vec![
-                                    ("acquisitions".into(), num_u64(l.acquisitions)),
-                                    ("contended".into(), num_u64(l.contended)),
-                                    (
-                                        "wait_ms".into(),
-                                        Json::Obj(vec![
-                                            ("count".into(), num_u64(l.wait_count)),
-                                            ("p50".into(), Json::Num(l.wait_p50_ms)),
-                                            ("p95".into(), Json::Num(l.wait_p95_ms)),
-                                        ]),
-                                    ),
-                                    (
-                                        "hold_ms".into(),
-                                        Json::Obj(vec![
-                                            ("p50".into(), Json::Num(l.hold_p50_ms)),
-                                            ("p95".into(), Json::Num(l.hold_p95_ms)),
-                                        ]),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
+            ("stages".into(), summaries_json(&self.stages)),
+            ("phases".into(), summaries_json(&self.phases)),
+            ("locks".into(), locks_json(&self.locks)),
         ];
         if let Some(cache) = &self.cache {
             fields.push((
@@ -508,189 +385,115 @@ impl MetricsSnapshot {
 
     /// Prometheus text exposition of the same snapshot `to_json` renders.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, value: u64| {
-            out.push_str(&format!(
-                "# TYPE thistle_{name} counter\nthistle_{name} {value}\n"
-            ));
-        };
-        counter("requests_total", self.requests);
-        counter("cache_hits_total", self.cache_hits);
-        counter("cache_misses_total", self.cache_misses);
-        counter("coalesced_total", self.coalesced);
-        counter("solve_errors_total", self.solve_errors);
-        counter("timeouts_total", self.timeouts);
-        counter("solves_recorded_total", self.solves_recorded);
-        counter("worker_respawns_total", self.worker_respawns);
-        counter("solve_retries_total", self.solve_retries);
-        counter("cancelled_solves_total", self.cancelled_solves);
-        counter("breaker_opened_total", self.breaker_opened);
-        counter("breaker_fastfails_total", self.breaker_fastfails);
-        counter("degraded_results_total", self.degraded_results);
-        counter("near_miss_hits_total", self.near_miss_hits);
-        counter("shed_total", self.shed);
-        counter("browned_out_total", self.browned_out);
-        counter("conn_capped_total", self.conn_capped);
-        counter("deadline_closed_total", self.deadline_closed);
+        let mut out = String::with_capacity(8192);
+        for (name, value) in [
+            ("requests_total", self.requests),
+            ("cache_hits_total", self.cache_hits),
+            ("cache_misses_total", self.cache_misses),
+            ("coalesced_total", self.coalesced),
+            ("solve_errors_total", self.solve_errors),
+            ("timeouts_total", self.timeouts),
+            ("solves_recorded_total", self.solves_recorded),
+            ("worker_respawns_total", self.worker_respawns),
+            ("solve_retries_total", self.solve_retries),
+            ("cancelled_solves_total", self.cancelled_solves),
+            ("breaker_opened_total", self.breaker_opened),
+            ("breaker_fastfails_total", self.breaker_fastfails),
+            ("degraded_results_total", self.degraded_results),
+            ("near_miss_hits_total", self.near_miss_hits),
+            ("shed_total", self.shed),
+            ("browned_out_total", self.browned_out),
+            ("conn_capped_total", self.conn_capped),
+            ("deadline_closed_total", self.deadline_closed),
+        ] {
+            prom_scalar(&mut out, "counter", name, value);
+        }
         out.push_str("# TYPE thistle_sweep_events_total counter\n");
         for (cause, count) in ledger_causes(&self.sweep_ledger) {
-            out.push_str(&format!(
-                "thistle_sweep_events_total{{cause=\"{cause}\"}} {count}\n"
-            ));
+            let _ = writeln!(
+                out,
+                "thistle_sweep_events_total{{cause=\"{cause}\"}} {count}"
+            );
         }
-        out.push_str(&format!(
-            "# TYPE thistle_cache_hit_rate gauge\nthistle_cache_hit_rate {}\n",
-            fmt_f64(self.cache_hit_rate())
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_in_flight gauge\nthistle_in_flight {}\n",
-            self.in_flight
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_solve_timeout_ms gauge\nthistle_solve_timeout_ms {}\n",
-            self.solve_timeout_ms
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_atlas_restored_entries gauge\nthistle_atlas_restored_entries {}\n",
-            self.atlas_restored_entries
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_atlas_load_errors gauge\nthistle_atlas_load_errors {}\n",
-            self.atlas_load_errors
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_queue_depth gauge\nthistle_queue_depth {}\n",
-            self.queue_depth
-        ));
-        out.push_str(&format!(
-            "# TYPE thistle_brownout_active gauge\nthistle_brownout_active {}\n",
-            self.brownout_active
-        ));
+        let hit_rate = fmt_f64(self.cache_hit_rate());
+        prom_scalar(&mut out, "gauge", "cache_hit_rate", hit_rate);
+        for (name, value) in [
+            ("in_flight", self.in_flight),
+            ("solve_timeout_ms", self.solve_timeout_ms),
+            ("atlas_restored_entries", self.atlas_restored_entries),
+            ("atlas_load_errors", self.atlas_load_errors),
+            ("queue_depth", self.queue_depth),
+            ("brownout_active", self.brownout_active),
+        ] {
+            prom_scalar(&mut out, "gauge", name, value);
+        }
         out.push_str("# TYPE thistle_queue_depth_dist summary\n");
-        out.push_str(&format!(
-            "thistle_queue_depth_dist{{quantile=\"0.5\"}} {}\n",
-            fmt_f64(self.queue_depth_p50)
-        ));
-        out.push_str(&format!(
-            "thistle_queue_depth_dist{{quantile=\"0.95\"}} {}\n",
-            fmt_f64(self.queue_depth_p95)
-        ));
-        out.push_str(&format!(
-            "thistle_queue_depth_dist_count {}\n",
+        let (p50, p95) = (self.queue_depth_p50, self.queue_depth_p95);
+        prom_quantiles(&mut out, "queue_depth_dist", "", p50, p95);
+        let _ = writeln!(
+            out,
+            "thistle_queue_depth_dist_count {}",
             self.queue_depth_count
-        ));
+        );
         out.push_str("# TYPE thistle_solve_latency_ms summary\n");
-        out.push_str(&format!(
-            "thistle_solve_latency_ms{{quantile=\"0.5\"}} {}\n",
-            fmt_f64(self.solve_p50_ms)
-        ));
-        out.push_str(&format!(
-            "thistle_solve_latency_ms{{quantile=\"0.95\"}} {}\n",
-            fmt_f64(self.solve_p95_ms)
-        ));
-        out.push_str("# TYPE thistle_stage_latency_ms summary\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "thistle_stage_latency_ms{{stage=\"{}\",quantile=\"0.5\"}} {}\n",
-                s.stage,
-                fmt_f64(s.p50_ms)
-            ));
-            out.push_str(&format!(
-                "thistle_stage_latency_ms{{stage=\"{}\",quantile=\"0.95\"}} {}\n",
-                s.stage,
-                fmt_f64(s.p95_ms)
-            ));
-        }
-        out.push_str("# TYPE thistle_stage_count_total counter\n");
-        for s in &self.stages {
-            out.push_str(&format!(
-                "thistle_stage_count_total{{stage=\"{}\"}} {}\n",
-                s.stage, s.count
-            ));
-        }
-        out.push_str("# TYPE thistle_phase_latency_ms summary\n");
-        for p in &self.phases {
-            out.push_str(&format!(
-                "thistle_phase_latency_ms{{phase=\"{}\",quantile=\"0.5\"}} {}\n",
-                p.phase,
-                fmt_f64(p.p50_ms)
-            ));
-            out.push_str(&format!(
-                "thistle_phase_latency_ms{{phase=\"{}\",quantile=\"0.95\"}} {}\n",
-                p.phase,
-                fmt_f64(p.p95_ms)
-            ));
-        }
-        out.push_str("# TYPE thistle_phase_count_total counter\n");
-        for p in &self.phases {
-            out.push_str(&format!(
-                "thistle_phase_count_total{{phase=\"{}\"}} {}\n",
-                p.phase, p.count
-            ));
-        }
+        let (p50, p95) = (self.solve_p50_ms, self.solve_p95_ms);
+        prom_quantiles(&mut out, "solve_latency_ms", "", p50, p95);
+        prom_summaries(&mut out, "stage", &self.stages);
+        prom_summaries(&mut out, "phase", &self.phases);
         if !self.locks.is_empty() {
             out.push_str("# TYPE thistle_lock_acquisitions_total counter\n");
             for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_acquisitions_total{{lock=\"{}\"}} {}\n",
+                let _ = writeln!(
+                    out,
+                    "thistle_lock_acquisitions_total{{lock=\"{}\"}} {}",
                     l.lock, l.acquisitions
-                ));
+                );
             }
             out.push_str("# TYPE thistle_lock_contended_total counter\n");
             for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_contended_total{{lock=\"{}\"}} {}\n",
+                let _ = writeln!(
+                    out,
+                    "thistle_lock_contended_total{{lock=\"{}\"}} {}",
                     l.lock, l.contended
-                ));
+                );
             }
             out.push_str("# TYPE thistle_lock_wait_ms summary\n");
             for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms{{lock=\"{}\",quantile=\"0.5\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.wait_p50_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms{{lock=\"{}\",quantile=\"0.95\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.wait_p95_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_wait_ms_count{{lock=\"{}\"}} {}\n",
+                let labels = format!("lock=\"{}\",", l.lock);
+                prom_quantiles(
+                    &mut out,
+                    "lock_wait_ms",
+                    &labels,
+                    l.wait_p50_ms,
+                    l.wait_p95_ms,
+                );
+                let _ = writeln!(
+                    out,
+                    "thistle_lock_wait_ms_count{{lock=\"{}\"}} {}",
                     l.lock, l.wait_count
-                ));
+                );
             }
             out.push_str("# TYPE thistle_lock_hold_ms summary\n");
             for l in &self.locks {
-                out.push_str(&format!(
-                    "thistle_lock_hold_ms{{lock=\"{}\",quantile=\"0.5\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.hold_p50_ms)
-                ));
-                out.push_str(&format!(
-                    "thistle_lock_hold_ms{{lock=\"{}\",quantile=\"0.95\"}} {}\n",
-                    l.lock,
-                    fmt_f64(l.hold_p95_ms)
-                ));
+                let labels = format!("lock=\"{}\",", l.lock);
+                prom_quantiles(
+                    &mut out,
+                    "lock_hold_ms",
+                    &labels,
+                    l.hold_p50_ms,
+                    l.hold_p95_ms,
+                );
             }
         }
         if let Some(cache) = &self.cache {
-            out.push_str(&format!(
-                "# TYPE thistle_cache_len gauge\nthistle_cache_len {}\n",
-                cache.len
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_capacity gauge\nthistle_cache_capacity {}\n",
-                cache.capacity
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_insertions_total counter\nthistle_cache_insertions_total {}\n",
-                cache.insertions
-            ));
-            out.push_str(&format!(
-                "# TYPE thistle_cache_evictions_total counter\nthistle_cache_evictions_total {}\n",
-                cache.evictions
-            ));
+            for (kind, name, value) in [
+                ("gauge", "cache_len", cache.len),
+                ("gauge", "cache_capacity", cache.capacity),
+                ("counter", "cache_insertions_total", cache.insertions),
+                ("counter", "cache_evictions_total", cache.evictions),
+            ] {
+                prom_scalar(&mut out, kind, name, value);
+            }
         }
         out
     }
@@ -713,6 +516,89 @@ fn ledger_causes(ledger: &FailureLedger) -> [(&'static str, u64); 10] {
     ]
 }
 
+/// `{"count", "p50", "p95"}`, the JSON shape of every windowed histogram.
+pub(crate) fn dist_json(count: u64, p50: f64, p95: f64) -> Json {
+    Json::Obj(vec![
+        ("count".into(), num_u64(count)),
+        ("p50".into(), Json::Num(p50)),
+        ("p95".into(), Json::Num(p95)),
+    ])
+}
+
+/// The `stages` and `phases` JSON blocks: one [`dist_json`] per entry,
+/// keyed by its name.
+pub(crate) fn summaries_json(summaries: &[SummarySnapshot]) -> Json {
+    Json::Obj(
+        summaries
+            .iter()
+            .map(|s| (s.name.to_string(), dist_json(s.count, s.p50_ms, s.p95_ms)))
+            .collect(),
+    )
+}
+
+/// The `locks` JSON block, shared by `GET /metrics` and
+/// `GET /debug/contention`.
+pub(crate) fn locks_json(locks: &[LockSnapshot]) -> Json {
+    Json::Obj(
+        locks
+            .iter()
+            .map(|l| {
+                let hold = Json::Obj(vec![
+                    ("p50".into(), Json::Num(l.hold_p50_ms)),
+                    ("p95".into(), Json::Num(l.hold_p95_ms)),
+                ]);
+                let entry = vec![
+                    ("acquisitions".into(), num_u64(l.acquisitions)),
+                    ("contended".into(), num_u64(l.contended)),
+                    ("contention_rate".into(), Json::Num(l.contention_rate())),
+                    (
+                        "wait_ms".into(),
+                        dist_json(l.wait_count, l.wait_p50_ms, l.wait_p95_ms),
+                    ),
+                    ("hold_ms".into(), hold),
+                ];
+                (l.lock.clone(), Json::Obj(entry))
+            })
+            .collect(),
+    )
+}
+
+/// One `# TYPE` line and one sample for an unlabelled counter or gauge.
+fn prom_scalar(out: &mut String, kind: &str, name: &str, value: impl Display) {
+    let _ = writeln!(out, "# TYPE thistle_{name} {kind}\nthistle_{name} {value}");
+}
+
+/// The p50 and p95 samples of one summary; `labels` is empty or ends in a
+/// comma.
+fn prom_quantiles(out: &mut String, name: &str, labels: &str, p50: f64, p95: f64) {
+    for (q, v) in [("0.5", p50), ("0.95", p95)] {
+        let _ = writeln!(
+            out,
+            "thistle_{name}{{{labels}quantile=\"{q}\"}} {}",
+            fmt_f64(v)
+        );
+    }
+}
+
+/// The stage or phase block: a `<key>_latency_ms` summary and a
+/// `<key>_count_total` counter, both labelled `<key>=<name>`.
+fn prom_summaries(out: &mut String, key: &str, summaries: &[SummarySnapshot]) {
+    let latency = format!("{key}_latency_ms");
+    let _ = writeln!(out, "# TYPE thistle_{latency} summary");
+    for s in summaries {
+        let labels = format!("{key}=\"{}\",", s.name);
+        prom_quantiles(out, &latency, &labels, s.p50_ms, s.p95_ms);
+    }
+    let _ = writeln!(out, "# TYPE thistle_{key}_count_total counter");
+    for s in summaries {
+        let _ = writeln!(
+            out,
+            "thistle_{key}_count_total{{{key}=\"{}\"}} {}",
+            s.name, s.count
+        );
+    }
+}
+
 /// Renders an f64 without scientific notation surprises for whole numbers.
 fn fmt_f64(x: f64) -> String {
     if x == x.trunc() && x.abs() < 1e15 {
@@ -728,18 +614,18 @@ impl Metrics {
     }
 
     /// Builds the service metrics on an existing registry, registering each
-    /// metric under its Prometheus-style name. The stage histograms form one
-    /// `stage_latency_ms` family keyed by stage name.
+    /// metric under its Prometheus-style name. The stages are labels of the
+    /// span-duration family a [`thistle_obs::MetricsBridge`] on the same
+    /// registry fills.
     pub fn on_registry(registry: Arc<Registry>) -> Self {
-        let stages =
-            registry.histogram_family("stage_latency_ms", "stage", WINDOW, STAGE_CARDINALITY);
+        let spans = registry.histogram_family(SPAN_DURATION_MS, "span", WINDOW, CARDINALITY);
         // Pre-register every stage so snapshots always report all of them,
-        // including stages that have not fired yet.
-        for stage in Stage::ALL {
-            stages.with_label(stage.name());
+        // including stages that have not fired yet, and so no number of
+        // other span names can push a stage into the overflow slot.
+        for stage in STAGES {
+            spans.with_label(stage);
         }
-        let phases =
-            registry.histogram_family("phase_latency_ms", "phase", WINDOW, STAGE_CARDINALITY);
+        let phases = registry.histogram_family("phase_latency_ms", "phase", WINDOW, CARDINALITY);
         for phase in LatencyBreakdown::PHASES {
             phases.with_label(phase);
         }
@@ -771,7 +657,7 @@ impl Metrics {
             atlas_load_errors: registry.gauge("atlas_load_errors"),
             ledger: Mutex::new(FailureLedger::default()),
             latencies: registry.histogram("solve_latency_ms", WINDOW),
-            stages,
+            spans,
             phases,
             breakdown_ring: Mutex::new(VecDeque::new()),
             registry,
@@ -925,10 +811,10 @@ impl Metrics {
         self.latencies.record(elapsed.as_secs_f64() * 1e3);
     }
 
-    /// Adds one sample to a stage histogram.
-    pub fn record_stage(&self, stage: Stage, elapsed: Duration) {
-        self.stages
-            .record(stage.name(), elapsed.as_secs_f64() * 1e3);
+    /// Records how long a pool job waited between enqueue and dequeue, as
+    /// the `queue_wait` stage.
+    pub fn record_queue_wait(&self, elapsed: Duration) {
+        self.spans.record("queue_wait", elapsed.as_secs_f64() * 1e3);
     }
 
     /// Folds one completed request's latency breakdown into the per-phase
@@ -958,30 +844,6 @@ impl Metrics {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let lat = self.latencies.summary();
         let queue = self.queue_depths.summary();
-        let stages = Stage::ALL
-            .iter()
-            .map(|&stage| {
-                let s = self.stages.with_label(stage.name()).summary();
-                StageSnapshot {
-                    stage: stage.name(),
-                    count: s.count,
-                    p50_ms: s.p50,
-                    p95_ms: s.p95,
-                }
-            })
-            .collect();
-        let phases = LatencyBreakdown::PHASES
-            .iter()
-            .map(|&phase| {
-                let s = self.phases.with_label(phase).summary();
-                PhaseSnapshot {
-                    phase,
-                    count: s.count,
-                    p50_ms: s.p50,
-                    p95_ms: s.p95,
-                }
-            })
-            .collect();
         let locks = lock_snapshots(&self.registry);
         MetricsSnapshot {
             requests: self.requests.get(),
@@ -1014,12 +876,28 @@ impl Metrics {
             solve_p50_ms: lat.p50,
             solve_p95_ms: lat.p95,
             solve_timeout_ms: self.solve_timeout_ms.get(),
-            stages,
-            phases,
+            stages: summaries(&self.spans, &STAGES),
+            phases: summaries(&self.phases, &LatencyBreakdown::PHASES),
             locks,
             cache: None,
         }
     }
+}
+
+/// The labelled histograms `names` of `family`, in order.
+fn summaries(family: &HistogramFamily, names: &[&'static str]) -> Vec<SummarySnapshot> {
+    names
+        .iter()
+        .map(|&name| {
+            let s = family.with_label(name).summary();
+            SummarySnapshot {
+                name,
+                count: s.count,
+                p50_ms: s.p50,
+                p95_ms: s.p95,
+            }
+        })
+        .collect()
 }
 
 /// Reads the per-lock contention families (`lock_wait_ms`, `lock_hold_ms`,
@@ -1075,32 +953,6 @@ fn lock_snapshots(registry: &Registry) -> Vec<LockSnapshot> {
     by_lock.into_values().collect()
 }
 
-/// A `thistle_obs` sink that folds closed spans into per-stage histograms.
-///
-/// Span names map onto stages via [`Stage::from_span_name`]; spans with no
-/// stage (e.g. `barrier_solve`, `optimize_workload`) and instant events are
-/// ignored here — they still reach any other sink in the fanout.
-pub struct MetricsSink {
-    metrics: Arc<Metrics>,
-}
-
-impl MetricsSink {
-    pub fn new(metrics: Arc<Metrics>) -> Self {
-        MetricsSink { metrics }
-    }
-}
-
-impl Sink for MetricsSink {
-    fn record(&self, record: Record) {
-        if let Some(span) = record.as_span() {
-            if let Some(stage) = Stage::from_span_name(span.name) {
-                self.metrics
-                    .record_stage(stage, Duration::from_nanos(span.dur_ns));
-            }
-        }
-    }
-}
-
 /// RAII guard for the in-flight gauge.
 pub struct InFlightGuard<'a> {
     metrics: &'a Metrics,
@@ -1115,7 +967,18 @@ impl Drop for InFlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thistle_obs::TraceCtx;
+    use thistle_obs::registry::OVERFLOW_LABEL;
+    use thistle_obs::{MetricsBridge, TraceCtx};
+
+    /// A trace context whose spans reach `metrics` the way the service's
+    /// do: through a bridge on the same registry.
+    fn bridged(metrics: &Metrics) -> TraceCtx {
+        TraceCtx::new(Arc::new(MetricsBridge::new(
+            metrics.registry(),
+            WINDOW,
+            CARDINALITY,
+        )))
+    }
 
     #[test]
     fn counters_and_gauge_track() {
@@ -1264,23 +1127,59 @@ mod tests {
 
     #[test]
     fn stage_histograms_fill_from_spans() {
-        let metrics = Arc::new(Metrics::new());
-        let ctx = TraceCtx::new(Arc::new(MetricsSink::new(Arc::clone(&metrics))));
+        let metrics = Metrics::new();
+        let ctx = bridged(&metrics);
         {
             let _request = ctx.span("request");
             let _lookup = ctx.span("cache_lookup");
         }
         {
-            // Unmapped spans must not disturb any stage.
+            // Spans that are not stages must not disturb any stage.
             let _other = ctx.span("barrier_solve");
         }
         let s = metrics.snapshot();
-        let stage = |name: &str| s.stages.iter().find(|x| x.stage == name).unwrap();
+        let stage = |name: &str| s.stages.iter().find(|x| x.name == name).unwrap();
         assert_eq!(stage("request").count, 1);
         assert_eq!(stage("cache_lookup").count, 1);
         assert_eq!(stage("gp_solve").count, 0);
         let total: u64 = s.stages.iter().map(|x| x.count).sum();
         assert_eq!(total, 2);
+    }
+
+    #[test]
+    fn stages_keep_their_labels_past_the_span_cardinality() {
+        // More distinct span names than the family can hold: the stages,
+        // registered first, still report their own counts, and only the
+        // late names share the overflow slot.
+        let metrics = Metrics::new();
+        let ctx = bridged(&metrics);
+        let others: Vec<&'static str> = (0..40)
+            .map(|i| format!("other_{i}").leak() as &'static str)
+            .collect();
+        for &name in &others {
+            let _span = ctx.span(name);
+        }
+        for stage in STAGES.iter().filter(|&&s| s != "queue_wait") {
+            let _span = ctx.span(stage);
+        }
+        metrics.record_queue_wait(Duration::from_millis(3));
+        let s = metrics.snapshot();
+        for stage in &s.stages {
+            assert_eq!(stage.count, 1, "stage {}", stage.name);
+        }
+        let raw = metrics.registry().snapshot();
+        let spans: Vec<_> = raw
+            .histograms
+            .iter()
+            .filter(|h| h.name == SPAN_DURATION_MS)
+            .collect();
+        let overflow = spans
+            .iter()
+            .find(|h| h.label.as_ref().is_some_and(|(_, l)| l == OVERFLOW_LABEL))
+            .expect("overflow slot");
+        let registered = CARDINALITY - STAGES.len();
+        assert_eq!(overflow.summary.count, (others.len() - registered) as u64);
+        assert_eq!(spans.len(), CARDINALITY + 1);
     }
 
     #[test]
@@ -1292,7 +1191,7 @@ mod tests {
             m.record_cache_miss();
             m.record_solve_latency(Duration::from_millis(25));
         }
-        m.record_stage(Stage::GpSolve, Duration::from_millis(7));
+        m.record_queue_wait(Duration::from_millis(7));
 
         // The raw registry snapshot reports the very same samples the
         // service snapshot renders: one source of truth, two views.
@@ -1315,8 +1214,8 @@ mod tests {
             .histograms
             .iter()
             .find(|h| {
-                h.name == "stage_latency_ms"
-                    && h.label.as_ref().is_some_and(|(_, l)| l == "gp_solve")
+                h.name == SPAN_DURATION_MS
+                    && h.label.as_ref().is_some_and(|(_, l)| l == "queue_wait")
             })
             .expect("stage family sample");
         assert_eq!(stage.summary.count, 1);
@@ -1324,9 +1223,9 @@ mod tests {
         let stage_samples = raw
             .histograms
             .iter()
-            .filter(|h| h.name == "stage_latency_ms")
+            .filter(|h| h.name == SPAN_DURATION_MS)
             .count();
-        assert_eq!(stage_samples, Stage::ALL.len());
+        assert_eq!(stage_samples, STAGES.len());
 
         // And the service snapshot reads back the same values.
         let s = m.snapshot();
@@ -1338,14 +1237,14 @@ mod tests {
     fn snapshot_renders_as_json() {
         let m = Metrics::new();
         m.record_cache_hit();
-        m.record_stage(Stage::GpSolve, Duration::from_millis(7));
+        m.record_queue_wait(Duration::from_millis(7));
         let json = m.snapshot().to_json();
         assert_eq!(json.get("cache_hits").unwrap().as_u64(), Some(1));
         assert!(json.get("solve_latency_ms").unwrap().get("p50").is_some());
         assert_eq!(
             json.get("stages")
                 .unwrap()
-                .get("gp_solve")
+                .get("queue_wait")
                 .unwrap()
                 .get("count")
                 .unwrap()
@@ -1369,7 +1268,7 @@ mod tests {
             m.record_cache_hit();
         }
         m.record_timeout(Duration::from_millis(500));
-        m.record_stage(Stage::GpSolve, Duration::from_millis(12));
+        m.record_queue_wait(Duration::from_millis(12));
         m.record_near_miss_hit();
         m.record_atlas_restore(5, 2);
         m.record_shed();
@@ -1486,10 +1385,10 @@ mod tests {
                 .unwrap()
         );
         assert_eq!(
-            prom_value("thistle_stage_count_total{stage=\"gp_solve\"}"),
+            prom_value("thistle_stage_count_total{stage=\"queue_wait\"}"),
             json.get("stages")
                 .unwrap()
-                .get("gp_solve")
+                .get("queue_wait")
                 .unwrap()
                 .get("count")
                 .unwrap()

@@ -8,7 +8,7 @@
 //! h/w orientation) joins the same flight and the same cache entry.
 
 use crate::lru::LruCache;
-use crate::metrics::{Metrics, Stage};
+use crate::metrics::Metrics;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -370,7 +370,7 @@ fn handle_job(
         }
     }
     let queue_wait = dequeued.duration_since(job.enqueued);
-    metrics.record_stage(Stage::QueueWait, queue_wait);
+    metrics.record_queue_wait(queue_wait);
     thistle_fault::panic_if("serve.pool.panic", 0);
     let start = Instant::now();
     let result = {

@@ -2,7 +2,7 @@
 //! pool, plus the batch entry point the pipeline benchmarks use.
 
 use crate::lru::{LruCache, LruStats};
-use crate::metrics::{CacheSnapshot, LatencyBreakdown, Metrics, MetricsSink, MetricsSnapshot};
+use crate::metrics::{CacheSnapshot, LatencyBreakdown, Metrics, MetricsSnapshot};
 use crate::pool::{PoolError, SolveCache, SolvePool};
 use crossbeam::channel::{unbounded, Sender};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -32,9 +32,6 @@ const REPORT_RETENTION: usize = 64;
 /// Trace records buffered while waiting for their request span to close.
 const EXEMPLAR_BUFFER: usize = 4096;
 
-/// Span-name labels the registry bridge may register before overflowing.
-const BRIDGE_CARDINALITY: usize = 32;
-
 /// Service construction knobs.
 #[derive(Clone)]
 pub struct ServiceOptions {
@@ -45,7 +42,7 @@ pub struct ServiceOptions {
     /// Deadline applied when a request does not carry its own.
     pub default_timeout: Duration,
     /// Extra trace sinks (e.g. a [`thistle_obs::sink::JsonlSink`] or ring)
-    /// fanned out alongside the built-in [`MetricsSink`] that feeds
+    /// fanned out alongside the built-in [`MetricsBridge`] that feeds
     /// `GET /metrics`. Every solve the service runs is traced into these.
     pub trace_sinks: Vec<Arc<dyn Sink>>,
     /// Transparent re-submissions of a failed solve before the error is
@@ -375,12 +372,11 @@ impl Service {
             options.exemplar_capacity.max(1),
         ));
         let mut sinks: Vec<Arc<dyn Sink>> = vec![
-            Arc::new(MetricsSink::new(Arc::clone(&metrics))),
             Arc::clone(&exemplars) as Arc<dyn Sink>,
             Arc::new(MetricsBridge::new(
                 metrics.registry(),
                 crate::metrics::WINDOW,
-                BRIDGE_CARDINALITY,
+                crate::metrics::CARDINALITY,
             )),
         ];
         sinks.extend(options.trace_sinks);
@@ -1183,8 +1179,11 @@ fn canonical_conv_layer(c: &CanonicalLayer) -> ConvLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use std::collections::BTreeSet;
     use thistle::OptimizerOptions;
     use thistle_arch::{ArchConfig, TechnologyParams};
+    use thistle_obs::registry::SPAN_DURATION_MS;
 
     fn quick_service() -> Service {
         let optimizer =
@@ -1293,7 +1292,7 @@ mod tests {
         let count = |name: &str| {
             snap.stages
                 .iter()
-                .find(|s| s.stage == name)
+                .find(|s| s.name == name)
                 .expect("stage present")
                 .count
         };
@@ -1307,6 +1306,252 @@ mod tests {
             "rescore",
         ] {
             assert!(count(stage) >= 1, "stage {stage} never recorded");
+        }
+        // The stages are read from the span-duration family the bridge
+        // fills; no second copy of them, and no span counter beside it.
+        let raw = service.registry().snapshot();
+        let names: BTreeSet<&str> = (raw.counters.iter().map(|c| c.name.as_str()))
+            .chain(raw.histograms.iter().map(|h| h.name.as_str()))
+            .collect();
+        assert!(names.contains(SPAN_DURATION_MS), "{names:?}");
+        for gone in ["stage_latency_ms", "span_total"] {
+            assert!(!names.contains(gone), "{gone} in {names:?}");
+        }
+    }
+
+    /// Dotted paths of every leaf under a JSON object
+    /// (`stages.gp_solve.p50`).
+    fn json_leaf_keys(json: &Json, prefix: &str, out: &mut BTreeSet<String>) {
+        match json {
+            Json::Obj(fields) => {
+                for (key, value) in fields {
+                    let path = match prefix {
+                        "" => key.clone(),
+                        _ => format!("{prefix}.{key}"),
+                    };
+                    json_leaf_keys(value, &path, out);
+                }
+            }
+            _ => {
+                out.insert(prefix.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn metrics_wire_surface_is_pinned() {
+        // One cold solve and one cache hit, then every Prometheus series
+        // and JSON key of `GET /metrics`, written out so that a refactor of
+        // the metrics code cannot rename or drop one unnoticed.
+        let service = quick_service();
+        let layer = ConvLayer::new("conv", 1, 16, 16, 18, 18, 3, 3, 1);
+        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
+        for hit in [false, true] {
+            let response = service.optimize(&layer, Objective::Energy, &mode).unwrap();
+            assert_eq!(response.cache_hit, hit);
+        }
+        let snap = service.metrics_snapshot();
+        let stages = [
+            "request",
+            "cache_lookup",
+            "queue_wait",
+            "perm_enum",
+            "gp_solve",
+            "batch_solve",
+            "expr_compile",
+            "condensation",
+            "integerize",
+            "rescore",
+        ];
+        let phases = [
+            "parse",
+            "queue_wait",
+            "lock_wait",
+            "coalesce_wait",
+            "solve",
+            "serialize",
+        ];
+        let causes = [
+            "generation",
+            "infeasible",
+            "numerical",
+            "invalid",
+            "cancelled",
+            "solver_panic",
+            "integerize_panic",
+            "recovered",
+            "degraded",
+            "stalled",
+        ];
+        // `THISTLE_NO_LOCK_OBS` turns lock observation off; then the lock
+        // series and keys are absent and nothing else changes.
+        let all_locks = [
+            "breakers",
+            "families",
+            "frontiers",
+            "inflight",
+            "reports",
+            "solve_cache",
+        ];
+        let locks: &[&str] = if snap.locks.is_empty() {
+            &[]
+        } else {
+            &all_locks
+        };
+
+        let mut series: BTreeSet<String> = [
+            "requests_total",
+            "cache_hits_total",
+            "cache_misses_total",
+            "coalesced_total",
+            "solve_errors_total",
+            "timeouts_total",
+            "solves_recorded_total",
+            "worker_respawns_total",
+            "solve_retries_total",
+            "cancelled_solves_total",
+            "breaker_opened_total",
+            "breaker_fastfails_total",
+            "degraded_results_total",
+            "near_miss_hits_total",
+            "shed_total",
+            "browned_out_total",
+            "conn_capped_total",
+            "deadline_closed_total",
+            "cache_hit_rate",
+            "in_flight",
+            "solve_timeout_ms",
+            "atlas_restored_entries",
+            "atlas_load_errors",
+            "queue_depth",
+            "brownout_active",
+            "queue_depth_dist_count",
+            "cache_len",
+            "cache_capacity",
+            "cache_insertions_total",
+            "cache_evictions_total",
+        ]
+        .iter()
+        .map(|name| format!("thistle_{name}"))
+        .collect();
+        for cause in causes {
+            series.insert(format!("thistle_sweep_events_total{{cause=\"{cause}\"}}"));
+        }
+        for (metric, key, labels) in [("stage", "stage", &stages[..]), ("phase", "phase", &phases)]
+        {
+            for label in labels {
+                series.insert(format!("thistle_{metric}_count_total{{{key}=\"{label}\"}}"));
+            }
+        }
+        for lock in locks {
+            for name in ["acquisitions_total", "contended_total", "wait_ms_count"] {
+                series.insert(format!("thistle_lock_{name}{{lock=\"{lock}\"}}"));
+            }
+        }
+        for q in ["0.5", "0.95"] {
+            for name in ["queue_depth_dist", "solve_latency_ms"] {
+                series.insert(format!("thistle_{name}{{quantile=\"{q}\"}}"));
+            }
+            for stage in stages {
+                series.insert(format!(
+                    "thistle_stage_latency_ms{{stage=\"{stage}\",quantile=\"{q}\"}}"
+                ));
+            }
+            for phase in phases {
+                series.insert(format!(
+                    "thistle_phase_latency_ms{{phase=\"{phase}\",quantile=\"{q}\"}}"
+                ));
+            }
+            for lock in locks {
+                for name in ["wait_ms", "hold_ms"] {
+                    series.insert(format!(
+                        "thistle_lock_{name}{{lock=\"{lock}\",quantile=\"{q}\"}}"
+                    ));
+                }
+            }
+        }
+        assert_eq!(series.len(), 92 + 7 * locks.len());
+        let text = snap.to_prometheus();
+        let samples: Vec<&str> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.rsplit_once(' ').expect("series and value").0)
+            .collect();
+        let rendered: BTreeSet<String> = samples.iter().map(|s| s.to_string()).collect();
+        assert_eq!(samples.len(), rendered.len(), "a series rendered twice");
+        assert_eq!(rendered, series);
+
+        let mut keys: BTreeSet<String> = [
+            "requests",
+            "cache_hits",
+            "cache_misses",
+            "cache_hit_rate",
+            "coalesced",
+            "solve_errors",
+            "timeouts",
+            "in_flight",
+            "solve_timeout_ms",
+            "worker_respawns",
+            "solve_retries",
+            "cancelled_solves",
+            "breaker_opened",
+            "breaker_fastfails",
+            "degraded_results",
+            "near_miss_hits",
+            "shed",
+            "browned_out",
+            "conn_capped",
+            "deadline_closed",
+            "queue_depth",
+            "brownout_active",
+            "atlas_restored_entries",
+            "atlas_load_errors",
+            "cache.len",
+            "cache.capacity",
+            "cache.insertions",
+            "cache.evictions",
+        ]
+        .iter()
+        .map(|key| key.to_string())
+        .collect();
+        for cause in causes {
+            keys.insert(format!("sweep.{cause}"));
+        }
+        for stat in ["count", "p50", "p95"] {
+            keys.insert(format!("queue_depth_dist.{stat}"));
+            keys.insert(format!("solve_latency_ms.{stat}"));
+            for stage in stages {
+                keys.insert(format!("stages.{stage}.{stat}"));
+            }
+            for phase in phases {
+                keys.insert(format!("phases.{phase}.{stat}"));
+            }
+        }
+        for lock in locks {
+            for leaf in [
+                "acquisitions",
+                "contended",
+                "wait_ms.count",
+                "wait_ms.p50",
+                "wait_ms.p95",
+                "hold_ms.p50",
+                "hold_ms.p95",
+            ] {
+                keys.insert(format!("locks.{lock}.{leaf}"));
+            }
+        }
+        assert_eq!(keys.len(), 92 + 7 * locks.len());
+        let mut rendered = BTreeSet::new();
+        json_leaf_keys(&snap.to_json(), "", &mut rendered);
+        let missing: Vec<_> = keys.difference(&rendered).collect();
+        assert!(missing.is_empty(), "JSON keys missing: {missing:?}");
+        // The one key added since the pin: `/debug/contention`'s per-lock
+        // contention rate.
+        for extra in rendered.difference(&keys) {
+            assert!(
+                extra.starts_with("locks.") && extra.ends_with(".contention_rate"),
+                "unexpected JSON key {extra}"
+            );
         }
     }
 
