@@ -39,9 +39,13 @@
 //!   of recent fresh solves (Newton iterations per centering step, gap
 //!   trajectory, recovery, condensation, prefilter and arena counters).
 //!
-//! One short-lived thread per connection (`Connection: close`), a polling
-//! accept loop so shutdown needs no signals, and a drain phase that waits
-//! for active connections before `shutdown` returns.
+//! One thread per connection (`Connection: close`). The accept thread
+//! blocks in `accept`; past the connection cap, sockets park in a bounded
+//! backlog, and a finishing connection serves the oldest parked socket on
+//! its own thread. `shutdown` wakes `accept` with one loopback connect,
+//! closes parked sockets unserved, and waits on a condvar (bounded) for
+//! active connections to drain, so no request and no shutdown waits on a
+//! timer.
 
 use crate::json::{num_u64, Json};
 use crate::metrics::{dist_json, locks_json, summaries_json};
@@ -49,9 +53,9 @@ use crate::service::{ServeError, Service};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use thistle::{DesignPoint, SolveReport};
@@ -69,6 +73,9 @@ const MAX_LINE: usize = 8 << 10;
 const MAX_HEADER_BYTES: usize = 32 << 10;
 /// How long `shutdown` waits for in-flight connections to finish.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
+/// Pause after a failed `accept` (e.g. out of file descriptors), so a
+/// persistent error cannot spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 /// Socket write deadline: a client that stops reading its response cannot
 /// hold the connection slot forever.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
@@ -113,19 +120,50 @@ impl Default for HttpOptions {
 
 /// A running HTTP server.
 pub struct HttpServer {
-    port: u16,
+    /// The bound address with loopback in place of a wildcard IP: where
+    /// `shutdown` connects to wake the blocked `accept`.
+    wake_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    slots: Arc<Slots>,
     accept_loop: Option<JoinHandle<()>>,
 }
 
-/// Decrements the active-connection gauge even if the handler panics, so a
-/// bug in one request can never wedge the connection cap or drain.
-struct ActiveGuard(Arc<AtomicUsize>);
+/// The connections being served and the sockets parked while every slot
+/// is busy, under one lock: a socket parks only while the slots are full,
+/// and a finishing connection hands its slot straight to the oldest parked
+/// socket, so the backlog drains in arrival order without the accept loop.
+#[derive(Default)]
+struct Slots {
+    state: Mutex<SlotState>,
+    /// Notified when the last served connection frees its slot.
+    drained: Condvar,
+}
 
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+#[derive(Default)]
+struct SlotState {
+    active: usize,
+    parked: VecDeque<TcpStream>,
+}
+
+impl Slots {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        // Every update is one counter step or one queue push/pop, so the
+        // state is valid even if a holder panicked.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A served connection is done with its slot: the oldest parked socket
+    /// takes it over, or, with none parked, it frees.
+    fn finish(&self) -> Option<TcpStream> {
+        let mut state = self.lock();
+        let next = state.parked.pop_front();
+        if next.is_none() {
+            state.active -= 1;
+            if state.active == 0 {
+                self.drained.notify_all();
+            }
+        }
+        next
     }
 }
 
@@ -143,105 +181,88 @@ impl HttpServer {
         options: HttpOptions,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        let port = listener.local_addr()?.port();
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shutdown = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let slots = Arc::new(Slots::default());
         let accept_loop = {
             let shutdown = Arc::clone(&shutdown);
-            let active = Arc::clone(&active);
+            let slots = Arc::clone(&slots);
             let max_connections = options.max_connections.max(1);
-            let spawn_conn = move |stream: TcpStream,
-                                   service: &Arc<Service>,
-                                   active: &Arc<AtomicUsize>,
-                                   options: &HttpOptions| {
-                active.fetch_add(1, Ordering::AcqRel);
-                let service = Arc::clone(service);
-                let guard = ActiveGuard(Arc::clone(active));
-                let options = options.clone();
-                let _ = std::thread::Builder::new()
-                    .name("thistle-http-conn".into())
-                    .spawn(move || {
-                        let _guard = guard;
-                        // Contain handler panics to the one connection; the
-                        // cap slot is released by the guard either way.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            handle_connection(stream, &service, &options);
-                        }));
-                    });
-            };
             std::thread::Builder::new()
                 .name("thistle-http-accept".into())
                 .spawn(move || {
-                    // Accepted connections parked while every slot is busy,
-                    // oldest first. Bounded: beyond `accept_backlog` new
-                    // arrivals are fast-rejected instead of queued, so
-                    // overload cannot grow memory without limit.
-                    let mut backlog: VecDeque<TcpStream> = VecDeque::new();
+                    let weak_service = Arc::downgrade(&service);
                     loop {
+                        let accepted = listener.accept();
+                        // Pairs with the `Release` store in `stop_and_drain`,
+                        // which precedes the connect that wakes this `accept`.
                         if shutdown.load(Ordering::Acquire) {
                             break;
                         }
-                        // Promote parked connections into freed slots first
-                        // so the backlog drains in arrival order.
-                        while active.load(Ordering::Acquire) < max_connections {
-                            let Some(stream) = backlog.pop_front() else {
-                                break;
-                            };
-                            spawn_conn(stream, &service, &active, &options);
-                        }
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                if active.load(Ordering::Acquire) < max_connections {
-                                    spawn_conn(stream, &service, &active, &options);
-                                } else if backlog.len() < options.accept_backlog {
-                                    backlog.push_back(stream);
-                                } else {
-                                    service.metrics().record_conn_capped();
-                                    fast_reject(stream);
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                        let Ok((stream, _)) = accepted else {
+                            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                            continue;
+                        };
+                        let mut state = slots.lock();
+                        if state.active < max_connections {
+                            state.active += 1;
+                            drop(state);
+                            serve(stream, &weak_service, &slots, &options);
+                        } else if state.parked.len() < options.accept_backlog {
+                            state.parked.push_back(stream);
+                        } else {
+                            drop(state);
+                            service.metrics().record_conn_capped();
+                            fast_reject(stream);
                         }
                     }
                 })?
         };
         Ok(HttpServer {
-            port,
+            wake_addr,
             shutdown,
-            active,
+            slots,
             accept_loop: Some(accept_loop),
         })
     }
 
     /// The bound port (useful with `"...:0"`).
     pub fn port(&self) -> u16 {
-        self.port
+        self.wake_addr.port()
     }
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Acquire)
+        self.slots.lock().active
     }
 
-    /// Graceful shutdown: stop accepting, then wait (bounded) for in-flight
-    /// connections to drain.
+    /// Graceful shutdown: stop accepting, close parked connections, then
+    /// wait (bounded) for in-flight connections to drain.
     pub fn shutdown(mut self) {
         self.stop_and_drain();
     }
 
     fn stop_and_drain(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        // Wake the blocked `accept`: the loop sees the flag as it returns
+        // and drops this connection unserved.
+        let _ = TcpStream::connect(self.wake_addr);
         if let Some(handle) = self.accept_loop.take() {
             let _ = handle.join();
         }
-        let deadline = std::time::Instant::now() + DRAIN_TIMEOUT;
-        while self.active.load(Ordering::Acquire) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // Parked sockets close unserved; served ones get to finish.
+        let mut state = self.slots.lock();
+        state.parked.clear();
+        let _ = self
+            .slots
+            .drained
+            .wait_timeout_while(state, DRAIN_TIMEOUT, |state| state.active > 0);
     }
 }
 
@@ -249,6 +270,47 @@ impl Drop for HttpServer {
     fn drop(&mut self) {
         if self.accept_loop.is_some() {
             self.stop_and_drain();
+        }
+    }
+}
+
+/// Serves `stream`, which already holds a slot, on a new thread. That
+/// thread goes on to serve parked sockets while any are waiting, then frees
+/// the slot. If no thread can be spawned, the socket closes unserved and
+/// its slot passes on the same way.
+fn serve(
+    mut stream: TcpStream,
+    service: &Weak<Service>,
+    slots: &Arc<Slots>,
+    options: &HttpOptions,
+) {
+    loop {
+        let service = Weak::clone(service);
+        let thread_slots = Arc::clone(slots);
+        let options = options.clone();
+        let spawned = std::thread::Builder::new()
+            .name("thistle-http-conn".into())
+            .spawn(move || {
+                let mut next = Some(stream);
+                while let Some(stream) = next {
+                    // Contain handler panics to the one connection. The
+                    // service handle drops before the slot frees, so a
+                    // drained `shutdown` leaves its caller holding the
+                    // only strong reference.
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if let Some(service) = service.upgrade() {
+                            handle_connection(stream, &service, &options);
+                        }
+                    }));
+                    next = thread_slots.finish();
+                }
+            });
+        if spawned.is_ok() {
+            return;
+        }
+        match slots.finish() {
+            Some(parked) => stream = parked,
+            None => return,
         }
     }
 }
