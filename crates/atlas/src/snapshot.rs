@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!   magic    "THISTLAS"                 8 bytes
-//!   version  u32 le                     format revision (currently 2)
+//!   version  u32 le                     format revision (currently 3)
 //!   flags    u32 le                     reserved, must be 0
 //!   record*  [len u32][crc32 u32][payload: len bytes]
 //! ```
@@ -42,9 +42,11 @@ use timeloop_lite::{EvalResult, Mapping};
 /// File magic: "THISTLAS".
 pub const MAGIC: [u8; 8] = *b"THISTLAS";
 /// Current format revision. Bumped to 2 when the solve report gained the
-/// sweep deduplication counts (`batch_classes`/`batch_members`); v1
-/// snapshots are rejected at load and the atlas re-warms from scratch.
-pub const VERSION: u32 = 2;
+/// sweep deduplication counts (`batch_classes`/`batch_members`), and to 3
+/// when the solve report and the solver fingerprint each lost a word with
+/// the signomial refinement path. Older snapshots are rejected at load and
+/// the atlas re-warms from scratch.
+pub const VERSION: u32 = 3;
 
 const KIND_ENTRY: u8 = 1;
 const KIND_FRONTIER: u8 = 2;
@@ -434,7 +436,6 @@ fn encode_report(w: &mut ByteWriter, rep: &SolveReport) {
         }
         None => w.put_bool(false),
     }
-    w.put_u32(rep.condensation_rounds);
     w.put_u64(rep.prefiltered);
     w.put_u64(rep.rejected_infeasible);
     w.put_u64(rep.rejected_utilization);
@@ -475,7 +476,6 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
     } else {
         None
     };
-    let condensation_rounds = r.get_u32()?;
     let prefiltered = r.get_u64()?;
     let rejected_infeasible = r.get_u64()?;
     let rejected_utilization = r.get_u64()?;
@@ -504,7 +504,6 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
         gap_trajectory,
         recovery_attempts,
         recovered_by,
-        condensation_rounds,
         prefiltered,
         rejected_infeasible,
         rejected_utilization,

@@ -104,6 +104,12 @@ fn wrong_magic_and_version_are_hard_errors() {
     bytes[8] = 99; // future version
     std::fs::write(&path, &bytes).expect("rewrite");
     assert!(AtlasSnapshot::load(&path).is_err());
+
+    // Revision 2 is retired: its solve reports and solver fingerprints
+    // carry a field revision 3 dropped, so the whole file is rejected.
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite");
+    assert!(AtlasSnapshot::load(&path).is_err());
     std::fs::remove_file(&path).ok();
 }
 

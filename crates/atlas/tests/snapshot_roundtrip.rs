@@ -138,7 +138,6 @@ fn synth_point(rng: &mut StdRng) -> DesignPoint {
                 .collect(),
             recovery_attempts: rng.gen_range(1u32..5),
             recovered_by: rng.gen_bool(0.3).then(|| "TikhonovRidge".to_string()),
-            condensation_rounds: rng.gen_range(0u32..4),
             prefiltered: rng.gen_range(0u64..1000),
             rejected_infeasible: rng.gen_range(0u64..1000),
             rejected_utilization: rng.gen_range(0u64..1000),

@@ -13,14 +13,12 @@
 //!    kernel dims across PEs (delay objective).
 //! 7. **Search baselines**: random and genetic mapping search vs Thistle
 //!    at a similar evaluation budget.
-//! 8. **Signomial condensation**: exact halo terms vs the posynomial upper
-//!    bound, on fixed Eyeriss and in co-design, for energy and delay.
 
 use thistle::{Optimizer, OptimizerOptions};
 use thistle_arch::{cacti_lite, ArchConfig};
 use thistle_bench::{print_table, tech};
 use thistle_gp::SolveOptions;
-use thistle_model::{perms, ArchMode, CoDesignSpec, ConvLayer, Objective, RegisterCostModel};
+use thistle_model::{perms, ArchMode, ConvLayer, Objective, RegisterCostModel};
 
 fn main() {
     ablate_pruning();
@@ -30,7 +28,6 @@ fn main() {
     ablate_register_cost();
     ablate_spatial_stencils();
     ablate_search_baselines();
-    ablate_condensation();
 }
 
 fn ablate_pruning() {
@@ -322,67 +319,5 @@ fn ablate_search_baselines() {
                 ),
             ],
         ],
-    );
-}
-
-/// Exact-halo refinement by signomial condensation versus the paper's pure
-/// posynomial upper bound: halo-heavy layers on fixed Eyeriss (energy), and
-/// co-design at Eyeriss area for both objectives.
-fn ablate_condensation() {
-    println!("\n== Ablation 8: signomial condensation of the halo terms ==");
-    let eyeriss = ArchMode::Fixed(ArchConfig::eyeriss());
-    let codesign = ArchMode::CoDesign(CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), &tech()));
-    let resnet_4 = ConvLayer::new("resnet_4", 1, 128, 64, 56, 56, 3, 3, 2);
-    let resnet_12 = ConvLayer::new("resnet_12", 1, 512, 512, 7, 7, 3, 3, 1);
-    let resnet_7 = ConvLayer::new("resnet_7", 1, 256, 128, 28, 28, 3, 3, 2);
-    let yolo_7 = ConvLayer::new("yolo_7", 1, 512, 256, 34, 34, 3, 3, 1);
-    let (energy, delay) = (Objective::Energy, Objective::Delay);
-    let cases = [
-        (&resnet_4, "Eyeriss", &eyeriss, energy),
-        (&resnet_12, "Eyeriss", &eyeriss, energy),
-        (&resnet_7, "co-design", &codesign, energy),
-        (&resnet_7, "co-design", &codesign, delay),
-        (&yolo_7, "co-design", &codesign, energy),
-        (&yolo_7, "co-design", &codesign, delay),
-    ];
-    let mut rows = Vec::new();
-    for (layer, arch, mode, objective) in cases {
-        // The objective's own score: pJ/MAC for energy, cycles for delay.
-        let run = |rounds: usize| {
-            let optimizer = Optimizer::new(tech()).with_options(OptimizerOptions {
-                max_perm_pairs: 64,
-                threads: 8,
-                condensation_rounds: rounds,
-                ..OptimizerOptions::default()
-            });
-            let start = std::time::Instant::now();
-            let eval = optimizer
-                .optimize_layer(layer, objective, mode)
-                .expect("optimization")
-                .eval;
-            let score = if objective == energy {
-                eval.pj_per_mac
-            } else {
-                eval.cycles
-            };
-            (score, start.elapsed().as_secs_f64())
-        };
-        let ((ub, t0), (cond, t1)) = (run(0), run(3));
-        let (unit, digits) = if objective == energy {
-            ("pJ/MAC", 4)
-        } else {
-            ("cycles", 0)
-        };
-        rows.push(vec![
-            layer.name.clone(),
-            format!("{arch}, {unit}"),
-            format!("{ub:.digits$} ({t0:.2}s)"),
-            format!("{cond:.digits$} ({t1:.2}s)"),
-            format!("{:+.2}%", (cond / ub - 1.0) * 100.0),
-        ]);
-    }
-    print_table(
-        &["layer", "setting", "UB relaxation", "condensed", "delta"],
-        &rows,
     );
 }

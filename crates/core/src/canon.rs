@@ -119,11 +119,10 @@ pub struct SolverFingerprint {
     min_utilization_bits: u64,
     register_cost: RegisterCostModel,
     spatial_stencils: bool,
-    condensation_rounds: usize,
 }
 
 /// Number of `u64` words in a [`SolverFingerprint::encode_words`] encoding.
-pub const FINGERPRINT_WORDS: usize = 21;
+pub const FINGERPRINT_WORDS: usize = 20;
 
 impl SolverFingerprint {
     pub fn of(optimizer: &Optimizer) -> Self {
@@ -155,7 +154,6 @@ impl SolverFingerprint {
             min_utilization_bits: o.min_utilization.to_bits(),
             register_cost: o.register_cost,
             spatial_stencils: o.spatial_stencils,
-            condensation_rounds: o.condensation_rounds,
         }
     }
 
@@ -179,7 +177,6 @@ impl SolverFingerprint {
             RegisterCostModel::PaperEq3 => 1,
         };
         w[19] = u64::from(self.spatial_stencils);
-        w[20] = self.condensation_rounds as u64;
         w
     }
 
@@ -212,7 +209,6 @@ impl SolverFingerprint {
                 1 => true,
                 _ => return None,
             },
-            condensation_rounds: w[20] as usize,
         })
     }
 }

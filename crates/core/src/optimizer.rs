@@ -53,10 +53,6 @@ pub struct OptimizerOptions {
     /// Whether kernel stencil dims may be distributed spatially across the
     /// PE grid (see [`thistle_model::TilingSpace::with_spatial_stencils`]).
     pub spatial_stencils: bool,
-    /// Signomial-condensation rounds used to refine the best relaxed
-    /// solutions with the *exact* halo expressions before integerization
-    /// (0 = pure posynomial upper bound, the paper's DGP treatment).
-    pub condensation_rounds: usize,
 }
 
 impl Default for OptimizerOptions {
@@ -74,7 +70,6 @@ impl Default for OptimizerOptions {
             min_utilization: 0.0,
             register_cost: RegisterCostModel::default(),
             spatial_stencils: true,
-            condensation_rounds: 0,
         }
     }
 }
@@ -119,8 +114,8 @@ pub struct DesignPoint {
     /// Per-cause failure and recovery counts for the whole sweep.
     pub ledger: FailureLedger,
     /// Convergence profile of the winning solve (Newton iterations per
-    /// centering step, gap trajectory, recovery/condensation effort, arena
-    /// hash-consing counters).
+    /// centering step, gap trajectory, recovery effort, arena hash-consing
+    /// counters).
     pub report: SolveReport,
 }
 
@@ -199,7 +194,6 @@ struct SweepSolution {
     gap_trajectory: Vec<f64>,
     recovery_attempts: u32,
     recovered_by: Option<String>,
-    condensation_rounds: u32,
 }
 
 impl SweepSolution {
@@ -215,7 +209,6 @@ impl SweepSolution {
             gap_trajectory: self.gap_trajectory.clone(),
             recovery_attempts: self.recovery_attempts,
             recovered_by: self.recovered_by.clone(),
-            condensation_rounds: self.condensation_rounds,
             prefiltered: 0,
             rejected_infeasible: 0,
             rejected_utilization: 0,
@@ -372,9 +365,9 @@ impl Optimizer {
     /// [`Optimizer::optimize_workload`] under an `"optimize_workload"` trace
     /// span, with nested spans for every pipeline stage: permutation
     /// enumeration (`perm_enum`), the parallel GP sweep (`gp_sweep` /
-    /// per-pair `gp_solve` / `barrier_solve`), exact-halo refinement
-    /// (`condensation`), integerization (`integerize`), referee rescoring
-    /// (`rescore`), and delay-mode spatial packing (`pack_spatial`).
+    /// per-pair `gp_solve` / `barrier_solve`), integerization
+    /// (`integerize`), referee rescoring (`rescore`), and delay-mode spatial
+    /// packing (`pack_spatial`).
     ///
     /// A disabled context makes this identical to
     /// [`Optimizer::optimize_workload`] at a cost of one branch per stage.
@@ -542,7 +535,6 @@ impl Optimizer {
             gap_trajectory: sol.gap_trajectory,
             recovery_attempts: sol.recovery.attempts,
             recovered_by: sol.recovery.recovered_by.map(|r| r.to_string()),
-            condensation_rounds: 0,
         };
         let result = self.rescore_and_pick(
             &workload,
@@ -588,7 +580,7 @@ impl Optimizer {
         // are bit-identical for any thread count or scheduling.
         let mut sweep = span!(ctx, "gp_sweep", pairs = pairs.len());
         let SweepOutcome {
-            solved,
+            mut solved,
             ledger,
             last_error,
             groups,
@@ -606,8 +598,14 @@ impl Optimizer {
             return Err(OptimizeError::AllSolvesFailed(e));
         }
         let gp_solves = solved.len();
-        let result = self.refine_and_pick(
-            workload, objective, mode, solved, gp_solves, ledger, deadline, ctx,
+        solved.sort_by(|a, b| {
+            a.objective
+                .total_cmp(&b.objective)
+                .then(a.pair_index.cmp(&b.pair_index))
+        });
+        solved.truncate(self.options.top_solutions);
+        let result = self.rescore_and_pick(
+            workload, objective, mode, &solved, gp_solves, ledger, deadline, ctx,
         );
         result.map(|mut point| {
             point.report.batch_classes = groups;
@@ -789,7 +787,6 @@ impl Optimizer {
                 gap_trajectory: sol.gap_trajectory,
                 recovery_attempts: sol.recovery.attempts,
                 recovered_by: sol.recovery.recovered_by.map(|r| r.to_string()),
-                condensation_rounds: 0,
             });
         }
         Ok(SweepOutcome {
@@ -871,71 +868,6 @@ impl Optimizer {
                 }
             }
         }
-    }
-
-    /// Sorts, truncates, optionally condensation-refines, and
-    /// rescore-picks the sweep's surviving solutions.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_and_pick(
-        &self,
-        workload: &Workload,
-        objective: Objective,
-        mode: &ArchMode,
-        mut solved: Vec<SweepSolution>,
-        gp_solves: usize,
-        ledger: FailureLedger,
-        deadline: &Deadline,
-        ctx: &TraceCtx,
-    ) -> Result<DesignPoint, OptimizeError> {
-        solved.sort_by(|a, b| {
-            a.objective
-                .total_cmp(&b.objective)
-                .then(a.pair_index.cmp(&b.pair_index))
-        });
-        solved.truncate(self.options.top_solutions);
-
-        // Optional exact-halo refinement of the leading relaxed solutions.
-        if self.options.condensation_rounds > 0 {
-            for sol in solved.iter_mut().take(6) {
-                let refined = sol.gp.signomial_problem().solve_cancellable(
-                    &self.options.solve_options,
-                    self.options.condensation_rounds,
-                    1e-8,
-                    deadline,
-                    ctx,
-                );
-                match refined {
-                    Ok(result) => {
-                        sol.condensation_rounds = result.rounds() as u32;
-                        // The refined solution supersedes the relaxed one;
-                        // its convergence profile does too.
-                        sol.status = result.solution.status;
-                        sol.newton_iterations = result.solution.newton_iterations;
-                        sol.newton_per_center = result.solution.newton_per_center;
-                        sol.gap_trajectory = result.solution.gap_trajectory;
-                        sol.point = result.solution.assignment;
-                        sol.objective = result
-                            .objective_history
-                            .last()
-                            .copied()
-                            .unwrap_or(sol.objective);
-                    }
-                    Err(GpError::Cancelled) => return Err(OptimizeError::Cancelled),
-                    // Refinement failure is non-fatal: the posynomial
-                    // solution stands (it is a valid upper bound).
-                    Err(_) => {}
-                }
-            }
-            solved.sort_by(|a, b| {
-                a.objective
-                    .total_cmp(&b.objective)
-                    .then(a.pair_index.cmp(&b.pair_index))
-            });
-        }
-
-        self.rescore_and_pick(
-            workload, objective, mode, &solved, gp_solves, ledger, deadline, ctx,
-        )
     }
 
     /// Integerizes and referee-evaluates a non-empty set of relaxed sweep

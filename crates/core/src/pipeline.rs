@@ -43,8 +43,9 @@ pub struct PipelineStats {
     /// Failure/recovery counters merged across the *unique* solves (shared
     /// solves are not double-counted).
     pub ledger: FailureLedger,
-    /// Convergence totals (Newton iterations, centering steps, recovery and
-    /// condensation effort) across the unique solves' winning reports.
+    /// Convergence totals (Newton iterations, centering steps, recovered
+    /// solves, prefiltered candidates) across the unique solves' winning
+    /// reports.
     pub convergence: ConvergenceRollup,
 }
 

@@ -3,12 +3,11 @@
 //! A [`DesignPoint`](crate::DesignPoint) answers *what* design won; a
 //! [`SolveReport`] answers *how hard the solver worked to find it*: Newton
 //! iterations per centering step, the barrier duality-gap trajectory,
-//! whether the recovery ladder fired, how many condensation rounds refined
-//! the winner, what the rescore prefilter rejected, and the expression
-//! arena's hash-consing hit rates during model build. The serving layer
-//! retains recent reports for `GET /debug/solves/<id>` and aggregates them
-//! into the integer-only [`ConvergenceRollup`] carried by
-//! [`PipelineStats`](crate::PipelineStats).
+//! whether the recovery ladder fired, what the rescore prefilter rejected,
+//! and the expression arena's hash-consing hit rates during model build.
+//! The serving layer retains recent reports for `GET /debug/solves/<id>`
+//! and aggregates them into the integer-only [`ConvergenceRollup`] carried
+//! by [`PipelineStats`](crate::PipelineStats).
 
 use thistle_expr::ArenaStats;
 
@@ -33,8 +32,6 @@ pub struct SolveReport {
     pub recovery_attempts: u32,
     /// Name of the recovery rung that rescued the solve, if any.
     pub recovered_by: Option<String>,
-    /// Signomial-condensation rounds applied to the winning solution.
-    pub condensation_rounds: u32,
     /// Integer candidates rejected by the compiled-footprint prefilter
     /// before reaching the referee (whole sweep).
     pub prefiltered: u64,
@@ -90,8 +87,6 @@ pub struct ConvergenceRollup {
     pub newton_iterations: u64,
     /// Total phase-II centering steps across winning solves.
     pub centering_steps: u64,
-    /// Total condensation rounds applied across winning solutions.
-    pub condensation_rounds: u64,
     /// Winning solves rescued by the recovery ladder.
     pub recovered_solves: u64,
     /// Candidates rejected by the compiled-footprint prefilter.
@@ -103,7 +98,6 @@ impl ConvergenceRollup {
     pub fn absorb(&mut self, report: &SolveReport) {
         self.newton_iterations += report.newton_iterations as u64;
         self.centering_steps += report.centering_steps() as u64;
-        self.condensation_rounds += u64::from(report.condensation_rounds);
         if report.recovered_by.is_some() {
             self.recovered_solves += 1;
         }
@@ -114,7 +108,6 @@ impl ConvergenceRollup {
     pub fn merge(&mut self, other: &ConvergenceRollup) {
         self.newton_iterations += other.newton_iterations;
         self.centering_steps += other.centering_steps;
-        self.condensation_rounds += other.condensation_rounds;
         self.recovered_solves += other.recovered_solves;
         self.prefiltered += other.prefiltered;
     }
@@ -134,7 +127,6 @@ mod tests {
             gap_trajectory: vec![1.0, 0.1, 1e-7],
             recovery_attempts: 2,
             recovered_by: Some("jitter".into()),
-            condensation_rounds: 2,
             prefiltered: 7,
             ..SolveReport::default()
         };
@@ -147,7 +139,6 @@ mod tests {
         rollup.absorb(&report);
         assert_eq!(rollup.newton_iterations, 80);
         assert_eq!(rollup.centering_steps, 6);
-        assert_eq!(rollup.condensation_rounds, 4);
         assert_eq!(rollup.recovered_solves, 1);
         assert_eq!(rollup.prefiltered, 14);
 

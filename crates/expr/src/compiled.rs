@@ -1,27 +1,23 @@
-//! Compiled expression forms: contiguous exponent matrices for fast
+//! The compiled expression form: a contiguous exponent matrix for fast
 //! repeated evaluation.
 //!
 //! A [`Signomial`] is the right representation for *building* expressions —
 //! canonicalization, substitution, posynomial bounds — but evaluating one
 //! walks a vector of monomials and calls `powf` per variable per term. The
-//! compiled forms here freeze a finished expression into a compressed
-//! sparse-row exponent matrix over its *live* variables with contiguous
-//! coefficient arrays: evaluation precomputes `ln x_j` once per point and
+//! compiled form here freezes a finished expression into a compressed
+//! sparse-row exponent matrix over its *live* variables with a contiguous
+//! coefficient array: evaluation precomputes `ln x_j` once per point and
 //! each term costs one sparse dot product plus one `exp`. Candidate
 //! rescoring (thousands of integer design points against the same exact
-//! signomial) and condensation (per-round AM-GM weights against the same
-//! posynomial) both sit on this path.
+//! signomial) sits on this path.
 
-use crate::{Assignment, Monomial, Posynomial, Signomial, Var};
+use crate::{Assignment, Monomial, Signomial, Var};
 
-/// Reusable scratch for compiled evaluation (the `ln x` buffer and per-term
-/// values), so hot loops evaluate without allocating.
+/// Reusable scratch for compiled evaluation (the `ln x` buffer), so hot
+/// loops evaluate without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     lnx: Vec<f64>,
-    /// Per-term values from the most recent
-    /// [`CompiledPosynomial::term_values`] call.
-    terms: Vec<f64>,
 }
 
 /// A signomial compiled to CSR form: term `k` is
@@ -58,11 +54,7 @@ pub struct CompiledSignomial {
 impl CompiledSignomial {
     /// Compiles a canonicalized signomial.
     pub fn compile(s: &Signomial) -> Self {
-        Self::from_terms(s.terms())
-    }
-
-    fn from_terms<'a>(terms: impl Iterator<Item = (f64, &'a Monomial)>) -> Self {
-        let terms: Vec<(f64, &Monomial)> = terms.collect();
+        let terms: Vec<(f64, &Monomial)> = s.terms().collect();
         let mut vars: Vec<Var> = Vec::new();
         for &(_, m) in &terms {
             for (v, _) in m.powers() {
@@ -103,18 +95,6 @@ impl CompiledSignomial {
         &self.vars
     }
 
-    /// Per-term signed coefficients, in canonical term order.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
-    /// The sparse exponent row of term `k`: parallel `(cols, exps)` slices,
-    /// with columns indexing [`CompiledSignomial::vars`].
-    pub fn row(&self, k: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.row_ptr[k] as usize, self.row_ptr[k + 1] as usize);
-        (&self.cols[lo..hi], &self.exps[lo..hi])
-    }
-
     /// Evaluates at a point (allocates a small scratch; hot loops should
     /// hold an [`EvalScratch`] and call [`CompiledSignomial::eval_with`]).
     pub fn eval(&self, point: &Assignment) -> f64 {
@@ -149,74 +129,6 @@ impl CompiledSignomial {
     }
 }
 
-/// A posynomial compiled to the same CSR form as [`CompiledSignomial`],
-/// with the positivity invariant checked at compile time. Used by the
-/// condensation engine to recompute AM-GM monomial weights each round
-/// without re-walking monomial maps.
-#[derive(Debug, Clone)]
-pub struct CompiledPosynomial {
-    inner: CompiledSignomial,
-}
-
-impl CompiledPosynomial {
-    /// Compiles a posynomial.
-    pub fn compile(p: &Posynomial) -> Self {
-        let inner = CompiledSignomial::from_terms(p.terms());
-        debug_assert!(inner.coeffs.iter().all(|&c| c > 0.0));
-        CompiledPosynomial { inner }
-    }
-
-    /// Number of terms (CSR rows).
-    pub fn num_terms(&self) -> usize {
-        self.inner.num_terms()
-    }
-
-    /// The sorted live variables of the expression.
-    pub fn vars(&self) -> &[Var] {
-        self.inner.vars()
-    }
-
-    /// Per-term (positive) coefficients, in canonical term order.
-    pub fn coeffs(&self) -> &[f64] {
-        self.inner.coeffs()
-    }
-
-    /// The sparse exponent row of term `k` (see
-    /// [`CompiledSignomial::row`]).
-    pub fn row(&self, k: usize) -> (&[u32], &[f64]) {
-        self.inner.row(k)
-    }
-
-    /// Evaluates at a point.
-    pub fn eval(&self, point: &Assignment) -> f64 {
-        self.inner.eval(point)
-    }
-
-    /// Evaluates at a point, reusing `scratch`.
-    pub fn eval_with(&self, point: &Assignment, scratch: &mut EvalScratch) -> f64 {
-        self.inner.eval_with(point, scratch)
-    }
-
-    /// Fills `scratch.terms` with every term's value at `point` and returns
-    /// the total — the quantities the AM-GM condensation weights are built
-    /// from.
-    pub fn term_values<'s>(
-        &self,
-        point: &Assignment,
-        scratch: &'s mut EvalScratch,
-    ) -> (f64, &'s [f64]) {
-        self.inner.load_lnx(point, scratch);
-        scratch.terms.clear();
-        let mut total = 0.0;
-        for k in 0..self.inner.coeffs.len() {
-            let value = self.inner.coeffs[k] * self.inner.term_factor(k, &scratch.lnx);
-            scratch.terms.push(value);
-            total += value;
-        }
-        (total, &scratch.terms)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,21 +150,6 @@ mod tests {
         let exact = s.eval(&p);
         let got = c.eval(&p);
         assert!((got - exact).abs() <= 1e-12 * (1.0 + exact.abs()));
-    }
-
-    #[test]
-    fn term_values_sum_to_eval() {
-        let mut reg = VarRegistry::new();
-        let x = reg.var("x");
-        let p = Posynomial::from_var(x).pow_i(2) + Posynomial::constant(4.0);
-        let c = CompiledPosynomial::compile(&p);
-        let mut pt = reg.assignment();
-        pt.set(x, 2.0);
-        let mut scratch = EvalScratch::default();
-        let (total, terms) = c.term_values(&pt, &mut scratch);
-        assert_eq!(terms.len(), 2);
-        assert!((total - p.eval(&pt)).abs() < 1e-12);
-        assert!((terms.iter().sum::<f64>() - total).abs() < 1e-12);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   for *building* large expression families: variable parts are interned
 //!   once into a shared slab and addressed by [`UnitId`], so repeated
 //!   subterms (halo factors, shared tile products) cost a hash lookup.
-//! * [`CompiledSignomial`] / [`CompiledPosynomial`] — a frozen CSR exponent
-//!   matrix over the live variables for fast repeated *evaluation*
-//!   (candidate rescoring, condensation weights).
+//! * [`CompiledSignomial`] — a frozen CSR exponent matrix over the live
+//!   variables for fast repeated *evaluation* (candidate rescoring).
 //!
 //! # Examples
 //!
@@ -56,7 +55,7 @@ mod var;
 
 pub use arena::{thread_arena_stats, ArenaSignomial, ArenaStats, ExprArena, TermDiff, UnitId};
 pub use assignment::Assignment;
-pub use compiled::{CompiledPosynomial, CompiledSignomial, EvalScratch};
+pub use compiled::{CompiledSignomial, EvalScratch};
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;
 pub use signomial::Signomial;

@@ -5,8 +5,7 @@
 //! positive orthant.
 
 use crate::{
-    ArenaSignomial, Assignment, CompiledPosynomial, CompiledSignomial, ExprArena, Monomial,
-    Posynomial, Signomial, Var,
+    ArenaSignomial, Assignment, CompiledSignomial, ExprArena, Monomial, Posynomial, Signomial, Var,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -187,14 +186,6 @@ proptest! {
         let direct = s.eval(&p);
         let compiled = CompiledSignomial::compile(&s).eval(&p);
         prop_assert!((direct - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
-        prop_assert!((compiled - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
-    }
-
-    #[test]
-    fn compiled_posynomial_matches_btreemap_reference(f in arb_posynomial(), p in arb_point()) {
-        let s = f.to_signomial();
-        let reference = naive_eval(&naive_terms(&s), &p);
-        let compiled = CompiledPosynomial::compile(&f).eval(&p);
         prop_assert!((compiled - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
     }
 

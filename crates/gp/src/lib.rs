@@ -42,14 +42,12 @@
 //! # }
 //! ```
 
-pub mod condensation;
 mod deadline;
 pub mod linalg;
 mod problem;
 mod solver;
 mod transform;
 
-pub use condensation::{monomialize, CondensationResult, SignomialProblem};
 pub use deadline::Deadline;
 pub use problem::{content_fingerprint, GpProblem, SolveOptions};
 pub use solver::{GpError, RecoveryInfo, RecoveryRung, Solution, SolveStatus, WarmInfo};

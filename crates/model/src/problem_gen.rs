@@ -162,13 +162,6 @@ pub struct GeneratedGp {
     bandwidths: Bandwidths,
     register_cost: RegisterCostModel,
     num_ops: f64,
-    // Resolved capacity / per-access-energy monomials (constants in fixed
-    // mode, variables in co-design), kept for exact-signomial reassembly.
-    reg_cap: Monomial,
-    sram_cap: Monomial,
-    pe_cap: Monomial,
-    eps_r: Monomial,
-    eps_s: Monomial,
     // Exact totals compiled to CSR form: candidate rescoring evaluates
     // thousands of integer points against these, never re-walking the
     // symbolic signomials.
@@ -240,94 +233,6 @@ impl GeneratedGp {
     /// The objective this GP minimizes.
     pub fn objective_kind(&self) -> Objective {
         self.objective
-    }
-
-    /// Reassembles this problem in *exact signomial* form (no posynomial
-    /// relaxation of the halo terms), for refinement by successive
-    /// condensation ([`thistle_gp::SignomialProblem`]).
-    ///
-    /// The variable registry is shared with [`GeneratedGp::problem`], so
-    /// solutions of either problem evaluate against the same expressions.
-    pub fn signomial_problem(&self) -> thistle_gp::SignomialProblem {
-        let mut sp = thistle_gp::SignomialProblem::new(self.problem.registry().clone());
-
-        // Exact energy signomial (Eq. 3 with the chosen register model).
-        let reg_volume = match self.register_cost {
-            RegisterCostModel::PerPe => self.traffic.total_reg_fills(),
-            RegisterCostModel::PaperEq3 => self.traffic.total_sram_reg(),
-        };
-        let t_sr = self.traffic.total_sram_reg();
-        let t_ds = self.traffic.total_dram_sram();
-        let energy = Signomial::from(self.eps_r.scale(4.0 * self.num_ops))
-            + Signomial::constant(self.tech.energy_mac_pj * self.num_ops)
-            + reg_volume.mul_monomial(&self.eps_r)
-            + (&t_sr + &t_ds).mul_monomial(&self.eps_s)
-            + t_ds.scale(self.tech.energy_dram_pj);
-
-        match (self.objective, self.delay_var) {
-            (Objective::Energy, _) => {
-                sp.set_objective(energy);
-            }
-            (Objective::Delay, Some(t)) => {
-                sp.set_objective(Signomial::var(t));
-            }
-            (Objective::EnergyDelayProduct, Some(t)) => {
-                sp.set_objective(energy.mul_monomial(&Monomial::var(t)));
-            }
-            _ => unreachable!("delay-bearing objectives carry a delay variable"),
-        }
-        if let Some(t) = self.delay_var {
-            // N_ops <= P_used * t.
-            sp.add_le(
-                Signomial::constant(self.num_ops),
-                &self.traffic.pe_product * &Monomial::var(t),
-            );
-            sp.add_le(
-                (&t_sr + &t_ds).scale(1.0 / self.bandwidths.sram_words_per_cycle),
-                Monomial::var(t),
-            );
-            sp.add_le(
-                t_ds.scale(1.0 / self.bandwidths.dram_words_per_cycle),
-                Monomial::var(t),
-            );
-        }
-
-        // Exact capacity constraints (signomial footprints).
-        sp.add_le(
-            self.traffic.total_register_footprint(),
-            self.reg_cap.clone(),
-        );
-        sp.add_le(self.traffic.total_sram_footprint(), self.sram_cap.clone());
-        sp.add_le(
-            Signomial::from(self.traffic.pe_product.clone()),
-            self.pe_cap.clone(),
-        );
-
-        // Structural equalities and bounds.
-        let (equalities, bounds) = self.space.structural_constraints();
-        for (product, extent) in equalities {
-            sp.add_eq(product, Monomial::constant(extent));
-        }
-        for (v, lo, hi) in bounds {
-            sp.add_bounds(v, lo, hi);
-        }
-
-        // Co-design: area and architecture-variable bounds.
-        if let (ArchMode::CoDesign(spec), Some(av)) = (&self.mode, self.arch_vars) {
-            let area = Signomial::from(Monomial::new(
-                self.tech.area_register_um2,
-                [(av.regs, 1.0), (av.pes, 1.0)],
-            )) + Signomial::from(Monomial::new(self.tech.area_mac_um2, [(av.pes, 1.0)]))
-                + Signomial::from(Monomial::new(
-                    self.tech.area_sram_word_um2,
-                    [(av.sram, 1.0)],
-                ));
-            sp.add_le(area, Monomial::constant(spec.area_budget_um2));
-            sp.add_bounds(av.regs, spec.regs_range.0, spec.regs_range.1);
-            sp.add_bounds(av.sram, spec.sram_range.0, spec.sram_range.1);
-            sp.add_bounds(av.pes, spec.pe_range.0, spec.pe_range.1);
-        }
-        sp
     }
 
     /// The architecture mode this GP was generated under.
@@ -508,9 +413,9 @@ impl ProblemGenerator {
             }
             (ArchMode::CoDesign(_), None) => unreachable!(),
         };
-        prob.add_le(reg_fp, reg_cap.clone());
-        prob.add_le(sram_fp, sram_cap.clone());
-        prob.add_le(Posynomial::from(traffic.pe_product.clone()), pe_cap.clone());
+        prob.add_le(reg_fp, reg_cap);
+        prob.add_le(sram_fp, sram_cap);
+        prob.add_le(Posynomial::from(traffic.pe_product.clone()), pe_cap);
 
         // Per-access energies as monomials (constants or Eq. 4 models).
         let (eps_r, eps_s): (Monomial, Monomial) = match (mode, arch_vars) {
@@ -536,7 +441,7 @@ impl ProblemGenerator {
             let mac_term = Posynomial::from(eps_r.scale(4.0 * num_ops))
                 + Posynomial::constant(self.tech.energy_mac_pj * num_ops);
             let reg_side = &reg_volume * &Posynomial::from(eps_r.clone());
-            let sram_side = &(&t_sr + &t_ds) * &Posynomial::from(eps_s.clone());
+            let sram_side = &(&t_sr + &t_ds) * &Posynomial::from(eps_s);
             let dram_side = t_ds.scale(self.tech.energy_dram_pj);
             mac_term + reg_side + sram_side + dram_side
         };
@@ -592,11 +497,6 @@ impl ProblemGenerator {
             bandwidths: self.bandwidths.clone(),
             register_cost: self.register_cost,
             num_ops,
-            reg_cap,
-            sram_cap,
-            pe_cap,
-            eps_r,
-            eps_s,
             exact_t_sr,
             exact_t_ds,
             exact_reg_fills,
@@ -717,38 +617,6 @@ mod tests {
             "{exact} vs {}",
             sol.objective
         );
-    }
-
-    #[test]
-    fn condensation_refines_the_halo_relaxation() {
-        use thistle_gp::SolveOptions;
-        // Strided conv with fat halos relative to tiles: the upper-bound
-        // relaxation is measurably conservative.
-        let layer = ConvLayer::new("t", 1, 32, 32, 28, 28, 3, 3, 2);
-        let gen = ProblemGenerator::new(layer.workload(), tech(), Bandwidths::default());
-        let (p1, p3) = first_class(&gen);
-        let gp = gen
-            .generate(
-                &p1,
-                &p3,
-                Objective::Energy,
-                &ArchMode::Fixed(ArchConfig::eyeriss()),
-            )
-            .unwrap();
-        let relaxed = gp.problem.solve(&SolveOptions::default()).unwrap();
-        let refined = gp
-            .signomial_problem()
-            .solve(&SolveOptions::default(), 6, 1e-9)
-            .unwrap();
-        let exact_relaxed = gp.energy_at(&relaxed.assignment);
-        let exact_refined = gp.energy_at(&refined.solution.assignment);
-        assert!(
-            exact_refined <= exact_relaxed * (1.0 + 1e-9),
-            "condensation must not be worse: {exact_refined} vs {exact_relaxed}"
-        );
-        // And the refined point is feasible for the exact capacities.
-        let reg_fp = gp.traffic.total_register_footprint();
-        assert!(reg_fp.eval(&refined.solution.assignment) <= 512.0 + 1e-6);
     }
 
     /// The rescore prefilter evaluates the footprints once per tile-size

@@ -55,7 +55,7 @@ pub use registry::{
     series_key, Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary,
     MetricsBridge, Registry, RegistrySnapshot,
 };
-pub use sink::{CollectingSink, FanoutSink, JsonlSink, RingSink, Sink};
+pub use sink::{CollectingSink, FanoutSink, JsonlSink, Sink};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -2,14 +2,12 @@
 //!
 //! * [`CollectingSink`] — an unbounded lock-free append log; drain it at the
 //!   end of a run and hand the records to [`crate::export`].
-//! * [`RingSink`] — bounded, keeps the most recent records; for tests and
-//!   always-on flight recording.
 //! * [`JsonlSink`] — streams one compact JSON object per record to a writer.
 //! * [`FanoutSink`] — duplicates records to several sinks.
 
 use crate::Record;
 use std::io::Write;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Receives every closed span and emitted event of a trace.
@@ -133,53 +131,6 @@ impl Sink for CollectingSink {
     }
 }
 
-/// Bounded sink keeping the most recent `capacity` records. The slot index
-/// is a single `fetch_add`; concurrent writers contend only when they land
-/// on the same slot a full lap apart.
-pub struct RingSink {
-    slots: Vec<Mutex<Option<Record>>>,
-    cursor: AtomicUsize,
-    recorded: AtomicU64,
-}
-
-impl RingSink {
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicUsize::new(0),
-            recorded: AtomicU64::new(0),
-        }
-    }
-
-    /// Total records ever pushed (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
-    /// The retained records, ordered by sequence number.
-    pub fn records(&self) -> Vec<Record> {
-        let mut out: Vec<Record> = self
-            .slots
-            .iter()
-            .filter_map(|slot| slot.lock().expect("ring slot").clone())
-            .collect();
-        out.sort_by_key(Record::seq);
-        out
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&self, record: Record) {
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        *self.slots[slot].lock().expect("ring slot") = Some(record);
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Streams records as JSON Lines to any writer (typically a file).
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
@@ -298,17 +249,6 @@ mod tests {
         let sorted = seqs.clone();
         seqs.sort_unstable();
         assert_eq!(seqs, sorted, "drain returns seq order");
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let sink = RingSink::new(4);
-        for seq in 0..10 {
-            sink.record(event(seq));
-        }
-        assert_eq!(sink.recorded(), 10);
-        let kept: Vec<u64> = sink.records().iter().map(Record::seq).collect();
-        assert_eq!(kept, [6, 7, 8, 9]);
     }
 
     struct Shared(Arc<Mutex<Vec<u8>>>);

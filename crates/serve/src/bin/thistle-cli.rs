@@ -322,8 +322,8 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "{:<14} {:<9} {:>7} {:>7} {:>9} {:>9} {:>10} {:>7}",
-        "layer", "status", "newton", "center", "recovery", "condense", "final gap", "arena%"
+        "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10} {:>7}",
+        "layer", "status", "newton", "center", "recovery", "final gap", "arena%"
     );
     for point in &result.layers {
         let r = &point.report;
@@ -335,13 +335,12 @@ fn cmd_report(args: &Args) -> Result<(), String> {
             |a| format!("{:.1}", a.intern_hit_rate() * 100.0),
         );
         println!(
-            "{:<14} {:<9} {:>7} {:>7} {:>9} {:>9} {:>10} {:>7}",
+            "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10} {:>7}",
             point.workload_name,
             r.status,
             r.newton_iterations,
             r.centering_steps(),
             r.recovered_by.as_deref().unwrap_or("-"),
-            r.condensation_rounds,
             final_gap,
             arena,
         );
@@ -353,12 +352,8 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     );
     println!(
         "totals: {} Newton iterations over {} centering steps, \
-         {} condensation rounds, {} recovered solves, {} candidates prefiltered",
-        c.newton_iterations,
-        c.centering_steps,
-        c.condensation_rounds,
-        c.recovered_solves,
-        c.prefiltered,
+         {} recovered solves, {} candidates prefiltered",
+        c.newton_iterations, c.centering_steps, c.recovered_solves, c.prefiltered,
     );
     Ok(())
 }
@@ -390,10 +385,6 @@ fn report_json(result: &thistle::pipeline::PipelineResult) -> Json {
                         .as_deref()
                         .map_or(Json::Null, |s| Json::Str(s.to_string())),
                 ),
-                (
-                    "condensation_rounds",
-                    Json::Num(r.condensation_rounds as f64),
-                ),
                 ("final_gap", r.final_gap().map_or(Json::Null, Json::Num)),
                 (
                     "arena_intern_hit_rate",
@@ -423,10 +414,6 @@ fn report_json(result: &thistle::pipeline::PipelineResult) -> Json {
                 ("reused", Json::Num(result.stats.reused as f64)),
                 ("newton_iterations", Json::Num(c.newton_iterations as f64)),
                 ("centering_steps", Json::Num(c.centering_steps as f64)),
-                (
-                    "condensation_rounds",
-                    Json::Num(c.condensation_rounds as f64),
-                ),
                 ("recovered_solves", Json::Num(c.recovered_solves as f64)),
                 ("prefiltered", Json::Num(c.prefiltered as f64)),
             ]),

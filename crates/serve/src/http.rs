@@ -37,7 +37,7 @@
 //!   `?id=N` returns one trace as a Chrome `trace_event` document.
 //! * `GET /debug/solves` and `GET /debug/solves/<id>` — convergence reports
 //!   of recent fresh solves (Newton iterations per centering step, gap
-//!   trajectory, recovery, condensation, prefilter and arena counters).
+//!   trajectory, recovery, prefilter and arena counters).
 //!
 //! One thread per connection (`Connection: close`). The accept thread
 //! blocks in `accept`; past the connection cap, sockets park in a bounded
@@ -680,12 +680,14 @@ fn frontier_json(f: &thistle_atlas::ParetoFrontier) -> Json {
 }
 
 /// `GET /debug/profile` / `GET /debug/flamegraph`: runs the span-stack
-/// sampler for `seconds` (default 2, clamped to 30) at `hz` (default 99) on
-/// this connection's thread, then returns collapsed-stack text or the SVG
-/// flamegraph. Concurrent profile requests sample independently.
+/// sampler for `seconds` (default 2, clamped to 0..=30; an unparsable or
+/// NaN value gets the default) at `hz` (default 99) on this connection's
+/// thread, then returns collapsed-stack text or the SVG flamegraph.
+/// Concurrent profile requests sample independently.
 fn handle_profile(query: &str, flamegraph: bool) -> Reply {
     let seconds = query_param(query, "seconds")
         .and_then(|s| s.parse::<f64>().ok())
+        .filter(|s| !s.is_nan())
         .unwrap_or(2.0)
         .clamp(0.0, 30.0);
     let hz = query_param(query, "hz")
@@ -927,10 +929,6 @@ fn solve_report_json(id: u64, r: &SolveReport) -> Json {
             "recovered_by".into(),
             r.recovered_by.clone().map_or(Json::Null, Json::Str),
         ),
-        (
-            "condensation_rounds".into(),
-            num_u64(u64::from(r.condensation_rounds)),
-        ),
         ("prefiltered".into(), num_u64(r.prefiltered)),
         ("rejected_infeasible".into(), num_u64(r.rejected_infeasible)),
         (
@@ -1029,7 +1027,7 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
     let mut solves_html = String::from(
         "<table><tr><th>id</th><th>workload</th><th>status</th>\
          <th class=\"num\">newton</th><th class=\"num\">centering</th>\
-         <th class=\"num\">recovery</th><th class=\"num\">condense</th>\
+         <th class=\"num\">recovery</th>\
          <th class=\"num\">final gap</th><th>gap trajectory</th></tr>",
     );
     for (id, r) in reports.iter().rev().take(12) {
@@ -1043,13 +1041,12 @@ fn handle_dashboard(query: &str, service: &Service) -> Reply {
             "<tr><td><a href=\"/debug/solves/{id}\">{id}</a></td>\
              <td>{}</td><td>{}</td><td class=\"num\">{}</td>\
              <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{:.1e}</td><td>{}</td></tr>",
+             <td class=\"num\">{:.1e}</td><td>{}</td></tr>",
             escape_html(&r.workload),
             escape_html(&r.status),
             r.newton_iterations,
             r.centering_steps(),
             r.recovery_attempts,
-            r.condensation_rounds,
             r.final_gap().unwrap_or(f64::NAN),
             dashboard::sparkline(&gaps, 120, 18),
         );
@@ -1477,11 +1474,6 @@ fn handle_dashboard_diff(spec: &str, service: &Service) -> Reply {
         "recovery attempts",
         f64::from(ra.recovery_attempts),
         f64::from(rb.recovery_attempts),
-    );
-    num_row(
-        "condensation rounds",
-        f64::from(ra.condensation_rounds),
-        f64::from(rb.condensation_rounds),
     );
     num_row(
         "final gap",

@@ -42,7 +42,7 @@ const BREAKDOWN_RING: usize = 32;
 /// except `queue_wait`, which the solve pool records directly through
 /// [`Metrics::record_queue_wait`] (queue wait is measured between threads,
 /// which a single span cannot express).
-pub const STAGES: [&str; 10] = [
+pub const STAGES: [&str; 9] = [
     "request",
     "cache_lookup",
     "queue_wait",
@@ -50,7 +50,6 @@ pub const STAGES: [&str; 10] = [
     "gp_solve",
     "batch_solve",
     "expr_compile",
-    "condensation",
     "integerize",
     "rescore",
 ];

@@ -41,7 +41,7 @@ pub struct ServiceOptions {
     pub cache_capacity: usize,
     /// Deadline applied when a request does not carry its own.
     pub default_timeout: Duration,
-    /// Extra trace sinks (e.g. a [`thistle_obs::sink::JsonlSink`] or ring)
+    /// Extra trace sinks (e.g. a [`thistle_obs::sink::JsonlSink`])
     /// fanned out alongside the built-in [`MetricsBridge`] that feeds
     /// `GET /metrics`. Every solve the service runs is traced into these.
     pub trace_sinks: Vec<Arc<dyn Sink>>,
@@ -1359,7 +1359,6 @@ mod tests {
             "gp_solve",
             "batch_solve",
             "expr_compile",
-            "condensation",
             "integerize",
             "rescore",
         ];
@@ -1470,7 +1469,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(series.len(), 92 + 7 * locks.len());
+        assert_eq!(series.len(), 89 + 7 * locks.len());
         let text = snap.to_prometheus();
         let samples: Vec<&str> = text
             .lines()
@@ -1540,7 +1539,7 @@ mod tests {
                 keys.insert(format!("locks.{lock}.{leaf}"));
             }
         }
-        assert_eq!(keys.len(), 92 + 7 * locks.len());
+        assert_eq!(keys.len(), 89 + 7 * locks.len());
         let mut rendered = BTreeSet::new();
         json_leaf_keys(&snap.to_json(), "", &mut rendered);
         let missing: Vec<_> = keys.difference(&rendered).collect();

@@ -115,18 +115,46 @@ fn restarted_service_answers_from_the_snapshot_bit_identically() {
 #[test]
 fn corrupt_snapshot_counts_load_errors_and_still_starts() {
     let path = temp_atlas("corrupt");
+    let start = || {
+        Service::new(
+            quick_optimizer(),
+            ServiceOptions {
+                atlas_path: Some(path.clone()),
+                ..quick_options()
+            },
+        )
+    };
     std::fs::write(&path, b"not a snapshot at all").expect("write garbage");
-    let service = Service::new(
-        quick_optimizer(),
-        ServiceOptions {
-            atlas_path: Some(path.clone()),
-            ..quick_options()
-        },
-    );
+    let service = start();
     let snap = service.metrics_snapshot();
     assert_eq!(snap.atlas_restored_entries, 0);
     assert!(snap.atlas_load_errors >= 1);
     assert_eq!(service.cache_len(), 0);
+    drop(service);
+
+    // A snapshot of the retired format revision 2 (valid magic) is rejected
+    // whole: the service starts cold and counts one load error.
+    std::fs::write(&path, b"THISTLAS\x02\x00\x00\x00\x00\x00\x00\x00").expect("write v2");
+    let service = start();
+    let snap = service.metrics_snapshot();
+    assert_eq!(snap.atlas_restored_entries, 0);
+    assert_eq!(snap.atlas_load_errors, 1);
+    assert_eq!(service.cache_len(), 0);
+
+    // One solve, then a checkpoint replaces the rejected file, and a
+    // restart restores from it.
+    let layer = ConvLayer::new("conv", 1, 16, 16, 18, 18, 3, 3, 1);
+    service
+        .optimize(&layer, Objective::Energy, &mode())
+        .unwrap();
+    assert!(service.save_atlas().expect("save atlas"));
+    drop(service);
+    let restarted = start();
+    let snap = restarted.metrics_snapshot();
+    assert_eq!(snap.atlas_restored_entries, 1);
+    assert_eq!(snap.atlas_load_errors, 0);
+    assert_eq!(restarted.cache_len(), 1);
+    drop(restarted);
     std::fs::remove_file(&path).ok();
 }
 

@@ -80,7 +80,6 @@ fn profiled_service_run_names_real_pipeline_spans() {
         "batch_solve",
         "gp_solve",
         "expr_compile",
-        "condensation",
         "barrier_solve",
         "integerize",
         "pack_spatial",
