@@ -20,8 +20,8 @@
 //!   backing the serve tier's durable `/debug/timeseries` (DESIGN.md §13).
 //!
 //! The serving layer (`thistle-serve`) owns *when* to checkpoint and how
-//! to warm-start near-miss queries from restored entries; this crate owns
-//! the durable artifact itself. The format specification lives in
+//! restored entries donate their permutation pair to near-miss queries;
+//! this crate owns the durable artifact itself. The format specification lives in
 //! DESIGN.md §12.
 
 pub mod codec;

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!   magic    "THISTLAS"                 8 bytes
-//!   version  u32 le                     format revision (currently 3)
+//!   version  u32 le                     format revision (currently 4)
 //!   flags    u32 le                     reserved, must be 0
 //!   record*  [len u32][crc32 u32][payload: len bytes]
 //! ```
@@ -42,11 +42,12 @@ use timeloop_lite::{EvalResult, Mapping};
 /// File magic: "THISTLAS".
 pub const MAGIC: [u8; 8] = *b"THISTLAS";
 /// Current format revision. Bumped to 2 when the solve report gained the
-/// sweep deduplication counts (`batch_classes`/`batch_members`), and to 3
-/// when the solve report and the solver fingerprint each lost a word with
-/// the signomial refinement path. Older snapshots are rejected at load and
-/// the atlas re-warms from scratch.
-pub const VERSION: u32 = 3;
+/// sweep deduplication counts (`batch_classes`/`batch_members`), to 3 when
+/// the solve report and the solver fingerprint each lost a word with the
+/// signomial refinement path, and to 4 when the solve report lost its two
+/// row-reuse counters with the patched lowering. Older snapshots are
+/// rejected at load and the atlas re-warms from scratch.
+pub const VERSION: u32 = 4;
 
 const KIND_ENTRY: u8 = 1;
 const KIND_FRONTIER: u8 = 2;
@@ -457,8 +458,6 @@ fn encode_report(w: &mut ByteWriter, rep: &SolveReport) {
     }
     w.put_bool(rep.warm_started);
     w.put_i64(rep.warm_newton_saved);
-    w.put_u64(rep.rows_reused);
-    w.put_u64(rep.rows_relowered);
     w.put_u32(rep.batch_classes);
     w.put_u32(rep.batch_members);
 }
@@ -510,8 +509,6 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
         arena,
         warm_started: r.get_bool()?,
         warm_newton_saved: r.get_i64()?,
-        rows_reused: r.get_u64()?,
-        rows_relowered: r.get_u64()?,
         batch_classes: r.get_u32()?,
         batch_members: r.get_u32()?,
     })

@@ -105,11 +105,13 @@ fn wrong_magic_and_version_are_hard_errors() {
     std::fs::write(&path, &bytes).expect("rewrite");
     assert!(AtlasSnapshot::load(&path).is_err());
 
-    // Revision 2 is retired: its solve reports and solver fingerprints
-    // carry a field revision 3 dropped, so the whole file is rejected.
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("rewrite");
-    assert!(AtlasSnapshot::load(&path).is_err());
+    // Revisions 2 and 3 are retired: their solve reports carry fields a
+    // later revision dropped, so the whole file is rejected.
+    for retired in [2u32, 3] {
+        bytes[8..12].copy_from_slice(&retired.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        assert!(AtlasSnapshot::load(&path).is_err(), "revision {retired}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

@@ -1,6 +1,6 @@
 //! Property test: an atlas snapshot round-trips through disk bit-identically
 //! — every field of every design point, including degraded flags, ledger
-//! counters, and the warm-start report fields. "Bit-identical" is asserted
+//! counters, and the near-miss report fields. "Bit-identical" is asserted
 //! by re-serializing the loaded snapshot and comparing the byte streams,
 //! which is strictly stronger than `PartialEq` on floats.
 
@@ -144,8 +144,6 @@ fn synth_point(rng: &mut StdRng) -> DesignPoint {
             arena: None,
             warm_started: rng.gen_bool(0.3),
             warm_newton_saved: rng.gen_range(-50i64..200),
-            rows_reused: rng.gen_range(0u64..500),
-            rows_relowered: rng.gen_range(0u64..500),
             batch_classes: rng.gen_range(0u32..32),
             batch_members: rng.gen_range(0u32..64),
         },

@@ -65,7 +65,7 @@ enum Kind {
     /// Unique cold shape; the load that actually queues solves.
     Miss,
     /// Same family as a previously planned miss, different batch — a
-    /// donor-backed warm start (admitted in brown-out).
+    /// donor-backed near-miss solve (admitted in brown-out).
     NearMiss,
     /// Protocol garbage: byte soup, truncated requests, oversized bodies.
     Malformed,

@@ -248,9 +248,9 @@ impl CanonicalQuery {
 /// A canonical query with the batch size erased: the "workload family" of a
 /// request. Two queries in the same family describe the same layer shape,
 /// objective, mode, and solver configuration and differ at most in batch
-/// size — exactly the near-miss case where a stored optimum is a useful
-/// warm start, because the GP's optimum varies smoothly in the batch
-/// parameter while the constraint *structure* is unchanged.
+/// size — exactly the near-miss case, where a stored design's winning
+/// permutation pair stays competitive at the new batch size, so the
+/// near-miss route solves that one pair instead of the whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FamilyKey(CanonicalQuery);
 
@@ -315,8 +315,8 @@ pub fn transpose_design_hw(point: &DesignPoint) -> DesignPoint {
     }
     // The relaxed point is indexed by the original GP's variable registry;
     // the transposed permutations generate a different registry, so the
-    // values no longer correspond. Drop them rather than mislead a warm
-    // start.
+    // values no longer correspond. Drop them rather than report values that
+    // belong to another GP.
     out.relaxed_point = thistle_expr::Assignment::from_values(Vec::new());
     out
 }

@@ -160,33 +160,15 @@ pub fn dim_candidates(extent: u64, real: (f64, f64, f64), n: usize) -> Vec<DimTi
     out
 }
 
-/// The GP-space assignment corresponding to an integer candidate: every free
-/// trip-count variable takes its mapping factor, and co-design architecture
-/// variables take the candidate architecture's values. Compiled exact
-/// expressions (footprints, traffic) evaluate integer candidates at this
-/// point.
-pub fn candidate_assignment(
-    gp: &thistle_model::GeneratedGp,
-    arch: &thistle_arch::ArchConfig,
-    mapping: &timeloop_lite::Mapping,
-) -> thistle_expr::Assignment {
-    let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
-    tiling_assignment(gp, mapping, &mut point);
-    if let Some(av) = gp.arch_vars {
-        point.set(av.regs, arch.regs_per_pe as f64);
-        point.set(av.sram, arch.sram_words as f64);
-        point.set(av.pes, arch.pe_count as f64);
-    }
-    point
-}
-
-/// [`candidate_assignment`] without the architecture, written into `point`:
-/// every free trip-count variable takes its mapping factor and every other
-/// variable keeps its value. Starting from ones, the co-design variables
-/// stay at 1; the compiled footprints read no architecture variable, so
-/// they evaluate bit-identically there for every architecture paired with
-/// `mapping`. One buffer serves every mapping of `gp`, since each call
-/// overwrites the same variables.
+/// The GP-space assignment of an integer candidate's tiling, written into
+/// `point`: every free trip-count variable takes its mapping factor and
+/// every other variable keeps its value. Compiled exact expressions
+/// (footprints, traffic) evaluate integer candidates at this point.
+/// Starting from ones, the co-design variables stay at 1; the compiled
+/// footprints read no architecture variable, so they evaluate
+/// bit-identically there for every architecture paired with `mapping`. One
+/// buffer serves every mapping of `gp`, since each call overwrites the same
+/// variables.
 pub fn tiling_assignment(
     gp: &thistle_model::GeneratedGp,
     mapping: &timeloop_lite::Mapping,

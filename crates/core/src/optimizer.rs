@@ -12,8 +12,7 @@
 
 use crate::convert::to_problem_spec;
 use crate::integerize::{
-    candidate_assignment, closest_powers_of_two, cross_product_capped, dim_candidates,
-    tiling_assignment, DimTiling,
+    closest_powers_of_two, cross_product_capped, dim_candidates, tiling_assignment, DimTiling,
 };
 use crate::ledger::FailureLedger;
 use crate::report::SolveReport;
@@ -90,9 +89,9 @@ pub struct DesignPoint {
     pub relaxed_objective: f64,
     /// Relaxed optimum of the winning solve, indexed by the winning GP's
     /// variable registry (regenerating the GP with the same workload,
-    /// permutations, objective, and mode reproduces that registry). Strictly
-    /// interior by construction, which makes it the warm-start donor for
-    /// near-miss solves. Empty when unknown (e.g. a transposed design).
+    /// permutations, objective, and mode reproduces that registry). A record
+    /// of the solve, not an input to any later one. Empty when unknown
+    /// (e.g. a transposed design).
     pub relaxed_point: thistle_expr::Assignment,
     /// PE-temporal permutation of the winning class.
     pub perm1: Vec<Dim>,
@@ -422,37 +421,28 @@ impl Optimizer {
         result
     }
 
-    /// Near-miss warm-start solve: optimizes `layer` by reusing `donor`, a
-    /// previously solved design point for the same layer shape at batch size
-    /// `donor_batch`.
+    /// Near-miss solve: optimizes `layer` from `donor`, a previously solved
+    /// design point for the same layer shape at another batch size.
     ///
     /// Instead of sweeping every permutation-class pair, only the donor's
-    /// winning pair is solved. Its GP is lowered *patched* against the
-    /// donor-batch GP — rows whose exponent patterns are unchanged reuse the
-    /// donor's CSR rows — and the barrier solver is warm-started from the
-    /// donor's integerized optimum projected onto the new equality manifold.
-    /// The returned report carries the reuse accounting
-    /// ([`SolveReport::rows_reused`], [`SolveReport::rows_relowered`]) and
-    /// the Newton-iteration saving relative to the donor's cold solve
+    /// winning pair is generated for `layer` and solved, with the same cold
+    /// solve the sweep gives each pair. The one solution is integerized and
+    /// referee-evaluated exactly like a sweep winner. The returned report
+    /// marks the route ([`SolveReport::warm_started`]) and the Newton
+    /// iterations saved relative to the donor's solve of the same pair
     /// ([`SolveReport::warm_newton_saved`]).
-    ///
-    /// Correctness does not depend on the donor: the warm attempt falls back
-    /// to the full cold recovery ladder on numerical failure, and the result
-    /// is integerized and referee-evaluated exactly like a sweep winner.
     ///
     /// # Errors
     ///
     /// Same surface as [`Optimizer::optimize_workload_deadline`]; a donor
     /// whose permutation pair cannot generate a GP for the new layer yields
     /// [`OptimizeError::AllSolvesFailed`].
-    #[allow(clippy::too_many_arguments)]
     pub fn optimize_layer_near_miss_deadline(
         &self,
         layer: &ConvLayer,
         objective: Objective,
         mode: &ArchMode,
         donor: &DesignPoint,
-        donor_batch: u64,
         deadline: &Deadline,
         ctx: &TraceCtx,
     ) -> Result<DesignPoint, OptimizeError> {
@@ -464,54 +454,24 @@ impl Optimizer {
             root.set("perm_pair", donor.perm_pair);
         }
 
-        let make_generator = |wl: Workload| {
-            ProblemGenerator::new(wl, self.tech.clone(), self.bandwidths.clone())
+        let gp =
+            ProblemGenerator::new(workload.clone(), self.tech.clone(), self.bandwidths.clone())
                 .with_register_cost(self.options.register_cost)
                 .with_spatial_stencils(self.options.spatial_stencils)
-        };
-        // The donor-batch GP supplies the prior lowering and the warm-start
-        // point; the new-batch GP is what actually gets solved.
-        let mut donor_layer = layer.clone();
-        donor_layer.batch = donor_batch;
-        let gen_prior = make_generator(donor_layer.workload())
-            .generate(&donor.perm1, &donor.perm3, objective, mode)
-            .map_err(|e| {
-                OptimizeError::AllSolvesFailed(format!("donor pair regeneration failed: {e}"))
-            })?;
-        let gen_new = make_generator(workload.clone())
-            .generate(&donor.perm1, &donor.perm3, objective, mode)
-            .map_err(|e| {
-                OptimizeError::AllSolvesFailed(format!("near-miss generation failed: {e}"))
-            })?;
-        // Prefer the donor's relaxed optimum: it is strictly interior, so
-        // the warm attempt skips phase I entirely. The integerized point is
-        // the fallback (it may sit on constraint boundaries, costing a
-        // phase-I run before the barrier opens).
-        let start = if donor.relaxed_point.is_empty() {
-            candidate_assignment(&gen_prior, &donor.arch, &donor.mapping)
-        } else {
-            donor.relaxed_point.clone()
-        };
-
-        let sol = gen_new
+                .generate(&donor.perm1, &donor.perm3, objective, mode)
+                .map_err(|e| {
+                    OptimizeError::AllSolvesFailed(format!("near-miss generation failed: {e}"))
+                })?;
+        let sol = gp
             .problem
-            .solve_warm(
-                &self.options.solve_options,
-                &gen_prior.problem,
-                &start,
-                deadline,
-                ctx,
-            )
+            .solve_cancellable(&self.options.solve_options, deadline, ctx)
             .map_err(|e| match e {
                 GpError::Cancelled => OptimizeError::Cancelled,
                 other => OptimizeError::AllSolvesFailed(other.to_string()),
             })?;
-        let warm = sol.warm;
         let newton = sol.newton_iterations;
         if root.enabled() {
-            root.set("warm_started", warm.warm_started);
-            root.set("rows_reused", warm.reuse.rows_reused as usize);
-            root.set("rows_relowered", warm.reuse.rows_relowered as usize);
+            root.set("warm_started", true);
             root.set("newton_iterations", newton);
         }
 
@@ -527,7 +487,7 @@ impl Optimizer {
         let solution = SweepSolution {
             objective: sol.objective,
             pair_index: donor.perm_pair,
-            gp: gen_new,
+            gp,
             point: sol.assignment,
             status: sol.status,
             newton_iterations: newton,
@@ -550,11 +510,9 @@ impl Optimizer {
             root.set("feasible", result.is_ok());
         }
         result.map(|mut point| {
-            point.report.warm_started = warm.warm_started;
-            point.report.rows_reused = warm.reuse.rows_reused;
-            point.report.rows_relowered = warm.reuse.rows_relowered;
-            // Saving relative to the donor's cold solve of the same pair;
-            // negative means the warm start did not help.
+            point.report.warm_started = true;
+            // Saving relative to the donor's solve of the same pair; negative
+            // when this solve worked harder.
             point.report.warm_newton_saved = donor.report.newton_iterations as i64 - newton as i64;
             point
         })
@@ -872,8 +830,8 @@ impl Optimizer {
 
     /// Integerizes and referee-evaluates a non-empty set of relaxed sweep
     /// solutions, returning the best surviving design point. Shared between
-    /// the full permutation sweep and the near-miss warm-start path (which
-    /// feeds exactly one solution).
+    /// the full permutation sweep and the near-miss route (which feeds
+    /// exactly one solution).
     ///
     /// Workers claim solutions off a shared counter, up to
     /// `options.threads` (one thread runs inline), and each solution yields
@@ -1650,10 +1608,7 @@ mod tests {
         // Fixed Eyeriss, and co-design at Eyeriss area (the Fig. 5 setting).
         let eyeriss = ArchMode::Fixed(ArchConfig::eyeriss());
         for mode in [eyeriss, ArchMode::CoDesign(same_area)] {
-            // Batch 2, not 1: an extent-1 batch generates no tiling
-            // variable, so a batch-1 donor is structurally different and
-            // nothing lowers patched (the solve still answers, just
-            // without reuse).
+            // Batch 2, not 1: the serve tier never routes a batch-1 donor.
             let donor_layer = ConvLayer::new("t", 2, 32, 32, 28, 28, 3, 3, 1);
             let donor = opt
                 .optimize_layer(&donor_layer, Objective::Energy, &mode)
@@ -1666,7 +1621,6 @@ mod tests {
                     Objective::Energy,
                     &mode,
                     &donor,
-                    2,
                     &Deadline::none(),
                     &TraceCtx::disabled(),
                 )
@@ -1677,20 +1631,31 @@ mod tests {
             assert_eq!(near.gp_solves, 1);
             assert_eq!(near.perm_pair, donor.perm_pair);
 
-            // Warm-start accounting is populated: the lowering reused the
-            // donor's exponent rows (batch only changes coefficients and
-            // the trip-count equality), and the warm solve beat the
-            // donor's cold solve of the same pair on Newton iterations.
+            // The near-miss is the sweep's solve of the donor's pair: a
+            // standalone solve of that pair's GP for the batch-4 layer gives
+            // the same relaxed objective and Newton count, bit for bit.
             assert!(near.report.warm_started, "{mode:?}");
-            assert!(near.report.rows_reused > 0, "report: {:?}", near.report);
-            assert_eq!(near.report.rows_relowered, 0, "{mode:?}");
-            assert!(
-                near.report.newton_iterations < donor.report.newton_iterations,
-                "{mode:?}: warm {} vs cold {}",
-                near.report.newton_iterations,
-                donor.report.newton_iterations,
+            let standalone = ProblemGenerator::new(
+                near_layer.workload(),
+                opt.tech.clone(),
+                opt.bandwidths.clone(),
+            )
+            .with_register_cost(opt.options.register_cost)
+            .with_spatial_stencils(opt.options.spatial_stencils)
+            .generate(&donor.perm1, &donor.perm3, Objective::Energy, &mode)
+            .unwrap()
+            .problem
+            .solve(&opt.options.solve_options)
+            .unwrap();
+            assert_eq!(
+                near.relaxed_objective.to_bits(),
+                standalone.objective.to_bits(),
+                "{mode:?}"
             );
-            assert!(near.report.warm_newton_saved > 0, "{mode:?}");
+            assert_eq!(
+                near.report.newton_iterations, standalone.newton_iterations,
+                "{mode:?}"
+            );
 
             // Quality: close to a full sweep on the batch-4 layer (the
             // donor's permutation pair stays competitive across batch

@@ -43,24 +43,19 @@ pub struct SolveReport {
     /// Expression-arena hash-consing counters from the winning problem's
     /// model build, when the generator stamped them.
     pub arena: Option<ArenaStats>,
-    /// Whether the winning solve was warm-started from a near-miss atlas
-    /// donor (see `Optimizer::optimize_layer_near_miss_deadline`).
+    /// Whether the design was answered by the near-miss route: only a
+    /// same-family donor's permutation pair was solved, not the whole sweep
+    /// (see `Optimizer::optimize_layer_near_miss_deadline`).
     pub warm_started: bool,
-    /// Newton iterations the warm start saved relative to the donor's
-    /// recorded cold solve (donor minus this solve; negative when the warm
-    /// solve worked harder).
+    /// Newton iterations of the donor's recorded solve of the same pair
+    /// minus this solve's (negative when this solve worked harder; 0 off
+    /// the near-miss route).
     pub warm_newton_saved: i64,
-    /// Lowered constraint rows reused verbatim from the donor's hash-consed
-    /// IR during the near-miss patch (0 for cold solves).
-    pub rows_reused: u64,
-    /// Lowered constraint rows actually re-lowered during the near-miss
-    /// patch (0 for cold solves).
-    pub rows_relowered: u64,
-    /// Distinct GP contents the sweep solved, one exact solve each (0 for a
-    /// near-miss warm start, which skips the sweep).
+    /// Distinct GP contents the sweep solved, one exact solve each (0 on
+    /// the near-miss route, which skips the sweep).
     pub batch_classes: u32,
     /// Permutation pairs that entered the sweep's deduplication: generated
-    /// and not failed at the solve gate (0 for a near-miss warm start).
+    /// and not failed at the solve gate (0 on the near-miss route).
     pub batch_members: u32,
 }
 

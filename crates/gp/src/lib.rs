@@ -50,8 +50,8 @@ mod transform;
 
 pub use deadline::Deadline;
 pub use problem::{content_fingerprint, GpProblem, SolveOptions};
-pub use solver::{GpError, RecoveryInfo, RecoveryRung, Solution, SolveStatus, WarmInfo};
-pub use transform::{LogSumExp, LoweringReuse, LseScratch, TransformedProblem};
+pub use solver::{GpError, RecoveryInfo, RecoveryRung, Solution, SolveStatus};
+pub use transform::{LogSumExp, LseScratch, TransformedProblem};
 
 #[cfg(test)]
 mod known_problems;

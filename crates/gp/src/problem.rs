@@ -1,9 +1,7 @@
 //! User-facing geometric program builder.
 
 use crate::deadline::Deadline;
-use crate::solver::{
-    solve_transformed, solve_transformed_warm, BarrierOptions, GpError, Solution, WarmInfo,
-};
+use crate::solver::{solve_transformed, BarrierOptions, GpError, Solution};
 use crate::transform::TransformedProblem;
 use thistle_expr::{ArenaStats, Assignment, Monomial, Posynomial, Var, VarRegistry};
 
@@ -29,17 +27,6 @@ impl Default for SolveOptions {
             newton_tolerance: 1e-10,
             max_newton_iterations: 80,
         }
-    }
-}
-
-/// The [`BarrierOptions`] a cold [`GpProblem::solve`] runs with for the given
-/// caller-facing options.
-fn cold_barrier_options(options: &SolveOptions) -> BarrierOptions {
-    BarrierOptions {
-        gap_tol: options.gap_tolerance,
-        newton_tol: options.newton_tolerance,
-        max_newton_per_center: options.max_newton_iterations,
-        ..BarrierOptions::default()
     }
 }
 
@@ -207,7 +194,12 @@ impl GpProblem {
             }
             tp
         };
-        let barrier_opts = cold_barrier_options(options);
+        let barrier_opts = BarrierOptions {
+            gap_tol: options.gap_tolerance,
+            newton_tol: options.newton_tolerance,
+            max_newton_per_center: options.max_newton_iterations,
+            ..BarrierOptions::default()
+        };
         let raw = solve_transformed(&tp, &barrier_opts, deadline)?;
         let xs = tp.to_gp_point(&raw.y);
         let assignment = Assignment::from_values(xs);
@@ -220,104 +212,12 @@ impl GpProblem {
             newton_per_center: raw.newton_per_center,
             gap_trajectory: raw.gap_trajectory,
             recovery: raw.recovery,
-            warm: WarmInfo::default(),
-        })
-    }
-
-    /// Solves this program warm-started from `start` — typically the
-    /// optimum of a structurally identical `prior` problem whose
-    /// coefficients differ (a near-miss: same workload shape class,
-    /// different batch or bounds).
-    ///
-    /// Two reuse mechanisms stack:
-    ///
-    /// 1. **Patched lowering** — the symbolic-to-CSR lowering copies
-    ///    `prior`'s exponent rows wherever the exponent pattern is
-    ///    unchanged, re-lowering only the rows that differ (counted in the
-    ///    returned [`WarmInfo`]).
-    /// 2. **Warm barrier start** — `ln(start)` is projected onto the new
-    ///    equality manifold; phase I is skipped when the projected point is
-    ///    already strictly feasible, and the barrier opens at an elevated
-    ///    `t`, skipping the outer iterations a near-optimal start does not
-    ///    need.
-    ///
-    /// The problem is convex, so the warm path converges to the same
-    /// optimum as [`GpProblem::solve`] at the same gap tolerance; on any
-    /// numerical trouble it silently falls back to the cold recovery
-    /// ladder ([`Solution::warm`] records which path produced the result).
-    pub fn solve_warm(
-        &self,
-        options: &SolveOptions,
-        prior: &GpProblem,
-        start: &Assignment,
-        deadline: &Deadline,
-        ctx: &thistle_obs::TraceCtx,
-    ) -> Result<Solution, GpError> {
-        let objective = self
-            .objective
-            .as_ref()
-            .ok_or_else(|| GpError::InvalidProblem("no objective set".into()))?;
-        let prior_objective = prior
-            .objective
-            .as_ref()
-            .ok_or_else(|| GpError::InvalidProblem("prior problem has no objective".into()))?;
-        let n = self.registry.len();
-        let (tp, reuse) = {
-            let mut span = ctx.span("expr_compile");
-            let tp_prior = TransformedProblem::new(
-                prior.registry.len(),
-                prior_objective,
-                &prior.inequalities,
-                &prior.equalities,
-            );
-            let (tp, reuse) = TransformedProblem::new_patched(
-                n,
-                objective,
-                &self.inequalities,
-                &self.equalities,
-                &tp_prior,
-            );
-            if span.enabled() {
-                span.set("vars", n);
-                span.set("inequalities", self.inequalities.len());
-                span.set("rows_reused", reuse.rows_reused as usize);
-                span.set("rows_relowered", reuse.rows_relowered as usize);
-            }
-            (tp, reuse)
-        };
-        let barrier_opts = cold_barrier_options(options);
-        let x0: Vec<f64> = (0..n).map(|i| start.get(Var::from_index(i))).collect();
-        let (raw, warm_used) = solve_transformed_warm(&tp, &barrier_opts, deadline, &x0)?;
-        let xs = tp.to_gp_point(&raw.y);
-        let assignment = Assignment::from_values(xs);
-        let objective_value = objective.eval(&assignment);
-        Ok(Solution {
-            assignment,
-            objective: objective_value,
-            status: raw.status,
-            newton_iterations: raw.newton_iterations,
-            newton_per_center: raw.newton_per_center,
-            gap_trajectory: raw.gap_trajectory,
-            recovery: raw.recovery,
-            warm: WarmInfo {
-                warm_started: warm_used,
-                reuse,
-            },
         })
     }
 
     /// [`GpProblem::solve`] under a `"barrier_solve"` trace span carrying the
     /// problem size, convergence status, Newton iteration count, and the
-    /// barrier duality-gap trajectory.
-    pub fn solve_traced(
-        &self,
-        options: &SolveOptions,
-        ctx: &thistle_obs::TraceCtx,
-    ) -> Result<Solution, GpError> {
-        self.solve_cancellable(options, &Deadline::none(), ctx)
-    }
-
-    /// [`GpProblem::solve_traced`] with cooperative cancellation: the
+    /// barrier duality-gap trajectory, with cooperative cancellation: the
     /// barrier loop polls `deadline` every Newton iteration and returns
     /// [`GpError::Cancelled`] once it expires, so an abandoned solve frees
     /// its thread within one iteration.
@@ -510,90 +410,6 @@ mod tests {
         let sol = prob.solve(&SolveOptions::default()).unwrap();
         assert!((sol.assignment.get(x) - 3.0).abs() < 1e-4);
         assert!(prob.constraint_violation(&sol.assignment) < 1e-6);
-    }
-
-    /// min x + y s.t. x*y >= target, with box bounds on both variables.
-    fn bounded_problem(target: f64) -> (GpProblem, Var, Var) {
-        let mut reg = VarRegistry::new();
-        let x = reg.var("x");
-        let y = reg.var("y");
-        let mut prob = GpProblem::new(reg);
-        prob.set_objective(Posynomial::from_var(x) + Posynomial::from_var(y));
-        prob.add_le(
-            Posynomial::from(Monomial::new(target, [(x, -1.0), (y, -1.0)])),
-            Monomial::one(),
-        );
-        prob.add_bounds(x, 0.1, 100.0);
-        prob.add_bounds(y, 0.1, 100.0);
-        (prob, x, y)
-    }
-
-    #[test]
-    fn warm_start_matches_cold_with_fewer_newton_iterations() {
-        // Near-miss scenario: problem B differs from A only in the
-        // constraint coefficient (16 -> 18). Warm-start B from A's optimum
-        // and compare against B's cold solve.
-        let opts = SolveOptions {
-            gap_tolerance: 1e-11,
-            ..SolveOptions::default()
-        };
-        let (prior, _, _) = bounded_problem(16.0);
-        let donor = prior.solve(&opts).unwrap();
-        let (near, _, _) = bounded_problem(18.0);
-        let cold = near.solve(&opts).unwrap();
-        let warm = near
-            .solve_warm(
-                &opts,
-                &prior,
-                &donor.assignment,
-                &Deadline::none(),
-                &thistle_obs::TraceCtx::disabled(),
-            )
-            .unwrap();
-        assert!(warm.warm.warm_started, "warm path should engage");
-        // Every CSR row is structurally unchanged between A and B.
-        assert!(warm.warm.reuse.rows_reused > 0);
-        assert_eq!(warm.warm.reuse.rows_relowered, 0);
-        // Same optimum (convexity), within 1e-9 relative.
-        let scale = 1.0 + cold.objective.abs();
-        assert!(
-            (warm.objective - cold.objective).abs() < 1e-9 * scale,
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
-        assert!(
-            warm.newton_iterations < cold.newton_iterations,
-            "warm {} >= cold {}",
-            warm.newton_iterations,
-            cold.newton_iterations
-        );
-        assert!(near.constraint_violation(&warm.assignment) < 1e-6);
-    }
-
-    #[test]
-    fn warm_start_from_bad_point_falls_back_to_cold() {
-        let opts = SolveOptions::default();
-        let (prior, _, _) = bounded_problem(16.0);
-        let (near, _, _) = bounded_problem(18.0);
-        // A start point far outside the feasible region (violates x <= 100).
-        let mut start = Assignment::ones(2);
-        start.set(Var::from_index(0), 1e6);
-        start.set(Var::from_index(1), 1e6);
-        let cold = near.solve(&opts).unwrap();
-        let warm = near
-            .solve_warm(
-                &opts,
-                &prior,
-                &start,
-                &Deadline::none(),
-                &thistle_obs::TraceCtx::disabled(),
-            )
-            .unwrap();
-        // Whether phase I rescued it or the cold ladder did, the optimum is
-        // the same.
-        let scale = 1.0 + cold.objective.abs();
-        assert!((warm.objective - cold.objective).abs() < 1e-6 * scale);
     }
 
     #[test]

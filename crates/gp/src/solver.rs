@@ -14,7 +14,7 @@
 
 use crate::deadline::Deadline;
 use crate::linalg::{axpy, dot, norm2, Matrix};
-use crate::transform::{LogSumExp, LoweringReuse, LseScratch, TransformedProblem};
+use crate::transform::{LogSumExp, LseScratch, TransformedProblem};
 use std::fmt;
 use thistle_expr::Assignment;
 
@@ -107,18 +107,6 @@ pub struct RecoveryInfo {
     pub recovered_by: Option<RecoveryRung>,
 }
 
-/// Warm-start accounting for a [`Solution`] (all zeros on cold solves).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmInfo {
-    /// Whether the warm path actually ran. `false` on cold solves and on
-    /// warm requests that fell back to the cold ladder (bad start point,
-    /// numerical trouble on the warm attempt).
-    pub warm_started: bool,
-    /// CSR rows reused vs re-lowered by the patched lowering, when the
-    /// solve went through [`crate::GpProblem::solve_warm`].
-    pub reuse: LoweringReuse,
-}
-
 /// The result of solving a GP: variable values (in the original, positive
 /// space), objective value, and convergence data.
 #[derive(Debug, Clone)]
@@ -142,8 +130,6 @@ pub struct Solution {
     /// How many attempts the recovery ladder spent and which rung (if any)
     /// produced this solution.
     pub recovery: RecoveryInfo,
-    /// Warm-start accounting (all zeros for cold solves).
-    pub warm: WarmInfo,
 }
 
 /// Internal tuning knobs for the barrier method.
@@ -158,12 +144,6 @@ pub(crate) struct BarrierOptions {
     /// raises it; the default is small enough to leave healthy solves
     /// bit-identical to an unregularized run.
     pub base_ridge: f64,
-    /// Newton budget for *intermediate* centering steps (the final centering
-    /// always gets the full `max_newton_per_center`). Path-following does
-    /// not require exact intermediate centering — a roughly centered point
-    /// tracks the path fine — so warm runs cap the crawl; `None` (cold
-    /// solves) centers every step to `newton_tol`.
-    pub inexact_cap: Option<usize>,
 }
 
 impl Default for BarrierOptions {
@@ -175,7 +155,6 @@ impl Default for BarrierOptions {
             max_centering_steps: 60,
             mu: 20.0,
             base_ridge: 1e-10,
-            inexact_cap: None,
         }
     }
 }
@@ -186,30 +165,6 @@ const LADDER_RIDGE: f64 = 1e-6;
 const LADDER_RELAX: f64 = 1e4;
 /// Log-space amplitude of the [`RecoveryRung::PerturbedRestart`] offset.
 const LADDER_PERTURB: f64 = 0.25;
-/// Initial duality-gap target for warm-started barrier runs: the first
-/// centering step opens at `t0 = m / WARM_GAP_START` instead of `t = 1`,
-/// skipping the early outer iterations a near-optimal start point does not
-/// need.
-const WARM_GAP_START: f64 = 5e-1;
-/// Fault/perturbation key for the warm attempt, disjoint from the cold
-/// ladder's attempt indices 0..=3.
-const WARM_FAULT_KEY: u64 = 4;
-/// Newton budget per *intermediate* centering on warm runs (see
-/// [`BarrierOptions::inexact_cap`]); the final centering is never capped.
-const WARM_INEXACT_CAP: usize = 6;
-/// Slack-variable start margin for a *warm* phase I. The cold path starts
-/// at `s0 = worst + 1.0` because its start point can be arbitrarily bad; a
-/// warm start's violation is small, and a tight margin keeps the phase-I
-/// descent short.
-const WARM_PHASE1_MARGIN: f64 = 0.05;
-/// Initial barrier `t` for a *warm* phase I: weighting the slack objective
-/// heavily makes phase I dive straight for feasibility with minimal drift
-/// from the donor point, instead of re-centering toward the analytic
-/// center like the cold path's `t = 1` start.
-const WARM_PHASE1_T0: f64 = 100.0;
-/// Interior margin the warm-start repair pass restores on violated
-/// inequalities (in log-space constraint value).
-const WARM_REPAIR_MARGIN: f64 = 1e-4;
 
 pub(crate) struct RawSolution {
     pub y: Vec<f64>,
@@ -285,249 +240,6 @@ pub(crate) fn solve_transformed(
     )))
 }
 
-/// Solves the transformed problem warm-started from the GP-space point
-/// `x0` (typically the optimum of a structurally identical prior problem).
-/// Returns the solution plus whether the warm path actually produced it.
-///
-/// The warm attempt projects `ln(x0)` onto the new equality manifold via a
-/// min-norm correction, skips phase I when the projected point is already
-/// strictly feasible, and opens the barrier at an elevated `t`. Numerical
-/// trouble on the warm attempt falls back to the full cold ladder, so the
-/// returned point matches a cold solve up to solver tolerance either way
-/// (the problem is convex: both paths converge to the same optimum).
-pub(crate) fn solve_transformed_warm(
-    tp: &TransformedProblem,
-    opts: &BarrierOptions,
-    deadline: &Deadline,
-    x0: &[f64],
-) -> Result<(RawSolution, bool), GpError> {
-    match warm_attempt(tp, opts, deadline, x0) {
-        Ok(mut raw) => {
-            raw.recovery = RecoveryInfo {
-                attempts: 1,
-                recovered_by: None,
-            };
-            Ok((raw, true))
-        }
-        // An `Infeasible` from the warm attempt is as untrustworthy as
-        // numerical trouble: the aggressive warm phase I can stall on a
-        // feasible problem, and the heuristic projection can drift off the
-        // equality manifold. Only the cold path's verdicts are
-        // authoritative, so both fall back to it.
-        Err(GpError::NumericalFailure(_)) | Err(GpError::Infeasible) => {
-            solve_transformed(tp, opts, deadline).map(|raw| (raw, false))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn warm_attempt(
-    tp: &TransformedProblem,
-    opts: &BarrierOptions,
-    deadline: &Deadline,
-    x0: &[f64],
-) -> Result<RawSolution, GpError> {
-    let n = tp.n;
-    if x0.len() != n {
-        return Err(GpError::NumericalFailure(format!(
-            "warm point has dimension {} but the problem has {n} variables",
-            x0.len()
-        )));
-    }
-    let mut y0: Vec<f64> = x0.iter().map(|&x| x.ln()).collect();
-    if y0.iter().any(|v| !v.is_finite()) {
-        return Err(GpError::NumericalFailure(
-            "warm point is not strictly positive and finite".into(),
-        ));
-    }
-
-    // Project onto the equality manifold: the near-miss changed right-hand
-    // sides (e.g. the batch trip-count product), so the donor optimum sits
-    // off the new manifold by exactly that delta. Any `d` with
-    // `A d = A y0 - b` restores the equalities; a plain min-norm `d` spreads
-    // the delta uniformly, which perturbs tile variables sitting in tight
-    // footprint constraints and wrecks the donor's feasibility margins.
-    // Instead minimize `sum((s_j d_j)^2)` where `s_j` grows with variable
-    // j's total inequality sensitivity at the donor point: the correction
-    // flows into directions the constraints barely see (outer trip counts),
-    // keeping the donor's margins nearly intact.
-    let meq = tp.eq_matrix.rows();
-    let m = tp.inequalities.len();
-
-    // Sensitivity weight per variable: 1 + total |gradient| over every
-    // inequality at the donor point. Cheap directions (outer trip counts,
-    // the delay variable) get small weights; tile variables buried in tight
-    // footprint constraints get large ones.
-    let sens: Vec<f64> = {
-        let mut sens = vec![1.0f64; n];
-        let mut scratch = LseScratch::default();
-        let mut gi = vec![0.0; n];
-        for f in &tp.inequalities {
-            f.eval_into(&y0, &mut gi, None, &mut scratch);
-            for (s, g) in sens.iter_mut().zip(&gi) {
-                *s += g.abs();
-            }
-        }
-        sens
-    };
-    // Minimal sensitivity-weighted step satisfying the linear system
-    // `rows * d = rhs`: substituting `u_j = s_j d_j` turns the weighted
-    // min-norm problem into a plain one on the column-scaled matrix.
-    let weighted_step = |rows: &Matrix, rhs: &[f64]| -> Result<Vec<f64>, GpError> {
-        let k = rows.rows();
-        let mut scaled = Matrix::zeros(k, n);
-        for i in 0..k {
-            for j in 0..n {
-                scaled[(i, j)] = rows[(i, j)] / sens[j];
-            }
-        }
-        let u = scaled
-            .min_norm_solution(rhs)
-            .map_err(|e| GpError::NumericalFailure(format!("warm projection: {e}")))?;
-        Ok(u.iter().zip(&sens).map(|(uv, s)| uv / s).collect())
-    };
-
-    if meq > 0 {
-        let r = axpy(&tp.eq_matrix.matvec(&y0), -1.0, &tp.eq_rhs);
-        let d = weighted_step(&tp.eq_matrix, &r)?;
-        for (yv, dv) in y0.iter_mut().zip(&d) {
-            *yv -= dv;
-        }
-    }
-
-    // Repair pass: the projection restores the equalities but cannot touch
-    // variables outside every equality row (e.g. the delay variable, whose
-    // bandwidth constraints scale with the changed workload). Linearize the
-    // violated and knife-edge inequalities and take the smallest weighted
-    // step that restores an interior margin while staying on the equality
-    // manifold (`A d = 0`). Convexity makes the linearization an
-    // underestimate of the repair, hence the few-pass loop; any residual
-    // violation falls through to the warm phase I below.
-    if m > 0 {
-        let mut scratch = LseScratch::default();
-        let mut gi = vec![0.0; n];
-        for _pass in 0..8 {
-            let mut rows: Vec<(Vec<f64>, f64)> = Vec::new();
-            // Only genuine violations enter the repair set: constraints
-            // merely tight at the donor optimum are *supposed* to be tight
-            // (complementarity), and demanding fresh margin on all of them
-            // would force a large, ill-conditioned step away from the
-            // optimum. The sensitivity weights keep the repair step out of
-            // their variables instead.
-            for f in &tp.inequalities {
-                let v = f.eval_into(&y0, &mut gi, None, &mut scratch);
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(v < -1e-9) {
-                    rows.push((gi.clone(), -(v + WARM_REPAIR_MARGIN)));
-                }
-            }
-            if rows.is_empty() {
-                break;
-            }
-            let mut stacked = Matrix::zeros(meq + rows.len(), n);
-            let mut rhs = vec![0.0; meq + rows.len()];
-            for i in 0..meq {
-                for j in 0..n {
-                    stacked[(i, j)] = tp.eq_matrix[(i, j)];
-                }
-            }
-            for (i, (grad, target)) in rows.iter().enumerate() {
-                for j in 0..n {
-                    stacked[(meq + i, j)] = grad[j];
-                }
-                rhs[meq + i] = *target;
-            }
-            // A rank-deficient stack (parallel gradients) is not fatal:
-            // stop repairing and let phase I finish the job.
-            let Ok(d) = weighted_step(&stacked, &rhs) else {
-                break;
-            };
-            for (yv, dv) in y0.iter_mut().zip(&d) {
-                *yv += dv;
-            }
-        }
-    }
-
-    if meq > 0 {
-        let r2 = axpy(&tp.eq_matrix.matvec(&y0), -1.0, &tp.eq_rhs);
-        if norm2(&r2) > 1e-6 * (1.0 + norm2(&tp.eq_rhs)) {
-            return Err(GpError::Infeasible);
-        }
-    }
-
-    let mut total_newton = 0;
-    if m > 0 {
-        let worst = tp
-            .inequalities
-            .iter()
-            .map(|f| f.value(&y0))
-            .fold(f64::NEG_INFINITY, f64::max);
-        // A barrier optimum hugs its active constraints by less than the
-        // cold path's -1e-6 interior margin, so a projected donor point is
-        // routinely within 1e-6 of a boundary — and that is fine: the
-        // centering backtracker keeps iterates strictly feasible from any
-        // strictly feasible start. Only a genuine violation needs phase I,
-        // and then a *warm* one: a tight slack margin and an elevated `t`
-        // make it dive for feasibility instead of re-centering toward the
-        // analytic center (which would throw away the donor's proximity).
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(worst < -1e-9) {
-            let (y_feas, iters) = phase_one(
-                tp,
-                &y0,
-                worst,
-                WARM_PHASE1_MARGIN,
-                WARM_PHASE1_T0,
-                opts,
-                deadline,
-                WARM_FAULT_KEY,
-            )?;
-            total_newton += iters;
-            y0 = y_feas;
-        }
-    }
-
-    // Open the barrier part-way down the central path instead of at `t = 1`:
-    // the donor's relaxed optimum is already near the new optimum, so the
-    // early wide-gap centerings a cold solve needs are wasted work. Entering
-    // too tight backfires, though — the donor point hugs the active
-    // constraints, and a tight barrier makes the first centering fight its
-    // way outward — so `WARM_GAP_START` is deliberately moderate. The raw
-    // `t0` is then snapped onto the grid `t_final / mu^j`, where `t_final`
-    // is the last `t` a cold solve would center at: otherwise the warm run
-    // can overshoot the gap tolerance by most of a `mu` factor and spend its
-    // final centering at a much stiffer barrier than cold ever faces.
-    // A near-optimal start also tolerates a more aggressive barrier
-    // schedule: with most of the path already behind it, the damped Newton
-    // phase after each `t`-jump is short, so fewer/longer outer steps win.
-    // Squaring `mu` keeps the warm grid a subset of the cold grid.
-    let wopts = BarrierOptions {
-        mu: opts.mu * opts.mu,
-        inexact_cap: Some(WARM_INEXACT_CAP),
-        ..opts.clone()
-    };
-    let t0 = warm_t0(m, opts, wopts.mu);
-    let run = barrier_from(
-        &tp.objective,
-        &tp.inequalities,
-        &tp.eq_matrix,
-        &y0,
-        t0,
-        &wopts,
-        deadline,
-        WARM_FAULT_KEY,
-    )?;
-    total_newton += run.newton_iterations;
-    Ok(RawSolution {
-        y: run.y,
-        status: run.status,
-        newton_iterations: total_newton,
-        newton_per_center: run.newton_per_center,
-        gap_trajectory: run.gaps,
-        recovery: RecoveryInfo::default(),
-    })
-}
-
 /// One pass of the phase-I / phase-II pipeline. `attempt` keys the fault
 /// sites (and the perturbation pattern) so injected failures replay exactly.
 fn solve_attempt(
@@ -593,7 +305,7 @@ fn solve_attempt(
         // also route through phase one.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         if !(worst < -1e-6) {
-            let (y_feas, iters) = phase_one(tp, &y0, worst, 1.0, 1.0, opts, deadline, attempt)?;
+            let (y_feas, iters) = phase_one(tp, &y0, worst, opts, deadline, attempt)?;
             total_newton += iters;
             y0 = y_feas;
         }
@@ -605,6 +317,7 @@ fn solve_attempt(
         &tp.eq_matrix,
         &y0,
         opts,
+        None,
         deadline,
         attempt,
     )?;
@@ -619,23 +332,6 @@ fn solve_attempt(
     })
 }
 
-/// The warm-start initial barrier weight: `m / WARM_GAP_START`, snapped down
-/// onto the grid `t_final / warm_mu^j` so the warm schedule's last centering
-/// lands on the same final `t` a cold solve reaches (see the comment in
-/// [`warm_attempt`]).
-fn warm_t0(m: usize, cold: &BarrierOptions, warm_mu: f64) -> f64 {
-    if m == 0 {
-        return 1.0;
-    }
-    let raw = (m as f64 / WARM_GAP_START).max(1.0);
-    let lmu_cold = cold.mu.ln();
-    let k_final = ((m as f64 / cold.gap_tol).ln() / lmu_cold).ceil().max(0.0);
-    let t_final = cold.mu.powf(k_final);
-    let lmu = warm_mu.ln();
-    let j = ((t_final / raw).ln() / lmu).floor().max(0.0);
-    (t_final / warm_mu.powf(j)).max(1.0)
-}
-
 /// Maps `(attempt, index)` to a deterministic value in `[-1, 1)` via a
 /// splitmix64-style avalanche — replayable, thread-independent, and free of
 /// shared state.
@@ -647,19 +343,13 @@ fn unit_hash(attempt: u64, index: u64) -> f64 {
     2.0 * ((z >> 11) as f64 / (1u64 << 53) as f64) - 1.0
 }
 
-/// Phase I: find strictly feasible `y` or certify infeasibility.
-///
-/// `s_margin` sets the slack start `s0 = worst + s_margin` and `t0` the
-/// initial barrier weight on the slack objective; the cold path uses
-/// `(1.0, 1.0)`, warm starts use tighter/heavier settings (see
-/// [`WARM_PHASE1_MARGIN`], [`WARM_PHASE1_T0`]).
-#[allow(clippy::too_many_arguments)]
+/// Phase I: find strictly feasible `y` or certify infeasibility. The slack
+/// starts at `s0 = worst + 1`, strictly above every constraint value at
+/// `y0`.
 fn phase_one(
     tp: &TransformedProblem,
     y0: &[f64],
     worst: f64,
-    s_margin: f64,
-    t0: f64,
     opts: &BarrierOptions,
     deadline: &Deadline,
     fault_key: u64,
@@ -680,16 +370,15 @@ fn phase_one(
         }
     }
     let mut z0 = y0.to_vec();
-    z0.push(worst + s_margin);
+    z0.push(worst + 1.0);
 
     let mut phase_opts = opts.clone();
     phase_opts.gap_tol = 1e-6;
-    let run = barrier_with_early_exit(
+    let run = barrier(
         &objective,
         &ineqs,
         &eq,
         &z0,
-        t0,
         &phase_opts,
         Some(-1e-4), // stop as soon as s is comfortably negative
         deadline,
@@ -702,49 +391,16 @@ fn phase_one(
     Ok((run.y[..n].to_vec(), run.newton_iterations))
 }
 
+/// The barrier loop, opened at `t = 1`. If `exit_below` is set, returns as
+/// soon as the objective value drops below it (used by phase I). The
+/// returned [`BarrierRun`] carries the Newton count of every centering step
+/// and the duality-gap bound `m / t` after each one.
 #[allow(clippy::too_many_arguments)]
 fn barrier(
     objective: &LogSumExp,
     ineqs: &[LogSumExp],
     eq: &Matrix,
     y0: &[f64],
-    opts: &BarrierOptions,
-    deadline: &Deadline,
-    fault_key: u64,
-) -> Result<BarrierRun, GpError> {
-    barrier_with_early_exit(
-        objective, ineqs, eq, y0, 1.0, opts, None, deadline, fault_key,
-    )
-}
-
-/// [`barrier`] opened at an elevated initial `t0` (warm starts).
-#[allow(clippy::too_many_arguments)]
-fn barrier_from(
-    objective: &LogSumExp,
-    ineqs: &[LogSumExp],
-    eq: &Matrix,
-    y0: &[f64],
-    t0: f64,
-    opts: &BarrierOptions,
-    deadline: &Deadline,
-    fault_key: u64,
-) -> Result<BarrierRun, GpError> {
-    barrier_with_early_exit(
-        objective, ineqs, eq, y0, t0, opts, None, deadline, fault_key,
-    )
-}
-
-/// The barrier loop. If `exit_below` is set, returns as soon as the
-/// objective value drops below it (used by phase I). The returned
-/// [`BarrierRun`] carries the Newton count of every centering step and the
-/// duality-gap bound `m / t` after each one.
-#[allow(clippy::too_many_arguments)]
-fn barrier_with_early_exit(
-    objective: &LogSumExp,
-    ineqs: &[LogSumExp],
-    eq: &Matrix,
-    y0: &[f64],
-    t0: f64,
     opts: &BarrierOptions,
     exit_below: Option<f64>,
     deadline: &Deadline,
@@ -753,7 +409,7 @@ fn barrier_with_early_exit(
     let m = ineqs.len();
     let mut y = y0.to_vec();
     let mut total_iters = 0;
-    let mut t = t0;
+    let mut t = 1.0;
     let mut status = SolveStatus::Optimal;
     let mut gaps = Vec::new();
     let mut per_center: Vec<u32> = Vec::new();
@@ -774,20 +430,7 @@ fn barrier_with_early_exit(
                 "injected divergence in barrier loop".into(),
             ));
         }
-        // The final centering (the one that takes `m/t` under `gap_tol`) is
-        // known before centering, since the gap bound depends only on `t`.
-        let is_final = m == 0 || (m as f64) / t < opts.gap_tol;
-        let step_opts = match opts.inexact_cap {
-            Some(cap) if !is_final => {
-                let mut o = opts.clone();
-                o.max_newton_per_center = cap.min(opts.max_newton_per_center);
-                o
-            }
-            _ => opts.clone(),
-        };
-        let iters = center(
-            objective, ineqs, eq, &mut y, t, &step_opts, deadline, fault_key,
-        )?;
+        let iters = center(objective, ineqs, eq, &mut y, t, opts, deadline, fault_key)?;
         total_iters += iters;
         per_center.push(iters as u32);
         if m > 0 {

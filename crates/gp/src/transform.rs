@@ -47,25 +47,6 @@ pub struct LogSumExp {
     n: usize,
 }
 
-/// Counts of CSR exponent rows reused from a prior lowering versus rebuilt
-/// by [`LogSumExp::from_posynomial_patched`].
-///
-/// A near-miss query (same workload shape class, different batch or bounds)
-/// changes *coefficients* — trip-count totals, capacity right-hand sides —
-/// but not which variables each monomial mentions or with what exponents.
-/// Because monomials are canonicalized (and, in the generators, hash-consed
-/// through the expression arena), an unchanged exponent row is bitwise
-/// identical between the two lowerings, so the patched path copies it
-/// verbatim and only re-lowers the rows that actually changed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoweringReuse {
-    /// CSR exponent rows copied verbatim from the prior lowering.
-    pub rows_reused: u64,
-    /// Rows lowered fresh: the exponent pattern changed, or the term had no
-    /// prior counterpart.
-    pub rows_relowered: u64,
-}
-
 /// Reusable per-term buffers for [`LogSumExp`] evaluation, so the Newton
 /// loop evaluates every constraint without allocating.
 #[derive(Debug, Clone, Default)]
@@ -93,69 +74,6 @@ impl LogSumExp {
                 );
                 cols.push(v.index() as u32);
                 vals.push(a);
-            }
-            row_ptr.push(cols.len() as u32);
-            offsets.push((c * m.coeff()).ln());
-        }
-        Self::assemble(row_ptr, cols, vals, offsets, n)
-    }
-
-    /// Lowers `p` like [`LogSumExp::from_posynomial`], but copies the CSR
-    /// exponent row of `prior` for every term whose exponent pattern is
-    /// unchanged, counting reused vs re-lowered rows into `reuse`. Offsets
-    /// (`log c_k`) are always recomputed — they are one `ln` per term and
-    /// they are exactly what a near-miss changes.
-    ///
-    /// The result is identical to a fresh lowering; only the row provenance
-    /// (and the accounting) differs.
-    pub fn from_posynomial_patched(
-        p: &Posynomial,
-        n: usize,
-        prior: &LogSumExp,
-        reuse: &mut LoweringReuse,
-    ) -> Self {
-        if prior.n != n {
-            // Different variable space: nothing is reusable.
-            let fresh = Self::from_posynomial(p, n);
-            reuse.rows_relowered += fresh.num_terms() as u64;
-            return fresh;
-        }
-        let mut row_ptr = vec![0u32];
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        let mut offsets = Vec::with_capacity(p.num_terms());
-        for (k, (c, m)) in p.terms().enumerate() {
-            let prior_row = (k < prior.num_terms()).then(|| prior.row(k));
-            let unchanged = prior_row.is_some_and(|(pc, pv)| {
-                let mut matched = 0usize;
-                for (v, a) in m.powers() {
-                    let j = matched;
-                    if j >= pc.len()
-                        || pc[j] as usize != v.index()
-                        || pv[j].to_bits() != a.to_bits()
-                    {
-                        return false;
-                    }
-                    matched += 1;
-                }
-                matched == pc.len()
-            });
-            if unchanged {
-                let (pc, pv) = prior_row.expect("checked above");
-                cols.extend_from_slice(pc);
-                vals.extend_from_slice(pv);
-                reuse.rows_reused += 1;
-            } else {
-                for (v, a) in m.powers() {
-                    assert!(
-                        v.index() < n,
-                        "monomial references variable {} outside problem dimension {n}",
-                        v.index()
-                    );
-                    cols.push(v.index() as u32);
-                    vals.push(a);
-                }
-                reuse.rows_relowered += 1;
             }
             row_ptr.push(cols.len() as u32);
             offsets.push((c * m.coeff()).ln());
@@ -376,60 +294,6 @@ impl TransformedProblem {
             .iter()
             .map(|g| LogSumExp::from_posynomial(g, n))
             .collect();
-        let (eq_matrix, eq_rhs) = Self::lower_equalities(n, equalities);
-        TransformedProblem {
-            objective,
-            inequalities: ineqs,
-            eq_matrix,
-            eq_rhs,
-            n,
-        }
-    }
-
-    /// [`TransformedProblem::new`] reusing `prior`'s CSR rows wherever the
-    /// exponent structure is unchanged (constraints are matched by
-    /// position, which is stable across near-miss regenerations of the same
-    /// model). Returns the lowered problem plus the reuse accounting.
-    ///
-    /// Equality rows are always rebuilt: they are dense, one row per
-    /// monomial equality, and their right-hand sides are exactly where a
-    /// near-miss differs.
-    pub fn new_patched(
-        n: usize,
-        objective: &Posynomial,
-        inequalities: &[Posynomial],
-        equalities: &[Monomial],
-        prior: &TransformedProblem,
-    ) -> (Self, LoweringReuse) {
-        let mut reuse = LoweringReuse::default();
-        let objective =
-            LogSumExp::from_posynomial_patched(objective, n, &prior.objective, &mut reuse);
-        let ineqs = inequalities
-            .iter()
-            .enumerate()
-            .map(|(i, g)| match prior.inequalities.get(i) {
-                Some(p) => LogSumExp::from_posynomial_patched(g, n, p, &mut reuse),
-                None => {
-                    let fresh = LogSumExp::from_posynomial(g, n);
-                    reuse.rows_relowered += fresh.num_terms() as u64;
-                    fresh
-                }
-            })
-            .collect();
-        let (eq_matrix, eq_rhs) = Self::lower_equalities(n, equalities);
-        (
-            TransformedProblem {
-                objective,
-                inequalities: ineqs,
-                eq_matrix,
-                eq_rhs,
-                n,
-            },
-            reuse,
-        )
-    }
-
-    fn lower_equalities(n: usize, equalities: &[Monomial]) -> (Matrix, Vec<f64>) {
         let mut eq_matrix = Matrix::zeros(equalities.len(), n);
         let mut eq_rhs = vec![0.0; equalities.len()];
         for (i, m) in equalities.iter().enumerate() {
@@ -444,7 +308,13 @@ impl TransformedProblem {
             // a^T y + log c = 0  =>  a^T y = -log c
             eq_rhs[i] = -m.coeff().ln();
         }
-        (eq_matrix, eq_rhs)
+        TransformedProblem {
+            objective,
+            inequalities: ineqs,
+            eq_matrix,
+            eq_rhs,
+            n,
+        }
     }
 
     /// Maps a log-space point back to GP variable values `x = exp(y)`.
@@ -626,84 +496,6 @@ mod tests {
         let y = [0.3, -0.7];
         let z = [0.3, -0.7, 2.0];
         assert!((ext.value(&z) - (lse.value(&y) - 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn patched_lowering_reuses_unchanged_rows() {
-        let (f, n) = sample_posy();
-        let prior = LogSumExp::from_posynomial(&f, n);
-        let mut reuse = LoweringReuse::default();
-        let patched = LogSumExp::from_posynomial_patched(&f, n, &prior, &mut reuse);
-        assert_eq!(patched, prior);
-        assert_eq!(reuse.rows_reused, 2);
-        assert_eq!(reuse.rows_relowered, 0);
-    }
-
-    #[test]
-    fn coefficient_change_still_reuses_exponent_rows() {
-        // Near-miss shape: same exponent structure, different coefficient.
-        let mut reg = VarRegistry::new();
-        let x = reg.var("x");
-        let y = reg.var("y");
-        let f1 = Posynomial::from(Monomial::new(2.0, [(x, 1.0), (y, 2.0)]))
-            + Posynomial::from(Monomial::new(3.0, [(x, -1.0)]));
-        let f2 = Posynomial::from(Monomial::new(5.0, [(x, 1.0), (y, 2.0)]))
-            + Posynomial::from(Monomial::new(3.0, [(x, -1.0)]));
-        let prior = LogSumExp::from_posynomial(&f1, 2);
-        let mut reuse = LoweringReuse::default();
-        let patched = LogSumExp::from_posynomial_patched(&f2, 2, &prior, &mut reuse);
-        assert_eq!(reuse.rows_reused, 2);
-        assert_eq!(reuse.rows_relowered, 0);
-        // Bit-identical to a fresh lowering of f2 (offsets recomputed).
-        assert_eq!(patched, LogSumExp::from_posynomial(&f2, 2));
-    }
-
-    #[test]
-    fn exponent_change_relowers_only_that_row() {
-        let mut reg = VarRegistry::new();
-        let x = reg.var("x");
-        let y = reg.var("y");
-        let f1 = Posynomial::from(Monomial::new(2.0, [(x, 1.0), (y, 2.0)]))
-            + Posynomial::from(Monomial::new(3.0, [(x, -1.0)]));
-        let f2 = Posynomial::from(Monomial::new(2.0, [(x, 1.0), (y, 3.0)]))
-            + Posynomial::from(Monomial::new(3.0, [(x, -1.0)]));
-        let prior = LogSumExp::from_posynomial(&f1, 2);
-        let mut reuse = LoweringReuse::default();
-        let patched = LogSumExp::from_posynomial_patched(&f2, 2, &prior, &mut reuse);
-        assert_eq!(reuse.rows_reused, 1);
-        assert_eq!(reuse.rows_relowered, 1);
-        assert_eq!(patched, LogSumExp::from_posynomial(&f2, 2));
-    }
-
-    #[test]
-    fn patched_problem_matches_fresh_lowering() {
-        let mut reg = VarRegistry::new();
-        let x = reg.var("x");
-        let y = reg.var("y");
-        let obj = Posynomial::from_var(x) + Posynomial::from_var(y);
-        let ineq = Posynomial::from(Monomial::new(16.0, [(x, -1.0), (y, -1.0)]));
-        let eq = Monomial::new(1.0 / 4.0, [(x, 1.0)]);
-        let prior = TransformedProblem::new(
-            2,
-            &obj,
-            std::slice::from_ref(&ineq),
-            std::slice::from_ref(&eq),
-        );
-        // Near-miss: the inequality coefficient changes (16 -> 18).
-        let ineq2 = Posynomial::from(Monomial::new(18.0, [(x, -1.0), (y, -1.0)]));
-        let (tp, reuse) = TransformedProblem::new_patched(
-            2,
-            &obj,
-            std::slice::from_ref(&ineq2),
-            std::slice::from_ref(&eq),
-            &prior,
-        );
-        let fresh = TransformedProblem::new(2, &obj, &[ineq2], &[eq]);
-        assert_eq!(tp.objective, fresh.objective);
-        assert_eq!(tp.inequalities, fresh.inequalities);
-        assert_eq!(tp.eq_rhs, fresh.eq_rhs);
-        assert_eq!(reuse.rows_reused, 3); // 2 objective terms + 1 inequality row
-        assert_eq!(reuse.rows_relowered, 0);
     }
 
     #[test]

@@ -99,7 +99,7 @@ serve options:
   --max-queue-depth N  hard cap on queued solves before misses are shed
                     with 503 (default 256; 0 disables)
   --queue-high N    queue depth entering brown-out: cold misses shed, cache
-                    hits and near-miss warm starts served (default 64)
+                    hits and near-miss solves served (default 64)
   --queue-low N     queue depth leaving brown-out (default 16; hysteresis)
   --fault-plan SPEC arm deterministic fault injection for chaos drills, e.g.
                     'serve.pool.panic@1' (requires a fault-inject build; also

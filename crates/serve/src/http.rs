@@ -940,8 +940,6 @@ fn solve_report_json(id: u64, r: &SolveReport) -> Json {
             "warm_newton_saved".into(),
             Json::Num(r.warm_newton_saved as f64),
         ),
-        ("rows_reused".into(), num_u64(r.rows_reused)),
-        ("rows_relowered".into(), num_u64(r.rows_relowered)),
         ("batch_classes".into(), num_u64(r.batch_classes.into())),
         ("batch_members".into(), num_u64(r.batch_members.into())),
     ];
@@ -1392,8 +1390,8 @@ fn pareto_svg(frontier: &thistle_atlas::ParetoFrontier) -> String {
 }
 
 /// `GET /debug/dashboard?diff=a,b`: two retained solve reports side by
-/// side, with per-row deltas — the view for comparing a warm near-miss
-/// solve against its cold donor.
+/// side, with per-row deltas — the view for comparing a near-miss solve
+/// against its donor.
 fn handle_dashboard_diff(spec: &str, service: &Service) -> Reply {
     let bad = |message: &str| Reply::new(400, Body::Json(error_json(message)));
     let Some((a, b)) = spec.split_once(',') else {
@@ -1453,12 +1451,6 @@ fn handle_dashboard_diff(spec: &str, service: &Service) -> Reply {
         "warm newton saved",
         ra.warm_newton_saved as f64,
         rb.warm_newton_saved as f64,
-    );
-    num_row("rows reused", ra.rows_reused as f64, rb.rows_reused as f64);
-    num_row(
-        "rows re-lowered",
-        ra.rows_relowered as f64,
-        rb.rows_relowered as f64,
     );
     num_row(
         "batch classes",

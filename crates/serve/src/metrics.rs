@@ -82,7 +82,7 @@ pub struct Metrics {
     /// sheds, brown-out sheds, and breaker fast-fails all count here.
     shed: Counter,
     /// Subset of `shed`: cold misses rejected while the service is in
-    /// brown-out (serving hits and warm starts only).
+    /// brown-out (serving hits and near-miss solves only).
     browned_out: Counter,
     /// Connections rejected at the accept side because both the connection
     /// cap and the accept backlog were full.
@@ -94,7 +94,7 @@ pub struct Metrics {
     /// each admission decision.
     queue_depth: Gauge,
     /// 1 while the admission controller is between its watermarks (cold
-    /// misses shed, hits and warm starts served), else 0.
+    /// misses shed, hits and near-miss solves served), else 0.
     brownout_active: Gauge,
     /// Distribution of the admission-time queue-depth samples.
     queue_depths: Histogram,
@@ -259,8 +259,8 @@ pub struct MetricsSnapshot {
     pub breaker_fastfails: u64,
     /// Completed solves whose design point was marked degraded.
     pub degraded_results: u64,
-    /// Cache misses answered by a warm-started near-miss solve instead of a
-    /// cold sweep.
+    /// Cache misses answered by a near-miss solve of a donor's permutation
+    /// pair instead of the full sweep.
     pub near_miss_hits: u64,
     /// Requests rejected with `503` to protect the service (queue-cap sheds
     /// + brown-out sheds + breaker fast-fails).
@@ -723,7 +723,7 @@ impl Metrics {
     }
 
     /// Marks a cold miss rejected while the service is in brown-out mode
-    /// (hits and warm starts still served). Counts toward `shed` too.
+    /// (hits and near-miss solves still served). Counts toward `shed` too.
     pub fn record_brownout_shed(&self) {
         self.browned_out.inc();
         self.shed.inc();
@@ -770,8 +770,8 @@ impl Metrics {
             .collect()
     }
 
-    /// Marks a cache miss that was answered by a warm-started near-miss
-    /// solve (seeded from a stored same-family entry) instead of a cold
+    /// Marks a cache miss that was answered by a near-miss solve (the
+    /// permutation pair of a stored same-family entry) instead of the full
     /// sweep.
     pub fn record_near_miss_hit(&self) {
         self.near_miss_hits.inc();

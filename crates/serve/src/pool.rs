@@ -82,11 +82,11 @@ struct Job {
     layer: ConvLayer,
     objective: Objective,
     mode: ArchMode,
-    /// Same-family design point (and the batch size it was solved at) to
-    /// warm-start from instead of running the full permutation sweep. Any
-    /// near-miss failure other than cancellation falls back to the cold
-    /// sweep, so a stale or unusable donor costs only the failed attempt.
-    donor: Option<(Arc<DesignPoint>, u64)>,
+    /// Same-family design point whose permutation pair is solved instead
+    /// of running the full permutation sweep. Any near-miss failure other
+    /// than cancellation falls back to the sweep, so an unusable donor
+    /// costs only the failed attempt.
+    donor: Option<Arc<DesignPoint>>,
     /// Number of requesters still waiting; when it reaches zero before the
     /// job is picked up, the worker skips the solve (cancellation).
     interested: Arc<AtomicUsize>,
@@ -175,15 +175,14 @@ impl SolvePool {
     /// Returns the design point, whether this call coalesced onto another
     /// request's solve rather than enqueueing its own, and how the wait
     /// decomposed ([`PoolTimings`]). A `donor` (a stored same-family design
-    /// point plus its batch size) turns the solve into a near-miss warm
-    /// start; see [`Job::donor`].
+    /// point) turns the solve into a near-miss solve; see [`Job::donor`].
     pub fn solve(
         &self,
         query: &CanonicalQuery,
         layer: &ConvLayer,
         objective: Objective,
         mode: &ArchMode,
-        donor: Option<(Arc<DesignPoint>, u64)>,
+        donor: Option<Arc<DesignPoint>>,
         timeout: Duration,
     ) -> Result<(Arc<DesignPoint>, bool, PoolTimings), PoolError> {
         let (tx, rx) = unbounded::<SolveOutcome>();
@@ -376,13 +375,12 @@ fn handle_job(
     let result = {
         let mut pool_span = span!(ctx, "pool_solve", worker = worker);
         let result = match &job.donor {
-            Some((donor, donor_batch)) => {
+            Some(donor) => {
                 match optimizer.optimize_layer_near_miss_deadline(
                     &job.layer,
                     job.objective,
                     &job.mode,
                     donor,
-                    *donor_batch,
                     &job.deadline,
                     ctx,
                 ) {
@@ -395,9 +393,9 @@ fn handle_job(
                     // would burn a worker on a result nobody wants.
                     Err(OptimizeError::Cancelled) => Err(OptimizeError::Cancelled),
                     // Any other near-miss failure (donor pair cannot
-                    // generate, warm solve diverged) falls back to the
-                    // full cold sweep — the donor is an accelerant, never
-                    // a correctness dependency.
+                    // generate, its solve failed) falls back to the full
+                    // sweep — the donor is an accelerant, never a
+                    // correctness dependency.
                     Err(_) => {
                         pool_span.set("near_miss_fallback", true);
                         optimizer.optimize_layer_deadline(

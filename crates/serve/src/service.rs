@@ -64,7 +64,7 @@ pub struct ServiceOptions {
     /// jobs already queued is shed with `503` (0 disables the cap).
     pub max_queue_depth: u64,
     /// Queue depth at which brown-out begins: cold misses are shed while
-    /// cache hits and donor-backed warm starts keep being served.
+    /// cache hits and donor-backed near-miss solves keep being served.
     pub queue_high_watermark: u64,
     /// Queue depth at which brown-out ends (hysteresis: must be at or below
     /// `queue_high_watermark`).
@@ -193,7 +193,7 @@ pub enum ServeError {
     },
     /// Admission control shed the request to protect the service: the pool
     /// queue hit its depth or memory cap, or brown-out mode rejected a cold
-    /// miss (cache hits and warm starts keep being served).
+    /// miss (cache hits and near-miss solves keep being served).
     Overloaded {
         /// Suggested client back-off, scaled with queue pressure.
         retry_after: Duration,
@@ -312,7 +312,7 @@ pub struct Service {
     shed_retry_after: Duration,
     /// Brown-out latch for the watermark hysteresis: set when queue depth
     /// crosses the high watermark, cleared when it falls back to the low
-    /// one. While set, cold misses are shed and hits/warm starts served.
+    /// one. While set, cold misses are shed and hits/near-misses served.
     brownout: AtomicBool,
     /// Recent fresh solves' convergence reports, oldest first, keyed by the
     /// monotonically increasing solve id.
@@ -325,8 +325,8 @@ pub struct Service {
     /// Fresh solves since the last checkpoint, for the save cadence.
     fresh_since_checkpoint: AtomicU64,
     /// Most recent cached query per workload family, for near-miss donor
-    /// lookup: a cache miss whose family has a stored entry warm-starts
-    /// from that entry instead of sweeping cold.
+    /// lookup: a cache miss whose family has a stored entry solves that
+    /// entry's permutation pair instead of the full sweep.
     families: ObservedMutex<HashMap<FamilyKey, CanonicalQuery>>,
     /// Precomputed Pareto frontiers keyed by family name.
     frontiers: Arc<ObservedMutex<HashMap<String, ParetoFrontier>>>,
@@ -706,13 +706,12 @@ impl Service {
         self.pareto_pending.load(Ordering::Acquire)
     }
 
-    /// Picks a warm-start donor for a cache miss: the most recent cached
+    /// Picks a near-miss donor for a cache miss: the most recent cached
     /// entry of the same workload family (same shape, objective, mode, and
     /// solver config; different batch size). Batch-1 endpoints are excluded
-    /// — an extent-1 batch generates no tiling variable, so the donor and
-    /// target GPs differ structurally and the patched lowering cannot pair
-    /// their rows.
-    fn find_donor(&self, query: &CanonicalQuery) -> Option<(Arc<DesignPoint>, u64)> {
+    /// — an extent-1 batch generates no tiling variable, so a batch-1 GP
+    /// differs structurally from the rest of its family.
+    fn find_donor(&self, query: &CanonicalQuery) -> Option<Arc<DesignPoint>> {
         if query.layer.batch <= 1 {
             return None;
         }
@@ -720,8 +719,7 @@ impl Service {
         if donor_query.layer.batch <= 1 || donor_query.layer.batch == query.layer.batch {
             return None;
         }
-        let point = self.cache.lock().get(&donor_query)?;
-        Some((point, donor_query.layer.batch))
+        self.cache.lock().get(&donor_query)
     }
 
     /// Queues a Pareto-frontier computation for the layer's family if the
@@ -807,7 +805,7 @@ impl Service {
         self.metrics.record_cache_miss();
         request_span.set("cache_hit", false);
         // The donor is found *before* admission: brown-out sheds only cold
-        // misses, and a donor-backed warm start is cheap enough to admit.
+        // misses, and a donor-backed near-miss is cheap enough to admit.
         let donor = self.find_donor(&query);
         if donor.is_some() {
             request_span.set("near_miss_donor", true);
@@ -864,7 +862,7 @@ impl Service {
         }
         request_span.set("coalesced", coalesced);
         // The solve landed in the cache; index its family for future
-        // near-miss warm starts, kick off the family's frontier precompute,
+        // near-miss solves, kick off the family's frontier precompute,
         // and advance the checkpoint cadence.
         self.families
             .lock()
@@ -906,7 +904,7 @@ impl Service {
     /// Admission control for cache misses, run before the breaker. Samples
     /// the pool queue depth, enforces the hard depth/memory caps, and drives
     /// the brown-out hysteresis: crossing `queue_high_watermark` starts
-    /// shedding cold misses (donor-backed warm starts stay admitted), and
+    /// shedding cold misses (donor-backed near-misses stay admitted), and
     /// only falling back to `queue_low_watermark` ends it. Entirely
     /// count-driven, so overload behavior replays deterministically.
     fn admit_miss(&self, has_donor: bool) -> Result<(), ServeError> {

@@ -1,15 +1,15 @@
 //! Acceptance tests for the design-space atlas wiring in the serve layer:
 //! snapshot persistence across service restarts (bit-identical answers from
-//! the restored cache), near-miss warm-start routing on batch-size-only
-//! cache misses, Pareto frontier precompute served over HTTP, and the
-//! dashboard solve-diff view.
+//! the restored cache), near-miss routing on batch-size-only cache misses
+//! (from live and restored donors), Pareto frontier precompute served over
+//! HTTP, and the dashboard solve-diff view.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use thistle::{Optimizer, OptimizerOptions};
+use thistle::{DesignPoint, Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, ConvLayer, Objective};
 use thistle_serve::{HttpServer, Json, Service, ServiceOptions};
@@ -42,6 +42,20 @@ fn temp_atlas(tag: &str) -> PathBuf {
 
 fn mode() -> ArchMode {
     ArchMode::Fixed(ArchConfig::eyeriss())
+}
+
+/// The referee's verdict on `point` as raw bits, for bit-identity checks.
+fn eval_bits(point: &DesignPoint) -> [u64; 7] {
+    let e = &point.eval;
+    [
+        e.energy_pj.to_bits(),
+        e.cycles.to_bits(),
+        e.macs,
+        e.pj_per_mac.to_bits(),
+        e.ipc.to_bits(),
+        e.pe_used,
+        e.utilization.to_bits(),
+    ]
 }
 
 /// Minimal HTTP/1.1 GET against a local server; returns (status, body).
@@ -132,8 +146,15 @@ fn corrupt_snapshot_counts_load_errors_and_still_starts() {
     assert_eq!(service.cache_len(), 0);
     drop(service);
 
-    // A snapshot of the retired format revision 2 (valid magic) is rejected
-    // whole: the service starts cold and counts one load error.
+    // Snapshots of the retired format revisions 3 and 2 (valid magic) are
+    // rejected whole: the service starts cold and counts one load error.
+    std::fs::write(&path, b"THISTLAS\x03\x00\x00\x00\x00\x00\x00\x00").expect("write v3");
+    let service = start();
+    let snap = service.metrics_snapshot();
+    assert_eq!(snap.atlas_restored_entries, 0);
+    assert_eq!(snap.atlas_load_errors, 1);
+    assert_eq!(service.cache_len(), 0);
+    drop(service);
     std::fs::write(&path, b"THISTLAS\x02\x00\x00\x00\x00\x00\x00\x00").expect("write v2");
     let service = start();
     let snap = service.metrics_snapshot();
@@ -201,18 +222,56 @@ fn batch_variant_miss_is_solved_as_a_near_miss_warm_start() {
     assert!(!near.cache_hit, "different batch is a different cache key");
     assert_eq!(service.metrics_snapshot().near_miss_hits, 1);
 
-    // The near-miss solve's retained report carries the warm accounting.
+    // The near-miss solve's retained report marks the route.
     let report = service
         .solve_report(near.solve_id.expect("fresh solve id"))
         .expect("report retained");
     assert!(report.warm_started, "near-miss solve should warm-start");
-    assert!(report.rows_reused > 0, "patched lowering reused no rows");
 
     // Both entries are cached independently; replays hit.
     let replay = service
         .optimize(&near_layer, Objective::Energy, &mode())
         .unwrap();
     assert!(replay.cache_hit);
+}
+
+#[test]
+fn restored_entry_donates_to_a_near_miss() {
+    let path = temp_atlas("donor");
+    std::fs::remove_file(&path).ok();
+    let with_atlas = || ServiceOptions {
+        atlas_path: Some(path.clone()),
+        ..quick_options()
+    };
+    let donor_layer = ConvLayer::new("b2", 2, 16, 16, 18, 18, 3, 3, 1);
+    let near_layer = ConvLayer::new("b4", 4, 16, 16, 18, 18, 3, 3, 1);
+
+    // Service A solves the batch-2 donor; dropping it drains into the atlas.
+    let a = Service::new(quick_optimizer(), with_atlas());
+    a.optimize(&donor_layer, Objective::Energy, &mode())
+        .unwrap();
+    drop(a);
+
+    // Service B restores the donor and answers the batch-4 variant from it.
+    let b = Service::new(quick_optimizer(), with_atlas());
+    let restored = b.optimize(&near_layer, Objective::Energy, &mode()).unwrap();
+    assert!(!restored.cache_hit);
+    let snap = b.metrics_snapshot();
+    assert_eq!(snap.atlas_restored_entries, 1);
+    assert_eq!(snap.near_miss_hits, 1);
+    drop(b);
+    std::fs::remove_file(&path).ok();
+
+    // Service C solves the donor itself before the same near-miss: the
+    // restored donor gives the same answer, bit for bit.
+    let c = Service::new(quick_optimizer(), quick_options());
+    c.optimize(&donor_layer, Objective::Energy, &mode())
+        .unwrap();
+    let direct = c.optimize(&near_layer, Objective::Energy, &mode()).unwrap();
+    assert_eq!(c.metrics_snapshot().near_miss_hits, 1);
+    assert_eq!(restored.point.arch, direct.point.arch);
+    assert_eq!(restored.point.mapping, direct.point.mapping);
+    assert_eq!(eval_bits(&restored.point), eval_bits(&direct.point));
 }
 
 #[test]
