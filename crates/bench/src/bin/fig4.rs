@@ -3,9 +3,10 @@
 //! the fixed Eyeriss architecture, for every conv layer of ResNet-18 and
 //! Yolo-9000. `EnergyUp = Mapper / Thistle` (> 1 means Thistle wins).
 
+use thistle::pipeline::optimize_pipeline;
 use thistle_arch::ArchConfig;
 use thistle_bench::{all_layers, geomean, mapper_baseline, print_table, standard_optimizer};
-use thistle_model::{ArchMode, Objective};
+use thistle_model::{ArchMode, ConvLayer, Objective};
 use timeloop_lite::mapper::SearchObjective;
 
 fn main() {
@@ -18,12 +19,13 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut ratios = Vec::new();
-    for (pipeline, layer) in all_layers() {
-        let thistle = optimizer
-            .optimize_layer(&layer, Objective::Energy, &mode)
-            .expect("thistle optimization");
+    let tagged = all_layers();
+    let layers: Vec<ConvLayer> = tagged.iter().map(|(_, l)| l.clone()).collect();
+    let result = optimize_pipeline(&optimizer, &layers, Objective::Energy, &mode)
+        .expect("thistle optimization");
+    for ((pipeline, layer), thistle) in tagged.iter().zip(&result.layers) {
         let mapper =
-            mapper_baseline(&layer, &eyeriss, SearchObjective::Energy).expect("mapper baseline");
+            mapper_baseline(layer, &eyeriss, SearchObjective::Energy).expect("mapper baseline");
         let energy_up = mapper.pj_per_mac / thistle.eval.pj_per_mac;
         ratios.push(energy_up);
         rows.push(vec![

@@ -2,18 +2,15 @@
 //! co-design (same chip area as Eyeriss) versus the best dataflow on the
 //! fixed Eyeriss architecture.
 
+use thistle::pipeline::optimize_pipeline_traced;
 use thistle_arch::ArchConfig;
-use thistle_bench::{
-    all_layers, geomean, print_service_sharing, print_table, standard_service_observed, tech,
-    ExemplarCapture, ProfileCapture, TraceCapture,
-};
+use thistle_bench::{all_layers, geomean, print_table, standard_optimizer, tech, TraceCapture};
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
 
 fn main() {
     let trace = TraceCapture::from_args("fig5-trace.json");
-    let exemplars = ExemplarCapture::from_args("fig5-exemplars.json");
-    let profile = ProfileCapture::from_args("fig5-profile.folded", "fig5: co-design energy sweep");
-    let service = standard_service_observed(trace.as_ref(), exemplars.as_ref());
+    let ctx = trace.as_ref().map(TraceCapture::ctx).unwrap_or_default();
+    let optimizer = standard_optimizer();
     let eyeriss = ArchConfig::eyeriss();
     let fixed = ArchMode::Fixed(eyeriss);
     let codesign = ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech()));
@@ -23,12 +20,11 @@ fn main() {
 
     let tagged = all_layers();
     let layers: Vec<ConvLayer> = tagged.iter().map(|(_, l)| l.clone()).collect();
-    let on_eyeriss = service
-        .optimize_batch(&layers, Objective::Energy, &fixed)
+    let on_eyeriss = optimize_pipeline_traced(&optimizer, &layers, Objective::Energy, &fixed, &ctx)
         .expect("fixed-arch optimization");
-    let co_designed = service
-        .optimize_batch(&layers, Objective::Energy, &codesign)
-        .expect("co-design optimization");
+    let co_designed =
+        optimize_pipeline_traced(&optimizer, &layers, Objective::Energy, &codesign, &ctx)
+            .expect("co-design optimization");
 
     let mut rows = Vec::new();
     let mut improvements = Vec::new();
@@ -60,14 +56,7 @@ fn main() {
         &rows,
     );
     println!("\ngeomean improvement: {:.2}x", geomean(&improvements));
-    print_service_sharing(&service);
     if let Some(trace) = trace {
         trace.finish();
-    }
-    if let Some(exemplars) = exemplars {
-        exemplars.finish();
-    }
-    if let Some(profile) = profile {
-        profile.finish();
     }
 }

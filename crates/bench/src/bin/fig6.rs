@@ -3,77 +3,59 @@
 //! architecture — that of the energy-dominant stage across *both* pipelines
 //! — with dataflow re-optimized per layer.
 
+use thistle::pipeline::{optimize_pipeline_traced, single_architecture_for_pipeline};
 use thistle_arch::ArchConfig;
-use thistle_bench::{
-    print_service_sharing, print_table, standard_service_observed, tech, ExemplarCapture,
-    ProfileCapture, TraceCapture,
-};
-use thistle_model::{ArchMode, Objective};
+use thistle_bench::{print_table, standard_optimizer, tech, TraceCapture};
+use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
 use thistle_workloads::all_pipelines;
 
 fn main() {
     let trace = TraceCapture::from_args("fig6-trace.json");
-    let exemplars = ExemplarCapture::from_args("fig6-exemplars.json");
-    let profile = ProfileCapture::from_args("fig6-profile.folded", "fig6: shared-arch energy");
-    let service = standard_service_observed(trace.as_ref(), exemplars.as_ref());
+    let ctx = trace.as_ref().map(TraceCapture::ctx).unwrap_or_default();
+    let optimizer = standard_optimizer();
     let eyeriss = ArchConfig::eyeriss();
-    let codesign = ArchMode::CoDesign(thistle_model::CoDesignSpec::same_area_as(&eyeriss, &tech()));
+    let codesign = ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech()));
+    let objective = Objective::Energy;
 
     println!("== Fig. 6: energy — Eyeriss vs layer-wise arch vs single fixed arch ==");
     println!("(shared arch = architecture of the energy-dominant layer across both pipelines)\n");
 
-    // Phase 1: layer-wise co-design over both pipelines; find the global
-    // energy-dominant stage.
-    let mut layerwise = Vec::new();
-    for (name, layers) in all_pipelines() {
-        let result = service
-            .optimize_batch(&layers, Objective::Energy, &codesign)
-            .expect("layer-wise co-design");
-        layerwise.push((name, layers, result));
-    }
-    let (mut dom_arch, mut dom_energy, mut dom_name) = (eyeriss, 0.0f64, String::new());
-    for (_, _, result) in &layerwise {
-        for p in &result.layers {
-            if p.eval.energy_pj > dom_energy {
-                dom_energy = p.eval.energy_pj;
-                dom_arch = p.arch;
-                dom_name = p.workload_name.clone();
-            }
-        }
-    }
-    // Repair: the dominant layer's register file must fit every layer's
-    // minimal working set (e.g. 3x3 kernel halos).
-    let every_layer: Vec<_> = all_pipelines().into_iter().flat_map(|(_, l)| l).collect();
-    let dom_arch = thistle::pipeline::repair_architecture_for_layers(
-        service.optimizer(),
+    // One protocol run over both pipelines' layers: layer-wise co-design,
+    // the energy-dominant layer's architecture (repaired to fit every
+    // layer), then dataflow-only re-optimization on it.
+    let pipelines = all_pipelines();
+    let every_layer: Vec<ConvLayer> = pipelines.iter().flat_map(|(_, l)| l.clone()).collect();
+    let (layerwise, shared, fixed_shared) =
+        single_architecture_for_pipeline(&optimizer, &every_layer, objective, &codesign, &ctx)
+            .expect("single-architecture protocol");
+    let fixed_eyeriss = optimize_pipeline_traced(
+        &optimizer,
         &every_layer,
-        dom_arch,
-    );
+        objective,
+        &ArchMode::Fixed(eyeriss),
+        &ctx,
+    )
+    .expect("eyeriss dataflow optimization");
+    let dominant = layerwise
+        .dominant_layer(objective)
+        .expect("both pipelines have layers");
     println!(
-        "energy-dominant layer: {dom_name} -> shared arch P={} R={} S={}K words\n",
-        dom_arch.pe_count,
-        dom_arch.regs_per_pe,
-        dom_arch.sram_words / 1024
+        "energy-dominant layer: {} -> shared arch P={} R={} S={}K words\n",
+        layerwise.layers[dominant].workload_name,
+        shared.pe_count,
+        shared.regs_per_pe,
+        shared.sram_words / 1024
     );
 
-    // Phase 2: per pipeline, the three series.
-    for (name, layers, layerwise_result) in layerwise {
-        let fixed_eyeriss = service
-            .optimize_batch(&layers, Objective::Energy, &ArchMode::Fixed(eyeriss))
-            .expect("eyeriss dataflow optimization");
-        let fixed_shared = service
-            .optimize_batch(&layers, Objective::Energy, &ArchMode::Fixed(dom_arch))
-            .expect("shared-arch dataflow optimization");
-
+    let mut first = 0;
+    for (name, layers) in &pipelines {
         println!("\n-- {name} (pJ/MAC per conv stage) --");
-        let rows: Vec<Vec<String>> = layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
+        let rows: Vec<Vec<String>> = (first..first + layers.len())
+            .map(|i| {
                 vec![
-                    l.name.clone(),
+                    layerwise.layers[i].workload_name.clone(),
                     format!("{:.2}", fixed_eyeriss.layers[i].eval.pj_per_mac),
-                    format!("{:.2}", layerwise_result.layers[i].eval.pj_per_mac),
+                    format!("{:.2}", layerwise.layers[i].eval.pj_per_mac),
                     format!("{:.2}", fixed_shared.layers[i].eval.pj_per_mac),
                 ]
             })
@@ -82,15 +64,9 @@ fn main() {
             &["layer", "Eyeriss", "layer-wise arch", "fixed shared arch"],
             &rows,
         );
+        first += layers.len();
     }
-    print_service_sharing(&service);
     if let Some(trace) = trace {
         trace.finish();
-    }
-    if let Some(exemplars) = exemplars {
-        exemplars.finish();
-    }
-    if let Some(profile) = profile {
-        profile.finish();
     }
 }

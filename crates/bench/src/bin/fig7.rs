@@ -2,9 +2,10 @@
 //! dataflows versus the Timeloop-Mapper-style search, both on the fixed
 //! Eyeriss architecture. The theoretical maximum IPC is the PE count (168).
 
+use thistle::pipeline::optimize_pipeline;
 use thistle_arch::ArchConfig;
 use thistle_bench::{all_layers, geomean, mapper_baseline, print_table, standard_optimizer};
-use thistle_model::{ArchMode, Objective};
+use thistle_model::{ArchMode, ConvLayer, Objective};
 use timeloop_lite::mapper::SearchObjective;
 
 fn main() {
@@ -17,12 +18,13 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
-    for (pipeline, layer) in all_layers() {
-        let thistle = optimizer
-            .optimize_layer(&layer, Objective::Delay, &mode)
-            .expect("thistle delay optimization");
+    let tagged = all_layers();
+    let layers: Vec<ConvLayer> = tagged.iter().map(|(_, l)| l.clone()).collect();
+    let result = optimize_pipeline(&optimizer, &layers, Objective::Delay, &mode)
+        .expect("thistle delay optimization");
+    for ((pipeline, layer), thistle) in tagged.iter().zip(&result.layers) {
         let mapper =
-            mapper_baseline(&layer, &eyeriss, SearchObjective::Delay).expect("mapper baseline");
+            mapper_baseline(layer, &eyeriss, SearchObjective::Delay).expect("mapper baseline");
         let speedup = thistle.eval.ipc / mapper.ipc;
         speedups.push(speedup);
         rows.push(vec![

@@ -3,73 +3,57 @@
 //! shared architecture taken from the delay-dominant stage, with dataflow
 //! re-optimized per layer.
 
+use thistle::pipeline::{optimize_pipeline_traced, single_architecture_for_pipeline};
 use thistle_arch::ArchConfig;
-use thistle_bench::{
-    print_service_sharing, print_table, standard_service_observed, tech, ExemplarCapture,
-    ProfileCapture, TraceCapture,
-};
-use thistle_model::{ArchMode, Objective};
+use thistle_bench::{print_table, standard_optimizer, tech, TraceCapture};
+use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
 use thistle_workloads::all_pipelines;
 
 fn main() {
     let trace = TraceCapture::from_args("fig8-trace.json");
-    let exemplars = ExemplarCapture::from_args("fig8-exemplars.json");
-    let profile = ProfileCapture::from_args("fig8-profile.folded", "fig8: shared-arch delay");
-    let service = standard_service_observed(trace.as_ref(), exemplars.as_ref());
+    let ctx = trace.as_ref().map(TraceCapture::ctx).unwrap_or_default();
+    let optimizer = standard_optimizer();
     let eyeriss = ArchConfig::eyeriss();
-    let codesign = ArchMode::CoDesign(thistle_model::CoDesignSpec::same_area_as(&eyeriss, &tech()));
+    let codesign = ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech()));
+    let objective = Objective::Delay;
 
     println!("== Fig. 8: delay — Eyeriss vs layer-wise arch vs single fixed arch ==");
     println!("(paper: co-design wins by orders of magnitude; bigger drop to the shared arch than for energy)\n");
 
-    let mut layerwise = Vec::new();
-    for (name, layers) in all_pipelines() {
-        let result = service
-            .optimize_batch(&layers, Objective::Delay, &codesign)
-            .expect("layer-wise delay co-design");
-        layerwise.push((name, layers, result));
-    }
-    let (mut dom_arch, mut dom_cycles, mut dom_name) = (eyeriss, 0.0f64, String::new());
-    for (_, _, result) in &layerwise {
-        for p in &result.layers {
-            if p.eval.cycles > dom_cycles {
-                dom_cycles = p.eval.cycles;
-                dom_arch = p.arch;
-                dom_name = p.workload_name.clone();
-            }
-        }
-    }
-    let every_layer: Vec<_> = all_pipelines().into_iter().flat_map(|(_, l)| l).collect();
-    let dom_arch = thistle::pipeline::repair_architecture_for_layers(
-        service.optimizer(),
+    let pipelines = all_pipelines();
+    let every_layer: Vec<ConvLayer> = pipelines.iter().flat_map(|(_, l)| l.clone()).collect();
+    let (layerwise, shared, fixed_shared) =
+        single_architecture_for_pipeline(&optimizer, &every_layer, objective, &codesign, &ctx)
+            .expect("single-architecture protocol");
+    let fixed_eyeriss = optimize_pipeline_traced(
+        &optimizer,
         &every_layer,
-        dom_arch,
-    );
+        objective,
+        &ArchMode::Fixed(eyeriss),
+        &ctx,
+    )
+    .expect("eyeriss delay optimization");
+    let dominant = layerwise
+        .dominant_layer(objective)
+        .expect("both pipelines have layers");
     println!(
-        "delay-dominant layer: {dom_name} -> shared arch P={} R={} S={}K words\n",
-        dom_arch.pe_count,
-        dom_arch.regs_per_pe,
-        dom_arch.sram_words / 1024
+        "delay-dominant layer: {} -> shared arch P={} R={} S={}K words\n",
+        layerwise.layers[dominant].workload_name,
+        shared.pe_count,
+        shared.regs_per_pe,
+        shared.sram_words / 1024
     );
 
-    for (name, layers, layerwise_result) in layerwise {
-        let fixed_eyeriss = service
-            .optimize_batch(&layers, Objective::Delay, &ArchMode::Fixed(eyeriss))
-            .expect("eyeriss delay optimization");
-        let fixed_shared = service
-            .optimize_batch(&layers, Objective::Delay, &ArchMode::Fixed(dom_arch))
-            .expect("shared-arch delay optimization");
-
+    let mut first = 0;
+    for (name, layers) in &pipelines {
         println!("\n-- {name} (cycles; speedup vs Eyeriss in parentheses) --");
-        let rows: Vec<Vec<String>> = layers
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
+        let rows: Vec<Vec<String>> = (first..first + layers.len())
+            .map(|i| {
                 let base = fixed_eyeriss.layers[i].eval.cycles;
-                let lw = layerwise_result.layers[i].eval.cycles;
+                let lw = layerwise.layers[i].eval.cycles;
                 let sh = fixed_shared.layers[i].eval.cycles;
                 vec![
-                    l.name.clone(),
+                    layerwise.layers[i].workload_name.clone(),
                     format!("{:.3e}", base),
                     format!("{:.3e} ({:.0}x)", lw, base / lw),
                     format!("{:.3e} ({:.1}x)", sh, base / sh),
@@ -80,15 +64,9 @@ fn main() {
             &["layer", "Eyeriss", "layer-wise arch", "fixed shared arch"],
             &rows,
         );
+        first += layers.len();
     }
-    print_service_sharing(&service);
     if let Some(trace) = trace {
         trace.finish();
-    }
-    if let Some(exemplars) = exemplars {
-        exemplars.finish();
-    }
-    if let Some(profile) = profile {
-        profile.finish();
     }
 }

@@ -298,7 +298,7 @@ fn reoriented_for(
 /// architecture.
 ///
 /// Returns `(layer-wise results, chosen architecture, fixed-architecture
-/// results)`.
+/// results)`. Each phase runs under its own `"pipeline"` span of `ctx`.
 ///
 /// # Errors
 ///
@@ -309,12 +309,19 @@ pub fn single_architecture_for_pipeline(
     layers: &[ConvLayer],
     objective: Objective,
     codesign: &ArchMode,
+    ctx: &TraceCtx,
 ) -> Result<(PipelineResult, ArchConfig, PipelineResult), OptimizeError> {
-    let layerwise = optimize_pipeline(optimizer, layers, objective, codesign)?;
+    let layerwise = optimize_pipeline_traced(optimizer, layers, objective, codesign, ctx)?;
     let dominant = layerwise.dominant_layer(objective)?;
     let shared_arch =
         repair_architecture_for_layers(optimizer, layers, layerwise.layers[dominant].arch);
-    let fixed = optimize_pipeline(optimizer, layers, objective, &ArchMode::Fixed(shared_arch))?;
+    let fixed = optimize_pipeline_traced(
+        optimizer,
+        layers,
+        objective,
+        &ArchMode::Fixed(shared_arch),
+        ctx,
+    )?;
     Ok((layerwise, shared_arch, fixed))
 }
 
@@ -375,8 +382,10 @@ pub fn repair_architecture_for_layers(
 mod tests {
     use super::*;
     use crate::optimizer::OptimizerOptions;
+    use std::sync::Arc;
     use thistle_arch::TechnologyParams;
     use thistle_model::CoDesignSpec;
+    use thistle_obs::{CollectingSink, Record};
 
     fn tiny_layers() -> Vec<ConvLayer> {
         vec![
@@ -423,11 +432,14 @@ mod tests {
         let opt = quick_optimizer();
         let layers = tiny_layers();
         let spec = CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), opt.tech());
+        let sink = Arc::new(CollectingSink::new());
+        let ctx = TraceCtx::new(Arc::clone(&sink) as Arc<dyn thistle_obs::Sink>);
         let (layerwise, shared, fixed) = single_architecture_for_pipeline(
             &opt,
             &layers,
             Objective::Energy,
             &ArchMode::CoDesign(spec),
+            &ctx,
         )?;
         assert_eq!(layerwise.layers.len(), fixed.layers.len());
         // The shared architecture is the dominant layer's architecture.
@@ -435,6 +447,36 @@ mod tests {
         assert_eq!(shared, layerwise.layers[dom].arch);
         // Dominant layer's fixed result can use the arch it was designed for.
         assert!(fixed.layers[dom].eval.energy_pj > 0.0);
+
+        // One `pipeline` span per phase, in open order: the layer-wise phase
+        // then the shared-architecture phase, each holding its own two
+        // layer solves.
+        let records = sink.take();
+        let spans: Vec<_> = records
+            .iter()
+            .filter_map(Record::as_span)
+            .filter(|s| matches!(s.name, "pipeline" | "optimize_workload"))
+            .collect();
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "pipeline",
+                "optimize_workload",
+                "optimize_workload",
+                "pipeline",
+                "optimize_workload",
+                "optimize_workload",
+            ]
+        );
+        for phase in spans.chunks(3) {
+            let (pipeline, solves) = (phase[0], &phase[1..]);
+            let end = pipeline.start_ns + pipeline.dur_ns;
+            assert!(solves
+                .iter()
+                .all(|s| s.start_ns >= pipeline.start_ns && s.start_ns + s.dur_ns <= end));
+        }
+        assert!(spans[3].start_ns >= spans[0].start_ns + spans[0].dur_ns);
         Ok(())
     }
 

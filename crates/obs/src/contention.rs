@@ -2,9 +2,9 @@
 //!
 //! The serve tier funnels every request through a handful of shared locks —
 //! the LRU design cache, the single-flight table, breaker state, the family
-//! index, the report ring. Spans and the sampling profiler attribute *CPU
-//! time*; under oversubscription the tail is dominated by *wait time*, which
-//! none of them can see. [`ObservedMutex`] and [`ObservedRwLock`] close that
+//! index, the report ring. Spans attribute *time spent in a stage*; under
+//! oversubscription the tail is dominated by *wait time* on those locks,
+//! which no span can see. [`ObservedMutex`] and [`ObservedRwLock`] close that
 //! gap: same shape as `std::sync`, but each acquisition records
 //!
 //! * **wait time** (request → grant) into a windowed histogram

@@ -44,13 +44,11 @@ pub mod contention;
 pub mod dashboard;
 pub mod exemplar;
 pub mod export;
-pub mod profiler;
 pub mod registry;
 pub mod sink;
 
 pub use contention::{take_thread_lock_wait, ObservedMutex, ObservedRwLock};
 pub use exemplar::{Exemplar, ExemplarClass, ExemplarSink};
-pub use profiler::{FoldedProfile, Profiler};
 pub use registry::{
     series_key, Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary,
     MetricsBridge, Registry, RegistrySnapshot,
@@ -174,12 +172,6 @@ thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// This thread's trace-local id (dense, starts at 1). Shared with the
-/// profiler so sampled stacks carry the same tid as span records.
-pub(crate) fn current_tid() -> u64 {
-    TID.with(|t| *t)
-}
-
 /// A handle to one trace. Cheap to clone, `Send + Sync`; thread it through
 /// every stage you want attributable. The disabled context costs one branch
 /// per call site.
@@ -233,7 +225,6 @@ impl TraceCtx {
             },
             Some(shared) => {
                 DEPTH.with(|d| d.set(d.get() + 1));
-                profiler::push_frame(name);
                 SpanGuard {
                     seq: shared.next_seq.fetch_add(1, Ordering::Relaxed),
                     shared: Some(Arc::clone(shared)),
@@ -305,7 +296,6 @@ impl Drop for SpanGuard {
             d.set(depth);
             depth
         });
-        profiler::pop_frame();
         let start = self.start.expect("enabled spans carry a start instant");
         let start_ns = start.duration_since(shared.epoch).as_nanos() as u64;
         let record = SpanRecord {

@@ -654,8 +654,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     println!(
         "endpoints: POST /optimize, GET /metrics, GET /healthz, GET /pareto, \
          GET /debug/dashboard, GET /debug/exemplars, GET /debug/solves, \
-         GET /debug/solves/<id>, GET /debug/profile, GET /debug/flamegraph, \
-         GET /debug/timeseries, GET /debug/contention"
+         GET /debug/solves/<id>, GET /debug/timeseries, GET /debug/contention"
     );
     // Serve until SIGTERM/SIGINT; the accept loop lives in its own thread
     // and `server` must stay alive to keep it running.

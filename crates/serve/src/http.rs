@@ -13,11 +13,6 @@
 //!   render the same [`crate::metrics::MetricsSnapshot`].
 //! * `GET /healthz` — liveness probe, stamped with the build info and the
 //!   serving optimizer's solver-fingerprint digest.
-//! * `GET /debug/profile?seconds=N&hz=M` — runs the span-stack sampling
-//!   profiler for `seconds` (default 2, max 30) at `hz` (default 99) and
-//!   returns the folded-stack profile as collapsed-stack text.
-//! * `GET /debug/flamegraph?seconds=N&hz=M` — same sampling window rendered
-//!   as a self-contained SVG flamegraph.
 //! * `GET /debug/timeseries` — the durable metrics time-series: every
 //!   surviving ring-file sample plus fingerprint-stamped segment summaries,
 //!   continuous across process restarts.
@@ -329,8 +324,6 @@ enum Body {
     Html(String),
     /// Pre-rendered JSON text (e.g. Chrome-trace documents).
     RawJson(String),
-    /// A standalone SVG document (flamegraphs).
-    Svg(String),
 }
 
 /// A response: status, body, and optional extra headers (currently only
@@ -454,7 +447,6 @@ fn handle_connection(stream: TcpStream, service: &Service, options: &HttpOptions
         Body::Text(text) => ("text/plain; version=0.0.4", text),
         Body::Html(html) => ("text/html; charset=utf-8", html),
         Body::RawJson(text) => ("application/json", text),
-        Body::Svg(svg) => ("image/svg+xml", svg),
     };
     let mut extra_headers = Vec::new();
     if let Some(secs) = reply.retry_after_secs {
@@ -608,8 +600,6 @@ fn route(request: &Request, service: &Service) -> Reply {
         ),
         ("GET", "/pareto") => handle_pareto(&request.query, service),
         ("GET", "/debug/dashboard") => handle_dashboard(&request.query, service),
-        ("GET", "/debug/profile") => handle_profile(&request.query, false),
-        ("GET", "/debug/flamegraph") => handle_profile(&request.query, true),
         ("GET", "/debug/timeseries") => handle_timeseries(service),
         ("GET", "/debug/contention") => handle_contention(service),
         ("GET", "/debug/exemplars") => handle_exemplars(&request.query, service),
@@ -677,32 +667,6 @@ fn frontier_json(f: &thistle_atlas::ParetoFrontier) -> Json {
             ),
         ),
     ])
-}
-
-/// `GET /debug/profile` / `GET /debug/flamegraph`: runs the span-stack
-/// sampler for `seconds` (default 2, clamped to 0..=30; an unparsable or
-/// NaN value gets the default) at `hz` (default 99) on this connection's
-/// thread, then returns collapsed-stack text or the SVG flamegraph.
-/// Concurrent profile requests sample independently.
-fn handle_profile(query: &str, flamegraph: bool) -> Reply {
-    let seconds = query_param(query, "seconds")
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|s| !s.is_nan())
-        .unwrap_or(2.0)
-        .clamp(0.0, 30.0);
-    let hz = query_param(query, "hz")
-        .and_then(|s| s.parse::<u32>().ok())
-        .unwrap_or(99);
-    let profile = thistle_obs::Profiler::profile_for(Duration::from_secs_f64(seconds), hz);
-    if flamegraph {
-        let title = format!(
-            "thistle-serve span profile — {:.1}s at {} hz, {} samples",
-            seconds, profile.hz, profile.samples
-        );
-        Reply::new(200, Body::Svg(profile.flamegraph_svg(&title)))
-    } else {
-        Reply::new(200, Body::Text(profile.collapsed()))
-    }
 }
 
 /// `GET /debug/timeseries`: every surviving sample of the durable metrics

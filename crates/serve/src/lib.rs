@@ -13,11 +13,10 @@
 //!    no format crates) exposing `POST /optimize`, `GET /metrics` (JSON or
 //!    `?format=prometheus` text), `GET /healthz`, and the `GET /debug/*`
 //!    introspection surfaces (live dashboard, exemplar traces, solve
-//!    reports, on-demand span-stack profiles and flamegraphs, the durable
-//!    metrics time-series), with graceful shutdown and connection draining.
-//! 4. [`service`] — [`Service::optimize`] / [`Service::optimize_batch`],
-//!    the embedding API the CLI and the Fig. 5/6/8 benchmarks reuse. Every
-//!    solve runs under a `thistle_obs` trace context whose spans feed a
+//!    reports, the durable metrics time-series), with graceful shutdown and
+//!    connection draining.
+//! 4. [`service`] — [`Service::optimize`], the embedding API the CLI and
+//!    the benchmark's serve workload reuse. Every solve runs under a `thistle_obs` trace context whose spans feed a
 //!    `thistle_obs::MetricsBridge` (its span durations are the per-stage
 //!    histograms, [`metrics::STAGES`], in `GET /metrics`), a tail-sampling
 //!    `thistle_obs::ExemplarSink`, plus any extra sinks from

@@ -1,5 +1,5 @@
 //! The optimization service: canonical-request cache in front of the solve
-//! pool, plus the batch entry point the pipeline benchmarks use.
+//! pool.
 
 use crate::lru::{LruCache, LruStats};
 use crate::metrics::{CacheSnapshot, LatencyBreakdown, Metrics, MetricsSnapshot};
@@ -12,10 +12,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use thistle::canon::SolverFingerprint;
 use thistle::canon::{transpose_design_hw, CanonicalLayer, CanonicalQuery, FamilyKey};
-use thistle::{
-    ConvergenceRollup, Deadline, DesignPoint, OptimizeError, Optimizer, PipelineResult,
-    PipelineStats, SolveReport,
-};
+use thistle::{Deadline, DesignPoint, OptimizeError, Optimizer, SolveReport};
 use thistle_atlas::{
     compute_frontier, AtlasSnapshot, ParetoFrontier, TimeSeriesFile, TimeSeriesLoad,
     TimeSeriesRecord, DEFAULT_BUDGET_FRACTIONS,
@@ -326,8 +323,11 @@ pub struct Service {
     fresh_since_checkpoint: AtomicU64,
     /// Most recent cached query per workload family, for near-miss donor
     /// lookup: a cache miss whose family has a stored entry solves that
-    /// entry's permutation pair instead of the full sweep.
+    /// entry's permutation pair instead of the full sweep. Bounded by
+    /// `cache_capacity` (see [`Service::index_family`]).
     families: ObservedMutex<HashMap<FamilyKey, CanonicalQuery>>,
+    /// Capacity of `cache`.
+    cache_capacity: usize,
     /// Precomputed Pareto frontiers keyed by family name.
     frontiers: Arc<ObservedMutex<HashMap<String, ParetoFrontier>>>,
     /// Families already queued for (or holding) a frontier, so each is
@@ -361,9 +361,10 @@ impl Service {
             options.observe_locks && std::env::var_os("THISTLE_NO_LOCK_OBS").is_none();
         let lock_registry: Option<Arc<Registry>> =
             observe_locks.then(|| Arc::clone(metrics.registry()));
+        let cache_capacity = options.cache_capacity.max(1);
         let cache: Arc<SolveCache> = Arc::new(ObservedMutex::maybe_observed(
             "solve_cache",
-            LruCache::new(options.cache_capacity.max(1)),
+            LruCache::new(cache_capacity),
             lock_registry.as_deref(),
         ));
         let exemplars = Arc::new(ExemplarSink::new(
@@ -517,6 +518,7 @@ impl Service {
             atlas_checkpoint_every: options.atlas_checkpoint_every,
             fresh_since_checkpoint: AtomicU64::new(0),
             families: ObservedMutex::maybe_observed("families", families, lock_registry.as_deref()),
+            cache_capacity,
             frontiers,
             pareto_queued: Mutex::new(pareto_queued),
             pareto_pending,
@@ -527,10 +529,6 @@ impl Service {
             timeseries_tx,
             timeseries_worker,
         }
-    }
-
-    pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
     }
 
     pub fn metrics(&self) -> &Metrics {
@@ -722,6 +720,21 @@ impl Service {
         self.cache.lock().get(&donor_query)
     }
 
+    /// Indexes `query` as its family's near-miss donor. The index never
+    /// outgrows the cache it points into: once it holds more families than
+    /// the cache can hold entries, every family whose query the cache has
+    /// evicted is dropped (its donor lookup would miss anyway). Takes
+    /// `families`, then `solve_cache`; nothing takes them in the other
+    /// order.
+    fn index_family(&self, query: &CanonicalQuery) {
+        let mut families = self.families.lock();
+        families.insert(query.family_key(), query.clone());
+        if families.len() > self.cache_capacity {
+            let cache = self.cache.lock();
+            families.retain(|_, q| cache.peek(q).is_some());
+        }
+    }
+
     /// Queues a Pareto-frontier computation for the layer's family if the
     /// worker is running and the family has not been queued before.
     fn maybe_enqueue_pareto(&self, layer: &CanonicalLayer) {
@@ -864,9 +877,7 @@ impl Service {
         // The solve landed in the cache; index its family for future
         // near-miss solves, kick off the family's frontier precompute,
         // and advance the checkpoint cadence.
-        self.families
-            .lock()
-            .insert(query.family_key(), query.clone());
+        self.index_family(&query);
         self.maybe_enqueue_pareto(&query.layer);
         if !coalesced {
             self.note_fresh_solve();
@@ -1027,63 +1038,6 @@ impl Service {
         }
     }
 
-    /// Optimizes a whole pipeline through the cache + pool, preserving the
-    /// [`PipelineResult`] contract of
-    /// [`thistle::optimize_pipeline`](thistle::pipeline::optimize_pipeline):
-    /// one design point per layer in input order, each named after its
-    /// layer. Duplicate shapes resolve to one solve via the cache and
-    /// single-flight dedup; `stats` reports how much sharing happened.
-    pub fn optimize_batch(
-        &self,
-        layers: &[ConvLayer],
-        objective: Objective,
-        mode: &ArchMode,
-    ) -> Result<PipelineResult, ServeError> {
-        let responses: Vec<Result<SolveResponse, ServeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = layers
-                .iter()
-                .map(|layer| scope.spawn(move || self.optimize(layer, objective, mode)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(result) => result,
-                    // A panicking request thread fails its own layer, not
-                    // the whole batch process.
-                    Err(payload) => Err(ServeError::Optimize(OptimizeError::Internal(format!(
-                        "batch request thread panicked: {}",
-                        thistle::optimizer::panic_message(payload)
-                    )))),
-                })
-                .collect()
-        });
-        let mut points = Vec::with_capacity(layers.len());
-        let mut unique_solves = 0usize;
-        let mut ledger = thistle::FailureLedger::default();
-        let mut convergence = ConvergenceRollup::default();
-        for response in responses {
-            let response = response?;
-            if !response.cache_hit && !response.coalesced {
-                unique_solves += 1;
-                ledger.merge(&response.point.ledger);
-                convergence.absorb(&response.point.report);
-            }
-            points.push(response.point);
-        }
-        let degraded_layers = points.iter().filter(|p| p.degraded).count();
-        Ok(PipelineResult {
-            layers: points,
-            stats: PipelineStats {
-                layers_submitted: layers.len(),
-                unique_solves,
-                reused: layers.len() - unique_solves,
-                degraded_layers,
-                ledger,
-                convergence,
-            },
-        })
-    }
-
     /// Rewrites a canonical-orientation design point for the requesting
     /// layer: restores its name, and if the request was h/w-swapped,
     /// transposes the mapping and re-runs the referee on the request's own
@@ -1184,6 +1138,10 @@ mod tests {
     use thistle_obs::registry::SPAN_DURATION_MS;
 
     fn quick_service() -> Service {
+        service_with_cache(16)
+    }
+
+    fn service_with_cache(cache_capacity: usize) -> Service {
         let optimizer =
             Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
                 max_perm_pairs: 9,
@@ -1196,11 +1154,31 @@ mod tests {
             optimizer,
             ServiceOptions {
                 workers: 2,
-                cache_capacity: 16,
+                cache_capacity,
                 default_timeout: Duration::from_secs(300),
                 ..ServiceOptions::default()
             },
         )
+    }
+
+    #[test]
+    fn family_index_is_bounded_by_the_cache() {
+        let service = service_with_cache(2);
+        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
+        // Four batch-2 layers of four distinct families: the cache keeps the
+        // last two, and so must the family index.
+        for k in [8, 16, 24, 32] {
+            let layer = ConvLayer::new("family", 2, k, 16, 10, 10, 3, 3, 1);
+            service.optimize(&layer, Objective::Energy, &mode).unwrap();
+        }
+        assert!(service.families.lock().len() <= 2);
+        assert_eq!(service.metrics_snapshot().near_miss_hits, 0);
+
+        // The newest family still donates to its batch-4 variant.
+        let near = ConvLayer::new("near", 4, 32, 16, 10, 10, 3, 3, 1);
+        let answer = service.optimize(&near, Objective::Energy, &mode).unwrap();
+        assert!(!answer.cache_hit);
+        assert_eq!(service.metrics_snapshot().near_miss_hits, 1);
     }
 
     #[test]
@@ -1252,30 +1230,6 @@ mod tests {
                 <= a.point.eval.energy_pj * 1e-12
         );
         assert_eq!(service.cache_len(), 1);
-    }
-
-    #[test]
-    fn batch_dedups_duplicate_shapes() {
-        let service = quick_service();
-        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
-        let layers = vec![
-            ConvLayer::new("a", 1, 16, 16, 18, 18, 3, 3, 1),
-            ConvLayer::new("b", 1, 16, 16, 18, 18, 3, 3, 1),
-            ConvLayer::new("c", 1, 64, 32, 10, 10, 3, 3, 1),
-        ];
-        let result = service
-            .optimize_batch(&layers, Objective::Energy, &mode)
-            .unwrap();
-        assert_eq!(result.layers.len(), 3);
-        assert_eq!(result.stats.layers_submitted, 3);
-        assert_eq!(result.stats.unique_solves, 2);
-        assert_eq!(result.stats.reused, 1);
-        let names: Vec<_> = result
-            .layers
-            .iter()
-            .map(|p| p.workload_name.as_str())
-            .collect();
-        assert_eq!(names, ["a", "b", "c"]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Acceptance tests for the continuous performance observatory in the serve
-//! tier (DESIGN.md §13): build/fingerprint stamping in `GET /healthz`,
-//! on-demand span-stack profiles and flamegraphs, and the durable metrics
-//! time-series — one ring file surviving a service restart, with both
-//! process lives visible as fingerprint-stamped segments.
+//! tier (DESIGN.md §13): build/fingerprint stamping in `GET /healthz` and
+//! the durable metrics time-series — one ring file surviving a service
+//! restart, with both process lives visible as fingerprint-stamped segments.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -129,7 +128,7 @@ fn timeseries_survives_a_service_restart_with_one_fingerprint() {
 }
 
 #[test]
-fn observatory_endpoints_serve_profiles_and_timeseries() {
+fn observatory_endpoints_serve_timeseries() {
     let path = temp_ts("http");
     let _ = std::fs::remove_file(&path);
     let service = Arc::new(Service::new(quick_optimizer(), observed_options(&path)));
@@ -148,19 +147,6 @@ fn observatory_endpoints_serve_profiles_and_timeseries() {
         health.get("fingerprint").and_then(Json::as_str),
         Some(digest.as_str())
     );
-
-    // /debug/profile samples on demand and returns collapsed stacks as text
-    // (possibly empty when the service is idle — the format line says so).
-    let (status, profile) = http_get(port, "/debug/profile?seconds=0.2&hz=97");
-    assert_eq!(status, 200);
-    assert!(profile.contains("Content-Type: text/plain"));
-
-    // /debug/flamegraph renders a self-contained SVG document.
-    let (status, flame) = http_get(port, "/debug/flamegraph?seconds=0.2&hz=97");
-    assert_eq!(status, 200);
-    assert!(flame.contains("Content-Type: image/svg+xml"));
-    assert!(body_of(&flame).trim_start().starts_with("<svg"));
-    assert!(body_of(&flame).contains("</svg>"));
 
     // /debug/timeseries groups the durable records into fingerprint-stamped
     // segments.

@@ -10,6 +10,7 @@ use thistle::pipeline::single_architecture_for_pipeline;
 use thistle::{Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, CoDesignSpec, Objective};
+use thistle_obs::TraceCtx;
 use thistle_workloads::resnet18;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,8 +23,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eyeriss = ArchConfig::eyeriss();
     let codesign = ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech));
 
-    let (layerwise, shared, fixed) =
-        single_architecture_for_pipeline(&optimizer, &layers, Objective::Energy, &codesign)?;
+    let (layerwise, shared, fixed) = single_architecture_for_pipeline(
+        &optimizer,
+        &layers,
+        Objective::Energy,
+        &codesign,
+        &TraceCtx::disabled(),
+    )?;
 
     println!(
         "shared architecture (from the energy-dominant stage): P={} R={} S={} KB",

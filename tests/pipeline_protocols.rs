@@ -4,6 +4,7 @@
 
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
+use thistle_obs::TraceCtx;
 use thistle_repro::thistle::pipeline::{
     optimize_pipeline, repair_architecture_for_layers, single_architecture_for_pipeline,
 };
@@ -60,6 +61,7 @@ fn fig6_protocol_completes_on_mixed_kernel_sizes() {
         &layers,
         Objective::Energy,
         &ArchMode::CoDesign(spec),
+        &TraceCtx::disabled(),
     )
     .expect("protocol must survive a 1x1-dominant pipeline");
 
@@ -97,6 +99,7 @@ fn fig8_protocol_shared_arch_keeps_most_of_the_speedup() {
         &layers,
         Objective::Delay,
         &ArchMode::CoDesign(spec),
+        &TraceCtx::disabled(),
     )
     .expect("delay protocol");
     let eyeriss = optimize_pipeline(
