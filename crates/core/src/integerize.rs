@@ -18,8 +18,8 @@
 //! cross product of tile sizes. The optimizer ([`crate::optimizer`]) never
 //! materializes the full (architecture, mapping) cross product: it streams
 //! each tile-size combination through the area filter, the capacity
-//! prefilter (evaluated once per combination, at [`tiling_assignment`]) and
-//! the referee of step 4.
+//! prefilter (the referee's own integer needs, computed once per
+//! combination) and the referee of step 4.
 
 /// All divisors of `n`, ascending.
 ///
@@ -158,36 +158,6 @@ pub fn dim_candidates(extent: u64, real: (f64, f64, f64), n: usize) -> Vec<DimTi
     });
     out.dedup();
     out
-}
-
-/// The GP-space assignment of an integer candidate's tiling, written into
-/// `point`: every free trip-count variable takes its mapping factor and
-/// every other variable keeps its value. Compiled exact expressions
-/// (footprints, traffic) evaluate integer candidates at this point.
-/// Starting from ones, the co-design variables stay at 1; the compiled
-/// footprints read no architecture variable, so they evaluate
-/// bit-identically there for every architecture paired with `mapping`. One
-/// buffer serves every mapping of `gp`, since each call overwrites the same
-/// variables.
-pub fn tiling_assignment(
-    gp: &thistle_model::GeneratedGp,
-    mapping: &timeloop_lite::Mapping,
-    point: &mut thistle_expr::Assignment,
-) {
-    use thistle_model::{Dim, Level, TripCount};
-    let levels = [
-        (Level::Register, &mapping.register_factors),
-        (Level::PeTemporal, &mapping.pe_temporal_factors),
-        (Level::Spatial, &mapping.spatial_factors),
-        (Level::Outer, &mapping.outer_factors),
-    ];
-    for (level, factors) in levels {
-        for (d, &factor) in factors.iter().enumerate() {
-            if let TripCount::Variable(v) = gp.space.trip(level, Dim(d)) {
-                point.set(v, factor as f64);
-            }
-        }
-    }
 }
 
 /// The cross product of per-dimension candidates, visited in order of

@@ -11,12 +11,12 @@
 //!    model (the referee) and return the best design point.
 
 use crate::convert::to_problem_spec;
-use crate::integerize::{
-    closest_powers_of_two, cross_product_capped, dim_candidates, tiling_assignment, DimTiling,
-};
+use crate::integerize::{closest_powers_of_two, cross_product_capped, dim_candidates, DimTiling};
 use crate::ledger::FailureLedger;
 use crate::report::SolveReport;
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Mutex;
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
 use thistle_gp::{content_fingerprint, Deadline, GpError, Solution, SolveOptions, SolveStatus};
@@ -25,7 +25,9 @@ use thistle_model::{
     RegisterCostModel, Workload,
 };
 use thistle_obs::{span, TraceCtx};
-use timeloop_lite::{evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec, Traffic};
+use timeloop_lite::{
+    capacity_needs, evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec, Traffic,
+};
 
 /// Tuning knobs for the optimizer pipeline.
 #[derive(Debug, Clone)]
@@ -180,11 +182,14 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 impl std::error::Error for OptimizeError {}
 
 /// One surviving relaxed solve from the permutation sweep. `pair_index` is
-/// the stable sweep index (the sort key tiebreak); `status` records how the
-/// barrier solver finished so degraded winners stay observable.
+/// the stable sweep index (the sort key tiebreak); `group` is the sweep's
+/// content group, shared by exactly the pairs whose GPs are byte-identical;
+/// `status` records how the barrier solver finished so degraded winners stay
+/// observable.
 struct SweepSolution {
     objective: f64,
     pair_index: usize,
+    group: usize,
     gp: GeneratedGp,
     point: thistle_expr::Assignment,
     status: SolveStatus,
@@ -454,14 +459,12 @@ impl Optimizer {
             root.set("perm_pair", donor.perm_pair);
         }
 
-        let gp =
-            ProblemGenerator::new(workload.clone(), self.tech.clone(), self.bandwidths.clone())
-                .with_register_cost(self.options.register_cost)
-                .with_spatial_stencils(self.options.spatial_stencils)
-                .generate(&donor.perm1, &donor.perm3, objective, mode)
-                .map_err(|e| {
-                    OptimizeError::AllSolvesFailed(format!("near-miss generation failed: {e}"))
-                })?;
+        let gp = self
+            .generator(&workload)
+            .generate(&donor.perm1, &donor.perm3, objective, mode)
+            .map_err(|e| {
+                OptimizeError::AllSolvesFailed(format!("near-miss generation failed: {e}"))
+            })?;
         let sol = gp
             .problem
             .solve_cancellable(&self.options.solve_options, deadline, ctx)
@@ -487,6 +490,7 @@ impl Optimizer {
         let solution = SweepSolution {
             objective: sol.objective,
             pair_index: donor.perm_pair,
+            group: 0,
             gp,
             point: sol.assignment,
             status: sol.status,
@@ -526,10 +530,7 @@ impl Optimizer {
         deadline: &Deadline,
         ctx: &TraceCtx,
     ) -> Result<DesignPoint, OptimizeError> {
-        let generator =
-            ProblemGenerator::new(workload.clone(), self.tech.clone(), self.bandwidths.clone())
-                .with_register_cost(self.options.register_cost)
-                .with_spatial_stencils(self.options.spatial_stencils);
+        let generator = self.generator(workload);
         let (mut pairs, _) = generator.permutation_classes_traced(ctx);
         subsample(&mut pairs, self.options.max_perm_pairs);
 
@@ -556,12 +557,7 @@ impl Optimizer {
             return Err(OptimizeError::AllSolvesFailed(e));
         }
         let gp_solves = solved.len();
-        solved.sort_by(|a, b| {
-            a.objective
-                .total_cmp(&b.objective)
-                .then(a.pair_index.cmp(&b.pair_index))
-        });
-        solved.truncate(self.options.top_solutions);
+        self.keep_top(&mut solved);
         let result = self.rescore_and_pick(
             workload, objective, mode, &solved, gp_solves, ledger, deadline, ctx,
         );
@@ -570,6 +566,24 @@ impl Optimizer {
             point.report.batch_members = members;
             point
         })
+    }
+
+    /// The problem generator for `workload` under these options.
+    fn generator(&self, workload: &Workload) -> ProblemGenerator {
+        ProblemGenerator::new(workload.clone(), self.tech.clone(), self.bandwidths.clone())
+            .with_register_cost(self.options.register_cost)
+            .with_spatial_stencils(self.options.spatial_stencils)
+    }
+
+    /// Ranks the sweep's solutions by `(objective, pair_index)`, a total
+    /// order, and keeps the best `top_solutions`.
+    fn keep_top(&self, solved: &mut Vec<SweepSolution>) {
+        solved.sort_by(|a, b| {
+            a.objective
+                .total_cmp(&b.objective)
+                .then(a.pair_index.cmp(&b.pair_index))
+        });
+        solved.truncate(self.options.top_solutions);
     }
 
     /// The permutation sweep with exact-content deduplication.
@@ -684,7 +698,7 @@ impl Optimizer {
         // Step 3: one exact solve per group. Groups are claimed off a shared
         // counter rather than pre-chunked, because their costs vary; the
         // results are sorted downstream, so claim order cannot matter.
-        let solved_acc: Mutex<Vec<(usize, Solution)>> = Mutex::new(Vec::new());
+        let solved_acc: Mutex<Vec<(usize, usize, Solution)>> = Mutex::new(Vec::new());
         let solve_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
         let next_group = AtomicUsize::new(0);
         crossbeam::scope(|scope| {
@@ -697,12 +711,14 @@ impl Optimizer {
                 let last_error = &last_error;
                 scope.spawn(move |_| {
                     let mut ledger = FailureLedger::default();
-                    while let Some(group) = groups.get(next_group.fetch_add(1, Ordering::Relaxed)) {
+                    loop {
+                        let g = next_group.fetch_add(1, Ordering::Relaxed);
+                        let Some(group) = groups.get(g) else { break };
                         if deadline.expired() {
                             break;
                         }
                         self.solve_duplicate_group(
-                            group,
+                            (g, group),
                             &mut ledger,
                             gen_map,
                             solved_acc,
@@ -724,7 +740,7 @@ impl Optimizer {
         // as if each duplicate had been solved on its own.
         let results = solved_acc.into_inner().expect("solved lock");
         let mut solved: Vec<SweepSolution> = Vec::with_capacity(results.len());
-        for (pair_index, sol) in results {
+        for (group, pair_index, sol) in results {
             if sol.recovery.recovered_by.is_some() {
                 ledger.recovered += 1;
             }
@@ -737,6 +753,7 @@ impl Optimizer {
             solved.push(SweepSolution {
                 objective: sol.objective,
                 pair_index,
+                group,
                 gp,
                 point: sol.assignment,
                 status: sol.status,
@@ -756,7 +773,7 @@ impl Optimizer {
         })
     }
 
-    /// Solves one duplicate group — members whose GPs are byte-identical —
+    /// Solves duplicate group `g` — members whose GPs are byte-identical —
     /// with one exact solve under a `batch_solve` span. The first member
     /// that solves becomes the source and every other member receives a
     /// clone of its solution. A panicking source solve (e.g. an injected
@@ -766,10 +783,10 @@ impl Optimizer {
     #[allow(clippy::too_many_arguments)]
     fn solve_duplicate_group(
         &self,
-        group: &[usize],
+        (g, group): (usize, &[usize]),
         ledger: &mut FailureLedger,
         gen_map: &[Option<GeneratedGp>],
-        solved_acc: &Mutex<Vec<(usize, Solution)>>,
+        solved_acc: &Mutex<Vec<(usize, usize, Solution)>>,
         last_error: &Mutex<Option<String>>,
         deadline: &Deadline,
         ctx: &TraceCtx,
@@ -806,7 +823,7 @@ impl Optimizer {
                     }
                     let mut solved = solved_acc.lock().expect("solved lock");
                     for &dup in &group[attempt..] {
-                        solved.push((dup, sol.clone()));
+                        solved.push((g, dup, sol.clone()));
                     }
                     return;
                 }
@@ -831,13 +848,15 @@ impl Optimizer {
     /// Integerizes and referee-evaluates a non-empty set of relaxed sweep
     /// solutions, returning the best surviving design point. Shared between
     /// the full permutation sweep and the near-miss route (which feeds
-    /// exactly one solution).
+    /// exactly one solution, a group of one).
     ///
-    /// Workers claim solutions off a shared counter, up to
-    /// `options.threads` (one thread runs inline), and each solution yields
-    /// a [`RescoreOutcome`]. The outcomes are folded here in solution order
-    /// with the strict `<` a serial loop applies, so the winner, the leaders
-    /// and every count are identical at any thread count.
+    /// The solutions are grouped by their sweep content group, and workers
+    /// claim whole groups off a shared counter, largest first, up to
+    /// `options.threads` (one thread runs inline). Each member of a group
+    /// yields a [`RescoreOutcome`] ([`Optimizer::rescore_group`]). The
+    /// outcomes are folded here in solution order with the strict `<` a
+    /// serial loop applies, so the winner, the leaders and every count are
+    /// identical at any thread count.
     #[allow(clippy::too_many_arguments)]
     fn rescore_and_pick(
         &self,
@@ -857,33 +876,22 @@ impl Optimizer {
         // `rescore` span per solve carries the verdict totals instead.
         let mut rescore_span = span!(ctx, "rescore", solutions = solved.len());
 
-        // Integerization and rescoring run over referee code paths that may
-        // panic on pathological candidates; each solution is contained so
-        // one bad leader cannot sink the survivors. The counter only hands
-        // out indices (hence `Relaxed`); outcomes come back through `join`.
+        let groups = content_groups(solved);
+        // The counter only hands out indices (hence `Relaxed`); outcomes come
+        // back through `join`.
         let next = AtomicUsize::new(0);
         let claim = || {
             let mut done = Vec::new();
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= solved.len() || deadline.expired() {
-                    return done;
+            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                if deadline.expired() {
+                    break;
                 }
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.rescore_solution(
-                        workload,
-                        &prob_spec,
-                        objective,
-                        &solved[index],
-                        index,
-                        ctx,
-                    )
-                }));
-                done.push((index, outcome));
+                done.push(self.rescore_group(workload, &prob_spec, objective, solved, group, ctx));
             }
+            done
         };
-        let threads = self.options.threads.clamp(1, solved.len());
-        let mut finished = if threads == 1 {
+        let threads = self.options.threads.clamp(1, groups.len());
+        let finished: Vec<GroupOutcome> = if threads == 1 {
             claim()
         } else {
             crossbeam::scope(|scope| {
@@ -901,21 +909,27 @@ impl Optimizer {
             .flatten()
             .collect()
         };
-        // A solution nobody claimed was skipped by an expired deadline.
-        if finished.len() < solved.len() {
+        let mut traffic_counts = 0;
+        let mut outcomes = Vec::with_capacity(solved.len());
+        for group in finished {
+            traffic_counts += group.traffic_counts;
+            outcomes.extend(group.members);
+        }
+        // A group nobody claimed was skipped by an expired deadline.
+        if outcomes.len() < solved.len() {
             return Err(OptimizeError::Cancelled);
         }
-        finished.sort_by_key(|&(index, _)| index);
+        outcomes.sort_by_key(|&(index, _)| index);
 
         let mut counts = RescoreCounts::default();
         let mut best: Option<(usize, Scored)> = None;
         // Leaders kept aside for the delay-mode spatial packing pass.
         let mut leaders: Vec<(f64, (usize, ArchConfig, Mapping))> = Vec::new();
-        for (index, outcome) in finished {
+        for (index, outcome) in outcomes {
             match outcome {
                 // A panicked solution contributes nothing but the count.
-                Err(_) => ledger.integerize_panics += 1,
-                Ok(outcome) => {
+                None => ledger.integerize_panics += 1,
+                Some(outcome) => {
                     counts.add(&outcome.counts);
                     if let Some(scored) = outcome.best {
                         if best.as_ref().is_none_or(|(_, b)| scored.score < b.score) {
@@ -934,7 +948,7 @@ impl Optimizer {
             rescore_span.set("rejected_infeasible", counts.rejected_infeasible);
             rescore_span.set("rejected_utilization", counts.rejected_utilization);
             rescore_span.set("prefiltered", counts.prefiltered);
-            rescore_span.set("traffic_counts", counts.traffic_counts);
+            rescore_span.set("traffic_counts", traffic_counts);
         }
         drop(rescore_span);
         let mut candidates_evaluated = counts.evaluated as usize;
@@ -1022,42 +1036,99 @@ impl Optimizer {
         })
     }
 
-    /// Integerizes one relaxed solution and streams its candidates. Each
-    /// tile-size combination is written into one reused mapping whose
-    /// register and SRAM footprints are evaluated once; each architecture
-    /// choice then runs the area filter and the capacity compare. The
-    /// referee's traffic reads no architecture parameter, so it is counted
-    /// once per combination, at the first choice past the prefilter, and
-    /// priced per choice. A mapping is cloned, and a full evaluation built,
-    /// only when it becomes the solution's best; leaders clone the mapping.
-    fn rescore_solution(
+    /// Integerizes and rescores one content group: solutions whose GPs are
+    /// byte-identical, so they share one relaxed optimum and differ only in
+    /// loop order. Every member gets exactly the verdicts, best and leaders
+    /// it would get rescored alone, in solution order.
+    ///
+    /// Integerization and rescoring run over referee code paths that may
+    /// panic on pathological candidates, so the group is contained: an
+    /// injected `core.integerize.panic` fails its member alone, and a panic
+    /// in the shared work fails every member still live.
+    fn rescore_group(
         &self,
         workload: &Workload,
         prob_spec: &ProblemSpec,
         objective: Objective,
-        sol: &SweepSolution,
-        solution_index: usize,
+        solved: &[SweepSolution],
+        group: &[usize],
         ctx: &TraceCtx,
-    ) -> RescoreOutcome {
-        thistle_fault::panic_if("core.integerize.panic", solution_index as u64);
-        let gp = &sol.gp;
+    ) -> GroupOutcome {
+        let live: Vec<usize> = group
+            .iter()
+            .copied()
+            .filter(|&index| {
+                std::panic::catch_unwind(|| {
+                    thistle_fault::panic_if("core.integerize.panic", index as u64)
+                })
+                .is_ok()
+            })
+            .collect();
+        let shared = if live.is_empty() {
+            None
+        } else {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.rescore_members(workload, prob_spec, objective, solved, group, &live, ctx)
+            }))
+            .ok()
+        };
+        let (outcomes, traffic_counts) = shared.unwrap_or_default();
+        let mut outcomes = outcomes.into_iter();
+        let members = group
+            .iter()
+            .map(|&index| {
+                let outcome = if live.contains(&index) {
+                    outcomes.next()
+                } else {
+                    None
+                };
+                (index, outcome)
+            })
+            .collect();
+        GroupOutcome {
+            members,
+            traffic_counts,
+        }
+    }
+
+    /// The shared work of [`Optimizer::rescore_group`]: one outcome per
+    /// `live` member, and the [`Traffic::count`] calls made. The integer
+    /// space is built once. The area filter and the capacity prefilter on
+    /// the referee's own needs ([`capacity_needs`]) run once per combination
+    /// and architecture choice: the needs, the PEs used and validity read no
+    /// loop order, so member 0's verdict serves all. Traffic is counted once
+    /// per [`LoopOrderClasses`] class, lazily, and priced once per class and
+    /// choice. A mapping is cloned, and a full evaluation built, only for a
+    /// member's new best; leaders clone the mapping. See DESIGN.md §14.
+    #[allow(clippy::too_many_arguments)]
+    fn rescore_members(
+        &self,
+        workload: &Workload,
+        prob_spec: &ProblemSpec,
+        objective: Objective,
+        solved: &[SweepSolution],
+        group: &[usize],
+        live: &[usize],
+        ctx: &TraceCtx,
+    ) -> (Vec<RescoreOutcome>, u64) {
+        let lead = &solved[live[0]];
         let space = {
-            let mut int_span = span!(ctx, "integerize", solution = solution_index);
-            let space = self.integer_space(workload, gp, &sol.point);
+            let mut int_span = span!(ctx, "integerize", solution = group[0]);
+            let space = self.integer_space(workload, &lead.gp, &lead.point);
             if int_span.enabled() {
+                int_span.set("members", group.len());
                 int_span.set("combos", space.combos.len());
                 int_span.set("arch_choices", space.arch_choices.len());
             }
             space
         };
         let keep_leaders = objective != Objective::Energy;
-        let mut out = RescoreOutcome::default();
-        let counts = &mut out.counts;
-        let mut scratch = thistle_expr::EvalScratch::default();
-        // Buffers overwritten per combination: one spec per architecture
-        // choice (co-design overwrites its PE count, which no other field
-        // of the spec depends on), the mapping, and the footprints'
-        // evaluation point.
+        let mut counts = RescoreCounts::default();
+        let mut traffic_counts = 0;
+        let mut outs: Vec<RescoreOutcome> =
+            live.iter().map(|_| RescoreOutcome::default()).collect();
+        // Co-design overwrites each spec's PE count per combination; no other
+        // field of the spec depends on it.
         let mut specs: Vec<ArchSpec> = space
             .arch_choices
             .iter()
@@ -1069,24 +1140,27 @@ impl Optimizer {
                 ArchSpec::from_config("candidate", &arch, &self.tech, self.bandwidths.clone())
             })
             .collect();
-        let mut mapping = base_mapping(workload, gp, &space.tiled);
-        let mut point = thistle_expr::Assignment::ones(gp.problem.registry().len());
+        let mut mappings: Vec<Mapping> = live
+            .iter()
+            .map(|&index| base_mapping(workload, &solved[index].gp, &space.tiled))
+            .collect();
+        let mut classes = LoopOrderClasses::default();
+        // Per member, reset per combination: the traffic of the class it
+        // leads, and that traffic's score under the current choice.
+        let mut counted = vec![None; live.len()];
+        let mut scores: Vec<Option<f64>> = vec![None; live.len()];
         for combo in &space.combos {
-            set_tiling(&mut mapping, &space.tiled, combo);
-            let pes = mapping.pe_count();
-            // Capacity prefilter on the compiled exact footprints. They read
-            // only tiling variables, so one evaluation per combination serves
-            // every architecture choice. The symbolic footprints equal the
-            // referee's integer counts at integer points, so an overflowing
-            // candidate here is exactly a referee reject; the tolerance keeps
-            // exactly-at-capacity candidates (compiled exp/ln evaluation
-            // rounds at ~1e-15).
-            tiling_assignment(gp, &mapping, &mut point);
-            let reg_fp = gp
-                .compiled_register_footprint()
-                .eval_with(&point, &mut scratch);
-            let sram_fp = gp.compiled_sram_footprint().eval_with(&point, &mut scratch);
-            let mut traffic = None;
+            for mapping in &mut mappings {
+                set_tiling(mapping, &space.tiled, combo);
+            }
+            let pes = mappings[0].pe_count();
+            let (reg_need, sram_need) = capacity_needs(prob_spec, &mappings[0]);
+            counted.fill(None);
+            let mut count = |m: usize| {
+                traffic_counts += 1;
+                Traffic::count(prob_spec, &mappings[m])
+            };
+            let mut combo_classes = None;
             for (choice, spec) in space.arch_choices.iter().zip(&mut specs) {
                 let arch = match *choice {
                     ArchChoice::Fixed(a) => a,
@@ -1108,47 +1182,61 @@ impl Optimizer {
                     }
                 };
                 counts.evaluated += 1;
-                if reg_fp > arch.regs_per_pe as f64 * (1.0 + 1e-9)
-                    || sram_fp > arch.sram_words as f64 * (1.0 + 1e-9)
-                {
+                // Capacity prefilter: exactly the referee's first two
+                // capacity checks, before paying for a count.
+                if reg_need > arch.regs_per_pe || sram_need > arch.sram_words {
                     counts.rejected_infeasible += 1;
                     counts.prefiltered += 1;
                     continue;
                 }
-                let traffic = traffic.get_or_insert_with(|| {
-                    counts.traffic_counts += 1;
-                    Traffic::count(prob_spec, &mapping)
-                });
-                let Ok(traffic) = traffic else {
-                    counts.rejected_infeasible += 1;
-                    continue;
+                let rejected = match counted[0].get_or_insert_with(|| count(0)) {
+                    Err(_) => Some(&mut counts.rejected_infeasible),
+                    Ok(traffic) if traffic.fits(spec).is_err() => {
+                        Some(&mut counts.rejected_infeasible)
+                    }
+                    Ok(traffic)
+                        if self.options.min_utilization > 0.0
+                            && traffic.utilization(spec) < self.options.min_utilization =>
+                    {
+                        Some(&mut counts.rejected_utilization)
+                    }
+                    Ok(_) => None,
                 };
-                if traffic.fits(spec).is_err() {
-                    counts.rejected_infeasible += 1;
+                if let Some(rejected) = rejected {
+                    *rejected += 1;
                     continue;
                 }
-                if self.options.min_utilization > 0.0
-                    && traffic.utilization(spec) < self.options.min_utilization
-                {
-                    counts.rejected_utilization += 1;
-                    continue;
-                }
-                let score =
-                    objective_score(objective, traffic.energy_pj(spec), traffic.cycles(spec));
-                if keep_leaders {
-                    push_leader(&mut out.leaders, score, || (arch, mapping.clone()));
-                }
-                if out.best.as_ref().is_none_or(|b| score < b.score) {
-                    out.best = Some(Scored {
-                        score,
-                        arch,
-                        mapping: mapping.clone(),
-                        eval: traffic.evaluate(spec).expect("capacities were checked"),
-                    });
+                let class_of: &[usize] = combo_classes.get_or_insert_with(|| classes.of(&mappings));
+                for (m, out) in outs.iter_mut().enumerate() {
+                    let lead = class_of[m];
+                    if lead == m {
+                        scores[m] = counted[m]
+                            .get_or_insert_with(|| count(m))
+                            .as_ref()
+                            .ok()
+                            .map(|t| objective_score(objective, t.energy_pj(spec), t.cycles(spec)));
+                    }
+                    let (Some(score), Some(Ok(traffic))) = (scores[lead], &counted[lead]) else {
+                        continue;
+                    };
+                    if keep_leaders {
+                        push_leader(&mut out.leaders, score, || (arch, mappings[m].clone()));
+                    }
+                    if out.best.as_ref().is_none_or(|b| score < b.score) {
+                        out.best = Some(Scored {
+                            score,
+                            arch,
+                            mapping: mappings[m].clone(),
+                            eval: traffic.evaluate(spec).expect("capacities were checked"),
+                        });
+                    }
                 }
             }
         }
-        out
+        for out in &mut outs {
+            out.counts = counts.clone();
+        }
+        (outs, traffic_counts)
     }
 
     /// One relaxed solution's integer design space: the capped tile-size
@@ -1259,7 +1347,7 @@ struct Scored {
 
 /// Candidate verdict counts of one relaxed solution (or, summed, of a
 /// solve).
-#[derive(Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct RescoreCounts {
     /// Candidates past the area filter.
     evaluated: u64,
@@ -1269,11 +1357,8 @@ struct RescoreCounts {
     rejected_infeasible: u64,
     /// Candidates under `min_utilization`.
     rejected_utilization: u64,
-    /// Candidates the footprint prefilter dropped before the referee.
+    /// Candidates the capacity prefilter dropped before the referee.
     prefiltered: u64,
-    /// [`Traffic::count`] calls: at most one per tile-size combination,
-    /// shared by its architecture choices.
-    traffic_counts: u64,
 }
 
 impl RescoreCounts {
@@ -1283,7 +1368,6 @@ impl RescoreCounts {
         self.rejected_infeasible += other.rejected_infeasible;
         self.rejected_utilization += other.rejected_utilization;
         self.prefiltered += other.prefiltered;
-        self.traffic_counts += other.traffic_counts;
     }
 }
 
@@ -1296,6 +1380,73 @@ struct RescoreOutcome {
     /// only), ties in candidate order.
     leaders: Vec<(f64, (ArchConfig, Mapping))>,
     counts: RescoreCounts,
+}
+
+/// What rescoring one content group produced.
+struct GroupOutcome {
+    /// Each member's solution index and outcome, in solution order; `None`
+    /// for a member that panicked.
+    members: Vec<(usize, Option<RescoreOutcome>)>,
+    /// [`Traffic::count`] calls: at most one per loop-order class of a tile
+    /// combination, shared by its architecture choices.
+    traffic_counts: u64,
+}
+
+/// The loop-order classes of a content group's members at one tile
+/// combination. Their mappings share every factor, and the referee reads
+/// only the order of the loops that exist (factor > 1), so members whose
+/// mappings have the same loop orders ([`Mapping::same_loop_orders`]) count
+/// the same traffic. Which loops exist depends only on which factors are 1,
+/// so the classes are cached per unit-loop mask.
+#[derive(Default)]
+struct LoopOrderClasses {
+    /// The current combination's mask: per PE-temporal, then per outer
+    /// factor, whether its loop exists.
+    mask: Vec<bool>,
+    /// Per mask, each member's class lead: the first member in its class.
+    cache: HashMap<Vec<bool>, Rc<[usize]>>,
+}
+
+impl LoopOrderClasses {
+    /// Each member's class lead for the tile combination in `mappings`.
+    fn of(&mut self, mappings: &[Mapping]) -> Rc<[usize]> {
+        let first = &mappings[0];
+        self.mask.clear();
+        self.mask.extend(
+            first
+                .pe_temporal_factors
+                .iter()
+                .chain(&first.outer_factors)
+                .map(|&f| f > 1),
+        );
+        if let Some(classes) = self.cache.get(self.mask.as_slice()) {
+            return Rc::clone(classes);
+        }
+        let classes: Rc<[usize]> = (0..mappings.len())
+            .map(|m| {
+                (0..m)
+                    .find(|&lead| mappings[lead].same_loop_orders(&mappings[m]))
+                    .unwrap_or(m)
+            })
+            .collect();
+        self.cache.insert(self.mask.clone(), Rc::clone(&classes));
+        classes
+    }
+}
+
+/// The solution indices of each content group, in solution order, largest
+/// group first: it is the longest job. The sort is stable, so groups of
+/// equal size keep solution order.
+fn content_groups(solved: &[SweepSolution]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (index, sol) in solved.iter().enumerate() {
+        match groups.iter_mut().find(|g| solved[g[0]].group == sol.group) {
+            Some(group) => group.push(index),
+            None => groups.push(vec![index]),
+        }
+    }
+    groups.sort_by_key(|group| std::cmp::Reverse(group.len()));
+    groups
 }
 
 /// Inserts into a score-ordered list capped at [`LEADERS`] entries. A new
@@ -1670,6 +1821,161 @@ mod tests {
                 full.eval.energy_pj
             );
         }
+    }
+
+    /// The top relaxed solutions of a full sweep, as `rescore_and_pick`
+    /// receives them.
+    fn top_solutions(
+        opt: &Optimizer,
+        workload: &Workload,
+        objective: Objective,
+        mode: &ArchMode,
+    ) -> Vec<SweepSolution> {
+        let generator = opt.generator(workload);
+        let mut pairs = generator.permutation_classes();
+        subsample(&mut pairs, opt.options.max_perm_pairs);
+        let ctx = TraceCtx::disabled();
+        let deadline = Deadline::none();
+        let mut solved = opt
+            .sweep(&generator, &pairs, objective, mode, &deadline, &ctx)
+            .unwrap()
+            .solved;
+        opt.keep_top(&mut solved);
+        solved
+    }
+
+    /// Everything a member's outcome hands the fold, floats as bit patterns.
+    fn outcome_bits(out: &RescoreOutcome) -> impl PartialEq + fmt::Debug {
+        let best = out.best.as_ref().map(|b| {
+            let bits = [b.score, b.eval.energy_pj, b.eval.cycles, b.eval.utilization];
+            (
+                bits.map(f64::to_bits),
+                b.arch,
+                b.mapping.clone(),
+                b.eval.clone(),
+            )
+        });
+        let leaders: Vec<_> = out
+            .leaders
+            .iter()
+            .map(|(score, (arch, mapping))| (score.to_bits(), *arch, mapping.clone()))
+            .collect();
+        (best, leaders, out.counts.clone())
+    }
+
+    /// A content group rescored together gives every member exactly what it
+    /// gets rescored alone, as a group of one, with fewer traffic counts.
+    /// On this layer some members of one content score differently, so
+    /// their loop-order classes really differ.
+    #[test]
+    fn rescore_group_equals_its_members_rescored_alone() {
+        let opt = Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
+            max_perm_pairs: 32,
+            candidate_limit: 1000,
+            top_solutions: 12,
+            threads: 2,
+            ..OptimizerOptions::default()
+        });
+        let workload = ConvLayer::new("t", 1, 32, 64, 28, 28, 3, 3, 1).workload();
+        let prob_spec = to_problem_spec(&workload);
+        let ctx = TraceCtx::disabled();
+        let same_area = CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), opt.tech());
+        let scores = |out: &Option<RescoreOutcome>| {
+            let out = out.as_ref().unwrap();
+            let best = out.best.as_ref().map(|b| b.score.to_bits());
+            (
+                best,
+                out.leaders
+                    .iter()
+                    .map(|(s, _)| s.to_bits())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let (mut fewer_counts, mut scores_differ) = (false, false);
+        for mode in [
+            ArchMode::Fixed(ArchConfig::eyeriss()),
+            ArchMode::CoDesign(same_area),
+        ] {
+            for objective in [Objective::Energy, Objective::Delay] {
+                let solved = top_solutions(&opt, &workload, objective, &mode);
+                let groups = content_groups(&solved);
+                let context = format!("{mode:?} {objective}");
+                assert!(groups[0].len() > 1, "{context}: no duplicate group");
+                let rescore = |group: &[usize]| {
+                    opt.rescore_group(&workload, &prob_spec, objective, &solved, group, &ctx)
+                };
+                for group in &groups {
+                    let together = rescore(group);
+                    let mut alone_counts = 0;
+                    for (index, outcome) in &together.members {
+                        let alone = rescore(&[*index]);
+                        alone_counts += alone.traffic_counts;
+                        assert_eq!(
+                            outcome_bits(outcome.as_ref().unwrap()),
+                            outcome_bits(alone.members[0].1.as_ref().unwrap()),
+                            "{context}: solution {index} of {group:?}"
+                        );
+                    }
+                    assert!(together.traffic_counts <= alone_counts, "{context}");
+                    fewer_counts |= together.traffic_counts < alone_counts;
+                    scores_differ |= together
+                        .members
+                        .windows(2)
+                        .any(|pair| scores(&pair[0].1) != scores(&pair[1].1));
+
+                    // An injected panic fails its member alone; the others
+                    // still get what they get alone (the clean group's
+                    // outcomes, checked above). Keys 0 and 1 are left out:
+                    // the other tests of this binary rescore two solutions
+                    // and may run meanwhile.
+                    #[cfg(feature = "fault-inject")]
+                    for &k in group.iter().filter(|&&k| k >= 2 && group.len() > 1) {
+                        let plan = format!("core.integerize.panic={k}");
+                        let guard = thistle_fault::FaultPlan::parse(&plan).unwrap().install();
+                        let faulted = rescore(group);
+                        drop(guard);
+                        for ((index, outcome), (_, clean)) in
+                            faulted.members.iter().zip(&together.members)
+                        {
+                            assert_eq!(outcome.is_none(), *index == k, "{context} {plan}");
+                            if let Some(outcome) = outcome {
+                                assert_eq!(
+                                    outcome_bits(outcome),
+                                    outcome_bits(clean.as_ref().unwrap()),
+                                    "{context} {plan}: solution {index}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fewer_counts, "no group shared a traffic count");
+        assert!(scores_differ, "no group's members scored differently");
+    }
+
+    /// Classes are cached per unit-loop mask of both temporal levels. Two
+    /// combinations with the same PE-temporal loops but different outer
+    /// loops get classes of their own, whichever comes first.
+    #[test]
+    fn rescore_classes_are_cached_per_mask_of_both_levels() {
+        let prob = timeloop_lite::problem::matmul(4, 4, 4);
+        // Two members whose outer loops over i and j run in opposite orders.
+        let mut members = [Mapping::untiled(&prob), Mapping::untiled(&prob)];
+        members[1].outer_perm = vec![1, 0, 2];
+        let mut classes = LoopOrderClasses::default();
+        // Only i loops at the outer level: the orders agree.
+        for m in &mut members {
+            m.register_factors = vec![2, 4, 4];
+            m.outer_factors = vec![2, 1, 1];
+        }
+        assert_eq!(*classes.of(&members), [0, 0]);
+        // i and j loop there: they differ.
+        for m in &mut members {
+            m.register_factors = vec![2, 2, 4];
+            m.outer_factors = vec![2, 2, 1];
+        }
+        assert_eq!(*classes.of(&members), [0, 1]);
     }
 
     #[test]

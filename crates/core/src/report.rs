@@ -32,8 +32,8 @@ pub struct SolveReport {
     pub recovery_attempts: u32,
     /// Name of the recovery rung that rescued the solve, if any.
     pub recovered_by: Option<String>,
-    /// Integer candidates rejected by the compiled-footprint prefilter
-    /// before reaching the referee (whole sweep).
+    /// Integer candidates rejected by the capacity prefilter before
+    /// reaching the referee (whole sweep).
     pub prefiltered: u64,
     /// Integer candidates the referee (or prefilter) found infeasible
     /// (whole sweep).
@@ -84,7 +84,7 @@ pub struct ConvergenceRollup {
     pub centering_steps: u64,
     /// Winning solves rescued by the recovery ladder.
     pub recovered_solves: u64,
-    /// Candidates rejected by the compiled-footprint prefilter.
+    /// Candidates rejected by the capacity prefilter.
     pub prefiltered: u64,
 }
 

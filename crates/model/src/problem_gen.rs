@@ -168,8 +168,6 @@ pub struct GeneratedGp {
     exact_t_sr: CompiledSignomial,
     exact_t_ds: CompiledSignomial,
     exact_reg_fills: CompiledSignomial,
-    exact_reg_fp: CompiledSignomial,
-    exact_sram_fp: CompiledSignomial,
 }
 
 impl GeneratedGp {
@@ -217,17 +215,6 @@ impl GeneratedGp {
         let sram = (t_sr + t_ds) / self.bandwidths.sram_words_per_cycle;
         let dram = t_ds / self.bandwidths.dram_words_per_cycle;
         compute.max(sram).max(dram)
-    }
-
-    /// The compiled exact register footprint (sum over tensors of `DF^0`),
-    /// for prefiltering integer candidates against the register capacity.
-    pub fn compiled_register_footprint(&self) -> &CompiledSignomial {
-        &self.exact_reg_fp
-    }
-
-    /// The compiled exact SRAM footprint (sum over tensors of `DF^2`).
-    pub fn compiled_sram_footprint(&self) -> &CompiledSignomial {
-        &self.exact_sram_fp
     }
 
     /// The objective this GP minimizes.
@@ -481,8 +468,6 @@ impl ProblemGenerator {
         let exact_t_sr = CompiledSignomial::compile(&traffic.totals.sram_reg);
         let exact_t_ds = CompiledSignomial::compile(&traffic.totals.dram_sram);
         let exact_reg_fills = CompiledSignomial::compile(&traffic.totals.reg_fills);
-        let exact_reg_fp = CompiledSignomial::compile(&traffic.totals.register_footprint);
-        let exact_sram_fp = CompiledSignomial::compile(&traffic.totals.sram_footprint);
         Ok(GeneratedGp {
             problem: prob,
             space,
@@ -500,8 +485,6 @@ impl ProblemGenerator {
             exact_t_sr,
             exact_t_ds,
             exact_reg_fills,
-            exact_reg_fp,
-            exact_sram_fp,
         })
     }
 }
@@ -617,46 +600,6 @@ mod tests {
             "{exact} vs {}",
             sol.objective
         );
-    }
-
-    /// The rescore prefilter evaluates the footprints once per tile-size
-    /// combination and reuses them for every architecture choice. That is
-    /// exact only because the footprints read no co-design variable.
-    #[test]
-    fn compiled_footprints_ignore_the_codesign_arch_variables() {
-        let layer = ConvLayer::new("t", 1, 32, 32, 28, 28, 3, 3, 1);
-        let gen = ProblemGenerator::new(layer.workload(), tech(), Bandwidths::default());
-        let mode = ArchMode::CoDesign(CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), &tech()));
-        for (p1, p3) in gen.permutation_classes().into_iter().take(4) {
-            let gp = gen.generate(&p1, &p3, Objective::Energy, &mode).unwrap();
-            let av = gp.arch_vars.unwrap();
-            let mut point = gp
-                .problem
-                .solve(&SolveOptions::default())
-                .unwrap()
-                .assignment;
-            let mut scratch = EvalScratch::default();
-            let mut footprints = |point: &Assignment| {
-                [
-                    gp.compiled_register_footprint()
-                        .eval_with(point, &mut scratch),
-                    gp.compiled_sram_footprint().eval_with(point, &mut scratch),
-                ]
-                .map(f64::to_bits)
-            };
-            let reference = footprints(&point);
-            for (regs, sram, pes) in [(1.0, 1.0, 1.0), (16.0, 65536.0, 168.0), (3.5, 700.25, 12.0)]
-            {
-                point.set(av.regs, regs);
-                point.set(av.sram, sram);
-                point.set(av.pes, pes);
-                assert_eq!(
-                    footprints(&point),
-                    reference,
-                    "regs {regs} sram {sram} pes {pes}"
-                );
-            }
-        }
     }
 
     #[test]

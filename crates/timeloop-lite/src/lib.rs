@@ -48,5 +48,5 @@ pub use arch::ArchSpec;
 pub use gamma::{GammaOptions, GammaResult, GeneticMapper};
 pub use mapper::{Mapper, MapperOptions, MapperResult};
 pub use mapping::Mapping;
-pub use model::{evaluate, evaluate_traced, EvalError, EvalResult, Traffic};
+pub use model::{capacity_needs, evaluate, evaluate_traced, EvalError, EvalResult, Traffic};
 pub use problem::ProblemSpec;

@@ -187,12 +187,27 @@ impl Mapping {
     /// The loops of a temporal level that actually exist (factor > 1),
     /// outermost first.
     pub fn effective_perm(&self, level: MapLevel) -> Vec<usize> {
+        self.existing_loops(level).collect()
+    }
+
+    /// Whether both temporal levels run their existing loops in the same
+    /// order here as in `other` ([`Mapping::effective_perm`] agrees at both).
+    /// That order is all the model reads of a permutation, so two mappings
+    /// with equal factors and the same loop orders count the same traffic.
+    /// Allocates nothing.
+    pub fn same_loop_orders(&self, other: &Mapping) -> bool {
+        [MapLevel::PeTemporal, MapLevel::Outer]
+            .into_iter()
+            .all(|level| self.existing_loops(level).eq(other.existing_loops(level)))
+    }
+
+    fn existing_loops(&self, level: MapLevel) -> impl Iterator<Item = usize> + '_ {
         let (perm, factors) = match level {
             MapLevel::PeTemporal => (&self.pe_temporal_perm, &self.pe_temporal_factors),
             MapLevel::Outer => (&self.outer_perm, &self.outer_factors),
             _ => panic!("only temporal levels have loop orders"),
         };
-        perm.iter().copied().filter(|&d| factors[d] > 1).collect()
+        perm.iter().copied().filter(move |&d| factors[d] > 1)
     }
 }
 

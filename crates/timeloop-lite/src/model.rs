@@ -204,6 +204,24 @@ fn sram_tile(m: &Mapping, d: usize) -> u64 {
     m.register_factors[d] * m.pe_temporal_factors[d] * m.spatial_factors[d]
 }
 
+/// The register words one PE needs and the SRAM words needed by a valid
+/// mapping: every tensor's tile at that level, summed. These are the needs
+/// [`Traffic::fits`] checks. They read only the factors, never a loop order.
+///
+/// # Panics
+///
+/// Panics if a factor list is shorter than the dimensions `prob` references,
+/// which [`Mapping::validate`] rules out.
+pub fn capacity_needs(prob: &ProblemSpec, mapping: &Mapping) -> (u64, u64) {
+    let need = |tile: fn(&Mapping, usize) -> u64| -> u64 {
+        prob.data_spaces
+            .iter()
+            .map(|ds| ds.footprint_with(|d| tile(mapping, d)))
+            .sum()
+    };
+    (need(register_tile), need(sram_tile))
+}
+
 /// One tensor's counts for a validated mapping, the single counting helper
 /// behind [`tensor_traffic`] and [`Traffic::count`]: register fill words per
 /// PE per SRAM tile, SRAM fill words in total, and the PEs needing distinct
@@ -290,16 +308,11 @@ impl Traffic {
     /// Returns the [`MappingError`] of a structurally invalid mapping.
     pub fn count(prob: &ProblemSpec, mapping: &Mapping) -> Result<Traffic, MappingError> {
         mapping.validate(prob)?;
-        let need = |tile: fn(&Mapping, usize) -> u64| -> u64 {
-            prob.data_spaces
-                .iter()
-                .map(|ds| ds.footprint_with(|d| tile(mapping, d)))
-                .sum()
-        };
+        let (reg_need, sram_need) = capacity_needs(prob, mapping);
         let mut t = Traffic {
             macs: prob.macs(),
-            reg_need: need(register_tile),
-            sram_need: need(sram_tile),
+            reg_need,
+            sram_need,
             pe_used: mapping.pe_count(),
             reg: Accesses::default(),
             sram: Accesses::default(),

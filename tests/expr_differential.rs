@@ -157,9 +157,9 @@ fn conv3x3_sweep_winner_is_thread_count_invariant() {
     assert!(relative_gap(serial.relaxed_objective, parallel.relaxed_objective) < 1e-9);
 }
 
-/// Co-design sweeps stay deterministic too — the compiled-footprint
-/// prefilter in the rescore loop must not change the winner, only skip
-/// referee calls that would have been rejected anyway.
+/// Co-design sweeps stay deterministic too — the capacity prefilter in the
+/// rescore loop must not change the winner, only skip referee calls that
+/// would have been rejected anyway.
 #[test]
 fn codesign_sweep_winner_is_thread_count_invariant() {
     let layer = conv3x3();

@@ -384,6 +384,63 @@ proptest! {
         }
     }
 
+    /// Loops with factor 1 do not exist, so moving them anywhere in either
+    /// permutation keeps the loop orders and the counted traffic, whose
+    /// prices then agree bit for bit under any architecture. Swapping two
+    /// existing loops at one level changes the loop orders.
+    #[test]
+    fn unit_loops_do_not_change_the_traffic(
+        conv in 0u8..2, a in 1u64..7, b in 1u64..7, c in 2u64..9, seed in 0u64..1_000_000,
+    ) {
+        let (prob, m, archs) = referee_case(conv == 1, a, b, c, seed);
+        if m.validate(&prob).is_err() {
+            return Ok(());
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x100f);
+        let mut moved = m.clone();
+        for (perm, factors) in [
+            (&mut moved.pe_temporal_perm, &m.pe_temporal_factors),
+            (&mut moved.outer_perm, &m.outer_factors),
+        ] {
+            let (mut order, unit): (Vec<usize>, Vec<usize>) =
+                perm.iter().partition(|&&d| factors[d] > 1);
+            for d in unit {
+                order.insert(rng.gen_range(0..=order.len()), d);
+            }
+            *perm = order;
+        }
+        prop_assert!(m.same_loop_orders(&moved));
+        let counted = Traffic::count(&prob, &m).unwrap();
+        let recounted = Traffic::count(&prob, &moved).unwrap();
+        prop_assert_eq!(&counted, &recounted);
+        for arch in &archs {
+            prop_assert_eq!(
+                verdict_bits(&counted.evaluate(arch)),
+                verdict_bits(&recounted.evaluate(arch))
+            );
+            prop_assert_eq!(counted.energy_pj(arch).to_bits(), recounted.energy_pj(arch).to_bits());
+            prop_assert_eq!(counted.cycles(arch).to_bits(), recounted.cycles(arch).to_bits());
+        }
+
+        for level in [MapLevel::PeTemporal, MapLevel::Outer] {
+            let existing = moved.effective_perm(level);
+            if existing.len() < 2 {
+                continue;
+            }
+            let i = rng.gen_range(0..existing.len());
+            let j = (i + rng.gen_range(1..existing.len())) % existing.len();
+            let mut swapped = moved.clone();
+            let perm = match level {
+                MapLevel::PeTemporal => &mut swapped.pe_temporal_perm,
+                _ => &mut swapped.outer_perm,
+            };
+            let at = |d: usize| perm.iter().position(|&e| e == d).unwrap();
+            let (x, y) = (at(existing[i]), at(existing[j]));
+            perm.swap(x, y);
+            prop_assert!(!moved.same_loop_orders(&swapped));
+        }
+    }
+
     /// The spatial-multicast discount never increases SRAM reads: the
     /// distinct-data fan-out divides the full PE count.
     #[test]

@@ -1,10 +1,11 @@
 //! Determinism of the parallel integerize→rescore phase.
 //!
-//! Workers claim relaxed solutions off a shared counter and the caller folds
-//! their outcomes in solution order, so the whole `DesignPoint` — arch,
-//! mapping, referee evaluation, report, ledger and candidate count — must be
-//! identical at any thread count: clean, in delay mode (bounded leaders and
-//! spatial packing), and with any single solution panicking.
+//! Workers claim content groups of relaxed solutions off a shared counter
+//! and the caller folds each member's outcome in solution order, so the
+//! whole `DesignPoint` — arch, mapping, referee evaluation, report, ledger
+//! and candidate count — must be identical at any thread count: clean, in
+//! delay mode (bounded leaders and spatial packing), and with any single
+//! solution panicking.
 
 use std::sync::Arc;
 use thistle::{DesignPoint, Optimizer, OptimizerOptions};
@@ -104,13 +105,41 @@ fn field_u64(span: &SpanRecord, key: &str) -> Option<u64> {
     })
 }
 
-/// A traced solve at four threads: the point and every span it recorded.
-fn traced_solve(objective: Objective, mode: &ArchMode) -> (DesignPoint, Vec<SpanRecord>) {
+fn field_f64(span: &SpanRecord, key: &str) -> Option<f64> {
+    span.fields.iter().find_map(|(k, v)| match v {
+        FieldValue::F64(x) if *k == key => Some(*x),
+        _ => None,
+    })
+}
+
+/// The `members` field of every `integerize` span, one span per content
+/// group, in solution order.
+fn integerize_members(spans: &[SpanRecord]) -> Vec<u64> {
+    let mut groups: Vec<(u64, u64)> = spans
+        .iter()
+        .filter(|s| s.name == "integerize")
+        .map(|s| {
+            (
+                field_u64(s, "solution").unwrap(),
+                field_u64(s, "members").unwrap(),
+            )
+        })
+        .collect();
+    groups.sort_unstable();
+    groups.into_iter().map(|(_, members)| members).collect()
+}
+
+/// A traced solve: the point and every span it recorded.
+fn traced_solve(
+    optimizer: &Optimizer,
+    objective: Objective,
+    mode: &ArchMode,
+) -> (DesignPoint, Vec<SpanRecord>) {
     #[cfg(feature = "fault-inject")]
     let _guard = thistle_fault::FaultPlan::new().install();
     let sink = Arc::new(CollectingSink::new());
     let ctx = TraceCtx::new(Arc::clone(&sink) as Arc<dyn thistle_obs::Sink>);
-    let point = optimizer(4)
+    let point = optimizer
         .optimize_layer_traced(&layer(), objective, mode, &ctx)
         .expect("solve succeeds");
     let spans = sink
@@ -122,28 +151,47 @@ fn traced_solve(objective: Objective, mode: &ArchMode) -> (DesignPoint, Vec<Span
     (point, spans)
 }
 
-/// With one architecture choice per tile combination, every candidate past
-/// the prefilter counts its own traffic.
+/// With one architecture choice per tile combination, a content group of
+/// one counts traffic once per candidate past the prefilter. A larger group
+/// counts once per loop-order class, so its duplicates share counts. The
+/// full solve holds a duplicate group; its best two solutions do not.
 #[test]
-fn fixed_arch_counts_traffic_per_referee_call() {
-    let (_, spans) = traced_solve(Objective::Energy, &fixed_mode());
-    let rescore = spans.iter().find(|s| s.name == "rescore").unwrap();
-    let evaluated = field_u64(rescore, "evaluated").unwrap();
-    let prefiltered = field_u64(rescore, "prefiltered").unwrap();
-    assert!(evaluated > prefiltered);
-    assert_eq!(
-        field_u64(rescore, "traffic_counts"),
-        Some(evaluated - prefiltered)
-    );
+fn fixed_arch_counts_traffic_once_per_loop_order_class() {
+    for (top_solutions, duplicates) in [(TOP_SOLUTIONS, true), (2, false)] {
+        let opt = optimizer(4).with_options(OptimizerOptions {
+            top_solutions,
+            ..optimizer(4).options().clone()
+        });
+        let (_, spans) = traced_solve(&opt, Objective::Energy, &fixed_mode());
+        let members = integerize_members(&spans);
+        assert_eq!(members.iter().sum::<u64>(), top_solutions as u64);
+        assert_eq!(members.iter().any(|&m| m > 1), duplicates, "{members:?}");
+
+        let rescore = spans.iter().find(|s| s.name == "rescore").unwrap();
+        let evaluated = field_u64(rescore, "evaluated").unwrap();
+        let prefiltered = field_u64(rescore, "prefiltered").unwrap();
+        assert!(evaluated > prefiltered);
+        let traffic_counts = field_u64(rescore, "traffic_counts").unwrap();
+        if duplicates {
+            assert!(
+                traffic_counts < evaluated - prefiltered,
+                "{traffic_counts} traffic counts for {} referee calls",
+                evaluated - prefiltered
+            );
+        } else {
+            assert_eq!(traffic_counts, evaluated - prefiltered);
+        }
+    }
 }
 
 /// One `rescore` span per solve, on the solve thread, carrying the layer
-/// totals; a delay solve hands its leaders to `pack_spatial`, and the
+/// totals; one `integerize` span per distinct GP content among the top
+/// solutions; a delay solve hands its leaders to `pack_spatial`, and the
 /// candidate count is exactly what the two spans report. Co-design's
 /// architecture choices share each combination's traffic count.
 #[test]
 fn rescore_span_carries_the_solve_totals() {
-    let (point, spans) = traced_solve(Objective::Delay, &codesign_mode());
+    let (point, spans) = traced_solve(&optimizer(4), Objective::Delay, &codesign_mode());
     let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
 
     let root = named("optimize_workload")[0];
@@ -152,7 +200,32 @@ fn rescore_span_carries_the_solve_totals() {
     let rescore = rescore[0];
     assert_eq!(rescore.tid, root.tid, "rescore runs on the solve thread");
     assert_eq!(field_u64(rescore, "solutions"), Some(TOP_SOLUTIONS as u64));
-    assert_eq!(named("integerize").len(), TOP_SOLUTIONS);
+
+    // Each `batch_solve` span is one distinct content of the sweep, with its
+    // relaxed objective and member count. The top solutions are the lowest
+    // objectives, so they hold the first contents in objective order, the
+    // last one possibly cut.
+    let mut contents: Vec<(f64, u64)> = named("batch_solve")
+        .iter()
+        .map(|s| {
+            (
+                field_f64(s, "objective").unwrap(),
+                field_u64(s, "members").unwrap(),
+            )
+        })
+        .collect();
+    contents.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut expected = Vec::new();
+    let mut left = TOP_SOLUTIONS as u64;
+    for (_, members) in contents {
+        if left == 0 {
+            break;
+        }
+        expected.push(members.min(left));
+        left -= members.min(left);
+    }
+    assert!(expected.len() < TOP_SOLUTIONS, "a duplicate among the top");
+    assert_eq!(integerize_members(&spans), expected);
 
     let pack = named("pack_spatial");
     assert_eq!(pack.len(), 1, "delay mode packs its leaders");
