@@ -5,7 +5,8 @@
 //! routines are dense and allocation-friendly rather than tuned. Provided:
 //!
 //! * [`Matrix`] — row-major dense matrix with the usual products;
-//! * [`Matrix::solve`] — LU with partial pivoting;
+//! * [`Matrix::solve`] — LU with partial pivoting (the one LU routine,
+//!   also run in place on the barrier solver's reused KKT buffer);
 //! * [`Matrix::cholesky_solve`] — for symmetric positive-definite systems;
 //! * [`Matrix::least_squares`] — Householder QR, minimum-residual solve;
 //! * [`Matrix::min_norm_solution`] — minimum-norm solution of an
@@ -29,6 +30,15 @@ impl fmt::Display for SolveMatrixError {
 }
 
 impl std::error::Error for SolveMatrixError {}
+
+/// Buffers for [`Matrix::lu_solve_in_place`], reusable across solves.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LuScratch {
+    /// Row permutation: `piv[k]` is the row holding the `k`-th pivot.
+    piv: Vec<usize>,
+    /// The current pivot row's trailing entries.
+    pivot_row: Vec<f64>,
+}
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -173,32 +183,25 @@ impl Matrix {
         }
     }
 
-    /// Multiplies every entry by `c`, in place.
-    pub fn scale_in_place(&mut self, c: f64) {
-        for v in &mut self.data {
-            *v *= c;
-        }
+    /// Row `i` as a slice.
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Adds `c * other` entrywise, in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn add_scaled(&mut self, c: f64, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += c * b;
-        }
+    /// Row `i` as a mutable slice.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Adds the rank-one update `c * v v^T`, in place.
+    /// Adds the rank-one update `c * v v^T`, in place, skipping the rows
+    /// where `v` is zero. Only the tests' dense reference of the barrier
+    /// assembly uses it.
     ///
     /// # Panics
     ///
     /// Panics if the matrix is not square of size `v.len()`.
-    pub fn add_outer(&mut self, c: f64, v: &[f64]) {
+    #[cfg(test)]
+    pub(crate) fn add_outer(&mut self, c: f64, v: &[f64]) {
         assert_eq!(self.rows, v.len());
         assert_eq!(self.cols, v.len());
         for i in 0..v.len() {
@@ -223,12 +226,41 @@ impl Matrix {
     ///
     /// Panics if the matrix is not square or `b.len() != self.rows()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, SolveMatrixError> {
+        let mut lu = self.clone();
+        let mut x = b.to_vec();
+        let mut out = vec![0.0; self.rows];
+        lu.lu_solve_in_place(&mut x, &mut out, &mut LuScratch::default())?;
+        Ok(out)
+    }
+
+    /// Solves `A x = b` by LU decomposition with partial pivoting, in place:
+    /// the matrix is overwritten by its elimination, `b` by the eliminated
+    /// right-hand side, and `out` receives `x`. Each row update is a slice
+    /// loop against a copy of the pivot row, so the optimizer vectorizes it
+    /// element by element without reassociating anything.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the matrix is (numerically) singular.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square or `b` or `out` is not
+    /// `self.rows()` long.
+    pub(crate) fn lu_solve_in_place(
+        &mut self,
+        b: &mut [f64],
+        out: &mut [f64],
+        scratch: &mut LuScratch,
+    ) -> Result<(), SolveMatrixError> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length mismatch");
+        assert_eq!(out.len(), self.rows, "solution length mismatch");
         let n = self.rows;
-        let mut a = self.data.clone();
-        let mut x: Vec<f64> = b.to_vec();
-        let mut piv: Vec<usize> = (0..n).collect();
+        let a = &mut self.data;
+        let LuScratch { piv, pivot_row } = scratch;
+        piv.clear();
+        piv.extend(0..n);
 
         for col in 0..n {
             // Pivot selection.
@@ -249,29 +281,35 @@ impl Matrix {
             piv.swap(col, best);
             let prow = piv[col];
             let pivot = a[prow * n + col];
+            pivot_row.clear();
+            pivot_row.extend_from_slice(&a[prow * n + col + 1..(prow + 1) * n]);
+            let xp = b[prow];
             for &r in piv.iter().skip(col + 1) {
                 let factor = a[r * n + col] / pivot;
                 if factor == 0.0 {
                     continue;
                 }
                 a[r * n + col] = 0.0;
-                for j in col + 1..n {
-                    a[r * n + j] -= factor * a[prow * n + j];
+                let row = &mut a[r * n + col + 1..(r + 1) * n];
+                for (v, &p) in row.iter_mut().zip(pivot_row.iter()) {
+                    *v -= factor * p;
                 }
-                x[r] -= factor * x[prow];
+                b[r] -= factor * xp;
             }
         }
         // Back substitution.
-        let mut out = vec![0.0; n];
         for col in (0..n).rev() {
             let prow = piv[col];
-            let mut s = x[prow];
-            for j in col + 1..n {
-                s -= a[prow * n + j] * out[j];
+            let mut s = b[prow];
+            for (&u, &x) in a[prow * n + col + 1..(prow + 1) * n]
+                .iter()
+                .zip(&out[col + 1..])
+            {
+                s -= u * x;
             }
             out[col] = s / a[prow * n + col];
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Solves the symmetric positive-definite system `A x = b` by Cholesky
@@ -537,6 +575,80 @@ mod tests {
                 "n={n}: {x:?} vs {x_true:?}"
             );
         }
+    }
+
+    /// The scalar LU that the in-place slice-loop routine replaced, kept as a
+    /// bitwise oracle.
+    fn scalar_lu_solve(m: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        let n = m.rows;
+        let mut a = m.data.clone();
+        let mut x: Vec<f64> = b.to_vec();
+        let mut piv: Vec<usize> = (0..n).collect();
+        for col in 0..n {
+            let mut best = col;
+            let mut best_mag = a[piv[col] * n + col].abs();
+            for (r, &pr) in piv.iter().enumerate().skip(col + 1) {
+                let mag = a[pr * n + col].abs();
+                if mag > best_mag {
+                    best = r;
+                    best_mag = mag;
+                }
+            }
+            if best_mag < 1e-300 {
+                return None;
+            }
+            piv.swap(col, best);
+            let prow = piv[col];
+            let pivot = a[prow * n + col];
+            for &r in piv.iter().skip(col + 1) {
+                let factor = a[r * n + col] / pivot;
+                if factor == 0.0 {
+                    continue;
+                }
+                a[r * n + col] = 0.0;
+                for j in col + 1..n {
+                    a[r * n + j] -= factor * a[prow * n + j];
+                }
+                x[r] -= factor * x[prow];
+            }
+        }
+        let mut out = vec![0.0; n];
+        for col in (0..n).rev() {
+            let prow = piv[col];
+            let mut s = x[prow];
+            for j in col + 1..n {
+                s -= a[prow * n + j] * out[j];
+            }
+            out[col] = s / a[prow * n + col];
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn lu_matches_the_scalar_reference_bit_for_bit() {
+        // Dense random systems and KKT-shaped ones (a zero lower-right
+        // block, so some eliminations skip on a zero factor), at sizes
+        // that span several vector widths.
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [1usize, 2, 3, 7, 16, 25, 31] {
+            for kkt_block in [0, n / 3] {
+                let mut a = Matrix::zeros(n, n);
+                for i in 0..n {
+                    for j in 0..n {
+                        if i < n - kkt_block || j < n - kkt_block {
+                            a[(i, j)] = rng.gen_range(-2.0..2.0);
+                        }
+                    }
+                }
+                let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                let expected = scalar_lu_solve(&a, &b).expect("random systems are regular");
+                let got = a.solve(&b).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "n={n}, zero block {kkt_block}");
+            }
+        }
+        let singular = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+        assert!(scalar_lu_solve(&singular, &[1.0, 2.0]).is_none());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   increase `t` until the duality gap bound `m / t` is below tolerance.
 
 use crate::deadline::Deadline;
-use crate::linalg::{axpy, dot, norm2, Matrix};
+use crate::linalg::{axpy, dot, norm2, LuScratch, Matrix};
 use crate::transform::{LogSumExp, LseScratch, TransformedProblem};
 use std::fmt;
 use thistle_expr::Assignment;
@@ -296,10 +296,11 @@ fn solve_attempt(
     let mut total_newton = 0;
 
     if !tp.inequalities.is_empty() {
+        let mut scratch = LseScratch::default();
         let worst = tp
             .inequalities
             .iter()
-            .map(|f| f.value(&y0))
+            .map(|f| f.value(&y0, &mut scratch))
             .fold(f64::NEG_INFINITY, f64::max);
         // `!(worst < ...)` rather than `worst >= ...`: a NaN margin must
         // also route through phase one.
@@ -355,20 +356,7 @@ fn phase_one(
     fault_key: u64,
 ) -> Result<(Vec<f64>, usize), GpError> {
     let n = tp.n;
-    // Extended space (y, s): constraints Fi(y) - s <= 0, objective s.
-    let ineqs: Vec<LogSumExp> = tp
-        .inequalities
-        .iter()
-        .map(|f| f.with_slack_column(n))
-        .collect();
-    let objective = LogSumExp::slack_objective(n);
-    // Extend the equality matrix with a zero column for s.
-    let mut eq = Matrix::zeros(tp.eq_matrix.rows(), n + 1);
-    for i in 0..tp.eq_matrix.rows() {
-        for j in 0..n {
-            eq[(i, j)] = tp.eq_matrix[(i, j)];
-        }
-    }
+    let (objective, ineqs, eq) = phase_one_problem(tp);
     let mut z0 = y0.to_vec();
     z0.push(worst + 1.0);
 
@@ -391,6 +379,23 @@ fn phase_one(
     Ok((run.y[..n].to_vec(), run.newton_iterations))
 }
 
+/// The phase-I problem over the extended space `(y, s)`: objective `s`,
+/// constraints `Fi(y) - s <= 0`, and the equality matrix with a zero column
+/// for `s`.
+fn phase_one_problem(tp: &TransformedProblem) -> (LogSumExp, Vec<LogSumExp>, Matrix) {
+    let n = tp.n;
+    let ineqs = tp
+        .inequalities
+        .iter()
+        .map(|f| f.with_slack_column(n))
+        .collect();
+    let mut eq = Matrix::zeros(tp.eq_matrix.rows(), n + 1);
+    for i in 0..tp.eq_matrix.rows() {
+        eq.row_mut(i)[..n].copy_from_slice(tp.eq_matrix.row(i));
+    }
+    (LogSumExp::slack_objective(n), ineqs, eq)
+}
+
 /// The barrier loop, opened at `t = 1`. If `exit_below` is set, returns as
 /// soon as the objective value drops below it (used by phase I). The
 /// returned [`BarrierRun`] carries the Newton count of every centering step
@@ -408,6 +413,7 @@ fn barrier(
 ) -> Result<BarrierRun, GpError> {
     let m = ineqs.len();
     let mut y = y0.to_vec();
+    let mut scratch = LseScratch::default();
     let mut total_iters = 0;
     let mut t = 1.0;
     let mut status = SolveStatus::Optimal;
@@ -437,7 +443,7 @@ fn barrier(
             gaps.push(m as f64 / t);
         }
         if let Some(threshold) = exit_below {
-            if objective.value(&y) < threshold {
+            if objective.value(&y, &mut scratch) < threshold {
                 return Ok(finish(
                     y,
                     SolveStatus::Optimal,
@@ -478,15 +484,10 @@ fn center(
     fault_key: u64,
 ) -> Result<usize, GpError> {
     let n = y.len();
-    let meq = eq.rows();
-
-    // Evaluation buffers, allocated once and overwritten each iteration by
-    // the compiled-form kernels (`LogSumExp::eval_into`).
-    let mut scratch = LseScratch::default();
-    let mut grad = vec![0.0; n];
-    let mut hess = Matrix::zeros(n, n);
-    let mut gi = vec![0.0; n];
-    let mut hi = Matrix::zeros(n, n);
+    // Buffers allocated once and overwritten every iteration.
+    let mut sys = NewtonSystem::new(n);
+    let mut kkt = Kkt::new(n, eq.rows());
+    let mut cand = vec![0.0; n];
 
     for iter in 0..opts.max_newton_per_center {
         if deadline.expired() {
@@ -497,59 +498,30 @@ fn center(
                 "non-finite iterate in centering step".into(),
             ));
         }
-        // Assemble gradient and Hessian of t*F0 + phi.
-        objective.eval_into(y, &mut grad, Some(&mut hess), &mut scratch);
-        for g in grad.iter_mut() {
-            *g *= t;
-        }
-        hess.scale_in_place(t);
-        for f in ineqs {
-            let v = f.eval_into(y, &mut gi, Some(&mut hi), &mut scratch);
-            // `!(v < 0.0)` rather than `v >= 0.0`: a NaN value must also be
-            // treated as having left the feasible region.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(v < 0.0) {
-                return Err(GpError::NumericalFailure(
-                    "barrier iterate left the feasible region".into(),
-                ));
-            }
-            let inv = -1.0 / v; // 1 / (-Fi) > 0
-            for (gacc, &gc) in grad.iter_mut().zip(&gi) {
-                *gacc += inv * gc;
-            }
-            // hess += inv^2 * gi gi^T + inv * Hi
-            hess.add_outer(inv * inv, &gi);
-            hess.add_scaled(inv, &hi);
-        }
+        let m0 = newton_system(objective, ineqs, y, t, &mut sys)?;
 
         // Solve the KKT system, escalating the ridge on failure. The chaos
         // site skips the factorization loop entirely, simulating a system
         // that stays singular at every ridge level.
-        let mut dy: Option<Vec<f64>> = None;
+        let mut solved = false;
         if !thistle_fault::fire("gp.kkt.singular", fault_key) {
             let mut ridge = opts.base_ridge;
             while ridge < 1e4 {
-                let mut h = hess.clone();
-                h.add_diagonal(ridge);
-                let step = if meq == 0 {
-                    h.cholesky_solve(&neg(&grad)).ok()
-                } else {
-                    solve_kkt(&h, eq, &neg(&grad)).ok()
-                };
-                if let Some(s) = step {
-                    if s.iter().all(|v| v.is_finite()) {
-                        dy = Some(s);
-                        break;
-                    }
+                if kkt.solve(&sys.hess, eq, &sys.grad, ridge) {
+                    solved = true;
+                    break;
                 }
                 ridge *= 100.0;
             }
         }
-        let dy = dy.ok_or_else(|| {
-            GpError::NumericalFailure("KKT system unsolvable at any ridge level".into())
-        })?;
+        if !solved {
+            return Err(GpError::NumericalFailure(
+                "KKT system unsolvable at any ridge level".into(),
+            ));
+        }
+        let dy = kkt.step();
 
-        let lambda_sq = -dot(&grad, &dy);
+        let lambda_sq = -dot(&sys.grad, dy);
         if !lambda_sq.is_finite() {
             return Err(GpError::NumericalFailure(
                 "non-finite Newton decrement".into(),
@@ -559,27 +531,18 @@ fn center(
             return Ok(iter);
         }
 
-        // Backtracking line search on the barrier merit function.
-        let merit = |pt: &[f64]| -> f64 {
-            let mut val = t * objective.value(pt);
-            for f in ineqs {
-                let fv = f.value(pt);
-                if fv >= 0.0 {
-                    return f64::INFINITY;
-                }
-                val -= (-fv).ln();
-            }
-            val
-        };
-        let m0 = merit(y);
-        let slope = dot(&grad, &dy); // negative
+        // Backtracking line search on the barrier merit function, from the
+        // merit `newton_system` accumulated at `y`.
+        let slope = -lambda_sq; // negative
         let mut step = 1.0;
         let mut accepted = false;
         for _ in 0..70 {
-            let cand = axpy(y, step, &dy);
-            let mc = merit(&cand);
+            for ((c, &yv), &d) in cand.iter_mut().zip(y.iter()).zip(dy) {
+                *c = yv + step * d;
+            }
+            let mc = merit(objective, ineqs, &cand, t, &mut sys.scratch);
             if mc <= m0 + 0.25 * step * slope {
-                *y = cand;
+                std::mem::swap(y, &mut cand);
                 accepted = true;
                 break;
             }
@@ -589,39 +552,178 @@ fn center(
             // Progress stalled at numerical precision — treat as converged.
             return Ok(iter);
         }
-        debug_assert!(n == y.len());
     }
     Ok(opts.max_newton_per_center)
 }
 
-/// Solves the KKT system `[H A^T; A 0] [dy; w] = [rhs; 0]` by dense LU.
-fn solve_kkt(
-    h: &Matrix,
-    a: &Matrix,
-    rhs: &[f64],
-) -> Result<Vec<f64>, crate::linalg::SolveMatrixError> {
-    let n = h.rows();
-    let m = a.rows();
-    let mut kkt = Matrix::zeros(n + m, n + m);
-    for i in 0..n {
-        for j in 0..n {
-            kkt[(i, j)] = h[(i, j)];
-        }
-    }
-    for i in 0..m {
-        for j in 0..n {
-            kkt[(n + i, j)] = a[(i, j)];
-            kkt[(j, n + i)] = a[(i, j)];
-        }
-    }
-    let mut full_rhs = rhs.to_vec();
-    full_rhs.extend(std::iter::repeat_n(0.0, m));
-    let sol = kkt.solve(&full_rhs)?;
-    Ok(sol[..n].to_vec())
+/// The dense gradient and Hessian of `t*F0 + phi`, with the evaluation
+/// scratch every function shares.
+struct NewtonSystem {
+    grad: Vec<f64>,
+    hess: Matrix,
+    scratch: LseScratch,
 }
 
-fn neg(v: &[f64]) -> Vec<f64> {
-    v.iter().map(|x| -x).collect()
+impl NewtonSystem {
+    fn new(n: usize) -> Self {
+        NewtonSystem {
+            grad: vec![0.0; n],
+            hess: Matrix::zeros(n, n),
+            scratch: LseScratch::default(),
+        }
+    }
+}
+
+/// Assembles the gradient and Hessian of the barrier function
+/// `t*F0(y) - sum_i log(-Fi(y))` into `sys` from each function's live block,
+/// and returns its value at `y` (the line search's starting merit).
+///
+/// The objective's block is written times `t`. Each inequality adds
+/// `inv*g` to the gradient and, on its live x live entries only,
+/// `inv^2 g g^T` (skipping the rows where `g` is zero) and then `inv*H`,
+/// with `inv = 1/(-Fi(y))`. The entries a dense assembly would also touch
+/// only receive `+-0`, which leaves every accumulator (zeroed to `+0`, never
+/// `-0`) unchanged, so the system is bit-identical to the dense one.
+///
+/// # Errors
+///
+/// [`GpError::NumericalFailure`] if some `Fi(y)` is not negative (or NaN).
+fn newton_system(
+    objective: &LogSumExp,
+    ineqs: &[LogSumExp],
+    y: &[f64],
+    t: f64,
+    sys: &mut NewtonSystem,
+) -> Result<f64, GpError> {
+    let NewtonSystem {
+        grad,
+        hess,
+        scratch,
+    } = sys;
+    grad.fill(0.0);
+    hess.fill_zero();
+    let v0 = objective.eval_block(y, scratch);
+    let mut merit = t * v0;
+    let live = objective.live();
+    let rows = scratch.hess.chunks_exact(live.len().max(1));
+    for ((&i, &g), block) in live.iter().zip(&scratch.grad).zip(rows) {
+        grad[i as usize] = g * t;
+        let row = hess.row_mut(i as usize);
+        for (&j, &h) in live.iter().zip(block) {
+            row[j as usize] = h * t;
+        }
+    }
+    for f in ineqs {
+        let v = f.eval_block(y, scratch);
+        // `!(v < 0.0)` rather than `v >= 0.0`: a NaN value must also be
+        // treated as having left the feasible region.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(v < 0.0) {
+            return Err(GpError::NumericalFailure(
+                "barrier iterate left the feasible region".into(),
+            ));
+        }
+        let inv = -1.0 / v; // 1 / (-Fi) > 0
+        merit -= (-v).ln();
+        let c = inv * inv;
+        let (live, g) = (f.live(), &scratch.grad);
+        let rows = scratch.hess.chunks_exact(live.len().max(1));
+        for ((&i, &gi), block) in live.iter().zip(g).zip(rows) {
+            grad[i as usize] += inv * gi;
+            let row = hess.row_mut(i as usize);
+            if gi != 0.0 {
+                let cv = c * gi;
+                for (&j, &gj) in live.iter().zip(g) {
+                    row[j as usize] += cv * gj;
+                }
+            }
+            for (&j, &h) in live.iter().zip(block) {
+                row[j as usize] += inv * h;
+            }
+        }
+    }
+    Ok(merit)
+}
+
+/// The barrier merit `t*F0(y) - sum_i log(-Fi(y))`, or `+inf` outside the
+/// domain.
+fn merit(
+    objective: &LogSumExp,
+    ineqs: &[LogSumExp],
+    y: &[f64],
+    t: f64,
+    scratch: &mut LseScratch,
+) -> f64 {
+    let mut val = t * objective.value(y, scratch);
+    for f in ineqs {
+        let fv = f.value(y, scratch);
+        if fv >= 0.0 {
+            return f64::INFINITY;
+        }
+        val -= (-fv).ln();
+    }
+    val
+}
+
+/// The Newton step's KKT system `[H + rho*I, A^T; A, 0] [dy; w] = [-g; 0]`,
+/// assembled into buffers reused across Newton iterations and ridge
+/// retries, and factored in place (LU with partial pivoting; Cholesky when
+/// there are no equalities).
+struct Kkt {
+    matrix: Matrix,
+    rhs: Vec<f64>,
+    sol: Vec<f64>,
+    lu: LuScratch,
+    n: usize,
+}
+
+impl Kkt {
+    fn new(n: usize, meq: usize) -> Self {
+        Kkt {
+            matrix: Matrix::zeros(n + meq, n + meq),
+            rhs: vec![0.0; n + meq],
+            sol: vec![0.0; n + meq],
+            lu: LuScratch::default(),
+            n,
+        }
+    }
+
+    /// Assembles the system at ridge `ridge` and solves it. Returns whether
+    /// it produced a finite step, which [`Kkt::step`] then holds.
+    fn solve(&mut self, hess: &Matrix, eq: &Matrix, grad: &[f64], ridge: f64) -> bool {
+        let n = self.n;
+        for i in 0..n {
+            let row = self.matrix.row_mut(i);
+            row[..n].copy_from_slice(hess.row(i));
+            row[i] += ridge;
+            for (k, r) in row[n..].iter_mut().enumerate() {
+                *r = eq[(k, i)];
+            }
+        }
+        for k in 0..eq.rows() {
+            let row = self.matrix.row_mut(n + k);
+            row[..n].copy_from_slice(eq.row(k));
+            row[n..].fill(0.0);
+        }
+        for (r, g) in self.rhs.iter_mut().zip(grad) {
+            *r = -g;
+        }
+        self.rhs[n..].fill(0.0);
+        let solved = if eq.rows() == 0 {
+            self.matrix
+                .cholesky_solve(&self.rhs)
+                .map(|x| self.sol.copy_from_slice(&x))
+        } else {
+            self.matrix
+                .lu_solve_in_place(&mut self.rhs, &mut self.sol, &mut self.lu)
+        };
+        solved.is_ok() && self.step().iter().all(|v| v.is_finite())
+    }
+
+    /// The `dy` part of the last solution.
+    fn step(&self) -> &[f64] {
+        &self.sol[..self.n]
+    }
 }
 
 #[cfg(test)]
@@ -711,6 +813,198 @@ mod tests {
         ];
         let err = solve(1, &Posynomial::from_var(x), &ineqs, &[]).unwrap_err();
         assert_eq!(err, GpError::Infeasible);
+    }
+
+    /// GPs generated for one small conv layer: the first and last
+    /// permutation class in each mode x objective setting, each with its
+    /// solved point.
+    fn generated_gps() -> Vec<(TransformedProblem, Vec<f64>)> {
+        use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
+        use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective, ProblemGenerator};
+        let tech = TechnologyParams::cgo2022_45nm();
+        let layer = ConvLayer::new("small", 1, 16, 8, 8, 8, 3, 3, 1);
+        let gen = ProblemGenerator::new(layer.workload(), tech.clone(), Bandwidths::default());
+        let classes = gen.permutation_classes();
+        let eyeriss = ArchConfig::eyeriss();
+        let modes = [
+            ArchMode::Fixed(eyeriss),
+            ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech)),
+        ];
+        let mut out = Vec::new();
+        for mode in &modes {
+            for objective in [Objective::Energy, Objective::Delay] {
+                for (p1, p3) in [&classes[0], &classes[classes.len() - 1]] {
+                    let gp = gen.generate(p1, p3, objective, mode).unwrap();
+                    let p = &gp.problem;
+                    let tp = TransformedProblem::new(
+                        p.registry().len(),
+                        p.objective().unwrap(),
+                        p.inequalities(),
+                        p.equalities(),
+                    );
+                    let opts = BarrierOptions::default();
+                    let y = solve_transformed(&tp, &opts, &Deadline::none()).unwrap().y;
+                    out.push((tp, y));
+                }
+            }
+        }
+        out
+    }
+
+    /// The dense assembly `newton_system` replaced: dense evaluation of
+    /// every function into `n`-vectors and `n x n` matrices, the objective
+    /// scaled by `t`, then per inequality `inv*g`, a dense rank-one
+    /// `inv^2 g g^T`, and `inv*H` added to every entry; the merit evaluated
+    /// afresh with the two-pass value. `None` where some `Fi(y) >= 0`.
+    fn dense_newton_system(
+        objective: &LogSumExp,
+        ineqs: &[LogSumExp],
+        y: &[f64],
+        t: f64,
+    ) -> Option<(Vec<f64>, Matrix, f64)> {
+        let n = y.len();
+        let (_, mut grad, mut hess) = objective.dense_reference_eval(y);
+        for g in grad.iter_mut() {
+            *g *= t;
+        }
+        for i in 0..n {
+            for j in 0..n {
+                hess[(i, j)] *= t;
+            }
+        }
+        for f in ineqs {
+            let (v, gi, hi) = f.dense_reference_eval(y);
+            if v >= 0.0 || v.is_nan() {
+                return None;
+            }
+            let inv = -1.0 / v;
+            for (gacc, &gc) in grad.iter_mut().zip(&gi) {
+                *gacc += inv * gc;
+            }
+            hess.add_outer(inv * inv, &gi);
+            for i in 0..n {
+                for j in 0..n {
+                    hess[(i, j)] += inv * hi[(i, j)];
+                }
+            }
+        }
+        let mut merit = t * objective.dense_reference_value(y);
+        for f in ineqs {
+            merit -= (-f.dense_reference_value(y)).ln();
+        }
+        Some((grad, hess, merit))
+    }
+
+    fn assert_same_system(objective: &LogSumExp, ineqs: &[LogSumExp], y: &[f64], t: f64) {
+        let n = y.len();
+        let mut sys = NewtonSystem::new(n);
+        let m0 = newton_system(objective, ineqs, y, t, &mut sys).expect("strictly feasible");
+        let (grad, hess, merit) = dense_newton_system(objective, ineqs, y, t).unwrap();
+        for i in 0..n {
+            assert_eq!(
+                sys.grad[i].to_bits(),
+                grad[i].to_bits(),
+                "gradient entry {i} at t = {t}"
+            );
+            for j in 0..n {
+                assert_eq!(
+                    sys.hess[(i, j)].to_bits(),
+                    hess[(i, j)].to_bits(),
+                    "Hessian entry ({i},{j}) at t = {t}"
+                );
+            }
+        }
+        assert_eq!(m0.to_bits(), merit.to_bits(), "merit at t = {t}");
+    }
+
+    #[test]
+    fn newton_system_matches_the_dense_assembly_bit_for_bit() {
+        let gps = generated_gps();
+        assert_eq!(gps.len(), 8);
+        let mut scratch = LseScratch::default();
+        let mut slack_point = |ineqs: &[LogSumExp], y: &[f64]| {
+            let worst = ineqs
+                .iter()
+                .map(|f| f.value(y, &mut scratch))
+                .fold(f64::NEG_INFINITY, f64::max);
+            let mut z = y.to_vec();
+            z.push(worst + 1.0);
+            z
+        };
+        for (tp, y_star) in &gps {
+            let (slack_obj, slack_ineqs, _) = phase_one_problem(tp);
+            let z_star = slack_point(&tp.inequalities, y_star);
+            for t in [1.0, 20.0, 1e4] {
+                assert_same_system(&tp.objective, &tp.inequalities, y_star, t);
+                assert_same_system(&slack_obj, &slack_ineqs, &z_star, t);
+            }
+            // The phase-I start `(y0, worst + 1)`.
+            let y0 = tp.eq_matrix.min_norm_solution(&tp.eq_rhs).unwrap();
+            let z0 = slack_point(&tp.inequalities, &y0);
+            assert_same_system(&slack_obj, &slack_ineqs, &z0, 1.0);
+        }
+    }
+
+    /// The KKT solve the in-place buffer replaced: clone `H`, add the ridge,
+    /// assemble a fresh `(n + m)^2` matrix and call [`Matrix::solve`] on it
+    /// (Cholesky on `H` alone without equalities). `None` where that fails
+    /// or yields a non-finite step.
+    fn dense_kkt_step(hess: &Matrix, a: &Matrix, grad: &[f64], ridge: f64) -> Option<Vec<f64>> {
+        let (n, m) = (hess.rows(), a.rows());
+        let mut h = hess.clone();
+        h.add_diagonal(ridge);
+        let mut rhs: Vec<f64> = grad.iter().map(|g| -g).collect();
+        let step = if m == 0 {
+            h.cholesky_solve(&rhs).ok()?
+        } else {
+            let mut kkt = Matrix::zeros(n + m, n + m);
+            for i in 0..n {
+                for j in 0..n {
+                    kkt[(i, j)] = h[(i, j)];
+                }
+            }
+            for i in 0..m {
+                for j in 0..n {
+                    kkt[(n + i, j)] = a[(i, j)];
+                    kkt[(j, n + i)] = a[(i, j)];
+                }
+            }
+            rhs.extend(std::iter::repeat_n(0.0, m));
+            kkt.solve(&rhs).ok()?[..n].to_vec()
+        };
+        step.iter().all(|v| v.is_finite()).then_some(step)
+    }
+
+    #[test]
+    fn in_place_kkt_matches_a_fresh_dense_solve_bit_for_bit() {
+        let mut retried = false;
+        for (tp, y_star) in generated_gps() {
+            let (n, eq) = (tp.n, &tp.eq_matrix);
+            let mut sys = NewtonSystem::new(n);
+            newton_system(&tp.objective, &tp.inequalities, &y_star, 20.0, &mut sys).unwrap();
+            // One buffer for every solve below, as in a centering step. A
+            // zero Hessian without a ridge is singular wherever a variable
+            // sits in no equality, so the ridge retry after it runs on a
+            // half-eliminated buffer.
+            let zero = Matrix::zeros(n, n);
+            let mut kkt = Kkt::new(n, eq.rows());
+            for (hess, ridge) in [
+                (&zero, 0.0),
+                (&zero, 1e-10),
+                (&sys.hess, 1e-10),
+                (&sys.hess, 1e-8),
+            ] {
+                let expected = dense_kkt_step(hess, eq, &sys.grad, ridge);
+                let solved = kkt.solve(hess, eq, &sys.grad, ridge);
+                assert_eq!(solved, expected.is_some(), "ridge {ridge}");
+                retried |= !solved;
+                if let Some(dy) = expected {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(kkt.step()), bits(&dy), "ridge {ridge}");
+                }
+            }
+        }
+        assert!(retried, "no solve exercised the ridge retry");
     }
 
     #[test]

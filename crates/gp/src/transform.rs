@@ -14,9 +14,10 @@
 //!
 //! [`LogSumExp`] is the *compiled* form the solver consumes: the exponent
 //! matrix is stored in compressed sparse rows (most monomials mention a
-//! handful of the problem's variables — bound constraints exactly one), so
-//! value/gradient/Hessian evaluation is a cache-friendly sweep over the
-//! nonzero entries instead of dense row dots and rank-one updates.
+//! handful of the problem's variables — bound constraints exactly one), and
+//! its gradient and Hessian live on the *live block*, the columns some term
+//! mentions. An inequality touches two variables on average, so the barrier
+//! solver's Newton system only ever pays for those entries.
 
 use crate::linalg::Matrix;
 use thistle_expr::{Monomial, Posynomial};
@@ -29,15 +30,20 @@ use thistle_expr::{Monomial, Posynomial};
 /// `grad F = sum_k p_k a_k` and
 /// `hess F = sum_k p_k a_k a_k^T - (grad F)(grad F)^T`
 /// with `p_k` the softmax weights. The Hessian is positive semidefinite, as
-/// convexity demands. The softmax accumulations only touch each row's
-/// nonzeros (`nnz` work for the gradient, `nnz^2` for the Hessian scatter),
-/// plus one rank-one update over the live columns for the `-gg^T` term.
+/// convexity demands. Both vanish outside the *live* columns (the sorted
+/// union of the columns with a nonzero exponent), so the one evaluation
+/// kernel, [`LogSumExp::eval_block`], returns them on the live block only:
+/// `nnz` work for the gradient, `nnz^2` for the Hessian scatter, and one
+/// `live x live` rank-one update for the `-gg^T` term. Each nonzero stores
+/// its position in the live list, so the scatter needs no lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogSumExp {
     /// CSR row boundaries, one row per monomial (length `num_terms + 1`).
     row_ptr: Vec<u32>,
     /// CSR column indices (variable indices in `0..n`).
     cols: Vec<u32>,
+    /// Position of each nonzero's column in `live`, parallel to `cols`.
+    pos: Vec<u32>,
     /// CSR exponent values, parallel to `cols`.
     vals: Vec<f64>,
     /// `log c_k` per monomial.
@@ -47,14 +53,17 @@ pub struct LogSumExp {
     n: usize,
 }
 
-/// Reusable per-term buffers for [`LogSumExp`] evaluation, so the Newton
-/// loop evaluates every constraint without allocating.
+/// Reusable buffers for [`LogSumExp`] evaluation, so the Newton loop
+/// evaluates every function without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct LseScratch {
-    /// Affine values `a_k^T y + b_k` per term.
-    gs: Vec<f64>,
-    /// Softmax weights per term.
+    /// Per term: the affine value `a_k^T y + b_k`, then its unnormalized
+    /// softmax weight.
     ws: Vec<f64>,
+    /// Gradient on the live block of the last [`LogSumExp::eval_block`].
+    pub(crate) grad: Vec<f64>,
+    /// Hessian on the live block, row-major `live x live`.
+    pub(crate) hess: Vec<f64>,
 }
 
 impl LogSumExp {
@@ -91,9 +100,14 @@ impl LogSumExp {
         let mut live: Vec<u32> = cols.clone();
         live.sort_unstable();
         live.dedup();
+        let pos = cols
+            .iter()
+            .map(|c| live.binary_search(c).expect("every column is live") as u32)
+            .collect();
         LogSumExp {
             row_ptr,
             cols,
+            pos,
             vals,
             offsets,
             live,
@@ -111,109 +125,90 @@ impl LogSumExp {
         self.n
     }
 
-    /// The sparse row of term `k`: parallel `(cols, vals)` slices.
-    fn row(&self, k: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.row_ptr[k] as usize, self.row_ptr[k + 1] as usize);
-        (&self.cols[lo..hi], &self.vals[lo..hi])
+    /// The live columns: where the gradient and Hessian can be nonzero.
+    pub(crate) fn live(&self) -> &[u32] {
+        &self.live
+    }
+
+    /// The nonzero range of term `k` in the CSR arrays.
+    fn span(&self, k: usize) -> std::ops::Range<usize> {
+        self.row_ptr[k] as usize..self.row_ptr[k + 1] as usize
     }
 
     /// `a_k^T y + b_k`.
     #[inline]
     fn affine(&self, k: usize, y: &[f64]) -> f64 {
-        let (cols, vals) = self.row(k);
+        let span = self.span(k);
         let mut acc = 0.0;
-        for (c, a) in cols.iter().zip(vals) {
+        for (c, a) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
             acc += a * y[*c as usize];
         }
         acc + self.offsets[k]
     }
 
-    /// `F(y)`, allocation-free (two passes over the nonzeros).
-    pub fn value(&self, y: &[f64]) -> f64 {
+    /// Overwrites `ws` with the unnormalized softmax weights
+    /// `exp(g_k - max g)` of the affine terms `g_k`, each computed once, and
+    /// returns `(max g, sum of the weights)`.
+    fn softmax(&self, y: &[f64], ws: &mut Vec<f64>) -> (f64, f64) {
         debug_assert_eq!(y.len(), self.n);
+        ws.clear();
+        ws.extend((0..self.num_terms()).map(|k| self.affine(k, y)));
         let mut mx = f64::NEG_INFINITY;
-        for k in 0..self.num_terms() {
-            let g = self.affine(k, y);
+        for &g in ws.iter() {
             if g > mx {
                 mx = g;
             }
         }
         let mut z = 0.0;
-        for k in 0..self.num_terms() {
-            z += (self.affine(k, y) - mx).exp();
+        for w in ws.iter_mut() {
+            *w = (*w - mx).exp();
+            z += *w;
         }
+        (mx, z)
+    }
+
+    /// `F(y)`, allocation-free once `scratch` has grown.
+    pub fn value(&self, y: &[f64], scratch: &mut LseScratch) -> f64 {
+        let (mx, z) = self.softmax(y, &mut scratch.ws);
         mx + z.ln()
     }
 
-    /// `F(y)` and `grad F(y)`.
-    pub fn value_grad(&self, y: &[f64]) -> (f64, Vec<f64>) {
-        let mut grad = vec![0.0; self.n];
-        let v = self.eval_into(y, &mut grad, None, &mut LseScratch::default());
-        (v, grad)
-    }
-
-    /// `F(y)`, `grad F(y)` and `hess F(y)` in one pass.
-    pub fn value_grad_hess(&self, y: &[f64]) -> (f64, Vec<f64>, Matrix) {
-        let mut grad = vec![0.0; self.n];
-        let mut hess = Matrix::zeros(self.n, self.n);
-        let v = self.eval_into(y, &mut grad, Some(&mut hess), &mut LseScratch::default());
-        (v, grad, hess)
-    }
-
-    /// The fused evaluation kernel: computes `F(y)`, overwrites `grad` with
-    /// `grad F(y)` and, when given, `hess` with `hess F(y)`. Buffers are
-    /// zeroed here so callers can reuse them across iterations; `scratch`
-    /// holds the per-term softmax state.
-    pub fn eval_into(
-        &self,
-        y: &[f64],
-        grad: &mut [f64],
-        hess: Option<&mut Matrix>,
-        scratch: &mut LseScratch,
-    ) -> f64 {
-        debug_assert_eq!(y.len(), self.n);
-        debug_assert_eq!(grad.len(), self.n);
-        scratch.gs.clear();
-        scratch
-            .gs
-            .extend((0..self.num_terms()).map(|k| self.affine(k, y)));
-        let mx = scratch.gs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        scratch.ws.clear();
-        scratch.ws.extend(scratch.gs.iter().map(|g| (g - mx).exp()));
-        let z: f64 = scratch.ws.iter().sum();
-        let value = mx + z.ln();
-
-        grad.fill(0.0);
-        for (k, &w) in scratch.ws.iter().enumerate() {
+    /// The evaluation kernel: returns `F(y)` and overwrites
+    /// `scratch.grad` / `scratch.hess` with `grad F(y)` and `hess F(y)` on
+    /// the live block (`grad[a]` belongs to column `live[a]`, `hess` is
+    /// row-major `live x live`). Terms accumulate in order, so every entry
+    /// is the same sum a dense scatter over all `n` columns would form.
+    pub(crate) fn eval_block(&self, y: &[f64], scratch: &mut LseScratch) -> f64 {
+        let (mx, z) = self.softmax(y, &mut scratch.ws);
+        let l = self.live.len();
+        let LseScratch { ws, grad, hess } = scratch;
+        grad.clear();
+        grad.resize(l, 0.0);
+        hess.clear();
+        hess.resize(l * l, 0.0);
+        for (k, &w) in ws.iter().enumerate() {
             let p = w / z;
-            let (cols, vals) = self.row(k);
-            for (c, a) in cols.iter().zip(vals) {
-                grad[*c as usize] += p * a;
+            let span = self.span(k);
+            let (pos, vals) = (&self.pos[span.clone()], &self.vals[span]);
+            for (&i, &a) in pos.iter().zip(vals) {
+                grad[i as usize] += p * a;
             }
-        }
-        if let Some(h) = hess {
-            debug_assert_eq!(h.rows(), self.n);
-            h.fill_zero();
-            for (k, &w) in scratch.ws.iter().enumerate() {
-                let p = w / z;
-                let (cols, vals) = self.row(k);
-                for (i, &ci) in cols.iter().enumerate() {
-                    let cv = p * vals[i];
-                    for (j, &cj) in cols.iter().enumerate() {
-                        h[(ci as usize, cj as usize)] += cv * vals[j];
-                    }
-                }
-            }
-            // -grad grad^T, restricted to the live columns (grad is zero
-            // elsewhere).
-            for &ci in &self.live {
-                let cv = -grad[ci as usize];
-                for &cj in &self.live {
-                    h[(ci as usize, cj as usize)] += cv * grad[cj as usize];
+            for (&i, &ai) in pos.iter().zip(vals) {
+                let cv = p * ai;
+                let row = &mut hess[i as usize * l..(i as usize + 1) * l];
+                for (&j, &aj) in pos.iter().zip(vals) {
+                    row[j as usize] += cv * aj;
                 }
             }
         }
-        value
+        // -grad grad^T over the whole block.
+        for (row, &gi) in hess.chunks_exact_mut(l.max(1)).zip(grad.iter()) {
+            let cv = -gi;
+            for (h, &gj) in row.iter_mut().zip(grad.iter()) {
+                *h += cv * gj;
+            }
+        }
+        mx + z.ln()
     }
 
     /// `Fi(y) - s` over the extended space `(y, .., s)` with the slack as
@@ -224,9 +219,9 @@ impl LogSumExp {
         let mut cols = Vec::with_capacity(self.cols.len() + terms);
         let mut vals = Vec::with_capacity(self.vals.len() + terms);
         for k in 0..terms {
-            let (rc, rv) = self.row(k);
-            cols.extend_from_slice(rc);
-            vals.extend_from_slice(rv);
+            let span = self.span(k);
+            cols.extend_from_slice(&self.cols[span.clone()]);
+            vals.extend_from_slice(&self.vals[span]);
             cols.push(n as u32);
             vals.push(-1.0);
             row_ptr.push(cols.len() as u32);
@@ -260,6 +255,90 @@ impl LogSumExp {
             row_ptr.push(cols.len() as u32);
         }
         Self::assemble(row_ptr, cols, vals, offsets, n)
+    }
+}
+
+/// Test-only dense views: the live-block kernel scattered into `n x n`, and
+/// the dense evaluation it replaced, kept as a bitwise oracle.
+#[cfg(test)]
+impl LogSumExp {
+    /// `F(y)` and `grad F(y)`, dense, from the live-block kernel.
+    fn value_grad(&self, y: &[f64]) -> (f64, Vec<f64>) {
+        let (v, grad, _) = self.value_grad_hess(y);
+        (v, grad)
+    }
+
+    /// `F(y)`, `grad F(y)` and `hess F(y)`, dense, from the live-block
+    /// kernel.
+    fn value_grad_hess(&self, y: &[f64]) -> (f64, Vec<f64>, Matrix) {
+        let mut scratch = LseScratch::default();
+        let v = self.eval_block(y, &mut scratch);
+        let l = self.live.len();
+        let mut grad = vec![0.0; self.n];
+        let mut hess = Matrix::zeros(self.n, self.n);
+        for (a, &i) in self.live.iter().enumerate() {
+            grad[i as usize] = scratch.grad[a];
+            for (b, &j) in self.live.iter().enumerate() {
+                hess[(i as usize, j as usize)] = scratch.hess[a * l + b];
+            }
+        }
+        (v, grad, hess)
+    }
+
+    /// The dense evaluation the live-block kernel replaced: CSR affine
+    /// terms, a fold-max shift, softmax weights summed with `Iterator::sum`,
+    /// then the gradient and Hessian scattered into zeroed `n`-vectors and
+    /// `n x n` matrices, with `-gg^T` over the live columns.
+    pub(crate) fn dense_reference_eval(&self, y: &[f64]) -> (f64, Vec<f64>, Matrix) {
+        let gs: Vec<f64> = (0..self.num_terms()).map(|k| self.affine(k, y)).collect();
+        let mx = gs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let ws: Vec<f64> = gs.iter().map(|g| (g - mx).exp()).collect();
+        let z: f64 = ws.iter().sum();
+        let value = mx + z.ln();
+        let mut grad = vec![0.0; self.n];
+        for (k, &w) in ws.iter().enumerate() {
+            let p = w / z;
+            let span = self.span(k);
+            for (c, a) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                grad[*c as usize] += p * a;
+            }
+        }
+        let mut h = Matrix::zeros(self.n, self.n);
+        for (k, &w) in ws.iter().enumerate() {
+            let p = w / z;
+            let span = self.span(k);
+            let (cols, vals) = (&self.cols[span.clone()], &self.vals[span]);
+            for (i, &ci) in cols.iter().enumerate() {
+                let cv = p * vals[i];
+                for (j, &cj) in cols.iter().enumerate() {
+                    h[(ci as usize, cj as usize)] += cv * vals[j];
+                }
+            }
+        }
+        for &ci in &self.live {
+            let cv = -grad[ci as usize];
+            for &cj in &self.live {
+                h[(ci as usize, cj as usize)] += cv * grad[cj as usize];
+            }
+        }
+        (value, grad, h)
+    }
+
+    /// The value the dense solver's merit used: one pass over the affine
+    /// terms for the max, a second that recomputes them for the sum.
+    pub(crate) fn dense_reference_value(&self, y: &[f64]) -> f64 {
+        let mut mx = f64::NEG_INFINITY;
+        for k in 0..self.num_terms() {
+            let g = self.affine(k, y);
+            if g > mx {
+                mx = g;
+            }
+        }
+        let mut z = 0.0;
+        for k in 0..self.num_terms() {
+            z += (self.affine(k, y) - mx).exp();
+        }
+        mx + z.ln()
     }
 }
 
@@ -396,7 +475,7 @@ mod tests {
         let y = [0.3f64, -0.7];
         let x: Vec<f64> = y.iter().map(|v| v.exp()).collect();
         let direct: f64 = 2.0 * x[0] * x[1] * x[1] + 3.0 / x[0];
-        assert!((lse.value(&y) - direct.ln()).abs() < 1e-12);
+        assert!((lse.value(&y, &mut LseScratch::default()) - direct.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -409,12 +488,14 @@ mod tests {
             let (v, g, h) = lse.value_grad_hess(&y);
             assert_eq!(v, dv);
             assert_eq!(g, dg);
+            // Bit equality: the dense reference only adds zero products
+            // outside the live block, which leave every sum unchanged.
             for i in 0..n {
                 for j in 0..n {
-                    assert!((h[(i, j)] - dh[(i, j)]).abs() <= 1e-15 * (1.0 + dh[(i, j)].abs()));
+                    assert_eq!(h[(i, j)].to_bits(), dh[(i, j)].to_bits(), "({i},{j})");
                 }
             }
-            assert_eq!(lse.value(&y), dv);
+            assert_eq!(lse.value(&y, &mut LseScratch::default()), dv);
         }
     }
 
@@ -430,7 +511,8 @@ mod tests {
             yp[i] += h;
             let mut ym = y;
             ym[i] -= h;
-            let fd = (lse.value(&yp) - lse.value(&ym)) / (2.0 * h);
+            let mut scratch = LseScratch::default();
+            let fd = (lse.value(&yp, &mut scratch) - lse.value(&ym, &mut scratch)) / (2.0 * h);
             assert!((grad[i] - fd).abs() < 1e-6, "component {i}");
         }
     }
@@ -466,7 +548,7 @@ mod tests {
         let (f, n) = sample_posy();
         let lse = LogSumExp::from_posynomial(&f, n);
         let y = [400.0, 350.0]; // exp overflows without max-shift
-        let v = lse.value(&y);
+        let v = lse.value(&y, &mut LseScratch::default());
         assert!(v.is_finite());
         // Dominated by the 2*x*y^2 term: log2 + y0 + 2 y1.
         assert!((v - (2.0f64.ln() + 400.0 + 700.0)).abs() < 1e-9);
@@ -495,7 +577,8 @@ mod tests {
         // F_ext(y, s) = F(y) - s.
         let y = [0.3, -0.7];
         let z = [0.3, -0.7, 2.0];
-        assert!((ext.value(&z) - (lse.value(&y) - 2.0)).abs() < 1e-12);
+        let mut scratch = LseScratch::default();
+        assert!((ext.value(&z, &mut scratch) - (lse.value(&y, &mut scratch) - 2.0)).abs() < 1e-12);
     }
 
     #[test]

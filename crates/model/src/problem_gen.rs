@@ -162,12 +162,6 @@ pub struct GeneratedGp {
     bandwidths: Bandwidths,
     register_cost: RegisterCostModel,
     num_ops: f64,
-    // Exact totals compiled to CSR form: candidate rescoring evaluates
-    // thousands of integer points against these, never re-walking the
-    // symbolic signomials.
-    exact_t_sr: CompiledSignomial,
-    exact_t_ds: CompiledSignomial,
-    exact_reg_fills: CompiledSignomial,
 }
 
 impl GeneratedGp {
@@ -185,17 +179,20 @@ impl GeneratedGp {
         }
     }
 
-    /// Exact modeled energy (pJ) at a concrete point, using the compiled
-    /// exact (signomial) traffic expressions (no posynomial relaxation).
+    /// Exact modeled energy (pJ) at a concrete point: the exact (signomial)
+    /// traffic totals, compiled on each call (no posynomial relaxation).
     pub fn energy_at(&self, point: &Assignment) -> f64 {
         let mut scratch = EvalScratch::default();
+        let totals = &self.traffic.totals;
         let (_, regs, sram) = self.arch_at(point);
         let eps_r = self.tech.register_energy_pj(regs);
         let eps_s = self.tech.sram_energy_pj(sram);
-        let t_sr = self.exact_t_sr.eval_with(point, &mut scratch);
-        let t_ds = self.exact_t_ds.eval_with(point, &mut scratch);
+        let t_sr = CompiledSignomial::compile(&totals.sram_reg).eval_with(point, &mut scratch);
+        let t_ds = CompiledSignomial::compile(&totals.dram_sram).eval_with(point, &mut scratch);
         let reg_side = match self.register_cost {
-            RegisterCostModel::PerPe => self.exact_reg_fills.eval_with(point, &mut scratch),
+            RegisterCostModel::PerPe => {
+                CompiledSignomial::compile(&totals.reg_fills).eval_with(point, &mut scratch)
+            }
             RegisterCostModel::PaperEq3 => t_sr,
         };
         (4.0 * eps_r + self.tech.energy_mac_pj) * self.num_ops
@@ -208,9 +205,10 @@ impl GeneratedGp {
     /// compute, SRAM-bandwidth, and DRAM-bandwidth components.
     pub fn delay_at(&self, point: &Assignment) -> f64 {
         let mut scratch = EvalScratch::default();
+        let totals = &self.traffic.totals;
         let pes_used = self.traffic.pe_product.eval(point);
-        let t_sr = self.exact_t_sr.eval_with(point, &mut scratch);
-        let t_ds = self.exact_t_ds.eval_with(point, &mut scratch);
+        let t_sr = CompiledSignomial::compile(&totals.sram_reg).eval_with(point, &mut scratch);
+        let t_ds = CompiledSignomial::compile(&totals.dram_sram).eval_with(point, &mut scratch);
         let compute = self.num_ops / pes_used;
         let sram = (t_sr + t_ds) / self.bandwidths.sram_words_per_cycle;
         let dram = t_ds / self.bandwidths.dram_words_per_cycle;
@@ -465,9 +463,6 @@ impl ProblemGenerator {
         }
 
         prob.set_arena_stats(thistle_expr::thread_arena_stats().delta_since(&arena_mark));
-        let exact_t_sr = CompiledSignomial::compile(&traffic.totals.sram_reg);
-        let exact_t_ds = CompiledSignomial::compile(&traffic.totals.dram_sram);
-        let exact_reg_fills = CompiledSignomial::compile(&traffic.totals.reg_fills);
         Ok(GeneratedGp {
             problem: prob,
             space,
@@ -482,9 +477,6 @@ impl ProblemGenerator {
             bandwidths: self.bandwidths.clone(),
             register_cost: self.register_cost,
             num_ops,
-            exact_t_sr,
-            exact_t_ds,
-            exact_reg_fills,
         })
     }
 }
