@@ -22,6 +22,17 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// 8-hex-char digest of encoded fingerprint words (CRC32 over the
+/// little-endian bytes). Collision-tolerant use only: `GET /healthz` labels
+/// the serving optimizer's configuration with it.
+pub fn fingerprint_digest(words: &[u64]) -> String {
+    let mut bytes = Vec::with_capacity(words.len() * 8);
+    for w in words {
+        bytes.extend_from_slice(&w.to_le_bytes());
+    }
+    format!("{:08x}", crc32(&bytes))
+}
+
 /// Why a record failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -231,6 +242,17 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn fingerprint_digest_is_the_crc_of_the_little_endian_words() {
+        assert_eq!(fingerprint_digest(&[]), "00000000");
+        let mut bytes = 0x0102_0304_0506_0708u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            fingerprint_digest(&[0x0102_0304_0506_0708, u64::MAX]),
+            format!("{:08x}", crc32(&bytes))
+        );
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //!   (area, energy, delay) trade surfaces sampled through the co-design
 //!   GP sweep and reduced to their nondominated subset.
 //!
-//! * [`TimeSeriesFile`] — the same codec turned into an append-oriented,
-//!   size-bounded ring of fingerprint-stamped metrics-registry snapshots,
-//!   backing the serve tier's durable `/debug/timeseries` (DESIGN.md §13).
-//!
 //! The serving layer (`thistle-serve`) owns *when* to checkpoint and how
 //! restored entries donate their permutation pair to near-miss queries;
 //! this crate owns the durable artifact itself. The format specification lives in
@@ -27,13 +23,9 @@
 pub mod codec;
 pub mod pareto;
 pub mod snapshot;
-pub mod timeseries;
 
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
+pub use codec::{crc32, fingerprint_digest, ByteReader, ByteWriter, CodecError};
 pub use pareto::{
     compute_frontier, nondominated, ParetoFrontier, ParetoPoint, DEFAULT_BUDGET_FRACTIONS,
 };
 pub use snapshot::{AtlasSnapshot, LoadResult, MAGIC, VERSION};
-pub use timeseries::{
-    fingerprint_digest, TimeSeriesFile, TimeSeriesLoad, TimeSeriesRecord, TS_MAGIC, TS_VERSION,
-};

@@ -41,7 +41,6 @@
 //! ```
 
 pub mod contention;
-pub mod dashboard;
 pub mod exemplar;
 pub mod export;
 pub mod registry;
@@ -50,8 +49,8 @@ pub mod sink;
 pub use contention::{take_thread_lock_wait, ObservedMutex, ObservedRwLock};
 pub use exemplar::{Exemplar, ExemplarClass, ExemplarSink};
 pub use registry::{
-    series_key, Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary,
-    MetricsBridge, Registry, RegistrySnapshot,
+    Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary, MetricsBridge,
+    Registry, RegistrySnapshot,
 };
 pub use sink::{CollectingSink, FanoutSink, JsonlSink, Sink};
 

@@ -7,12 +7,11 @@
 //! [`HistogramFamily`]) bound their cardinality — past the limit every new
 //! label lands in a shared `_overflow` slot instead of growing memory.
 //!
-//! [`Registry::snapshot`] produces a point-in-time [`RegistrySnapshot`];
-//! [`series_key`] names each of its samples.
+//! [`Registry::snapshot`] produces a point-in-time [`RegistrySnapshot`].
 //!
 //! [`MetricsBridge`] adapts the registry to the tracing layer: it is a
-//! [`Sink`] that times every span into one duration family and counts
-//! events, so any instrumented stage gets metrics for free.
+//! [`Sink`] that times every span into one duration family, so any
+//! instrumented stage gets metrics for free.
 
 use crate::{Record, Sink};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -488,25 +487,13 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<HistogramSample>,
 }
 
-/// The `name{key=label}` key of one snapshot sample (`name` alone for an
-/// unlabelled metric), as the debug surfaces list them.
-pub fn series_key(name: &str, label: &Option<(String, String)>) -> String {
-    match label {
-        None => name.to_string(),
-        Some((k, v)) => format!("{name}{{{k}={v}}}"),
-    }
-}
-
 /// [`Sink`] that derives registry metrics from trace records.
 ///
 /// For every span it records the span's duration into
 /// `span_duration_ms{span=<name>}`, whose `count` is the number of such
-/// spans; spans closed by a panic additionally bump `span_unwound_total`.
-/// Events bump `event_total{event=<name>}`.
+/// spans. Events carry no duration and are ignored.
 pub struct MetricsBridge {
     span_duration_ms: HistogramFamily,
-    span_unwound_total: Counter,
-    event_total: CounterFamily,
 }
 
 impl MetricsBridge {
@@ -520,25 +507,15 @@ impl MetricsBridge {
                 window,
                 max_cardinality,
             ),
-            span_unwound_total: registry.counter("span_unwound_total"),
-            event_total: registry.counter_family("event_total", "event", max_cardinality),
         }
     }
 }
 
 impl Sink for MetricsBridge {
     fn record(&self, record: Record) {
-        match &record {
-            Record::Span(s) => {
-                self.span_duration_ms
-                    .record(s.name, s.dur_ns as f64 / 1_000_000.0);
-                if s.closed_by_unwind {
-                    self.span_unwound_total.inc();
-                }
-            }
-            Record::Event(e) => {
-                self.event_total.with_label(e.name).inc();
-            }
+        if let Record::Span(s) = &record {
+            self.span_duration_ms
+                .record(s.name, s.dur_ns as f64 / 1_000_000.0);
         }
     }
 }
@@ -634,14 +611,9 @@ mod tests {
         assert_eq!(count("gp_solve").count, 2);
         assert_eq!(count("integerize").count, 1);
         assert!((count("gp_solve").p50 - 3.0).abs() < 1.01, "ms conversion");
-        assert_eq!(
-            snap.counters
-                .iter()
-                .map(|c| series_key(&c.name, &c.label))
-                .collect::<Vec<_>>(),
-            ["span_unwound_total"],
+        assert!(
+            snap.counters.is_empty(),
             "one family per span: no separate span counter"
         );
-        assert_eq!(reg.counter("span_unwound_total").get(), 1);
     }
 }

@@ -11,8 +11,9 @@
 //! thistle-cli trace    <workload> [--out trace.json] [--jsonl spans.jsonl]
 //! thistle-cli serve    [--addr 127.0.0.1:7878] [--workers 4] [--cache 256]
 //!                      [--atlas atlas.bin] [--checkpoint-every 32] [--pareto]
-//!                      [--timeseries metrics.ts] [--timeseries-every-ms 15000]
 //! ```
+//!
+//! Each subcommand refuses any `--option` it does not read.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -87,11 +88,6 @@ serve options:
                     0 = save only on drain)
   --pareto          precompute Pareto frontiers per workload family on a
                     background thread, served at GET /pareto
-  --timeseries FILE durable metrics time-series: append fingerprint-stamped
-                    registry snapshots to FILE on a fixed cadence, served at
-                    GET /debug/timeseries across restarts
-  --timeseries-every-ms N  snapshot cadence (default 15000)
-  --timeseries-max N       ring bound: newest records kept (default 1024)
   --max-connections N  concurrent connections served (default 64); beyond
                     this, arrivals park in a bounded accept backlog
   --accept-backlog N   parked connections beyond the cap (default 128);
@@ -105,21 +101,65 @@ serve options:
                     'serve.pool.panic@1' (requires a fault-inject build; also
                     read from THISTLE_FAULT_PLAN)";
 
-/// A tiny flag parser: `--name value` pairs plus boolean switches.
+/// Options [`parse_layer`] reads.
+const LAYER: &[&str] = &[
+    "--k",
+    "--c",
+    "--hw",
+    "--rs",
+    "--stride",
+    "--dilation",
+    "--batch",
+];
+/// Options [`parse_objective`] reads.
+const OBJECTIVE: &[&str] = &["--objective"];
+/// Options [`parse_mode`] reads.
+const MODE: &[&str] = &["--codesign", "--pes", "--regs", "--sram-kb"];
+/// Options [`make_optimizer`] reads.
+const FAST: &[&str] = &["--fast"];
+/// Options [`cmd_serve`] reads itself.
+const SERVE: &[&str] = &[
+    "--addr",
+    "--workers",
+    "--cache",
+    "--atlas",
+    "--checkpoint-every",
+    "--pareto",
+    "--max-connections",
+    "--accept-backlog",
+    "--max-queue-depth",
+    "--queue-high",
+    "--queue-low",
+    "--fault-plan",
+];
+
+/// A tiny flag parser: `--name value` pairs plus boolean switches, limited
+/// to the options the subcommand reads.
 struct Args<'a> {
     argv: &'a [String],
+    accepted: Vec<&'static str>,
 }
 
 impl<'a> Args<'a> {
-    fn new(argv: &'a [String]) -> Self {
-        Args { argv }
+    /// Refuses any `--option` outside `accepted`, so a misspelt or retired
+    /// option stops the command instead of leaving a default in its place.
+    fn new(argv: &'a [String], accepted: Vec<&'static str>) -> Result<Self, String> {
+        match argv
+            .iter()
+            .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+        {
+            Some(unknown) => Err(format!("unknown option {unknown}")),
+            None => Ok(Args { argv, accepted }),
+        }
     }
 
     fn flag(&self, name: &str) -> bool {
+        debug_assert!(self.accepted.contains(&name), "{name} is not accepted");
         self.argv.iter().any(|a| a == name)
     }
 
     fn value(&self, name: &str) -> Option<&'a str> {
+        debug_assert!(self.accepted.contains(&name), "{name} is not accepted");
         self.argv
             .iter()
             .position(|a| a == name)
@@ -147,16 +187,20 @@ fn run(argv: &[String]) -> Result<(), String> {
     let Some(command) = argv.first() else {
         return Err("no command given".into());
     };
-    let args = Args::new(&argv[1..]);
-    match command.as_str() {
-        "optimize" => cmd_optimize(&args),
-        "pipeline" => cmd_pipeline(&args),
-        "report" => cmd_report(&args),
-        "mapper" => cmd_mapper(&args),
-        "trace" => cmd_trace(&argv[1..]),
-        "serve" => cmd_serve(&args),
-        other => Err(format!("unknown command: {other}")),
-    }
+    type Handler = fn(&Args) -> Result<(), String>;
+    let (accepted, handler): (&[&[&str]], Handler) = match command.as_str() {
+        "optimize" => (
+            &[LAYER, OBJECTIVE, MODE, FAST, &["--emit", "--pseudocode"]],
+            cmd_optimize,
+        ),
+        "pipeline" => (&[&["--net"], OBJECTIVE, MODE, FAST], cmd_pipeline),
+        "report" => (&[&["--net", "--json"], OBJECTIVE, MODE, FAST], cmd_report),
+        "mapper" => (&[LAYER, OBJECTIVE, MODE, &["--trials"]], cmd_mapper),
+        "trace" => (&[&["--out", "--jsonl"], OBJECTIVE, MODE, FAST], cmd_trace),
+        "serve" => (&[SERVE, FAST], cmd_serve),
+        other => return Err(format!("unknown command: {other}")),
+    };
+    handler(&Args::new(&argv[1..], accepted.concat())?)
 }
 
 fn parse_layer(args: &Args) -> Result<ConvLayer, String> {
@@ -475,17 +519,16 @@ fn named_workload(name: &str) -> Option<ConvLayer> {
 }
 
 /// Runs one traced solve and exports the spans as Chrome trace JSON.
-fn cmd_trace(argv: &[String]) -> Result<(), String> {
-    let Some(name) = argv.first().filter(|a| !a.starts_with("--")) else {
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let Some(name) = args.argv.first().filter(|a| !a.starts_with("--")) else {
         return Err("trace needs a workload name: conv3x3, conv1x1, conv7x7, or conv4_2".into());
     };
-    let args = Args::new(&argv[1..]);
     let layer =
         named_workload(name).ok_or_else(|| format!("unknown workload {name} (try conv3x3)"))?;
     let tech = TechnologyParams::cgo2022_45nm();
-    let objective = parse_objective(&args)?;
-    let mode = parse_mode(&args, &tech)?;
-    let optimizer = make_optimizer(&args, &tech);
+    let objective = parse_objective(args)?;
+    let mode = parse_mode(args, &tech)?;
+    let optimizer = make_optimizer(args, &tech);
     let out = args.value("--out").unwrap_or("trace.json");
 
     let collector = Arc::new(CollectingSink::new());
@@ -570,12 +613,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let atlas_path = args.value("--atlas").map(std::path::PathBuf::from);
     let checkpoint_every: u64 = args.parse("--checkpoint-every")?.unwrap_or(32);
     let pareto = args.flag("--pareto");
-    let timeseries_path = args.value("--timeseries").map(std::path::PathBuf::from);
-    let timeseries_every_ms: u64 = args.parse("--timeseries-every-ms")?.unwrap_or(15_000);
-    let timeseries_max: usize = args.parse("--timeseries-max")?.unwrap_or(1024);
-    if timeseries_every_ms == 0 || timeseries_max == 0 {
-        return Err("--timeseries-every-ms and --timeseries-max must be positive".into());
-    }
     let defaults = ServiceOptions::default();
     let http_defaults = HttpOptions::default();
     let max_connections: usize = args
@@ -609,23 +646,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             atlas_path: atlas_path.clone(),
             atlas_checkpoint_every: checkpoint_every,
             pareto_precompute: pareto,
-            timeseries_path: timeseries_path.clone(),
-            timeseries_every: Duration::from_millis(timeseries_every_ms),
-            timeseries_max_records: timeseries_max,
             max_queue_depth,
             queue_high_watermark: queue_high,
             queue_low_watermark: queue_low,
             ..defaults
         },
     ));
-    if let Some(path) = &timeseries_path {
-        println!(
-            "timeseries: {} (every {timeseries_every_ms} ms, newest {timeseries_max} records kept, \
-             fingerprint {})",
-            path.display(),
-            service.fingerprint_digest(),
-        );
-    }
     if let Some(path) = &atlas_path {
         let snap = service.metrics_snapshot();
         println!(
@@ -653,8 +679,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     );
     println!(
         "endpoints: POST /optimize, GET /metrics, GET /healthz, GET /pareto, \
-         GET /debug/dashboard, GET /debug/exemplars, GET /debug/solves, \
-         GET /debug/solves/<id>, GET /debug/timeseries, GET /debug/contention"
+         GET /debug/exemplars, GET /debug/solves, GET /debug/solves/<id>, \
+         GET /debug/contention"
     );
     // Serve until SIGTERM/SIGINT; the accept loop lives in its own thread
     // and `server` must stay alive to keep it running.
@@ -703,4 +729,31 @@ fn arm_fault_plan(args: &Args) -> Result<(), String> {
     #[cfg(not(feature = "fault-inject"))]
     let _ = plan;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn run_with(args: &[&str]) -> Result<(), String> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn serve_refuses_an_unread_option_before_binding() {
+        // An address that can never bind: a command that got past the option
+        // check would fail there instead, with a different error.
+        assert_eq!(
+            run_with(&["serve", "--addr", "127.0.0.1:70000", "--timeseries", "m.ts"]),
+            Err("unknown option --timeseries".to_string())
+        );
+    }
+
+    #[test]
+    fn optimize_refuses_a_misspelt_option_before_solving() {
+        assert_eq!(
+            run_with(&["optimize", "--k", "64", "--c", "64", "--hw", "56", "--rs", "3", "--fsat"]),
+            Err("unknown option --fsat".to_string())
+        );
+    }
 }

@@ -13,9 +13,6 @@
 //!   render the same [`crate::metrics::MetricsSnapshot`].
 //! * `GET /healthz` — liveness probe, stamped with the build info and the
 //!   serving optimizer's solver-fingerprint digest.
-//! * `GET /debug/timeseries` — the durable metrics time-series: every
-//!   surviving ring-file sample plus fingerprint-stamped segment summaries,
-//!   continuous across process restarts.
 //! * `GET /debug/contention` — the contention observatory: per-named-lock
 //!   wait/hold histograms with contention rates, per-phase request-latency
 //!   histograms, and the most recent per-request breakdowns.
@@ -23,11 +20,6 @@
 //!   lists the workload families with a stored frontier (plus how many are
 //!   still computing); `?workload=<family>` returns one frontier's
 //!   nondominated (area, energy, cycles) points as JSON.
-//! * `GET /debug/dashboard` — self-refreshing HTML overview: counters,
-//!   per-stage latency bars, recent solve reports with gap-trajectory
-//!   sparklines, Pareto frontier scatter plots, retained exemplars, and the
-//!   raw metrics registry. `?diff=<a>,<b>` instead renders a side-by-side
-//!   diff of two retained solve reports.
 //! * `GET /debug/exemplars` — index of the tail-sampled exemplar traces;
 //!   `?id=N` returns one trace as a Chrome `trace_event` document.
 //! * `GET /debug/solves` and `GET /debug/solves/<id>` — convergence reports
@@ -43,7 +35,7 @@
 //! timer.
 
 use crate::json::{num_u64, Json};
-use crate::metrics::{dist_json, locks_json, summaries_json};
+use crate::metrics::{locks_json, summaries_json};
 use crate::service::{ServeError, Service};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -56,9 +48,6 @@ use std::time::Duration;
 use thistle::{DesignPoint, SolveReport};
 use thistle_arch::ArchConfig;
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};
-use thistle_obs::dashboard::{self, escape_html, fmt_value};
-use thistle_obs::registry::SPAN_DURATION_MS;
-use thistle_obs::series_key;
 
 /// Largest accepted request body; optimize requests are a few hundred bytes.
 const MAX_BODY: usize = 1 << 20;
@@ -321,7 +310,6 @@ struct Request {
 enum Body {
     Json(Json),
     Text(String),
-    Html(String),
     /// Pre-rendered JSON text (e.g. Chrome-trace documents).
     RawJson(String),
 }
@@ -445,7 +433,6 @@ fn handle_connection(stream: TcpStream, service: &Service, options: &HttpOptions
     let (content_type, text) = match reply.body {
         Body::Json(json) => ("application/json", json.emit()),
         Body::Text(text) => ("text/plain; version=0.0.4", text),
-        Body::Html(html) => ("text/html; charset=utf-8", html),
         Body::RawJson(text) => ("application/json", text),
     };
     let mut extra_headers = Vec::new();
@@ -594,13 +581,11 @@ fn route(request: &Request, service: &Service) -> Reply {
                 ("build".into(), Json::Str(crate::service::BUILD_INFO.into())),
                 (
                     "fingerprint".into(),
-                    Json::Str(service.fingerprint_digest()),
+                    Json::Str(service.fingerprint_digest().into()),
                 ),
             ])),
         ),
         ("GET", "/pareto") => handle_pareto(&request.query, service),
-        ("GET", "/debug/dashboard") => handle_dashboard(&request.query, service),
-        ("GET", "/debug/timeseries") => handle_timeseries(service),
         ("GET", "/debug/contention") => handle_contention(service),
         ("GET", "/debug/exemplars") => handle_exemplars(&request.query, service),
         ("GET", "/debug/solves") => handle_solve_index(service),
@@ -666,104 +651,6 @@ fn frontier_json(f: &thistle_atlas::ParetoFrontier) -> Json {
                     .collect(),
             ),
         ),
-    ])
-}
-
-/// `GET /debug/timeseries`: every surviving sample of the durable metrics
-/// ring, plus consecutive same-binary runs grouped into fingerprint-stamped
-/// segments (the restart-continuity view).
-fn handle_timeseries(service: &Service) -> Reply {
-    let load = match service.load_timeseries() {
-        None => {
-            return Reply::new(
-                404,
-                Body::Json(error_json(
-                    "no metrics time-series configured (start with --timeseries FILE)",
-                )),
-            )
-        }
-        Some(Err(e)) => {
-            return Reply::new(
-                500,
-                Body::Json(error_json(&format!("time-series load failed: {e}"))),
-            )
-        }
-        Some(Ok(load)) => load,
-    };
-    // Group consecutive records with the same fingerprint+build into
-    // segments: one segment per process life (or per config change).
-    let mut segments: Vec<(String, String, u64, u64, u64)> = Vec::new();
-    for r in &load.records {
-        let digest = r.fingerprint_digest();
-        match segments.last_mut() {
-            Some((d, b, count, _first, last)) if *d == digest && *b == r.build => {
-                *count += 1;
-                *last = r.ts_unix_ms;
-            }
-            _ => segments.push((digest, r.build.clone(), 1, r.ts_unix_ms, r.ts_unix_ms)),
-        }
-    }
-    let segments_json = segments
-        .into_iter()
-        .map(|(digest, build, records, first, last)| {
-            Json::Obj(vec![
-                ("fingerprint".into(), Json::Str(digest)),
-                ("build".into(), Json::Str(build)),
-                ("records".into(), num_u64(records)),
-                ("first_unix_ms".into(), num_u64(first)),
-                ("last_unix_ms".into(), num_u64(last)),
-            ])
-        })
-        .collect();
-    let records_json = load
-        .records
-        .iter()
-        .map(timeseries_record_json)
-        .collect::<Vec<Json>>();
-    Reply::new(
-        200,
-        Body::Json(Json::Obj(vec![
-            ("skipped_records".into(), num_u64(load.skipped_records)),
-            ("segments".into(), Json::Arr(segments_json)),
-            ("records".into(), Json::Arr(records_json)),
-        ])),
-    )
-}
-
-/// JSON rendering of one [`thistle_atlas::TimeSeriesRecord`]. Family
-/// members render under [`series_key`] `name{key=value}` keys.
-fn timeseries_record_json(r: &thistle_atlas::TimeSeriesRecord) -> Json {
-    let counters = r
-        .snapshot
-        .counters
-        .iter()
-        .map(|c| (series_key(&c.name, &c.label), num_u64(c.value)))
-        .collect();
-    let gauges = r
-        .snapshot
-        .gauges
-        .iter()
-        .map(|g| (g.name.clone(), num_u64(g.value)))
-        .collect();
-    let histograms = r
-        .snapshot
-        .histograms
-        .iter()
-        .map(|h| {
-            let s = &h.summary;
-            (
-                series_key(&h.name, &h.label),
-                dist_json(s.count, s.p50, s.p95),
-            )
-        })
-        .collect();
-    Json::Obj(vec![
-        ("ts_unix_ms".into(), num_u64(r.ts_unix_ms)),
-        ("fingerprint".into(), Json::Str(r.fingerprint_digest())),
-        ("build".into(), Json::Str(r.build.clone())),
-        ("counters".into(), Json::Obj(counters)),
-        ("gauges".into(), Json::Obj(gauges)),
-        ("histograms".into(), Json::Obj(histograms)),
     ])
 }
 
@@ -922,556 +809,6 @@ fn solve_report_json(id: u64, r: &SolveReport) -> Json {
         ));
     }
     Json::Obj(fields)
-}
-
-/// `GET /debug/dashboard`: the live HTML overview, or with `?diff=a,b` a
-/// side-by-side comparison of two retained solve reports.
-fn handle_dashboard(query: &str, service: &Service) -> Reply {
-    if let Some(spec) = query_param(query, "diff") {
-        return handle_dashboard_diff(spec, service);
-    }
-    let snap = service.metrics_snapshot();
-    let (closed, open, half_open) = service.breaker_states();
-
-    let mut overview = vec![
-        ("build", crate::service::BUILD_INFO.to_string()),
-        ("solver fingerprint", service.fingerprint_digest()),
-        ("requests", snap.requests.to_string()),
-        ("in flight", snap.in_flight.to_string()),
-        (
-            "cache hit rate",
-            format!("{:.1}%", snap.cache_hit_rate() * 100.0),
-        ),
-        ("coalesced", snap.coalesced.to_string()),
-        ("timeouts", snap.timeouts.to_string()),
-        ("solve errors", snap.solve_errors.to_string()),
-        ("solve retries", snap.solve_retries.to_string()),
-        ("degraded results", snap.degraded_results.to_string()),
-        (
-            "breakers closed / open / half-open",
-            format!("{closed} / {open} / {half_open}"),
-        ),
-        ("shed", snap.shed.to_string()),
-        ("browned out", snap.browned_out.to_string()),
-        ("connection capped", snap.conn_capped.to_string()),
-        ("deadline closed", snap.deadline_closed.to_string()),
-        (
-            "brown-out active",
-            if snap.brownout_active != 0 {
-                "yes".to_string()
-            } else {
-                "no".to_string()
-            },
-        ),
-        (
-            "solve latency p50 / p95 ms",
-            format!(
-                "{} / {}",
-                fmt_value(snap.solve_p50_ms),
-                fmt_value(snap.solve_p95_ms)
-            ),
-        ),
-    ];
-    if let Some(cache) = snap.cache {
-        overview.push((
-            "cache occupancy",
-            format!("{} / {}", cache.len, cache.capacity),
-        ));
-    }
-
-    let stage_bars: Vec<(String, f64)> = snap
-        .stages
-        .iter()
-        .map(|s| (format!("{} (n={})", s.name, s.count), s.p95_ms))
-        .collect();
-
-    let reports = service.recent_reports();
-    let mut solves_html = String::from(
-        "<table><tr><th>id</th><th>workload</th><th>status</th>\
-         <th class=\"num\">newton</th><th class=\"num\">centering</th>\
-         <th class=\"num\">recovery</th>\
-         <th class=\"num\">final gap</th><th>gap trajectory</th></tr>",
-    );
-    for (id, r) in reports.iter().rev().take(12) {
-        let gaps: Vec<f64> = r
-            .gap_trajectory
-            .iter()
-            .map(|g| g.max(f64::MIN_POSITIVE).log10())
-            .collect();
-        let _ = write!(
-            solves_html,
-            "<tr><td><a href=\"/debug/solves/{id}\">{id}</a></td>\
-             <td>{}</td><td>{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{:.1e}</td><td>{}</td></tr>",
-            escape_html(&r.workload),
-            escape_html(&r.status),
-            r.newton_iterations,
-            r.centering_steps(),
-            r.recovery_attempts,
-            r.final_gap().unwrap_or(f64::NAN),
-            dashboard::sparkline(&gaps, 120, 18),
-        );
-    }
-    solves_html.push_str("</table>");
-
-    let mut exemplar_html = String::from(
-        "<table><tr><th>id</th><th>class</th><th>label</th>\
-         <th class=\"num\">dur ms</th><th class=\"num\">records</th><th></th></tr>",
-    );
-    for e in service.exemplars().exemplars() {
-        let _ = write!(
-            exemplar_html,
-            "<tr><td>{}</td><td>{}</td><td>{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td><a href=\"/debug/exemplars?id={}\">trace</a></td></tr>",
-            e.id,
-            e.class.name(),
-            escape_html(&e.label),
-            fmt_value(e.dur_ns as f64 / 1e6),
-            e.records.len(),
-            e.id,
-        );
-    }
-    exemplar_html.push_str("</table>");
-
-    let registry = service.registry().snapshot();
-    let counter_rows: Vec<Vec<String>> = registry
-        .counters
-        .iter()
-        .map(|c| vec![series_key(&c.name, &c.label), c.value.to_string()])
-        .collect();
-    let histogram_rows: Vec<Vec<String>> = registry
-        .histograms
-        .iter()
-        .map(|h| {
-            vec![
-                series_key(&h.name, &h.label),
-                h.summary.count.to_string(),
-                fmt_value(h.summary.p50),
-                fmt_value(h.summary.p95),
-            ]
-        })
-        .collect();
-
-    let queue_samples = service.metrics().queue_depth_recent();
-    let overload_rows = [
-        ("shed (all protective 503s)", snap.shed.to_string()),
-        ("browned out (cold misses)", snap.browned_out.to_string()),
-        ("connection capped", snap.conn_capped.to_string()),
-        ("deadline closed (408)", snap.deadline_closed.to_string()),
-        ("queue depth now", snap.queue_depth.to_string()),
-        (
-            "queue depth p50 / p95",
-            format!(
-                "{} / {}",
-                fmt_value(snap.queue_depth_p50),
-                fmt_value(snap.queue_depth_p95)
-            ),
-        ),
-    ];
-    let overload_html = format!(
-        "{}<p>queue depth, last {} admission decisions:</p>{}",
-        dashboard::kv_table(&overload_rows),
-        queue_samples.len(),
-        if queue_samples.is_empty() {
-            "<p>no samples yet</p>".to_string()
-        } else {
-            dashboard::sparkline(&queue_samples, 240, 24)
-        },
-    );
-
-    let contention_html = dashboard_contention_html(&snap, service);
-
-    let timeseries_html = dashboard_timeseries_html(service);
-
-    let mut pareto_html = String::new();
-    for name in service.pareto_workloads() {
-        if let Some(frontier) = service.pareto_frontier(&name) {
-            let _ = write!(
-                pareto_html,
-                "<h3>{} ({} points)</h3>{}",
-                escape_html(&frontier.workload),
-                frontier.points.len(),
-                pareto_svg(&frontier),
-            );
-        }
-    }
-    if pareto_html.is_empty() {
-        pareto_html = format!(
-            "<p>no frontiers yet ({} computing)</p>",
-            service.pareto_pending()
-        );
-    }
-
-    let sections = [
-        dashboard::section("Service", &dashboard::kv_table(&overview)),
-        dashboard::section("Overload", &overload_html),
-        dashboard::section("Stage latency p95 (ms)", &dashboard::bar_list(&stage_bars)),
-        dashboard::section("Contention", &contention_html),
-        dashboard::section("Metrics time-series", &timeseries_html),
-        dashboard::section("Recent solves", &solves_html),
-        dashboard::section("Pareto frontiers (area vs energy)", &pareto_html),
-        dashboard::section("Exemplar traces", &exemplar_html),
-        dashboard::section(
-            "Registry counters",
-            &dashboard::table(&["counter", "value"], &counter_rows),
-        ),
-        dashboard::section(
-            "Registry histograms",
-            &dashboard::table(&["histogram", "count", "p50", "p95"], &histogram_rows),
-        ),
-    ];
-    Reply::new(
-        200,
-        Body::Html(dashboard::page("thistle-serve", 5, &sections)),
-    )
-}
-
-/// The dashboard's "Contention" section: per-lock wait-p95 bars (with
-/// acquisition and contended counts in the labels) above a phase-stacked
-/// table of the most recent request breakdowns. Lock names are
-/// compile-time constants today, but they are escaped anyway so a future
-/// dynamically named lock cannot inject markup.
-fn dashboard_contention_html(snap: &crate::metrics::MetricsSnapshot, service: &Service) -> String {
-    let mut html = if snap.locks.is_empty() {
-        "<p>no observed locks (disabled via <code>THISTLE_NO_LOCK_OBS</code>?)</p>".to_string()
-    } else {
-        let lock_bars: Vec<(String, f64)> = snap
-            .locks
-            .iter()
-            .map(|l| {
-                (
-                    format!(
-                        "{} (acq={}, contended={})",
-                        escape_html(&l.lock),
-                        l.acquisitions,
-                        l.contended
-                    ),
-                    l.wait_p95_ms,
-                )
-            })
-            .collect();
-        format!(
-            "<p>per-lock wait p95 (ms):</p>{}",
-            dashboard::bar_list(&lock_bars)
-        )
-    };
-    let recent = service.metrics().recent_breakdowns();
-    if recent.is_empty() {
-        html.push_str("<p>no request breakdowns yet</p>");
-        return html;
-    }
-    html.push_str(
-        "<p>recent requests, phase decomposition (ms):</p>\
-         <table><tr><th class=\"num\">parse</th><th class=\"num\">queue wait</th>\
-         <th class=\"num\">lock wait</th><th class=\"num\">coalesce wait</th>\
-         <th class=\"num\">solve</th><th class=\"num\">serialize</th>\
-         <th class=\"num\">total</th></tr>",
-    );
-    for b in recent.iter().rev().take(12) {
-        let _ = write!(
-            html,
-            "<tr><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td><td class=\"num\">{}</td>\
-             <td class=\"num\">{}</td></tr>",
-            fmt_value(b.parse_ms),
-            fmt_value(b.queue_wait_ms),
-            fmt_value(b.lock_wait_ms),
-            fmt_value(b.coalesce_wait_ms),
-            fmt_value(b.solve_ms),
-            fmt_value(b.serialize_ms),
-            fmt_value(b.total_ms()),
-        );
-    }
-    html.push_str("</table><p>raw view: <a href=\"/debug/contention\">/debug/contention</a></p>");
-    html
-}
-
-/// The dashboard's "Metrics time-series" section: fingerprint-stamped
-/// segment table plus sparklines over the durable ring's samples — state
-/// that survives restarts, unlike the in-memory registry tables below it.
-fn dashboard_timeseries_html(service: &Service) -> String {
-    let load = match service.load_timeseries() {
-        None => return "<p>not configured (start with <code>--timeseries FILE</code>)</p>".into(),
-        Some(Err(e)) => return format!("<p>load failed: {}</p>", escape_html(&e.to_string())),
-        Some(Ok(load)) => load,
-    };
-    if load.records.is_empty() {
-        return "<p>no samples yet</p>".into();
-    }
-    let mut segment_rows: Vec<Vec<String>> = Vec::new();
-    for r in &load.records {
-        let digest = r.fingerprint_digest();
-        match segment_rows.last_mut() {
-            Some(row) if row[0] == digest && row[1] == r.build => {
-                row[2] = (row[2].parse::<u64>().unwrap_or(0) + 1).to_string();
-                row[4] = r.ts_unix_ms.to_string();
-            }
-            _ => segment_rows.push(vec![
-                digest,
-                r.build.clone(),
-                "1".into(),
-                r.ts_unix_ms.to_string(),
-                r.ts_unix_ms.to_string(),
-            ]),
-        }
-    }
-    // Each span is one sample of the span-duration family; `queue_wait` is
-    // timed by the pool, not by a span.
-    let span_totals: Vec<f64> = load
-        .records
-        .iter()
-        .map(|r| {
-            r.snapshot
-                .histograms
-                .iter()
-                .filter(|h| h.name == SPAN_DURATION_MS)
-                .filter(|h| h.label.as_ref().is_none_or(|(_, v)| v != "queue_wait"))
-                .map(|h| h.summary.count as f64)
-                .sum()
-        })
-        .collect();
-    let request_p95: Vec<f64> = load
-        .records
-        .iter()
-        .map(|r| {
-            r.snapshot
-                .histograms
-                .iter()
-                .find(|h| {
-                    h.name == SPAN_DURATION_MS
-                        && h.label.as_ref().is_some_and(|(_, v)| v == "request")
-                })
-                .map_or(0.0, |h| h.summary.p95)
-        })
-        .collect();
-    let sparks = [
-        ("spans recorded (cumulative per life)", span_totals),
-        ("request p95 ms", request_p95),
-    ];
-    let mut html = dashboard::table(
-        &[
-            "fingerprint",
-            "build",
-            "records",
-            "first unix ms",
-            "last unix ms",
-        ],
-        &segment_rows,
-    );
-    html.push_str("<table>");
-    for (label, values) in sparks {
-        let last = values.last().copied().unwrap_or(0.0);
-        let _ = write!(
-            html,
-            "<tr><td>{label}</td><td>{}</td><td class=\"num\">{}</td></tr>",
-            dashboard::sparkline(&values, 180, 22),
-            fmt_value(last),
-        );
-    }
-    html.push_str("</table>");
-    let _ = write!(
-        html,
-        "<p>{} samples, {} skipped (see <a href=\"/debug/timeseries\">/debug/timeseries</a>)</p>",
-        load.records.len(),
-        load.skipped_records,
-    );
-    html
-}
-
-/// SVG scatter of one frontier on (area, energy) axes; cycles rides along
-/// in each point's tooltip. Points are already area-sorted, so the polyline
-/// traces the frontier.
-fn pareto_svg(frontier: &thistle_atlas::ParetoFrontier) -> String {
-    const W: f64 = 420.0;
-    const H: f64 = 240.0;
-    const PAD: f64 = 28.0;
-    if frontier.points.is_empty() {
-        return "<p>empty frontier</p>".into();
-    }
-    let min_max = |values: Vec<f64>| -> (f64, f64) {
-        let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        // Degenerate (single-point) ranges still need a nonzero span.
-        if hi > lo {
-            (lo, hi)
-        } else {
-            (lo - 0.5 * lo.abs().max(1.0), hi + 0.5 * hi.abs().max(1.0))
-        }
-    };
-    let (ax_lo, ax_hi) = min_max(frontier.points.iter().map(|p| p.area_um2).collect());
-    let (en_lo, en_hi) = min_max(frontier.points.iter().map(|p| p.energy_pj).collect());
-    let x = |area: f64| PAD + (area - ax_lo) / (ax_hi - ax_lo) * (W - 2.0 * PAD);
-    // SVG y grows downward; energy grows upward.
-    let y = |energy: f64| H - PAD - (energy - en_lo) / (en_hi - en_lo) * (H - 2.0 * PAD);
-    let mut svg = format!(
-        "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" \
-         style=\"background:#11131a;border:1px solid #333\">\
-         <line x1=\"{PAD}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#555\"/>\
-         <line x1=\"{PAD}\" y1=\"{PAD}\" x2=\"{PAD}\" y2=\"{0}\" stroke=\"#555\"/>",
-        H - PAD,
-        W - PAD,
-    );
-    let path: Vec<String> = frontier
-        .points
-        .iter()
-        .map(|p| format!("{:.1},{:.1}", x(p.area_um2), y(p.energy_pj)))
-        .collect();
-    let _ = write!(
-        svg,
-        "<polyline points=\"{}\" fill=\"none\" stroke=\"#4f8\" stroke-width=\"1\" opacity=\"0.6\"/>",
-        path.join(" ")
-    );
-    for p in &frontier.points {
-        let _ = write!(
-            svg,
-            "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"3.5\" fill=\"#4f8\">\
-             <title>{} | area {:.3e} um2 | energy {:.3e} pJ | cycles {:.3e} | \
-             {} PEs x {} regs, {} SRAM words</title></circle>",
-            x(p.area_um2),
-            y(p.energy_pj),
-            escape_html(&p.objective),
-            p.area_um2,
-            p.energy_pj,
-            p.cycles,
-            p.pe_count,
-            p.regs_per_pe,
-            p.sram_words,
-        );
-    }
-    let _ = write!(
-        svg,
-        "<text x=\"{:.0}\" y=\"{:.0}\" fill=\"#888\" font-size=\"10\">area um2 \
-         [{ax_lo:.2e}, {ax_hi:.2e}]</text>\
-         <text x=\"4\" y=\"12\" fill=\"#888\" font-size=\"10\">energy pJ \
-         [{en_lo:.2e}, {en_hi:.2e}]</text></svg>",
-        PAD,
-        H - 8.0,
-    );
-    svg
-}
-
-/// `GET /debug/dashboard?diff=a,b`: two retained solve reports side by
-/// side, with per-row deltas — the view for comparing a near-miss solve
-/// against its donor.
-fn handle_dashboard_diff(spec: &str, service: &Service) -> Reply {
-    let bad = |message: &str| Reply::new(400, Body::Json(error_json(message)));
-    let Some((a, b)) = spec.split_once(',') else {
-        return bad("diff expects two solve ids: ?diff=a,b");
-    };
-    let (Ok(a), Ok(b)) = (a.trim().parse::<u64>(), b.trim().parse::<u64>()) else {
-        return bad("diff ids must be integers");
-    };
-    let (Some(ra), Some(rb)) = (service.solve_report(a), service.solve_report(b)) else {
-        return Reply::new(
-            404,
-            Body::Json(error_json(
-                "one or both solves not found (or aged out of retention)",
-            )),
-        );
-    };
-    let mut rows: Vec<Vec<String>> = vec![
-        vec![
-            "workload".into(),
-            ra.workload.clone(),
-            rb.workload.clone(),
-            String::new(),
-        ],
-        vec![
-            "status".into(),
-            ra.status.clone(),
-            rb.status.clone(),
-            String::new(),
-        ],
-        vec![
-            "warm started".into(),
-            ra.warm_started.to_string(),
-            rb.warm_started.to_string(),
-            String::new(),
-        ],
-    ];
-    let mut num_row = |name: &str, va: f64, vb: f64| {
-        rows.push(vec![
-            name.into(),
-            fmt_value(va),
-            fmt_value(vb),
-            format!("{:+}", vb - va),
-        ]);
-    };
-    num_row("perm pair", ra.perm_pair as f64, rb.perm_pair as f64);
-    num_row(
-        "newton iterations",
-        ra.newton_iterations as f64,
-        rb.newton_iterations as f64,
-    );
-    num_row(
-        "centering steps",
-        ra.centering_steps() as f64,
-        rb.centering_steps() as f64,
-    );
-    num_row(
-        "warm newton saved",
-        ra.warm_newton_saved as f64,
-        rb.warm_newton_saved as f64,
-    );
-    num_row(
-        "batch classes",
-        f64::from(ra.batch_classes),
-        f64::from(rb.batch_classes),
-    );
-    num_row(
-        "batch members",
-        f64::from(ra.batch_members),
-        f64::from(rb.batch_members),
-    );
-    num_row(
-        "recovery attempts",
-        f64::from(ra.recovery_attempts),
-        f64::from(rb.recovery_attempts),
-    );
-    num_row(
-        "final gap",
-        ra.final_gap().unwrap_or(f64::NAN),
-        rb.final_gap().unwrap_or(f64::NAN),
-    );
-    let spark = |r: &SolveReport| {
-        let gaps: Vec<f64> = r
-            .gap_trajectory
-            .iter()
-            .map(|g| g.max(f64::MIN_POSITIVE).log10())
-            .collect();
-        dashboard::sparkline(&gaps, 160, 24)
-    };
-    let trajectories = format!(
-        "<table><tr><th>solve</th><th>newton per center</th><th>gap trajectory</th></tr>\
-         <tr><td>#{a}</td><td>{:?}</td><td>{}</td></tr>\
-         <tr><td>#{b}</td><td>{:?}</td><td>{}</td></tr></table>",
-        ra.newton_per_center,
-        spark(&ra),
-        rb.newton_per_center,
-        spark(&rb),
-    );
-    let sections = [
-        dashboard::section(
-            &format!("Solve diff #{a} vs #{b}"),
-            &dashboard::table(
-                &[
-                    "field",
-                    &format!("solve #{a}"),
-                    &format!("solve #{b}"),
-                    "delta (b-a)",
-                ],
-                &rows,
-            ),
-        ),
-        dashboard::section("Convergence", &trajectories),
-    ];
-    Reply::new(
-        200,
-        Body::Html(dashboard::page("thistle-serve solve diff", 0, &sections)),
-    )
 }
 
 /// First value of `name` in an (unescaped) query string, if present.

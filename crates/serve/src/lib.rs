@@ -11,10 +11,10 @@
 //!    requests join one solve) and per-request timeouts.
 //! 3. [`http`] — a hand-rolled HTTP/1.1 server (`std::net::TcpListener`,
 //!    no format crates) exposing `POST /optimize`, `GET /metrics` (JSON or
-//!    `?format=prometheus` text), `GET /healthz`, and the `GET /debug/*`
-//!    introspection surfaces (live dashboard, exemplar traces, solve
-//!    reports, the durable metrics time-series), with graceful shutdown and
-//!    connection draining.
+//!    `?format=prometheus` text), `GET /healthz`, `GET /pareto`, and the
+//!    `GET /debug/*` introspection surfaces (solve reports, exemplar
+//!    traces, lock contention), with graceful shutdown and connection
+//!    draining.
 //! 4. [`service`] — [`Service::optimize`], the embedding API the CLI and
 //!    the benchmark's serve workload reuse. Every solve runs under a `thistle_obs` trace context whose spans feed a
 //!    `thistle_obs::MetricsBridge` (its span durations are the per-stage

@@ -27,12 +27,8 @@ pub(crate) const WINDOW: usize = 1024;
 /// bridge, may register; past it, new labels share the `_overflow` slot.
 pub(crate) const CARDINALITY: usize = 32;
 
-/// Queue-depth samples retained in arrival order for the dashboard
-/// sparkline (the windowed histogram keeps more, but loses ordering).
-const QUEUE_RING: usize = 240;
-
-/// Recent per-request latency breakdowns kept in arrival order for the
-/// dashboard's phase-stacked view of recent solves.
+/// Recent per-request latency breakdowns kept in arrival order for
+/// `GET /debug/contention`.
 const BREAKDOWN_RING: usize = 32;
 
 /// Pipeline stages with their own latency histograms in `GET /metrics`, in
@@ -57,9 +53,10 @@ pub const STAGES: [&str; 9] = [
 /// Shared service metrics. All methods take `&self`.
 ///
 /// Every counter, gauge, and histogram is a handle into one
-/// [`thistle_obs::Registry`], so `GET /metrics` and the registry debug
-/// surfaces sample the same state. The handles are resolved once at
-/// construction; the hot path never searches the registry by name.
+/// [`thistle_obs::Registry`], the one the service's span bridge and observed
+/// locks record into, so `GET /metrics` samples all of them at once. The
+/// handles are resolved once at construction; the hot path never searches
+/// the registry by name.
 pub struct Metrics {
     registry: Arc<Registry>,
     requests: Counter,
@@ -98,9 +95,6 @@ pub struct Metrics {
     brownout_active: Gauge,
     /// Distribution of the admission-time queue-depth samples.
     queue_depths: Histogram,
-    /// The same samples in arrival order, bounded, for the dashboard
-    /// sparkline.
-    queue_ring: Mutex<VecDeque<f64>>,
     /// Cache entries restored from the atlas snapshot at startup.
     atlas_restored_entries: Gauge,
     /// Damaged snapshot records skipped at startup (plus one if the file
@@ -117,8 +111,8 @@ pub struct Metrics {
     /// Per-phase request-breakdown histograms
     /// ([`LatencyBreakdown::PHASES`] labels).
     phases: HistogramFamily,
-    /// Recent complete breakdowns in arrival order, bounded, for the
-    /// dashboard's phase-stacked view.
+    /// Recent complete breakdowns in arrival order, bounded, for
+    /// `GET /debug/contention`.
     breakdown_ring: Mutex<VecDeque<LatencyBreakdown>>,
 }
 
@@ -651,7 +645,6 @@ impl Metrics {
             queue_depth: registry.gauge("queue_depth"),
             brownout_active: registry.gauge("brownout_active"),
             queue_depths: registry.histogram("queue_depth_dist", WINDOW),
-            queue_ring: Mutex::new(VecDeque::new()),
             atlas_restored_entries: registry.gauge("atlas_restored_entries"),
             atlas_load_errors: registry.gauge("atlas_load_errors"),
             ledger: Mutex::new(FailureLedger::default()),
@@ -663,8 +656,8 @@ impl Metrics {
         }
     }
 
-    /// The registry backing every metric here, for debug surfaces that want
-    /// the raw sample view ([`thistle_obs::RegistrySnapshot`]).
+    /// The registry backing every metric here, which the service's span
+    /// bridge and observed locks share.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -742,32 +735,15 @@ impl Metrics {
     }
 
     /// Samples the pool queue depth at an admission decision: updates the
-    /// gauge, the percentile window, and the bounded arrival-order ring the
-    /// dashboard sparkline draws from.
+    /// gauge and the percentile window.
     pub fn record_queue_depth(&self, depth: u64) {
         self.queue_depth.set(depth);
         self.queue_depths.record(depth as f64);
-        let mut ring = self.queue_ring.lock().expect("queue ring lock");
-        if ring.len() >= QUEUE_RING {
-            ring.pop_front();
-        }
-        ring.push_back(depth as f64);
     }
 
     /// Flags whether brown-out shedding is currently active.
     pub fn set_brownout(&self, active: bool) {
         self.brownout_active.set(active as u64);
-    }
-
-    /// The most recent queue-depth samples in arrival order, bounded at the
-    /// ring capacity, for the dashboard sparkline.
-    pub fn queue_depth_recent(&self) -> Vec<f64> {
-        self.queue_ring
-            .lock()
-            .expect("queue ring lock")
-            .iter()
-            .copied()
-            .collect()
     }
 
     /// Marks a cache miss that was answered by a near-miss solve (the
@@ -830,7 +806,7 @@ impl Metrics {
     }
 
     /// The most recent request breakdowns in arrival order, bounded at the
-    /// ring capacity, for the dashboard's phase-stacked view.
+    /// ring capacity, for `GET /debug/contention`.
     pub fn recent_breakdowns(&self) -> Vec<LatencyBreakdown> {
         self.breakdown_ring
             .lock()
@@ -1359,7 +1335,6 @@ mod tests {
                 .as_f64()
                 .unwrap()
         );
-        assert_eq!(m.queue_depth_recent(), vec![3.0, 7.0]);
         assert_eq!(
             prom_value("thistle_atlas_restored_entries"),
             json_u64("atlas_restored_entries")

@@ -13,10 +13,7 @@ use std::time::Duration;
 use thistle::canon::SolverFingerprint;
 use thistle::canon::{transpose_design_hw, CanonicalLayer, CanonicalQuery, FamilyKey};
 use thistle::{Deadline, DesignPoint, OptimizeError, Optimizer, SolveReport};
-use thistle_atlas::{
-    compute_frontier, AtlasSnapshot, ParetoFrontier, TimeSeriesFile, TimeSeriesLoad,
-    TimeSeriesRecord, DEFAULT_BUDGET_FRACTIONS,
-};
+use thistle_atlas::{compute_frontier, AtlasSnapshot, ParetoFrontier, DEFAULT_BUDGET_FRACTIONS};
 use thistle_model::{ArchMode, ConvLayer, Objective};
 use thistle_obs::{
     take_thread_lock_wait, ExemplarSink, MetricsBridge, ObservedMutex, Registry, Sink, TraceCtx,
@@ -92,15 +89,6 @@ pub struct ServiceOptions {
     /// Area-budget fractions of the Eyeriss baseline the frontier sweep
     /// samples (three objective scalarizations per fraction).
     pub pareto_budget_fractions: Vec<f64>,
-    /// Durable metrics time-series file: the registry is snapshotted onto a
-    /// CRC-framed ring at a fixed cadence (plus once at startup and once at
-    /// shutdown), each sample stamped with the solver fingerprint and build
-    /// info. `None` disables the time-series.
-    pub timeseries_path: Option<PathBuf>,
-    /// Cadence of the background time-series snapshotter.
-    pub timeseries_every: Duration,
-    /// Samples retained in the ring file before compaction.
-    pub timeseries_max_records: usize,
     /// Record wait/hold time on every shared hot-path lock (the design
     /// cache, single-flight table, breaker map, family index, report ring,
     /// frontier map) into per-lock registry histograms. `false` builds the
@@ -132,9 +120,6 @@ impl std::fmt::Debug for ServiceOptions {
             .field("atlas_checkpoint_every", &self.atlas_checkpoint_every)
             .field("pareto_precompute", &self.pareto_precompute)
             .field("pareto_budget_fractions", &self.pareto_budget_fractions)
-            .field("timeseries_path", &self.timeseries_path)
-            .field("timeseries_every", &self.timeseries_every)
-            .field("timeseries_max_records", &self.timeseries_max_records)
             .field("observe_locks", &self.observe_locks)
             .finish()
     }
@@ -162,17 +147,13 @@ impl Default for ServiceOptions {
             atlas_checkpoint_every: 32,
             pareto_precompute: false,
             pareto_budget_fractions: DEFAULT_BUDGET_FRACTIONS.to_vec(),
-            timeseries_path: None,
-            timeseries_every: Duration::from_secs(15),
-            timeseries_max_records: 1024,
             observe_locks: true,
         }
     }
 }
 
-/// Human-readable build stamp attached to health responses and every
-/// time-series sample, so metrics segments across restarts are attributable
-/// to a binary version.
+/// Human-readable build stamp attached to health responses, so a probe can
+/// tell which binary version is answering.
 pub const BUILD_INFO: &str = concat!("thistle-serve ", env!("CARGO_PKG_VERSION"));
 
 /// Why a request failed.
@@ -340,15 +321,9 @@ pub struct Service {
     /// the handle is joined.
     pareto_tx: Option<Sender<ConvLayer>>,
     pareto_worker: Option<std::thread::JoinHandle<()>>,
-    /// Encoded solver fingerprint of the serving optimizer, stamped onto
-    /// health responses and every time-series sample.
-    fingerprint_words: Vec<u64>,
-    /// Durable metrics time-series ring; `None` when disabled.
-    timeseries: Option<Arc<TimeSeriesFile>>,
-    /// Shutdown signal for the snapshotter (dropping disconnects it);
-    /// worker joined in `Drop` after a final flush.
-    timeseries_tx: Option<Sender<()>>,
-    timeseries_worker: Option<std::thread::JoinHandle<()>>,
+    /// Digest of the serving optimizer's [`SolverFingerprint`], stamped onto
+    /// health responses.
+    fingerprint: String,
 }
 
 impl Service {
@@ -420,39 +395,8 @@ impl Service {
             }
         }
 
-        let fingerprint_words = SolverFingerprint::of(&optimizer).encode_words().to_vec();
-        let (timeseries, timeseries_tx, timeseries_worker) = match options.timeseries_path {
-            None => (None, None, None),
-            Some(path) => {
-                let file = Arc::new(TimeSeriesFile::open(path, options.timeseries_max_records));
-                // One sample per process life even if it never reaches the
-                // first cadence tick (the Drop flush covers clean exits;
-                // this covers hard kills).
-                let _ = append_timeseries_sample(&file, &fingerprint_words, metrics.registry());
-                let (tx, rx) = unbounded::<()>();
-                let every = options.timeseries_every.max(Duration::from_millis(10));
-                let registry = Arc::clone(metrics.registry());
-                let words = fingerprint_words.clone();
-                let worker_file = Arc::clone(&file);
-                let worker = std::thread::Builder::new()
-                    .name("thistle-timeseries".into())
-                    .spawn(move || loop {
-                        match rx.recv_timeout(every) {
-                            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                                let _ = append_timeseries_sample(&worker_file, &words, &registry);
-                            }
-                            // Disconnect: the service is dropping. Flush one
-                            // final sample so this life's last state survives.
-                            _ => {
-                                let _ = append_timeseries_sample(&worker_file, &words, &registry);
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn timeseries thread");
-                (Some(file), Some(tx), Some(worker))
-            }
-        };
+        let fingerprint =
+            thistle_atlas::fingerprint_digest(&SolverFingerprint::of(&optimizer).encode_words());
 
         let frontiers = Arc::new(ObservedMutex::maybe_observed(
             "frontiers",
@@ -524,10 +468,7 @@ impl Service {
             pareto_pending,
             pareto_tx,
             pareto_worker,
-            fingerprint_words,
-            timeseries,
-            timeseries_tx,
-            timeseries_worker,
+            fingerprint,
         }
     }
 
@@ -542,43 +483,10 @@ impl Service {
         &self.ctx
     }
 
-    /// The registry every service metric lives in, for raw-sample debug
-    /// views.
-    pub fn registry(&self) -> &Arc<Registry> {
-        self.metrics.registry()
-    }
-
-    /// The serving optimizer's encoded [`SolverFingerprint`] words.
-    pub fn fingerprint_words(&self) -> &[u64] {
-        &self.fingerprint_words
-    }
-
-    /// Short hex digest of the solver fingerprint, for health responses and
-    /// time-series segment labels.
-    pub fn fingerprint_digest(&self) -> String {
-        thistle_atlas::fingerprint_digest(&self.fingerprint_words)
-    }
-
-    /// Appends one fingerprint-stamped registry sample to the time-series
-    /// ring right now. Returns `false` when no time-series is configured.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the ring append.
-    pub fn record_timeseries_sample(&self) -> std::io::Result<bool> {
-        match &self.timeseries {
-            None => Ok(false),
-            Some(file) => {
-                append_timeseries_sample(file, &self.fingerprint_words, self.metrics.registry())?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Loads the durable metrics time-series (all restarts' samples that
-    /// survive in the ring). `None` when no time-series is configured.
-    pub fn load_timeseries(&self) -> Option<std::io::Result<TimeSeriesLoad>> {
-        self.timeseries.as_ref().map(|file| file.load())
+    /// Short hex digest of the serving optimizer's solver fingerprint, for
+    /// health responses.
+    pub fn fingerprint_digest(&self) -> &str {
+        &self.fingerprint
     }
 
     /// The tail-sampling exemplar sink: full span trees of the worst recent
@@ -601,21 +509,6 @@ impl Service {
             .iter()
             .find(|(i, _)| *i == id)
             .map(|(_, r)| r.clone())
-    }
-
-    /// `(closed, open, half_open)` counts over the per-shape circuit
-    /// breakers currently tracked.
-    pub fn breaker_states(&self) -> (usize, usize, usize) {
-        let breakers = self.breakers.lock();
-        let mut counts = (0, 0, 0);
-        for state in breakers.values() {
-            match state {
-                BreakerState::Closed { .. } => counts.0 += 1,
-                BreakerState::Open { .. } => counts.1 += 1,
-                BreakerState::HalfOpen => counts.2 += 1,
-            }
-        }
-        counts
     }
 
     /// Retains `report` and returns its freshly assigned solve id (ids start
@@ -1074,28 +967,8 @@ impl Drop for Service {
         if let Some(worker) = self.pareto_worker.take() {
             let _ = worker.join();
         }
-        // Same for the time-series snapshotter: disconnecting makes it
-        // flush one final sample, so the ring records this life's end state.
-        self.timeseries_tx = None;
-        if let Some(worker) = self.timeseries_worker.take() {
-            let _ = worker.join();
-        }
         let _ = self.save_atlas();
     }
-}
-
-/// Builds and appends one time-series sample: wall clock + fingerprint +
-/// build stamp + the registry's current counters/gauges/histograms.
-fn append_timeseries_sample(
-    file: &TimeSeriesFile,
-    fingerprint_words: &[u64],
-    registry: &Arc<Registry>,
-) -> std::io::Result<()> {
-    file.append(&TimeSeriesRecord::now(
-        fingerprint_words.to_vec(),
-        BUILD_INFO.to_string(),
-        registry.snapshot(),
-    ))
 }
 
 /// Stable name of a workload family — the batch-erased canonical layer
@@ -1261,7 +1134,7 @@ mod tests {
         }
         // The stages are read from the span-duration family the bridge
         // fills; no second copy of them, and no span counter beside it.
-        let raw = service.registry().snapshot();
+        let raw = service.metrics().registry().snapshot();
         let names: BTreeSet<&str> = (raw.counters.iter().map(|c| c.name.as_str()))
             .chain(raw.histograms.iter().map(|h| h.name.as_str()))
             .collect();

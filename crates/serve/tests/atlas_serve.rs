@@ -1,8 +1,8 @@
 //! Acceptance tests for the design-space atlas wiring in the serve layer:
 //! snapshot persistence across service restarts (bit-identical answers from
 //! the restored cache), near-miss routing on batch-size-only cache misses
-//! (from live and restored donors), Pareto frontier precompute served over
-//! HTTP, and the dashboard solve-diff view.
+//! (from live and restored donors), and Pareto frontier precompute served
+//! over HTTP.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -345,12 +345,6 @@ fn pareto_endpoint_serves_the_precomputed_frontier() {
     let (status, _) = http_get(port, "/pareto?workload=nonexistent");
     assert_eq!(status, 404);
 
-    // The dashboard renders the frontier scatter.
-    let (status, html) = http_get(port, "/debug/dashboard");
-    assert_eq!(status, 200);
-    assert!(html.contains("Pareto frontiers"));
-    assert!(html.contains(&family));
-
     server.shutdown();
 
     // The frontier persists: a restart restores it without recomputing.
@@ -367,29 +361,4 @@ fn pareto_endpoint_serves_the_precomputed_frontier() {
     assert_eq!(restarted.pareto_workloads(), vec![family]);
     assert_eq!(restarted.pareto_pending(), 0);
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn dashboard_diff_compares_two_retained_solves() {
-    let service = Arc::new(Service::new(quick_optimizer(), quick_options()));
-    let a = ConvLayer::new("a", 1, 16, 16, 18, 18, 3, 3, 1);
-    let b = ConvLayer::new("b", 1, 64, 32, 10, 10, 3, 3, 1);
-    let ra = service.optimize(&a, Objective::Energy, &mode()).unwrap();
-    let rb = service.optimize(&b, Objective::Energy, &mode()).unwrap();
-    let (ida, idb) = (ra.solve_id.unwrap(), rb.solve_id.unwrap());
-
-    let server = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    let port = server.port();
-
-    let (status, html) = http_get(port, &format!("/debug/dashboard?diff={ida},{idb}"));
-    assert_eq!(status, 200, "{html}");
-    assert!(html.contains(&format!("Solve diff #{ida} vs #{idb}")));
-    assert!(html.contains("newton iterations"));
-    assert!(html.contains("warm started"));
-
-    let (status, _) = http_get(port, "/debug/dashboard?diff=98,99");
-    assert_eq!(status, 404);
-    let (status, _) = http_get(port, "/debug/dashboard?diff=nope");
-    assert_eq!(status, 400);
-    server.shutdown();
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use thistle_arch::TechnologyParams;
 use thistle_repro::thistle::{Optimizer, OptimizerOptions};
-use thistle_repro::thistle_serve::{HttpServer, Json, Service, ServiceOptions};
+use thistle_repro::thistle_serve::{HttpServer, Json, Service, ServiceOptions, BUILD_INFO};
 use thistle_workloads::resnet18;
 
 fn quick_service() -> Service {
@@ -71,9 +71,16 @@ fn second_post_of_the_same_resnet_layer_is_a_cache_hit() {
     let server = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let port = server.port();
 
+    // The health probe names the build and the serving optimizer's solver
+    // fingerprint.
     let (status, health) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 200);
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(health.get("build").and_then(Json::as_str), Some(BUILD_INFO));
+    assert_eq!(
+        health.get("fingerprint").and_then(Json::as_str),
+        Some(service.fingerprint_digest())
+    );
 
     // resnet_12 (Table II row 12: 512x512 channels, 7x7 image, 3x3 kernel),
     // sent as the documented POST /optimize schema.
@@ -218,19 +225,17 @@ fn second_post_of_the_same_resnet_layer_is_a_cache_hit() {
     let (status, _) = http(port, "GET", "/debug/exemplars?id=9999", "");
     assert_eq!(status, 404);
 
-    // The dashboard renders as a self-contained HTML page.
-    let (status, page) = http_raw(port, "GET", "/debug/dashboard", "");
-    assert_eq!(status, 200);
-    assert!(
-        page.contains("Content-Type: text/html"),
-        "dashboard is HTML"
-    );
-    assert!(page.contains("thistle-serve"));
-    assert!(page.contains("Recent solves"));
-
-    // Unknown routes 404; malformed bodies 400 with an error message.
-    let (status, _) = http(port, "GET", "/nope", "");
-    assert_eq!(status, 404);
+    // Unknown routes 404, the two retired debug views included; malformed
+    // bodies 400 with an error message.
+    for path in [
+        "/nope",
+        "/debug/dashboard",
+        "/debug/dashboard?diff=1,2",
+        "/debug/timeseries",
+    ] {
+        let (status, _) = http(port, "GET", path, "");
+        assert_eq!(status, 404, "{path}");
+    }
     let (status, err) = http(port, "POST", "/optimize", "{\"layer\": {\"batch\": 0}}");
     assert_eq!(status, 400);
     assert!(err.get("error").is_some());
