@@ -19,7 +19,9 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Mutex;
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
-use thistle_gp::{content_fingerprint, Deadline, GpError, Solution, SolveOptions, SolveStatus};
+use thistle_gp::{
+    content_fingerprint, Deadline, GpError, PhaseOnePoint, Solution, SolveOptions, SolveStatus,
+};
 use thistle_model::{
     ArchMode, ConvLayer, Dim, GeneratedGp, Level, Objective, PermPair, ProblemGenerator,
     RegisterCostModel, Workload,
@@ -39,7 +41,12 @@ pub struct OptimizerOptions {
     pub max_perm_pairs: usize,
     /// Cap on integer candidate combinations per relaxed solution.
     pub candidate_limit: usize,
-    /// How many of the best relaxed solutions to integerize.
+    /// How many of the best relaxed solutions to integerize. Solutions are
+    /// ranked by `(relaxed objective, pair index)`, and every solution
+    /// whose relaxed objective is at most the `top_solutions`-th one's
+    /// times `1 + solve_options.gap_tolerance` is kept too: the solver
+    /// promises no more accuracy than that, so a cut inside such a tie
+    /// would be decided by rounding noise.
     pub top_solutions: usize,
     /// Worker threads for the GP sweep and rescore.
     pub threads: usize,
@@ -186,6 +193,7 @@ impl std::error::Error for OptimizeError {}
 /// content group, shared by exactly the pairs whose GPs are byte-identical;
 /// `status` records how the barrier solver finished so degraded winners stay
 /// observable.
+#[cfg_attr(test, derive(Clone))]
 struct SweepSolution {
     objective: f64,
     pair_index: usize,
@@ -467,7 +475,7 @@ impl Optimizer {
             })?;
         let sol = gp
             .problem
-            .solve_cancellable(&self.options.solve_options, deadline, ctx)
+            .solve_cancellable(&self.options.solve_options, deadline, ctx, None)
             .map_err(|e| match e {
                 GpError::Cancelled => OptimizeError::Cancelled,
                 other => OptimizeError::AllSolvesFailed(other.to_string()),
@@ -576,14 +584,20 @@ impl Optimizer {
     }
 
     /// Ranks the sweep's solutions by `(objective, pair_index)`, a total
-    /// order, and keeps the best `top_solutions`.
+    /// order, and keeps the best `top_solutions` plus every solution tied
+    /// with the last of them (see [`OptimizerOptions::top_solutions`]).
     fn keep_top(&self, solved: &mut Vec<SweepSolution>) {
         solved.sort_by(|a, b| {
             a.objective
                 .total_cmp(&b.objective)
                 .then(a.pair_index.cmp(&b.pair_index))
         });
-        solved.truncate(self.options.top_solutions);
+        let top = self.options.top_solutions;
+        if let Some(cut) = top.checked_sub(1).and_then(|last| solved.get(last)) {
+            let tie = cut.objective * (1.0 + self.options.solve_options.gap_tolerance);
+            let tied = solved.partition_point(|s| s.objective <= tie);
+            solved.truncate(tied.max(top));
+        }
     }
 
     /// The permutation sweep with exact-content deduplication.
@@ -595,7 +609,12 @@ impl Optimizer {
     ///    Permutation pairs the upstream class pruner cannot collapse
     ///    routinely lower to byte-identical GPs (2.5–4× duplication on the
     ///    paper's layers).
-    /// 3. Workers claim groups off a shared counter and give each one exact
+    /// 3. Run phase I once, on the first group's GP, under a `phase_one`
+    ///    span ([`thistle_gp::GpProblem::phase_one`]). A layer's GPs share
+    ///    the rows phase I reads and its start, so every group's solve that
+    ///    fingerprints the same starts phase II from this point, and returns
+    ///    bit for bit what running phase I itself would (DESIGN.md §10).
+    /// 4. Workers claim groups off a shared counter and give each one exact
     ///    solve ([`Optimizer::solve_duplicate_group`]); every member gets a
     ///    clone of the result. The solver is deterministic, so a clone is
     ///    bit-for-bit what solving the duplicate itself would produce, at any
@@ -695,7 +714,28 @@ impl Optimizer {
             groups[g].push(pair_index);
         }
 
-        // Step 3: one exact solve per group. Groups are claimed off a shared
+        // Step 3: phase I once. A solve whose own phase-I fingerprint does
+        // not match the point runs phase I itself.
+        let phase_one = groups.first().and_then(|group| {
+            let mut span = span!(ctx, "phase_one", perm_pair = group[0]);
+            let gp = gen_map[group[0]].as_ref().expect("generated member");
+            let point = std::panic::catch_unwind(|| {
+                gp.problem
+                    .phase_one(&self.options.solve_options, deadline)
+                    .ok()
+            })
+            .ok()
+            .flatten();
+            if span.enabled() {
+                span.set("found", point.is_some());
+                if let Some(point) = &point {
+                    span.set("newton_iterations", point.newton_iterations());
+                }
+            }
+            point
+        });
+
+        // Step 4: one exact solve per group. Groups are claimed off a shared
         // counter rather than pre-chunked, because their costs vary; the
         // results are sorted downstream, so claim order cannot matter.
         let solved_acc: Mutex<Vec<(usize, usize, Solution)>> = Mutex::new(Vec::new());
@@ -706,6 +746,7 @@ impl Optimizer {
                 let groups = &groups;
                 let gen_map = &gen_map;
                 let next_group = &next_group;
+                let phase_one = phase_one.as_ref();
                 let solved_acc = &solved_acc;
                 let solve_ledger = &solve_ledger;
                 let last_error = &last_error;
@@ -719,6 +760,7 @@ impl Optimizer {
                         }
                         self.solve_duplicate_group(
                             (g, group),
+                            phase_one,
                             &mut ledger,
                             gen_map,
                             solved_acc,
@@ -784,6 +826,7 @@ impl Optimizer {
     fn solve_duplicate_group(
         &self,
         (g, group): (usize, &[usize]),
+        phase_one: Option<&PhaseOnePoint>,
         ledger: &mut FailureLedger,
         gen_map: &[Option<GeneratedGp>],
         solved_acc: &Mutex<Vec<(usize, usize, Solution)>>,
@@ -802,7 +845,7 @@ impl Optimizer {
                     .as_ref()
                     .expect("generated member")
                     .problem
-                    .solve_cancellable(&self.options.solve_options, deadline, ctx);
+                    .solve_cancellable(&self.options.solve_options, deadline, ctx, phase_one);
                 match &result {
                     Ok(sol) => {
                         if gp_span.enabled() {
@@ -854,9 +897,11 @@ impl Optimizer {
     /// claim whole groups off a shared counter, largest first, up to
     /// `options.threads` (one thread runs inline). Each member of a group
     /// yields a [`RescoreOutcome`] ([`Optimizer::rescore_group`]). The
-    /// outcomes are folded here in solution order with the strict `<` a
-    /// serial loop applies, so the winner, the leaders and every count are
-    /// identical at any thread count.
+    /// outcomes are folded here in solution order, so the winner, the
+    /// leaders and every count are identical at any thread count. A lower
+    /// referee score wins, and an equal one goes to the lower pair index, so
+    /// the winner does not depend on the relaxed order of tied solutions.
+    /// A packed leader must beat the winner strictly.
     #[allow(clippy::too_many_arguments)]
     fn rescore_and_pick(
         &self,
@@ -932,7 +977,11 @@ impl Optimizer {
                 Some(outcome) => {
                     counts.add(&outcome.counts);
                     if let Some(scored) = outcome.best {
-                        if best.as_ref().is_none_or(|(_, b)| scored.score < b.score) {
+                        let pair = solved[index].pair_index;
+                        if best.as_ref().is_none_or(|(incumbent, b)| {
+                            scored.score < b.score
+                                || (scored.score == b.score && pair < solved[*incumbent].pair_index)
+                        }) {
                             best = Some((index, scored));
                         }
                     }
@@ -1823,9 +1872,8 @@ mod tests {
         }
     }
 
-    /// The top relaxed solutions of a full sweep, as `rescore_and_pick`
-    /// receives them.
-    fn top_solutions(
+    /// Every relaxed solution of a full sweep, in sweep order.
+    fn swept(
         opt: &Optimizer,
         workload: &Workload,
         objective: Objective,
@@ -1836,12 +1884,108 @@ mod tests {
         subsample(&mut pairs, opt.options.max_perm_pairs);
         let ctx = TraceCtx::disabled();
         let deadline = Deadline::none();
-        let mut solved = opt
-            .sweep(&generator, &pairs, objective, mode, &deadline, &ctx)
+        opt.sweep(&generator, &pairs, objective, mode, &deadline, &ctx)
             .unwrap()
-            .solved;
+            .solved
+    }
+
+    /// The top relaxed solutions of a full sweep, as `rescore_and_pick`
+    /// receives them.
+    fn top_solutions(
+        opt: &Optimizer,
+        workload: &Workload,
+        objective: Objective,
+        mode: &ArchMode,
+    ) -> Vec<SweepSolution> {
+        let mut solved = swept(opt, workload, objective, mode);
         opt.keep_top(&mut solved);
         solved
+    }
+
+    /// The cut keeps whole ties: nudging every objective by one ulp, up on
+    /// even pairs and down on odd ones or the other way round, reorders the
+    /// tied solutions but keeps the same pairs. On fixed-Eyeriss delay the
+    /// cut falls inside a tie.
+    #[test]
+    fn nudged_ties_keep_the_same_pairs() {
+        let opt = Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
+            top_solutions: 4,
+            threads: 2,
+            ..OptimizerOptions::default()
+        });
+        let workload = ConvLayer::new("t", 1, 16, 16, 18, 18, 3, 3, 1).workload();
+        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
+        let all = swept(&opt, &workload, Objective::Delay, &mode);
+        let kept = |mut solved: Vec<SweepSolution>| {
+            opt.keep_top(&mut solved);
+            let mut pairs: Vec<usize> = solved.iter().map(|s| s.pair_index).collect();
+            pairs.sort_unstable();
+            pairs
+        };
+        let clean = kept(all.clone());
+        assert!(clean.len() > 4, "the cut splits no tie: {clean:?}");
+        for up in [0, 1] {
+            let nudged = all
+                .iter()
+                .cloned()
+                .map(|mut s| {
+                    let bits = s.objective.to_bits();
+                    s.objective = f64::from_bits(if s.pair_index % 2 == up {
+                        bits + 1
+                    } else {
+                        bits - 1
+                    });
+                    s
+                })
+                .collect();
+            assert_eq!(kept(nudged), clean, "up on pairs = {up} mod 2");
+        }
+    }
+
+    /// Two solutions of one content whose outcomes tie give the same winner
+    /// in either relaxed order: the lower pair index.
+    #[test]
+    fn equal_scores_go_to_the_lower_pair_index() {
+        let opt = quick_optimizer();
+        let workload = ConvLayer::new("t", 1, 32, 64, 28, 28, 3, 3, 1).workload();
+        let prob_spec = to_problem_spec(&workload);
+        let ctx = TraceCtx::disabled();
+        let mode = ArchMode::Fixed(ArchConfig::eyeriss());
+        let objective = Objective::Energy;
+        let solved = swept(&opt, &workload, objective, &mode);
+        let best_score = |index: usize| {
+            let alone =
+                opt.rescore_group(&workload, &prob_spec, objective, &solved, &[index], &ctx);
+            let outcome = alone.members[0].1.as_ref().unwrap();
+            outcome.best.as_ref().map(|b| b.score.to_bits())
+        };
+        let (a, b) = (0..solved.len())
+            .flat_map(|a| (a + 1..solved.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                solved[a].group == solved[b].group
+                    && solved[a].pair_index != solved[b].pair_index
+                    && best_score(a).is_some()
+                    && best_score(a) == best_score(b)
+            })
+            .expect("two members of one content tie");
+        let pick = |order: [usize; 2]| {
+            let pair = order.map(|i| solved[i].clone());
+            opt.rescore_and_pick(
+                &workload,
+                objective,
+                &mode,
+                &pair,
+                2,
+                FailureLedger::default(),
+                &Deadline::none(),
+                &ctx,
+            )
+            .unwrap()
+        };
+        let (ab, ba) = (pick([a, b]), pick([b, a]));
+        let lower = solved[a].pair_index.min(solved[b].pair_index);
+        assert_eq!(ab.perm_pair, lower);
+        assert_eq!(ab, ba);
     }
 
     /// Everything a member's outcome hands the fold, floats as bit patterns.

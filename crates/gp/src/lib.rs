@@ -50,7 +50,7 @@ mod transform;
 
 pub use deadline::Deadline;
 pub use problem::{content_fingerprint, GpProblem, SolveOptions};
-pub use solver::{GpError, RecoveryInfo, RecoveryRung, Solution, SolveStatus};
+pub use solver::{GpError, PhaseOnePoint, RecoveryInfo, RecoveryRung, Solution, SolveStatus};
 pub use transform::{LogSumExp, LseScratch, TransformedProblem};
 
 #[cfg(test)]

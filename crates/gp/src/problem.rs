@@ -1,8 +1,10 @@
 //! User-facing geometric program builder.
 
 use crate::deadline::Deadline;
-use crate::solver::{solve_transformed, BarrierOptions, GpError, Solution};
-use crate::transform::TransformedProblem;
+use crate::solver::{
+    phase_one_point, solve_transformed, BarrierOptions, GpError, PhaseOnePoint, Solution,
+};
+use crate::transform::{Fnv128, TransformedProblem};
 use thistle_expr::{ArenaStats, Assignment, Monomial, Posynomial, Var, VarRegistry};
 
 /// Solver configuration exposed to callers.
@@ -27,6 +29,16 @@ impl Default for SolveOptions {
             newton_tolerance: 1e-10,
             max_newton_iterations: 80,
         }
+    }
+}
+
+/// The barrier method's settings for `options`.
+fn barrier_options(options: &SolveOptions) -> BarrierOptions {
+    BarrierOptions {
+        gap_tol: options.gap_tolerance,
+        newton_tol: options.newton_tolerance,
+        max_newton_per_center: options.max_newton_iterations,
+        ..BarrierOptions::default()
     }
 }
 
@@ -159,7 +171,38 @@ impl GpProblem {
             options,
             &Deadline::none(),
             &thistle_obs::TraceCtx::disabled(),
+            None,
         )
+    }
+
+    /// Runs phase I alone: the strictly feasible start a solve of this
+    /// problem would reach before phase II, for
+    /// [`GpProblem::solve_cancellable`] to share among problems with the same
+    /// phase-I rows and start (see [`PhaseOnePoint`]).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`GpProblem::solve`] that phase I can raise.
+    pub fn phase_one(
+        &self,
+        options: &SolveOptions,
+        deadline: &Deadline,
+    ) -> Result<PhaseOnePoint, GpError> {
+        let objective = self.objective_or_err()?;
+        let tp = TransformedProblem::new(
+            self.registry.len(),
+            objective,
+            &self.inequalities,
+            &self.equalities,
+        );
+        let (rising, opts) = (tp.rising_columns(), barrier_options(options));
+        phase_one_point(&tp, &rising, &opts, deadline, 0, false, None)
+    }
+
+    fn objective_or_err(&self) -> Result<&Posynomial, GpError> {
+        self.objective
+            .as_ref()
+            .ok_or_else(|| GpError::InvalidProblem("no objective set".into()))
     }
 
     /// [`GpProblem::solve`] with trace context: the symbolic-to-CSR lowering
@@ -170,11 +213,9 @@ impl GpProblem {
         options: &SolveOptions,
         deadline: &Deadline,
         ctx: &thistle_obs::TraceCtx,
+        phase_one: Option<&PhaseOnePoint>,
     ) -> Result<Solution, GpError> {
-        let objective = self
-            .objective
-            .as_ref()
-            .ok_or_else(|| GpError::InvalidProblem("no objective set".into()))?;
+        let objective = self.objective_or_err()?;
         let n = self.registry.len();
         let tp = {
             let mut span = ctx.span("expr_compile");
@@ -194,13 +235,7 @@ impl GpProblem {
             }
             tp
         };
-        let barrier_opts = BarrierOptions {
-            gap_tol: options.gap_tolerance,
-            newton_tol: options.newton_tolerance,
-            max_newton_per_center: options.max_newton_iterations,
-            ..BarrierOptions::default()
-        };
-        let raw = solve_transformed(&tp, &barrier_opts, deadline)?;
+        let raw = solve_transformed(&tp, &barrier_options(options), deadline, phase_one)?;
         let xs = tp.to_gp_point(&raw.y);
         let assignment = Assignment::from_values(xs);
         let objective_value = objective.eval(&assignment);
@@ -221,11 +256,17 @@ impl GpProblem {
     /// barrier loop polls `deadline` every Newton iteration and returns
     /// [`GpError::Cancelled`] once it expires, so an abandoned solve frees
     /// its thread within one iteration.
+    ///
+    /// `phase_one`, a point from [`GpProblem::phase_one`], stands in for the
+    /// nominal attempt's phase I when it was computed from the same phase-I
+    /// rows, start and options; the [`Solution`] is bit-identical either way,
+    /// its `newton_iterations` included.
     pub fn solve_cancellable(
         &self,
         options: &SolveOptions,
         deadline: &Deadline,
         ctx: &thistle_obs::TraceCtx,
+        phase_one: Option<&PhaseOnePoint>,
     ) -> Result<Solution, GpError> {
         let mut span = ctx.span("barrier_solve");
         if span.enabled() {
@@ -233,7 +274,7 @@ impl GpProblem {
             span.set("inequalities", self.inequalities.len());
             span.set("equalities", self.equalities.len());
         }
-        let result = self.solve_with_ctx(options, deadline, ctx);
+        let result = self.solve_with_ctx(options, deadline, ctx, phase_one);
         if span.enabled() {
             match &result {
                 Ok(sol) => {
@@ -276,41 +317,34 @@ impl GpProblem {
 /// *same* GP (loop symmetries the class pruner cannot see), and one exact
 /// solve serves every duplicate with perfect fidelity.
 pub fn content_fingerprint(p: &GpProblem) -> (u64, u64) {
-    // Two independent FNV-1a streams with distinct offset bases; together
-    // they behave as one 128-bit fingerprint.
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h2: u64 = 0x6c62_272e_07bb_0142;
-    let mut put = |v: u64| {
-        h1 = (h1 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-        h2 = (h2 ^ v.rotate_left(17)).wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    let put_posynomial = |put: &mut dyn FnMut(u64), g: &Posynomial| {
+    let mut h = Fnv128::new();
+    let put_posynomial = |h: &mut Fnv128, g: &Posynomial| {
         for (c, m) in g.terms() {
-            put(c.to_bits());
+            h.put(c.to_bits());
             for (v, a) in m.powers() {
-                put(v.index() as u64);
-                put(a.to_bits());
+                h.put(v.index() as u64);
+                h.put(a.to_bits());
             }
-            put(u64::MAX); // term separator
+            h.put(u64::MAX); // term separator
         }
-        put(u64::MAX - 1); // posynomial separator
+        h.put(u64::MAX - 1); // posynomial separator
     };
-    put(p.registry().len() as u64);
+    h.put(p.registry().len() as u64);
     match p.objective() {
-        Some(obj) => put_posynomial(&mut put, obj),
-        None => put(u64::MAX - 3),
+        Some(obj) => put_posynomial(&mut h, obj),
+        None => h.put(u64::MAX - 3),
     }
     for g in p.inequalities() {
-        put_posynomial(&mut put, g);
+        put_posynomial(&mut h, g);
     }
     for m in p.equalities() {
         for (v, a) in m.powers() {
-            put(v.index() as u64);
-            put(a.to_bits());
+            h.put(v.index() as u64);
+            h.put(a.to_bits());
         }
-        put(u64::MAX - 2); // equality separator
+        h.put(u64::MAX - 2); // equality separator
     }
-    (h1, h2)
+    h.finish()
 }
 
 #[cfg(test)]

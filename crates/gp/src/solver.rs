@@ -14,7 +14,7 @@
 
 use crate::deadline::Deadline;
 use crate::linalg::{axpy, dot, norm2, LuScratch, Matrix};
-use crate::transform::{LogSumExp, LseScratch, TransformedProblem};
+use crate::transform::{Fnv128, LogSumExp, LseScratch, RisingColumn, TransformedProblem};
 use std::fmt;
 use thistle_expr::Assignment;
 
@@ -186,17 +186,44 @@ struct BarrierRun {
     gaps: Vec<f64>,
 }
 
+/// Where phase I left one GP: a point strictly inside every inequality that
+/// mentions no rising column ([`TransformedProblem::rising_columns`]), with
+/// the Newton iterations of each phase-I centering step (none when the
+/// start already was), and a fingerprint of what it was computed from.
+///
+/// A sweep's GPs all share these phase-I rows and start, so the optimizer
+/// runs phase I once ([`crate::GpProblem::phase_one`]) and hands the point
+/// to every solve ([`crate::GpProblem::solve_cancellable`]). A solve uses it
+/// only on its nominal attempt, and only if its own phase-I rows,
+/// equalities, start and options fingerprint the same; it then returns
+/// exactly what running phase I itself would have.
+#[derive(Debug, Clone)]
+pub struct PhaseOnePoint {
+    key: (u64, u64),
+    y: Vec<f64>,
+    newton_per_center: Vec<u32>,
+}
+
+impl PhaseOnePoint {
+    /// Newton iterations phase I spent.
+    pub fn newton_iterations(&self) -> usize {
+        self.newton_per_center.iter().map(|&i| i as usize).sum()
+    }
+}
+
 /// Solves the transformed problem, escalating through the recovery ladder
 /// on numerical failure.
 ///
 /// Attempt 0 reproduces the nominal solver exactly (bit-identical on
-/// healthy problems). Each subsequent attempt applies one more rung of
+/// healthy problems) and is the only one that may start phase II from
+/// `shared`. Each subsequent attempt applies one more rung of
 /// [`RecoveryRung`]; `Infeasible`, `InvalidProblem`, and `Cancelled` are
 /// *not* numerical trouble and exit the ladder immediately.
 pub(crate) fn solve_transformed(
     tp: &TransformedProblem,
     opts: &BarrierOptions,
     deadline: &Deadline,
+    shared: Option<&PhaseOnePoint>,
 ) -> Result<RawSolution, GpError> {
     let mut last_failure = String::new();
     for (attempt, rung) in [
@@ -220,7 +247,8 @@ pub(crate) fn solve_transformed(
             rung,
             Some(RecoveryRung::PerturbedRestart) | Some(RecoveryRung::RelaxedTolerance)
         );
-        match solve_attempt(tp, &rung_opts, deadline, attempt as u64, perturb) {
+        let shared = shared.filter(|_| rung.is_none());
+        match solve_attempt(tp, &rung_opts, deadline, attempt as u64, perturb, shared) {
             Ok(mut raw) => {
                 raw.recovery = RecoveryInfo {
                     attempts: attempt as u32 + 1,
@@ -240,15 +268,72 @@ pub(crate) fn solve_transformed(
     )))
 }
 
+/// Phase I of attempt `attempt` over the inequalities that mention no
+/// rising column, from [`start_point`]; `shared` stands in for it when it
+/// fingerprints the same rows, start and options. Phase I is skipped when
+/// the start is already strictly inside those rows.
+pub(crate) fn phase_one_point(
+    tp: &TransformedProblem,
+    rising: &[RisingColumn],
+    opts: &BarrierOptions,
+    deadline: &Deadline,
+    attempt: u64,
+    perturb: bool,
+    shared: Option<&PhaseOnePoint>,
+) -> Result<PhaseOnePoint, GpError> {
+    let rows = phase_one_rows(tp, rising);
+    let y0 = start_point(tp, attempt, perturb)?;
+    let key = phase_one_key(tp, &rows, &y0, opts);
+    if let Some(point) = shared.filter(|point| point.key == key) {
+        return Ok(point.clone());
+    }
+    let (y, newton_per_center) = phase_one(tp, &rows, y0, opts, deadline, attempt)?;
+    Ok(PhaseOnePoint {
+        key,
+        y,
+        newton_per_center,
+    })
+}
+
 /// One pass of the phase-I / phase-II pipeline. `attempt` keys the fault
 /// sites (and the perturbation pattern) so injected failures replay exactly.
+/// Phase II starts from phase I's point with each rising column lifted
+/// into its own rows ([`lift_rising`]).
 fn solve_attempt(
     tp: &TransformedProblem,
     opts: &BarrierOptions,
     deadline: &Deadline,
     attempt: u64,
     perturb: bool,
+    shared: Option<&PhaseOnePoint>,
 ) -> Result<RawSolution, GpError> {
+    let rising = tp.rising_columns();
+    let mut start = phase_one_point(tp, &rising, opts, deadline, attempt, perturb, shared)?;
+    lift_rising(tp, &rising, &mut start.y);
+
+    let run = barrier(
+        &tp.objective,
+        &tp.inequalities,
+        &tp.eq_matrix,
+        &start.y,
+        opts,
+        None,
+        deadline,
+        attempt,
+    )?;
+    Ok(RawSolution {
+        y: run.y,
+        status: run.status,
+        newton_iterations: start.newton_iterations() + run.newton_iterations,
+        newton_per_center: run.newton_per_center,
+        gap_trajectory: run.gaps,
+        recovery: RecoveryInfo::default(),
+    })
+}
+
+/// The start of attempt `attempt`: the minimum-norm point on the equality
+/// manifold, offset on the perturbed rungs, poisoned by `gp.solve.nan`.
+fn start_point(tp: &TransformedProblem, attempt: u64, perturb: bool) -> Result<Vec<f64>, GpError> {
     let n = tp.n;
     let meq = tp.eq_matrix.rows();
 
@@ -292,45 +377,60 @@ fn solve_attempt(
             *v = f64::NAN;
         }
     }
+    Ok(y0)
+}
 
-    let mut total_newton = 0;
+/// The inequalities phase I reads: those that mention no rising column.
+fn phase_one_rows(tp: &TransformedProblem, rising: &[RisingColumn]) -> Vec<usize> {
+    let mut lifted = vec![false; tp.inequalities.len()];
+    for &(i, _) in rising.iter().flat_map(|r| &r.rows) {
+        lifted[i] = true;
+    }
+    (0..lifted.len()).filter(|&i| !lifted[i]).collect()
+}
 
-    if !tp.inequalities.is_empty() {
-        let mut scratch = LseScratch::default();
-        let worst = tp
-            .inequalities
-            .iter()
-            .map(|f| f.value(&y0, &mut scratch))
-            .fold(f64::NEG_INFINITY, f64::max);
-        // `!(worst < ...)` rather than `worst >= ...`: a NaN margin must
-        // also route through phase one.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(worst < -1e-6) {
-            let (y_feas, iters) = phase_one(tp, &y0, worst, opts, deadline, attempt)?;
-            total_newton += iters;
-            y0 = y_feas;
+/// Fingerprint of everything phase I reads: its rows, the equality matrix,
+/// the start, and the barrier options.
+fn phase_one_key(
+    tp: &TransformedProblem,
+    rows: &[usize],
+    y0: &[f64],
+    opts: &BarrierOptions,
+) -> (u64, u64) {
+    let mut h = Fnv128::new();
+    for &i in rows {
+        tp.inequalities[i].hash_into(&mut h);
+    }
+    h.put(tp.eq_matrix.rows() as u64);
+    for k in 0..tp.eq_matrix.rows() {
+        for &a in tp.eq_matrix.row(k) {
+            h.put(a.to_bits());
         }
     }
+    for &v in y0 {
+        h.put(v.to_bits());
+    }
+    for v in [opts.newton_tol, opts.mu, opts.base_ridge] {
+        h.put(v.to_bits());
+    }
+    h.put(opts.max_newton_per_center as u64);
+    h.put(opts.max_centering_steps as u64);
+    h.finish()
+}
 
-    let run = barrier(
-        &tp.objective,
-        &tp.inequalities,
-        &tp.eq_matrix,
-        &y0,
-        opts,
-        None,
-        deadline,
-        attempt,
-    )?;
-    total_newton += run.newton_iterations;
-    Ok(RawSolution {
-        y: run.y,
-        status: run.status,
-        newton_iterations: total_newton,
-        newton_per_center: run.newton_per_center,
-        gap_trajectory: run.gaps,
-        recovery: RecoveryInfo::default(),
-    })
+/// Raises each rising column until every inequality that mentions it reads
+/// at most `-1` (up to rounding), the unit margin phase I gives its slack.
+/// A column whose rows already read below that stays put. Raising a column
+/// only lowers its rows, so a later column never undoes an earlier lift.
+fn lift_rising(tp: &TransformedProblem, rising: &[RisingColumn], y: &mut [f64]) {
+    let mut scratch = LseScratch::default();
+    for column in rising {
+        let mut lift = 0.0f64;
+        for &(i, rate) in &column.rows {
+            lift = lift.max((tp.inequalities[i].value(y, &mut scratch) + 1.0) / rate);
+        }
+        y[column.col] += lift;
+    }
 }
 
 /// Maps `(attempt, index)` to a deterministic value in `[-1, 1)` via a
@@ -344,25 +444,35 @@ fn unit_hash(attempt: u64, index: u64) -> f64 {
     2.0 * ((z >> 11) as f64 / (1u64 << 53) as f64) - 1.0
 }
 
-/// Phase I: find strictly feasible `y` or certify infeasibility. The slack
-/// starts at `s0 = worst + 1`, strictly above every constraint value at
-/// `y0`.
+/// Phase I over the inequalities `rows`: returns `y0` untouched (and no
+/// centering steps) if it is already strictly inside them, else a point
+/// that is, or certifies infeasibility. The slack starts at
+/// `s0 = worst + 1`, strictly above every row's value at `y0`.
 fn phase_one(
     tp: &TransformedProblem,
-    y0: &[f64],
-    worst: f64,
+    rows: &[usize],
+    y0: Vec<f64>,
     opts: &BarrierOptions,
     deadline: &Deadline,
     fault_key: u64,
-) -> Result<(Vec<f64>, usize), GpError> {
+) -> Result<(Vec<f64>, Vec<u32>), GpError> {
     let n = tp.n;
-    let (objective, ineqs, eq) = phase_one_problem(tp);
-    let mut z0 = y0.to_vec();
+    let mut scratch = LseScratch::default();
+    let worst = rows
+        .iter()
+        .map(|&i| tp.inequalities[i].value(&y0, &mut scratch))
+        .fold(f64::NEG_INFINITY, f64::max);
+    // A NaN margin fails this test and routes through phase I.
+    if worst < -1e-6 {
+        return Ok((y0, Vec::new()));
+    }
+    let (objective, ineqs, eq) = phase_one_problem(tp, rows);
+    let mut z0 = y0;
     z0.push(worst + 1.0);
 
     let mut phase_opts = opts.clone();
     phase_opts.gap_tol = 1e-6;
-    let run = barrier(
+    let mut run = barrier(
         &objective,
         &ineqs,
         &eq,
@@ -376,18 +486,21 @@ fn phase_one(
     if s >= -1e-9 {
         return Err(GpError::Infeasible);
     }
-    Ok((run.y[..n].to_vec(), run.newton_iterations))
+    run.y.truncate(n);
+    Ok((run.y, run.newton_per_center))
 }
 
 /// The phase-I problem over the extended space `(y, s)`: objective `s`,
-/// constraints `Fi(y) - s <= 0`, and the equality matrix with a zero column
-/// for `s`.
-fn phase_one_problem(tp: &TransformedProblem) -> (LogSumExp, Vec<LogSumExp>, Matrix) {
+/// constraints `Fi(y) - s <= 0` for the inequalities `rows`, and the
+/// equality matrix with a zero column for `s`.
+fn phase_one_problem(
+    tp: &TransformedProblem,
+    rows: &[usize],
+) -> (LogSumExp, Vec<LogSumExp>, Matrix) {
     let n = tp.n;
-    let ineqs = tp
-        .inequalities
+    let ineqs = rows
         .iter()
-        .map(|f| f.with_slack_column(n))
+        .map(|&i| tp.inequalities[i].with_slack_column(n))
         .collect();
     let mut eq = Matrix::zeros(tp.eq_matrix.rows(), n + 1);
     for i in 0..tp.eq_matrix.rows() {
@@ -739,7 +852,7 @@ mod tests {
         eqs: &[Monomial],
     ) -> Result<Vec<f64>, GpError> {
         let tp = TransformedProblem::new(n, obj, ineqs, eqs);
-        let raw = solve_transformed(&tp, &BarrierOptions::default(), &Deadline::none())?;
+        let raw = solve_transformed(&tp, &BarrierOptions::default(), &Deadline::none(), None)?;
         Ok(tp.to_gp_point(&raw.y))
     }
 
@@ -795,7 +908,8 @@ mod tests {
             Posynomial::from(Monomial::new(1.0 / 3.0, [(y, 1.0)])),
         ];
         let tp = TransformedProblem::new(2, &obj, &ineqs, &[]);
-        let raw = solve_transformed(&tp, &BarrierOptions::default(), &Deadline::none()).unwrap();
+        let raw =
+            solve_transformed(&tp, &BarrierOptions::default(), &Deadline::none(), None).unwrap();
         assert!(!raw.newton_per_center.is_empty());
         assert_eq!(raw.newton_per_center.len(), raw.gap_trajectory.len());
         let phase_two: usize = raw.newton_per_center.iter().map(|&i| i as usize).sum();
@@ -815,40 +929,220 @@ mod tests {
         assert_eq!(err, GpError::Infeasible);
     }
 
-    /// GPs generated for one small conv layer: the first and last
-    /// permutation class in each mode x objective setting, each with its
-    /// solved point.
-    fn generated_gps() -> Vec<(TransformedProblem, Vec<f64>)> {
+    /// The generator of one small conv layer, and its two architecture
+    /// modes (fixed Eyeriss, co-design at Eyeriss area).
+    fn small_layer() -> (
+        thistle_model::ProblemGenerator,
+        [thistle_model::ArchMode; 2],
+    ) {
         use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
-        use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective, ProblemGenerator};
+        use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, ProblemGenerator};
         let tech = TechnologyParams::cgo2022_45nm();
         let layer = ConvLayer::new("small", 1, 16, 8, 8, 8, 3, 3, 1);
         let gen = ProblemGenerator::new(layer.workload(), tech.clone(), Bandwidths::default());
-        let classes = gen.permutation_classes();
         let eyeriss = ArchConfig::eyeriss();
         let modes = [
             ArchMode::Fixed(eyeriss),
             ArchMode::CoDesign(CoDesignSpec::same_area_as(&eyeriss, &tech)),
         ];
+        (gen, modes)
+    }
+
+    /// The transformed problem of a generated GP. A macro, because the
+    /// generator builds the `GpProblem` of the second copy of this crate
+    /// that `thistle-model` links.
+    macro_rules! transformed {
+        ($p:expr) => {{
+            let p = &$p;
+            TransformedProblem::new(
+                p.registry().len(),
+                p.objective().unwrap(),
+                p.inequalities(),
+                p.equalities(),
+            )
+        }};
+    }
+
+    /// GPs generated for one small conv layer: the first and last
+    /// permutation class in each mode x objective setting, each with its
+    /// solved point.
+    fn generated_gps() -> Vec<(TransformedProblem, Vec<f64>)> {
+        use thistle_model::Objective;
+        let (gen, modes) = small_layer();
+        let classes = gen.permutation_classes();
         let mut out = Vec::new();
         for mode in &modes {
             for objective in [Objective::Energy, Objective::Delay] {
                 for (p1, p3) in [&classes[0], &classes[classes.len() - 1]] {
-                    let gp = gen.generate(p1, p3, objective, mode).unwrap();
-                    let p = &gp.problem;
-                    let tp = TransformedProblem::new(
-                        p.registry().len(),
-                        p.objective().unwrap(),
-                        p.inequalities(),
-                        p.equalities(),
-                    );
+                    let tp = transformed!(gen.generate(p1, p3, objective, mode).unwrap().problem);
                     let opts = BarrierOptions::default();
-                    let y = solve_transformed(&tp, &opts, &Deadline::none()).unwrap().y;
+                    let y = solve_transformed(&tp, &opts, &Deadline::none(), None)
+                        .unwrap()
+                        .y;
                     out.push((tp, y));
                 }
             }
         }
         out
+    }
+
+    /// `min t  s.t.  3/(x*t) + 1/t <= 1,  2 <= x <= hi`: `t` is rising, and
+    /// the start `x = 1` violates `x >= 2`, so phase I has work to do. The
+    /// optimum is `t = 3/hi + 1`.
+    fn toy_delay_gp(hi: f64) -> TransformedProblem {
+        let mut reg = VarRegistry::new();
+        let x = reg.var("x");
+        let t = reg.var("t");
+        let ineqs = vec![
+            Posynomial::from(Monomial::new(2.0, [(x, -1.0)])),
+            Posynomial::from(Monomial::new(1.0 / hi, [(x, 1.0)])),
+            Posynomial::from(Monomial::new(3.0, [(x, -1.0), (t, -1.0)]))
+                + Posynomial::from(Monomial::new(1.0, [(t, -1.0)])),
+        ];
+        TransformedProblem::new(2, &Posynomial::from_var(t), &ineqs, &[])
+    }
+
+    /// Phase I of the nominal attempt, as `GpProblem::phase_one` runs it.
+    fn nominal_phase_one(tp: &TransformedProblem, opts: &BarrierOptions) -> PhaseOnePoint {
+        let rising = tp.rising_columns();
+        phase_one_point(tp, &rising, opts, &Deadline::none(), 0, false, None).unwrap()
+    }
+
+    fn under_the_cap(per_center: &[u32], opts: &BarrierOptions) -> bool {
+        per_center
+            .iter()
+            .all(|&i| (i as usize) < opts.max_newton_per_center)
+    }
+
+    #[test]
+    fn rising_column_keeps_phase_one_under_the_cap() {
+        let tp = toy_delay_gp(8.0);
+        let opts = BarrierOptions::default();
+        let rising = tp.rising_columns();
+        assert_eq!(
+            rising,
+            [RisingColumn {
+                col: 1,
+                rows: vec![(2, 1.0)]
+            }]
+        );
+        assert_eq!(phase_one_rows(&tp, &rising), [0, 1]);
+        // Phase I over every row has no minimum along `t`: a centering
+        // step runs into the cap.
+        let every_row = [0, 1, 2];
+        let y0 = vec![0.0; 2];
+        let (_, capped) = phase_one(&tp, &every_row, y0, &opts, &Deadline::none(), 0).unwrap();
+        assert!(!under_the_cap(&capped, &opts), "{capped:?}");
+        // Without the rising row it converges.
+        let point = nominal_phase_one(&tp, &opts);
+        assert!(point.newton_iterations() > 0, "phase I ran");
+        assert!(under_the_cap(&point.newton_per_center, &opts), "{point:?}");
+        let raw = solve_transformed(&tp, &opts, &Deadline::none(), None).unwrap();
+        let t = tp.to_gp_point(&raw.y)[1];
+        let optimum = 3.0 / 8.0 + 1.0;
+        assert!((t - optimum).abs() < 1e-6 * optimum, "t = {t}");
+    }
+
+    /// A lifted column reads at most `-1` (up to rounding) in each of its
+    /// rows, and a column already below that stays put.
+    #[test]
+    fn lift_puts_rising_rows_at_the_unit_margin() {
+        let tp = toy_delay_gp(8.0);
+        let rising = tp.rising_columns();
+        let mut scratch = LseScratch::default();
+        let mut y = vec![(4.0f64).ln(), 0.0];
+        lift_rising(&tp, &rising, &mut y);
+        assert!((tp.inequalities[2].value(&y, &mut scratch) + 1.0).abs() < 1e-12);
+        let high = vec![(4.0f64).ln(), 10.0];
+        let mut y = high.clone();
+        lift_rising(&tp, &rising, &mut y);
+        assert_eq!(y, high);
+    }
+
+    /// Every GP of a small conv layer, in all four mode x objective
+    /// settings: no phase-I centering step reaches the cap, a delay GP's
+    /// phase I costs at most what the energy GP of the same pair costs, and
+    /// every pair of a setting fingerprints the same phase-I rows and start,
+    /// so one point serves them all.
+    #[test]
+    fn generated_phase_one_stays_under_the_cap() {
+        use thistle_model::Objective;
+        let (gen, modes) = small_layer();
+        let classes = gen.permutation_classes();
+        let opts = BarrierOptions::default();
+        let mut ran = false;
+        for mode in &modes {
+            let [energy, delay] = [Objective::Energy, Objective::Delay].map(|objective| {
+                let points: Vec<PhaseOnePoint> = classes
+                    .iter()
+                    .map(|(p1, p3)| {
+                        let gp = gen.generate(p1, p3, objective, mode).unwrap();
+                        let tp = transformed!(gp.problem);
+                        let rising = tp.rising_columns();
+                        let expected = usize::from(objective == Objective::Delay);
+                        assert_eq!(rising.len(), expected, "{mode:?} {objective}");
+                        nominal_phase_one(&tp, &opts)
+                    })
+                    .collect();
+                for point in &points {
+                    let context = format!("{mode:?} {objective}: {point:?}");
+                    assert!(under_the_cap(&point.newton_per_center, &opts), "{context}");
+                    assert_eq!(point.key, points[0].key, "{context}");
+                }
+                points
+            });
+            for (e, d) in energy.iter().zip(&delay) {
+                assert!(
+                    d.newton_iterations() <= e.newton_iterations(),
+                    "{mode:?}: delay {d:?} vs energy {e:?}"
+                );
+                ran |= d.newton_iterations() > 0;
+            }
+        }
+        assert!(ran, "no delay GP needed phase I");
+    }
+
+    fn solution_bits(raw: &RawSolution) -> impl PartialEq + fmt::Debug {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            bits(&raw.y),
+            raw.status,
+            raw.newton_iterations,
+            raw.newton_per_center.clone(),
+            bits(&raw.gap_trajectory),
+            raw.recovery,
+        )
+    }
+
+    /// A shared point stands in for phase I only where it fingerprints the
+    /// problem's own phase-I rows, start and options; there the solve is
+    /// bit-identical to running phase I itself.
+    #[test]
+    fn shared_point_serves_only_a_matching_problem() {
+        let opts = BarrierOptions::default();
+        let none = Deadline::none();
+        let tp = toy_delay_gp(8.0);
+        let point = nominal_phase_one(&tp, &opts);
+        let alone = solve_transformed(&tp, &opts, &none, None).unwrap();
+        let shared = solve_transformed(&tp, &opts, &none, Some(&point)).unwrap();
+        assert_eq!(solution_bits(&shared), solution_bits(&alone));
+
+        // A marked copy shows which solves read it: its phase-I count lands
+        // in a matching solve's total, and nowhere else.
+        let mut marked = point.clone();
+        marked.newton_per_center.push(1000);
+        let used = solve_transformed(&tp, &opts, &none, Some(&marked)).unwrap();
+        assert_eq!(used.newton_iterations, alone.newton_iterations + 1000);
+        let other_rows = toy_delay_gp(9.0);
+        let tighter = BarrierOptions {
+            newton_tol: 1e-12,
+            ..opts.clone()
+        };
+        for (tp, opts) in [(&other_rows, &opts), (&tp, &tighter)] {
+            let alone = solve_transformed(tp, opts, &none, None).unwrap();
+            let offered = solve_transformed(tp, opts, &none, Some(&marked)).unwrap();
+            assert_eq!(solution_bits(&offered), solution_bits(&alone));
+        }
     }
 
     /// The dense assembly `newton_system` replaced: dense evaluation of
@@ -932,7 +1226,8 @@ mod tests {
             z
         };
         for (tp, y_star) in &gps {
-            let (slack_obj, slack_ineqs, _) = phase_one_problem(tp);
+            let all_rows: Vec<usize> = (0..tp.inequalities.len()).collect();
+            let (slack_obj, slack_ineqs, _) = phase_one_problem(tp, &all_rows);
             let z_star = slack_point(&tp.inequalities, y_star);
             for t in [1.0, 20.0, 1e4] {
                 assert_same_system(&tp.objective, &tp.inequalities, y_star, t);

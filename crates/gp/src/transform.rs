@@ -211,6 +211,39 @@ impl LogSumExp {
         mx + z.ln()
     }
 
+    /// Per live column, parallel to `live`: if every term has a strictly
+    /// negative exponent on it, the smallest magnitude among them. Raising
+    /// such a column by `d` lowers `F` by at least `d` times that rate.
+    fn fall_rates(&self) -> Vec<Option<f64>> {
+        let mut negative = vec![0usize; self.live.len()];
+        let mut rate = vec![f64::INFINITY; self.live.len()];
+        for (&p, &a) in self.pos.iter().zip(&self.vals) {
+            if a < 0.0 {
+                negative[p as usize] += 1;
+                rate[p as usize] = rate[p as usize].min(-a);
+            }
+        }
+        negative
+            .into_iter()
+            .zip(rate)
+            .map(|(count, rate)| (count == self.num_terms()).then_some(rate))
+            .collect()
+    }
+
+    /// Feeds every bit of the function's content to `h`.
+    pub(crate) fn hash_into(&self, h: &mut Fnv128) {
+        h.put(self.n as u64);
+        for k in 0..self.num_terms() {
+            h.put(self.offsets[k].to_bits());
+            let span = self.span(k);
+            for (&c, &a) in self.cols[span.clone()].iter().zip(&self.vals[span]) {
+                h.put(u64::from(c));
+                h.put(a.to_bits());
+            }
+            h.put(u64::MAX);
+        }
+    }
+
     /// `Fi(y) - s` over the extended space `(y, .., s)` with the slack as
     /// column `n`: every exponential row gains a `-1` coefficient on `s`.
     pub(crate) fn with_slack_column(&self, n: usize) -> LogSumExp {
@@ -399,6 +432,67 @@ impl TransformedProblem {
     /// Maps a log-space point back to GP variable values `x = exp(y)`.
     pub fn to_gp_point(&self, y: &[f64]) -> Vec<f64> {
         y.iter().map(|v| v.exp()).collect()
+    }
+
+    /// The *rising* columns, in column order. A rising column appears in no
+    /// equality, and every term of every inequality that mentions it has a
+    /// strictly negative exponent on it (at least one inequality does).
+    /// Raising it only lowers those inequalities, without bound, so phase I
+    /// has no minimum along it; a start is made strictly feasible in its
+    /// rows by lifting the column alone. The delay variable `t_delay` of a
+    /// delay GP is one.
+    pub(crate) fn rising_columns(&self) -> Vec<RisingColumn> {
+        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.n];
+        let mut blocked = vec![false; self.n];
+        for k in 0..self.eq_matrix.rows() {
+            for (b, &a) in blocked.iter_mut().zip(self.eq_matrix.row(k)) {
+                *b |= a != 0.0;
+            }
+        }
+        for (i, f) in self.inequalities.iter().enumerate() {
+            for (&c, rate) in f.live.iter().zip(f.fall_rates()) {
+                match rate {
+                    Some(rate) => rows[c as usize].push((i, rate)),
+                    None => blocked[c as usize] = true,
+                }
+            }
+        }
+        rows.into_iter()
+            .zip(blocked)
+            .enumerate()
+            .filter(|(_, (rows, blocked))| !blocked && !rows.is_empty())
+            .map(|(col, (rows, _))| RisingColumn { col, rows })
+            .collect()
+    }
+}
+
+/// One rising column ([`TransformedProblem::rising_columns`]) and the
+/// inequalities that mention it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct RisingColumn {
+    /// The column's index in `y`.
+    pub col: usize,
+    /// Each inequality that mentions the column, with the smallest
+    /// magnitude of its exponents there.
+    pub rows: Vec<(usize, f64)>,
+}
+
+/// A 128-bit content fingerprint: two FNV-1a streams with distinct offset
+/// bases, fed the same 64-bit words.
+pub(crate) struct Fnv128(u64, u64);
+
+impl Fnv128 {
+    pub(crate) fn new() -> Self {
+        Fnv128(0xcbf2_9ce4_8422_2325, 0x6c62_272e_07bb_0142)
+    }
+
+    pub(crate) fn put(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        self.1 = (self.1 ^ v.rotate_left(17)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    pub(crate) fn finish(&self) -> (u64, u64) {
+        (self.0, self.1)
     }
 }
 

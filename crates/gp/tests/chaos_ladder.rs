@@ -121,6 +121,7 @@ fn cancelled_deadline_is_not_retried_by_the_ladder() {
             &SolveOptions::default(),
             &deadline,
             &thistle_obs::TraceCtx::disabled(),
+            None,
         )
         .unwrap_err();
     assert_eq!(err, GpError::Cancelled);
@@ -133,6 +134,7 @@ fn zero_duration_deadline_cancels_immediately() {
             &SolveOptions::default(),
             &Deadline::within(std::time::Duration::ZERO),
             &thistle_obs::TraceCtx::disabled(),
+            None,
         )
         .unwrap_err();
     assert_eq!(err, GpError::Cancelled);

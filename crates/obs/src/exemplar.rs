@@ -188,10 +188,8 @@ fn classify(span: &crate::SpanRecord) -> ExemplarClass {
 }
 
 fn overlaps(record: &Record, start_ns: u64, end_ns: u64) -> bool {
-    match record {
-        Record::Span(s) => s.start_ns <= end_ns && s.start_ns.saturating_add(s.dur_ns) >= start_ns,
-        Record::Event(e) => (start_ns..=end_ns).contains(&e.ts_ns),
-    }
+    let Record::Span(s) = record;
+    s.start_ns <= end_ns && s.start_ns.saturating_add(s.dur_ns) >= start_ns
 }
 
 impl Sink for ExemplarSink {
@@ -295,14 +293,7 @@ mod tests {
         assert_eq!(ex.label, "conv3");
         assert_eq!(ex.class, ExemplarClass::Slow);
         assert_eq!(ex.dur_ns, 100);
-        let names: Vec<&str> = ex
-            .records
-            .iter()
-            .map(|r| match r {
-                Record::Span(s) => s.name,
-                Record::Event(e) => e.name,
-            })
-            .collect();
+        let names: Vec<&str> = ex.records.iter().map(Record::name).collect();
         assert_eq!(names, ["gp_solve", "request"], "only overlapping records");
         assert!(ex.chrome_trace_json().contains("\"gp_solve\""));
     }
@@ -328,9 +319,8 @@ mod tests {
         let sink = ExemplarSink::new("request", 16, 8);
         sink.record(request(0, 0, 1_000, true));
         let mut failed = request(1, 0, 10, false);
-        if let Record::Span(s) = &mut failed {
-            s.closed_by_unwind = true;
-        }
+        let Record::Span(s) = &mut failed;
+        s.closed_by_unwind = true;
         sink.record(failed);
         sink.record(span(
             2,

@@ -1,8 +1,8 @@
 //! Render collected records as Chrome `trace_event` JSON or JSON Lines.
 //!
 //! The Chrome format is the "JSON Array Format" documented by the Catapult
-//! project: complete events (`ph: "X"`) with microsecond `ts`/`dur`, instant
-//! events (`ph: "i"`), wrapped in `{"traceEvents": [...]}`. The output loads
+//! project: one complete event (`ph: "X"`) per span, with microsecond
+//! `ts`/`dur`, wrapped in `{"traceEvents": [...]}`. The output loads
 //! directly in `about:tracing` and <https://ui.perfetto.dev>.
 
 use crate::{FieldValue, Record};
@@ -15,43 +15,28 @@ pub fn chrome_trace_json(records: &[Record]) -> String {
         if i > 0 {
             out.push(',');
         }
-        match record {
-            Record::Span(s) => {
-                write!(
-                    out,
-                    "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},",
-                    json_str(s.name),
-                    s.tid,
-                    micros(s.start_ns),
-                    micros(s.dur_ns),
-                )
-                .expect("write to string");
-                if s.closed_by_unwind {
-                    // Panicked spans stand out in the trace viewer: `cname`
-                    // is a Catapult reserved color name.
-                    out.push_str("\"cname\":\"terrible\",");
-                }
-                out.push_str("\"args\":{");
-                write!(out, "\"depth\":{}", s.depth).expect("write to string");
-                if s.closed_by_unwind {
-                    out.push_str(",\"closed_by_unwind\":true");
-                }
-                push_fields(&mut out, &s.fields, true);
-                out.push_str("}}");
-            }
-            Record::Event(e) => {
-                write!(
-                    out,
-                    "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{",
-                    json_str(e.name),
-                    e.tid,
-                    micros(e.ts_ns),
-                )
-                .expect("write to string");
-                push_fields(&mut out, &e.fields, false);
-                out.push_str("}}");
-            }
+        let Record::Span(s) = record;
+        write!(
+            out,
+            "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},",
+            json_str(s.name),
+            s.tid,
+            micros(s.start_ns),
+            micros(s.dur_ns),
+        )
+        .expect("write to string");
+        if s.closed_by_unwind {
+            // Panicked spans stand out in the trace viewer: `cname` is a
+            // Catapult reserved color name.
+            out.push_str("\"cname\":\"terrible\",");
         }
+        out.push_str("\"args\":{");
+        write!(out, "\"depth\":{}", s.depth).expect("write to string");
+        if s.closed_by_unwind {
+            out.push_str(",\"closed_by_unwind\":true");
+        }
+        push_fields(&mut out, &s.fields, true);
+        out.push_str("}}");
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
@@ -60,41 +45,24 @@ pub fn chrome_trace_json(records: &[Record]) -> String {
 /// Renders one record as a single compact JSON object (one JSONL line).
 pub fn jsonl_line(record: &Record) -> String {
     let mut out = String::from("{");
-    match record {
-        Record::Span(s) => {
-            write!(
-                out,
-                "\"type\":\"span\",\"seq\":{},\"name\":{},\"tid\":{},\"depth\":{},\"start_ns\":{},\"dur_ns\":{}",
-                s.seq,
-                json_str(s.name),
-                s.tid,
-                s.depth,
-                s.start_ns,
-                s.dur_ns,
-            )
-            .expect("write to string");
-            if s.closed_by_unwind {
-                out.push_str(",\"closed_by_unwind\":true");
-            }
-            out.push_str(",\"fields\":{");
-            push_fields(&mut out, &s.fields, false);
-            out.push('}');
-        }
-        Record::Event(e) => {
-            write!(
-                out,
-                "\"type\":\"event\",\"seq\":{},\"name\":{},\"tid\":{},\"ts_ns\":{}",
-                e.seq,
-                json_str(e.name),
-                e.tid,
-                e.ts_ns,
-            )
-            .expect("write to string");
-            out.push_str(",\"fields\":{");
-            push_fields(&mut out, &e.fields, false);
-            out.push('}');
-        }
+    let Record::Span(s) = record;
+    write!(
+        out,
+        "\"type\":\"span\",\"seq\":{},\"name\":{},\"tid\":{},\"depth\":{},\"start_ns\":{},\"dur_ns\":{}",
+        s.seq,
+        json_str(s.name),
+        s.tid,
+        s.depth,
+        s.start_ns,
+        s.dur_ns,
+    )
+    .expect("write to string");
+    if s.closed_by_unwind {
+        out.push_str(",\"closed_by_unwind\":true");
     }
+    out.push_str(",\"fields\":{");
+    push_fields(&mut out, &s.fields, false);
+    out.push('}');
     out.push('}');
     out
 }
@@ -168,7 +136,7 @@ fn micros(ns: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventRecord, SpanRecord};
+    use crate::SpanRecord;
 
     fn span(seq: u64, name: &'static str) -> Record {
         Record::Span(SpanRecord {
@@ -188,17 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_has_complete_and_instant_events() {
-        let records = vec![
-            span(0, "gp_solve"),
-            Record::Event(EventRecord {
-                seq: 1,
-                name: "pruned",
-                tid: 2,
-                ts_ns: 7_000,
-                fields: vec![("n", FieldValue::U64(3))],
-            }),
-        ];
+    fn chrome_trace_has_complete_events() {
+        let records = vec![span(0, "gp_solve")];
         let json = chrome_trace_json(&records);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains(
@@ -206,16 +165,14 @@ mod tests {
         ));
         assert!(json.contains("\"depth\":1,\"count\":9,\"ratio\":0.5"));
         assert!(json.contains("\"label\":\"a\\\"b\""));
-        assert!(json.contains("\"name\":\"pruned\",\"ph\":\"i\""));
         assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
     }
 
     #[test]
     fn unwound_spans_are_marked_with_a_color() {
         let mut rec = span(0, "gp_solve");
-        if let Record::Span(s) = &mut rec {
-            s.closed_by_unwind = true;
-        }
+        let Record::Span(s) = &mut rec;
+        s.closed_by_unwind = true;
         let json = chrome_trace_json(&[rec]);
         assert!(json.contains("\"dur\":12,\"cname\":\"terrible\",\"args\":{"));
         assert!(json.contains("\"closed_by_unwind\":true"));

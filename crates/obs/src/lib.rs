@@ -59,7 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A typed field value attached to a span or event.
+/// A typed field value attached to a span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     U64(u64),
@@ -114,45 +114,27 @@ pub struct SpanRecord {
     pub closed_by_unwind: bool,
 }
 
-/// One instant event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    pub seq: u64,
-    pub name: &'static str,
-    pub tid: u64,
-    /// Timestamp, nanoseconds since the context epoch.
-    pub ts_ns: u64,
-    pub fields: Fields,
-}
-
-/// Anything a sink receives.
+/// What a sink receives: a closed span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     Span(SpanRecord),
-    Event(EventRecord),
 }
 
 impl Record {
     pub fn seq(&self) -> u64 {
-        match self {
-            Record::Span(s) => s.seq,
-            Record::Event(e) => e.seq,
-        }
+        let Record::Span(s) = self;
+        s.seq
     }
 
     pub fn name(&self) -> &'static str {
-        match self {
-            Record::Span(s) => s.name,
-            Record::Event(e) => e.name,
-        }
+        let Record::Span(s) = self;
+        s.name
     }
 
-    /// The span record, if this is one.
+    /// The span record.
     pub fn as_span(&self) -> Option<&SpanRecord> {
-        match self {
-            Record::Span(s) => Some(s),
-            Record::Event(_) => None,
-        }
+        let Record::Span(s) = self;
+        Some(s)
     }
 }
 
@@ -232,20 +214,6 @@ impl TraceCtx {
                     fields: Vec::new(),
                 }
             }
-        }
-    }
-
-    /// Emits an instant event with `fields`.
-    pub fn event(&self, name: &'static str, fields: Fields) {
-        if let Some(shared) = &self.shared {
-            let record = EventRecord {
-                seq: shared.next_seq.fetch_add(1, Ordering::Relaxed),
-                name,
-                tid: TID.with(|t| *t),
-                ts_ns: shared.epoch.elapsed().as_nanos() as u64,
-                fields,
-            };
-            shared.sink.record(Record::Event(record));
         }
     }
 }
@@ -335,7 +303,6 @@ mod tests {
         assert!(!g.enabled());
         g.set("ignored", 1u64);
         drop(g);
-        ctx.event("noop", vec![]);
         // Nothing to assert against — the point is no sink exists to panic.
     }
 
@@ -363,19 +330,6 @@ mod tests {
         assert!(inner.start_ns >= outer.start_ns);
         assert_eq!(inner.fields, vec![("n", FieldValue::U64(7))]);
         assert!(!inner.closed_by_unwind);
-    }
-
-    #[test]
-    fn events_record_timestamp_and_fields() {
-        let sink = Arc::new(CollectingSink::new());
-        let ctx = TraceCtx::new(sink.clone());
-        ctx.event("pruned", vec![("count", FieldValue::U64(42))]);
-        let records = sink.take();
-        let Record::Event(e) = &records[0] else {
-            panic!("expected event");
-        };
-        assert_eq!(e.name, "pruned");
-        assert_eq!(e.fields[0].1, FieldValue::U64(42));
     }
 
     #[test]

@@ -491,7 +491,7 @@ pub struct RegistrySnapshot {
 ///
 /// For every span it records the span's duration into
 /// `span_duration_ms{span=<name>}`, whose `count` is the number of such
-/// spans. Events carry no duration and are ignored.
+/// spans.
 pub struct MetricsBridge {
     span_duration_ms: HistogramFamily,
 }
@@ -513,10 +513,9 @@ impl MetricsBridge {
 
 impl Sink for MetricsBridge {
     fn record(&self, record: Record) {
-        if let Record::Span(s) = &record {
-            self.span_duration_ms
-                .record(s.name, s.dur_ns as f64 / 1_000_000.0);
-        }
+        let Record::Span(s) = &record;
+        self.span_duration_ms
+            .record(s.name, s.dur_ns as f64 / 1_000_000.0);
     }
 }
 

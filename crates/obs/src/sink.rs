@@ -1,4 +1,4 @@
-//! Record sinks: where closed spans and events go.
+//! Record sinks: where closed spans go.
 //!
 //! * [`CollectingSink`] — an unbounded lock-free append log; drain it at the
 //!   end of a run and hand the records to [`crate::export`].
@@ -10,7 +10,7 @@ use std::io::Write;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Receives every closed span and emitted event of a trace.
+/// Receives every closed span of a trace.
 ///
 /// Implementations must be cheap and non-blocking relative to the stages
 /// being traced: `record` runs inline on the instrumented thread.
@@ -206,15 +206,18 @@ impl Sink for FanoutSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventRecord, FieldValue};
+    use crate::{FieldValue, SpanRecord};
 
-    fn event(seq: u64) -> Record {
-        Record::Event(EventRecord {
+    fn span(seq: u64) -> Record {
+        Record::Span(SpanRecord {
             seq,
-            name: "e",
+            name: "s",
             tid: 1,
-            ts_ns: seq * 10,
+            depth: 0,
+            start_ns: seq * 10,
+            dur_ns: 5,
             fields: vec![("seq", FieldValue::U64(seq))],
+            closed_by_unwind: false,
         })
     }
 
@@ -222,7 +225,7 @@ mod tests {
     fn collecting_sink_orders_by_seq() {
         let sink = CollectingSink::new();
         for seq in [3, 1, 2, 0] {
-            sink.record(event(seq));
+            sink.record(span(seq));
         }
         assert_eq!(sink.len(), 4);
         let seqs: Vec<u64> = sink.take().iter().map(Record::seq).collect();
@@ -238,7 +241,7 @@ mod tests {
                 let sink = Arc::clone(&sink);
                 scope.spawn(move || {
                     for i in 0..250 {
-                        sink.record(event(t * 1000 + i));
+                        sink.record(span(t * 1000 + i));
                     }
                 });
             }
@@ -266,8 +269,8 @@ mod tests {
     fn jsonl_sink_writes_one_line_per_record() {
         let buffer = Arc::new(Mutex::new(Vec::<u8>::new()));
         let sink = JsonlSink::new(Shared(Arc::clone(&buffer)));
-        sink.record(event(0));
-        sink.record(event(1));
+        sink.record(span(0));
+        sink.record(span(1));
         sink.flush().expect("flush");
         let text = String::from_utf8(buffer.lock().expect("buffer").clone()).expect("utf8");
         assert_eq!(text.lines().count(), 2);
@@ -284,8 +287,8 @@ mod tests {
                 64 * 1024,
                 Shared(Arc::clone(&buffer)),
             ));
-            sink.record(event(0));
-            sink.record(event(1));
+            sink.record(span(0));
+            sink.record(span(1));
             assert_eq!(
                 buffer.lock().expect("buffer").len(),
                 0,
@@ -308,7 +311,7 @@ mod tests {
         })
         .join();
         // Recording and flushing must keep working afterwards.
-        sink.record(event(7));
+        sink.record(span(7));
         sink.flush().expect("flush after poison");
         let text = String::from_utf8(buffer.lock().expect("buffer").clone()).expect("utf8");
         assert_eq!(text.lines().count(), 1);

@@ -187,11 +187,6 @@ impl LatencyBreakdown {
         ]
     }
 
-    /// Sum of all six phases.
-    pub fn total_ms(&self) -> f64 {
-        self.phases().iter().map(|(_, ms)| ms).sum()
-    }
-
     /// The object embedded under `"breakdown"` in `/optimize` responses.
     pub fn to_json(&self) -> Json {
         Json::Obj(

@@ -69,12 +69,10 @@ fn body_of(response: &str) -> &str {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The decomposition is exhaustive by construction: for any phase
-    /// values, `total_ms()` is exactly the sum of the six `phases()`
-    /// entries, and the JSON rendering carries every phase key with the
-    /// same value.
+    /// For any phase values, the JSON rendering carries every one of the
+    /// six `phases()` keys with the same value.
     #[test]
-    fn breakdown_phases_sum_to_total(
+    fn breakdown_json_carries_every_phase(
         parse in 0.0_f64..1e6,
         queue in 0.0_f64..1e6,
         lock in 0.0_f64..1e6,
@@ -90,8 +88,6 @@ proptest! {
             solve_ms: solve,
             serialize_ms: serialize,
         };
-        let phase_sum: f64 = b.phases().iter().map(|(_, v)| v).sum();
-        prop_assert_eq!(b.total_ms(), phase_sum);
         let json = b.to_json();
         for (name, value) in b.phases() {
             let key = format!("{name}_ms");

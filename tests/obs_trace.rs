@@ -5,7 +5,7 @@ use std::sync::Arc;
 use thistle::{Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, ConvLayer, Objective};
-use thistle_obs::{export, CollectingSink, Record, TraceCtx};
+use thistle_obs::{export, CollectingSink, Record, SpanRecord, TraceCtx};
 use thistle_serve::Json;
 
 fn traced_solve() -> Vec<Record> {
@@ -40,6 +40,7 @@ fn traced_solve_emits_all_phase_spans_nested_under_the_root() {
         "perm_enum",
         "level_classes",
         "gp_sweep",
+        "phase_one",
         "gp_solve",
         "barrier_solve",
         "integerize",
@@ -58,13 +59,35 @@ fn traced_solve_emits_all_phase_spans_nested_under_the_root() {
         .find(|s| s.name == "optimize_workload")
         .unwrap();
     assert_eq!(root.depth, 0);
-    for name in ["perm_enum", "gp_sweep", "integerize", "rescore"] {
-        let span = spans.iter().find(|s| s.name == name).unwrap();
-        // Same thread as the root, strictly nested inside it.
+    let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+    let within = |inner: &SpanRecord, outer: &SpanRecord| {
+        inner.start_ns >= outer.start_ns
+            && inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns
+    };
+    for (name, parent) in [
+        ("perm_enum", root),
+        ("gp_sweep", root),
+        ("phase_one", find("gp_sweep")),
+        ("rescore", root),
+    ] {
+        let span = find(name);
+        // Same thread as the root, strictly nested inside its parent.
         assert_eq!(span.tid, root.tid, "{name} on the root thread");
-        assert!(span.depth > root.depth, "{name} nested under the root");
-        assert!(span.start_ns >= root.start_ns);
-        assert!(span.start_ns + span.dur_ns <= root.start_ns + root.dur_ns);
+        assert!(
+            span.depth > parent.depth,
+            "{name} nested under {}",
+            parent.name
+        );
+        assert!(within(span, parent), "{name} inside {}", parent.name);
+    }
+    // The cut keeps the one top solution and a content tied with it, so
+    // rescore hands its two groups to workers; each `integerize` runs
+    // inside it.
+    let rescore = find("rescore");
+    let integerize: Vec<_> = spans.iter().filter(|s| s.name == "integerize").collect();
+    assert_eq!(integerize.len(), 2);
+    for span in integerize {
+        assert!(within(span, rescore), "integerize inside rescore");
     }
     // barrier_solve nests under gp_solve on its worker thread.
     let gp = spans.iter().find(|s| s.name == "gp_solve").unwrap();
