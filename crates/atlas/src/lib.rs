@@ -7,13 +7,10 @@
 //! cache into a persistent, queryable atlas:
 //!
 //! * [`AtlasSnapshot`] — a versioned, checksummed, dependency-free binary
-//!   format serializing the canonical-key → design-point LRU (plus
-//!   precomputed Pareto frontiers) to disk. Saves are atomic
-//!   (write-to-temp + rename); loads are corruption-tolerant (damaged
-//!   records are skipped and counted, never fatal).
-//! * [`ParetoFrontier`] / [`compute_frontier`] — per-workload-family
-//!   (area, energy, delay) trade surfaces sampled through the co-design
-//!   GP sweep and reduced to their nondominated subset.
+//!   format serializing the canonical-key → design-point LRU to disk.
+//!   Saves are atomic (write-to-temp + rename); loads are
+//!   corruption-tolerant (damaged records are skipped and counted, never
+//!   fatal).
 //!
 //! The serving layer (`thistle-serve`) owns *when* to checkpoint and how
 //! restored entries donate their permutation pair to near-miss queries;
@@ -21,11 +18,7 @@
 //! DESIGN.md §12.
 
 pub mod codec;
-pub mod pareto;
 pub mod snapshot;
 
 pub use codec::{crc32, fingerprint_digest, ByteReader, ByteWriter, CodecError};
-pub use pareto::{
-    compute_frontier, nondominated, ParetoFrontier, ParetoPoint, DEFAULT_BUDGET_FRACTIONS,
-};
 pub use snapshot::{AtlasSnapshot, LoadResult, MAGIC, VERSION};

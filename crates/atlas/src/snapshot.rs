@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The first payload byte is the record kind: `1` = one cache entry
-//! (canonical query + design point), `2` = one Pareto frontier. Unknown
-//! kinds are skipped, so older readers tolerate newer writers within a
-//! version.
+//! (canonical query + design point). Kind `2` is retired and never reused.
+//! Unknown kinds, kind 2 included, are skipped, so older readers tolerate
+//! newer writers within a version.
 //!
 //! Records are independent on purpose: a torn write or a flipped bit costs
 //! exactly the damaged record, not the file. [`AtlasSnapshot::load`] skips
@@ -26,7 +26,6 @@
 //! them through an LRU insert reconstructs the pre-shutdown recency chain.
 
 use crate::codec::{crc32, ByteReader, ByteWriter, CodecError};
-use crate::pareto::{ParetoFrontier, ParetoPoint};
 use std::io::{self, Read, Write};
 use std::path::Path;
 use thistle::{
@@ -50,7 +49,9 @@ pub const MAGIC: [u8; 8] = *b"THISTLAS";
 pub const VERSION: u32 = 4;
 
 const KIND_ENTRY: u8 = 1;
-const KIND_FRONTIER: u8 = 2;
+// Kind 2 is retired: older revision-4 files may hold kind-2 frontier
+// records, which load skips like any unknown kind. Never reuse 2 for a new
+// record kind.
 
 /// A record larger than this cannot be legitimate; treat the framing as
 /// garbled rather than attempting the allocation.
@@ -62,8 +63,6 @@ pub struct AtlasSnapshot {
     /// Solved design points keyed by canonical query, least recently used
     /// first.
     pub entries: Vec<(CanonicalQuery, DesignPoint)>,
-    /// Precomputed Pareto frontiers, one per workload family.
-    pub frontiers: Vec<ParetoFrontier>,
 }
 
 /// Outcome of a tolerant load.
@@ -93,12 +92,6 @@ impl AtlasSnapshot {
             w.put_u8(KIND_ENTRY);
             encode_query(&mut w, query);
             encode_design_point(&mut w, point);
-            append_record(&mut bytes, w.into_bytes());
-        }
-        for frontier in &self.frontiers {
-            let mut w = ByteWriter::new();
-            w.put_u8(KIND_FRONTIER);
-            encode_frontier(&mut w, frontier);
             append_record(&mut bytes, w.into_bytes());
         }
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
@@ -183,19 +176,12 @@ fn append_record(out: &mut Vec<u8>, payload: Vec<u8>) {
 
 fn decode_record(payload: &[u8], snapshot: &mut AtlasSnapshot) -> Result<(), CodecError> {
     let mut r = ByteReader::new(payload);
-    match r.get_u8()? {
-        KIND_ENTRY => {
-            let query = decode_query(&mut r)?;
-            let point = decode_design_point(&mut r)?;
-            snapshot.entries.push((query, point));
-        }
-        KIND_FRONTIER => {
-            let frontier = decode_frontier(&mut r)?;
-            snapshot.frontiers.push(frontier);
-        }
-        // Unknown kind within a known version: a newer writer's record;
-        // ignore it rather than dropping the whole file.
-        _ => {}
+    // Any other kind within a known version (a newer writer's record, or
+    // retired kind 2) is ignored rather than dropping the whole file.
+    if r.get_u8()? == KIND_ENTRY {
+        let query = decode_query(&mut r)?;
+        let point = decode_design_point(&mut r)?;
+        snapshot.entries.push((query, point));
     }
     Ok(())
 }
@@ -575,39 +561,4 @@ fn decode_design_point(r: &mut ByteReader) -> Result<DesignPoint, CodecError> {
         ledger: decode_ledger(r)?,
         report: decode_report(r)?,
     })
-}
-
-fn encode_frontier(w: &mut ByteWriter, f: &ParetoFrontier) {
-    w.put_str(&f.workload);
-    w.put_u32(f.points.len() as u32);
-    for p in &f.points {
-        w.put_f64_bits(p.area_um2);
-        w.put_f64_bits(p.energy_pj);
-        w.put_f64_bits(p.cycles);
-        w.put_u64(p.pe_count);
-        w.put_u64(p.regs_per_pe);
-        w.put_u64(p.sram_words);
-        w.put_str(&p.objective);
-    }
-}
-
-fn decode_frontier(r: &mut ByteReader) -> Result<ParetoFrontier, CodecError> {
-    let workload = r.get_str()?;
-    let n = r.get_u32()?;
-    if n > 4096 {
-        return Err(CodecError::BadLength("frontier points", u64::from(n)));
-    }
-    let mut points = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        points.push(ParetoPoint {
-            area_um2: r.get_f64_bits()?,
-            energy_pj: r.get_f64_bits()?,
-            cycles: r.get_f64_bits()?,
-            pe_count: r.get_u64()?,
-            regs_per_pe: r.get_u64()?,
-            sram_words: r.get_u64()?,
-            objective: r.get_str()?,
-        });
-    }
-    Ok(ParetoFrontier { workload, points })
 }

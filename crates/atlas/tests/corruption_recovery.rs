@@ -3,9 +3,10 @@
 //! than feed garbage lengths to the allocator.
 
 use std::path::PathBuf;
-use thistle::{CanonicalQuery, Optimizer};
+use std::sync::OnceLock;
+use thistle::{CanonicalQuery, DesignPoint, Optimizer};
 use thistle_arch::{ArchConfig, TechnologyParams};
-use thistle_atlas::{AtlasSnapshot, ParetoFrontier, ParetoPoint};
+use thistle_atlas::{crc32, AtlasSnapshot, ByteWriter};
 use thistle_model::{ArchMode, ConvLayer, Objective};
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -15,31 +16,43 @@ fn temp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// A snapshot with `n` pareto-frontier records (cheap to build, no
-/// optimizer run needed beyond the fingerprint).
-fn frontier_snapshot(n: usize) -> AtlasSnapshot {
+/// A snapshot of `n` cache entries: one tiny real solve, shared by every
+/// test here, cloned under `n` distinct queries (batch 1..=n) and named
+/// `entry_0`, `entry_1`, ...
+fn entry_snapshot(n: usize) -> AtlasSnapshot {
+    static POINT: OnceLock<DesignPoint> = OnceLock::new();
+    let optimizer = Optimizer::new(TechnologyParams::cgo2022_45nm());
+    let mode = ArchMode::Fixed(ArchConfig::eyeriss());
+    let layer = |batch| ConvLayer::new("mix", batch, 8, 8, 8, 8, 3, 3, 1);
+    let point = POINT.get_or_init(|| {
+        optimizer
+            .optimize_layer(&layer(1), Objective::Energy, &mode)
+            .expect("solvable")
+    });
     AtlasSnapshot {
-        entries: vec![],
-        frontiers: (0..n)
-            .map(|i| ParetoFrontier {
-                workload: format!("family_{i}"),
-                points: vec![ParetoPoint {
-                    area_um2: 1.0 + i as f64,
-                    energy_pj: 2.0,
-                    cycles: 3.0,
-                    pe_count: 4,
-                    regs_per_pe: 5,
-                    sram_words: 6,
-                    objective: "energy".into(),
-                }],
+        entries: (0..n)
+            .map(|i| {
+                let (query, _) =
+                    CanonicalQuery::new(&optimizer, &layer(i as u64 + 1), Objective::Energy, &mode);
+                let mut point = point.clone();
+                point.workload_name = format!("entry_{i}");
+                (query, point)
             })
             .collect(),
     }
 }
 
+fn names(snapshot: &AtlasSnapshot) -> Vec<&str> {
+    snapshot
+        .entries
+        .iter()
+        .map(|(_, p)| p.workload_name.as_str())
+        .collect()
+}
+
 #[test]
 fn flipped_bit_skips_one_record_and_keeps_the_rest() {
-    let snapshot = frontier_snapshot(3);
+    let snapshot = entry_snapshot(3);
     let path = temp_path("flip");
     snapshot.save(&path).expect("save");
     let mut bytes = std::fs::read(&path).expect("read");
@@ -52,19 +65,13 @@ fn flipped_bit_skips_one_record_and_keeps_the_rest() {
     let loaded = AtlasSnapshot::load(&path).expect("load survives corruption");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.skipped_records, 1);
-    assert_eq!(loaded.snapshot.frontiers.len(), 2);
-    let names: Vec<&str> = loaded
-        .snapshot
-        .frontiers
-        .iter()
-        .map(|f| f.workload.as_str())
-        .collect();
-    assert_eq!(names, vec!["family_1", "family_2"]);
+    assert_eq!(names(&loaded.snapshot), vec!["entry_1", "entry_2"]);
+    assert_eq!(loaded.snapshot.entries[..], snapshot.entries[1..]);
 }
 
 #[test]
 fn truncated_tail_keeps_complete_records() {
-    let snapshot = frontier_snapshot(3);
+    let snapshot = entry_snapshot(3);
     let path = temp_path("trunc");
     snapshot.save(&path).expect("save");
     let bytes = std::fs::read(&path).expect("read");
@@ -73,12 +80,12 @@ fn truncated_tail_keeps_complete_records() {
     let loaded = AtlasSnapshot::load(&path).expect("load survives truncation");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.skipped_records, 1);
-    assert_eq!(loaded.snapshot.frontiers.len(), 2);
+    assert_eq!(names(&loaded.snapshot), vec!["entry_0", "entry_1"]);
 }
 
 #[test]
 fn garbled_length_stops_the_scan_without_allocating() {
-    let snapshot = frontier_snapshot(2);
+    let snapshot = entry_snapshot(2);
     let path = temp_path("len");
     snapshot.save(&path).expect("save");
     let mut bytes = std::fs::read(&path).expect("read");
@@ -89,7 +96,7 @@ fn garbled_length_stops_the_scan_without_allocating() {
     std::fs::remove_file(&path).ok();
     // Nothing after an untrustworthy frame can be decoded.
     assert_eq!(loaded.skipped_records, 1);
-    assert!(loaded.snapshot.frontiers.is_empty());
+    assert!(loaded.snapshot.entries.is_empty());
 }
 
 #[test]
@@ -98,7 +105,7 @@ fn wrong_magic_and_version_are_hard_errors() {
     std::fs::write(&path, b"NOTATLAS\x01\x00\x00\x00\x00\x00\x00\x00rest").expect("write");
     assert!(AtlasSnapshot::load(&path).is_err());
 
-    let snapshot = frontier_snapshot(1);
+    let snapshot = entry_snapshot(1);
     snapshot.save(&path).expect("save");
     let mut bytes = std::fs::read(&path).expect("read");
     bytes[8] = 99; // future version
@@ -116,29 +123,39 @@ fn wrong_magic_and_version_are_hard_errors() {
 }
 
 #[test]
-fn design_entries_coexist_with_frontiers() {
-    // One real cache entry (needs an actual solve — keep it tiny).
-    let optimizer = Optimizer::new(TechnologyParams::cgo2022_45nm());
-    let layer = ConvLayer::new("mix", 1, 8, 8, 8, 8, 3, 3, 1);
-    let mode = ArchMode::Fixed(ArchConfig::eyeriss());
-    let point = optimizer
-        .optimize_layer(&layer, Objective::Energy, &mode)
-        .expect("solvable");
-    let (query, _) = CanonicalQuery::new(&optimizer, &layer, Objective::Energy, &mode);
-    let mut snapshot = frontier_snapshot(1);
-    snapshot.entries.push((query.clone(), point.clone()));
-    let path = temp_path("mixed");
+fn retired_frontier_records_are_skipped_without_loss() {
+    // Revision-4 files written while frontier precompute existed hold
+    // kind-2 records. Frame one as those writers did, between two entries:
+    // it is skipped as an unknown kind, not counted as damage, and both
+    // entries survive.
+    let snapshot = entry_snapshot(2);
+    let path = temp_path("kind2");
     snapshot.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read");
+    let first_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let split = 16 + 8 + first_len;
+
+    let mut w = ByteWriter::new();
+    w.put_u8(2);
+    w.put_str("oc8_ic8_in8x8_k3x3_s1_d1");
+    w.put_u32(1);
+    for v in [1.5e6, 2.0e5, 3.0e4] {
+        w.put_f64_bits(v);
+    }
+    for v in [168, 512, 65_536] {
+        w.put_u64(v);
+    }
+    w.put_str("energy");
+    let payload = w.into_bytes();
+    let mut patched = bytes[..split].to_vec();
+    patched.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    patched.extend_from_slice(&crc32(&payload).to_le_bytes());
+    patched.extend_from_slice(&payload);
+    patched.extend_from_slice(&bytes[split..]);
+    std::fs::write(&path, &patched).expect("rewrite");
+
     let loaded = AtlasSnapshot::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded.skipped_records, 0);
-    assert_eq!(loaded.snapshot.entries.len(), 1);
-    assert_eq!(loaded.snapshot.frontiers.len(), 1);
-    let (restored_query, restored_point) = &loaded.snapshot.entries[0];
-    assert_eq!(restored_query, &query);
-    assert_eq!(
-        restored_point.eval.energy_pj.to_bits(),
-        point.eval.energy_pj.to_bits()
-    );
-    assert_eq!(restored_point.mapping, point.mapping);
+    assert_eq!(loaded.snapshot, snapshot);
 }

@@ -10,7 +10,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::path::PathBuf;
 use thistle::{CanonicalQuery, DesignPoint, FailureLedger, Optimizer, SolveReport};
 use thistle_arch::{ArchConfig, TechnologyParams};
-use thistle_atlas::{AtlasSnapshot, ParetoFrontier, ParetoPoint};
+use thistle_atlas::AtlasSnapshot;
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Dim, Objective};
 use timeloop_lite::model::LevelStats;
 use timeloop_lite::{EvalResult, Mapping};
@@ -150,27 +150,11 @@ fn synth_point(rng: &mut StdRng) -> DesignPoint {
     }
 }
 
-fn synth_snapshot(seed: u64, entries: usize, frontiers: usize) -> AtlasSnapshot {
+fn synth_snapshot(seed: u64, entries: usize) -> AtlasSnapshot {
     let mut rng = StdRng::seed_from_u64(seed);
     AtlasSnapshot {
         entries: (0..entries)
             .map(|_| (synth_query(&mut rng), synth_point(&mut rng)))
-            .collect(),
-        frontiers: (0..frontiers)
-            .map(|f| ParetoFrontier {
-                workload: format!("family_{f}"),
-                points: (0..rng.gen_range(0usize..6))
-                    .map(|_| ParetoPoint {
-                        area_um2: rng.gen_range(1e5..1e8),
-                        energy_pj: rng.gen_range(1e3..1e9),
-                        cycles: rng.gen_range(1e3..1e9),
-                        pe_count: rng.gen_range(1u64..1024),
-                        regs_per_pe: rng.gen_range(1u64..2048),
-                        sram_words: rng.gen_range(1024u64..1 << 17),
-                        objective: "energy".into(),
-                    })
-                    .collect(),
-            })
             .collect(),
     }
 }
@@ -182,10 +166,9 @@ proptest! {
     fn snapshot_round_trips_bit_identically(
         seed in 0u64..1_000_000,
         entries in 0usize..5,
-        frontiers in 0usize..3,
     ) {
-        let snapshot = synth_snapshot(seed, entries, frontiers);
-        let path = temp_path(&format!("rt-{seed}-{entries}-{frontiers}"));
+        let snapshot = synth_snapshot(seed, entries);
+        let path = temp_path(&format!("rt-{seed}-{entries}"));
         snapshot.save(&path).expect("save");
         let loaded = AtlasSnapshot::load(&path).expect("load");
         std::fs::remove_file(&path).ok();
@@ -193,10 +176,10 @@ proptest! {
         // Structural equality first (clearer failures)...
         prop_assert_eq!(&loaded.snapshot, &snapshot);
         // ...then bit-identity via re-serialization.
-        let path2 = temp_path(&format!("rt2-{seed}-{entries}-{frontiers}"));
+        let path2 = temp_path(&format!("rt2-{seed}-{entries}"));
         loaded.snapshot.save(&path2).expect("re-save");
         let original = {
-            let path3 = temp_path(&format!("rt3-{seed}-{entries}-{frontiers}"));
+            let path3 = temp_path(&format!("rt3-{seed}-{entries}"));
             snapshot.save(&path3).expect("save again");
             let bytes = std::fs::read(&path3).expect("read");
             std::fs::remove_file(&path3).ok();
@@ -220,7 +203,6 @@ fn degraded_and_ledger_fields_survive() {
     point.report.warm_newton_saved = -4;
     let snapshot = AtlasSnapshot {
         entries: vec![(query, point.clone())],
-        frontiers: vec![],
     };
     let path = temp_path("ledger");
     snapshot.save(&path).expect("save");

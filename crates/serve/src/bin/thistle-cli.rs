@@ -10,7 +10,7 @@
 //! thistle-cli mapper   --k 64 --c 64 --hw 56 --rs 3 [--trials 20000]
 //! thistle-cli trace    <workload> [--out trace.json] [--jsonl spans.jsonl]
 //! thistle-cli serve    [--addr 127.0.0.1:7878] [--workers 4] [--cache 256]
-//!                      [--atlas atlas.bin] [--checkpoint-every 32] [--pareto]
+//!                      [--atlas atlas.bin] [--checkpoint-every 32]
 //! ```
 //!
 //! Each subcommand refuses any `--option` it does not read.
@@ -82,18 +82,16 @@ serve options:
   --workers N       solver worker threads (default 4)
   --cache N         LRU design-point cache capacity (default 256)
   --atlas FILE      durable design-space atlas snapshot: warm-restart the
-                    cache (and Pareto frontiers) from FILE, checkpoint it on
-                    a solve cadence, and save it on SIGTERM/SIGINT drain
+                    cache from FILE, checkpoint it on a solve cadence, and
+                    save it on SIGTERM/SIGINT drain
   --checkpoint-every N  fresh solves between atlas checkpoints (default 32;
                     0 = save only on drain)
-  --pareto          precompute Pareto frontiers per workload family on a
-                    background thread, served at GET /pareto
   --max-connections N  concurrent connections served (default 64); beyond
                     this, arrivals park in a bounded accept backlog
   --accept-backlog N   parked connections beyond the cap (default 128);
                     past both, arrivals get an immediate 503 + Retry-After
-  --max-queue-depth N  hard cap on queued solves before misses are shed
-                    with 503 (default 256; 0 disables)
+  --max-queue-depth N  the one hard cap on queued solves: a miss arriving
+                    at this depth is shed with 503 (default 256; 0 = no cap)
   --queue-high N    queue depth entering brown-out: cold misses shed, cache
                     hits and near-miss solves served (default 64)
   --queue-low N     queue depth leaving brown-out (default 16; hysteresis)
@@ -124,7 +122,6 @@ const SERVE: &[&str] = &[
     "--cache",
     "--atlas",
     "--checkpoint-every",
-    "--pareto",
     "--max-connections",
     "--accept-backlog",
     "--max-queue-depth",
@@ -612,7 +609,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let atlas_path = args.value("--atlas").map(std::path::PathBuf::from);
     let checkpoint_every: u64 = args.parse("--checkpoint-every")?.unwrap_or(32);
-    let pareto = args.flag("--pareto");
     let defaults = ServiceOptions::default();
     let http_defaults = HttpOptions::default();
     let max_connections: usize = args
@@ -645,7 +641,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             cache_capacity: cache,
             atlas_path: atlas_path.clone(),
             atlas_checkpoint_every: checkpoint_every,
-            pareto_precompute: pareto,
             max_queue_depth,
             queue_high_watermark: queue_high,
             queue_low_watermark: queue_low,
@@ -678,7 +673,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         server.port()
     );
     println!(
-        "endpoints: POST /optimize, GET /metrics, GET /healthz, GET /pareto, \
+        "endpoints: POST /optimize, GET /metrics, GET /healthz, \
          GET /debug/exemplars, GET /debug/solves, GET /debug/solves/<id>, \
          GET /debug/contention"
     );
@@ -692,8 +687,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     server.shutdown();
     // Belt and braces: snapshot explicitly (in case a stuck connection
     // thread still pins a Service reference), then release ours — if it is
-    // the last, Drop drains the Pareto worker and saves again with any
-    // frontiers that finished during the drain.
+    // the last, Drop saves again.
     let saved = service.save_atlas();
     drop(service);
     match saved {
@@ -742,10 +736,15 @@ mod tests {
     #[test]
     fn serve_refuses_an_unread_option_before_binding() {
         // An address that can never bind: a command that got past the option
-        // check would fail there instead, with a different error.
+        // check would fail there instead, with a different error. Both are
+        // retired flags.
         assert_eq!(
             run_with(&["serve", "--addr", "127.0.0.1:70000", "--timeseries", "m.ts"]),
             Err("unknown option --timeseries".to_string())
+        );
+        assert_eq!(
+            run_with(&["serve", "--addr", "127.0.0.1:70000", "--pareto"]),
+            Err("unknown option --pareto".to_string())
         );
     }
 

@@ -16,10 +16,6 @@
 //! * `GET /debug/contention` — the contention observatory: per-named-lock
 //!   wait/hold histograms with contention rates, per-phase request-latency
 //!   histograms, and the most recent per-request breakdowns.
-//! * `GET /pareto` — the precomputed Pareto frontiers: the bare endpoint
-//!   lists the workload families with a stored frontier (plus how many are
-//!   still computing); `?workload=<family>` returns one frontier's
-//!   nondominated (area, energy, cycles) points as JSON.
 //! * `GET /debug/exemplars` — index of the tail-sampled exemplar traces;
 //!   `?id=N` returns one trace as a Chrome `trace_event` document.
 //! * `GET /debug/solves` and `GET /debug/solves/<id>` — convergence reports
@@ -585,7 +581,6 @@ fn route(request: &Request, service: &Service) -> Reply {
                 ),
             ])),
         ),
-        ("GET", "/pareto") => handle_pareto(&request.query, service),
         ("GET", "/debug/contention") => handle_contention(service),
         ("GET", "/debug/exemplars") => handle_exemplars(&request.query, service),
         ("GET", "/debug/solves") => handle_solve_index(service),
@@ -594,64 +589,6 @@ fn route(request: &Request, service: &Service) -> Reply {
         }
         _ => Reply::new(404, Body::Json(error_json("not found"))),
     }
-}
-
-/// `GET /pareto`: the stored frontier index, or with `?workload=<family>`
-/// one family's frontier.
-fn handle_pareto(query: &str, service: &Service) -> Reply {
-    match query_param(query, "workload") {
-        Some(name) => match service.pareto_frontier(name) {
-            Some(frontier) => Reply::new(200, Body::Json(frontier_json(&frontier))),
-            None => Reply::new(
-                404,
-                Body::Json(error_json(
-                    "no frontier for this workload (unknown family, or still computing)",
-                )),
-            ),
-        },
-        None => Reply::new(
-            200,
-            Body::Json(Json::Obj(vec![
-                (
-                    "workloads".into(),
-                    Json::Arr(
-                        service
-                            .pareto_workloads()
-                            .into_iter()
-                            .map(Json::Str)
-                            .collect(),
-                    ),
-                ),
-                ("pending".into(), num_u64(service.pareto_pending() as u64)),
-            ])),
-        ),
-    }
-}
-
-/// JSON rendering of one [`thistle_atlas::ParetoFrontier`].
-fn frontier_json(f: &thistle_atlas::ParetoFrontier) -> Json {
-    Json::Obj(vec![
-        ("workload".into(), Json::Str(f.workload.clone())),
-        (
-            "points".into(),
-            Json::Arr(
-                f.points
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("area_um2".into(), Json::Num(p.area_um2)),
-                            ("energy_pj".into(), Json::Num(p.energy_pj)),
-                            ("cycles".into(), Json::Num(p.cycles)),
-                            ("pe_count".into(), num_u64(p.pe_count)),
-                            ("regs_per_pe".into(), num_u64(p.regs_per_pe)),
-                            ("sram_words".into(), num_u64(p.sram_words)),
-                            ("objective".into(), Json::Str(p.objective.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// `GET /debug/contention`: the contention observatory's raw view —

@@ -11,10 +11,9 @@
 //!    requests join one solve) and per-request timeouts.
 //! 3. [`http`] — a hand-rolled HTTP/1.1 server (`std::net::TcpListener`,
 //!    no format crates) exposing `POST /optimize`, `GET /metrics` (JSON or
-//!    `?format=prometheus` text), `GET /healthz`, `GET /pareto`, and the
-//!    `GET /debug/*` introspection surfaces (solve reports, exemplar
-//!    traces, lock contention), with graceful shutdown and connection
-//!    draining.
+//!    `?format=prometheus` text), `GET /healthz`, and the `GET /debug/*`
+//!    introspection surfaces (solve reports, exemplar traces, lock
+//!    contention), with graceful shutdown and connection draining.
 //! 4. [`service`] — [`Service::optimize`], the embedding API the CLI and
 //!    the benchmark's serve workload reuse. Every solve runs under a `thistle_obs` trace context whose spans feed a
 //!    `thistle_obs::MetricsBridge` (its span durations are the per-stage
@@ -51,4 +50,4 @@ pub use metrics::{
     CacheSnapshot, LatencyBreakdown, LockSnapshot, Metrics, MetricsSnapshot, SummarySnapshot,
 };
 pub use pool::{PoolError, PoolTimings, SolvePool};
-pub use service::{family_name, ServeError, Service, ServiceOptions, SolveResponse, BUILD_INFO};
+pub use service::{ServeError, Service, ServiceOptions, SolveResponse, BUILD_INFO};

@@ -704,8 +704,8 @@ impl Metrics {
         self.shed.inc();
     }
 
-    /// Marks a request rejected by admission control (hard queue cap, memory
-    /// watermark, or injected `serve.queue.full`).
+    /// Marks a request rejected by admission control (hard queue cap or
+    /// injected `serve.queue.full`).
     pub fn record_shed(&self) {
         self.shed.inc();
     }

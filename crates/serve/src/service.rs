@@ -4,16 +4,15 @@
 use crate::lru::{LruCache, LruStats};
 use crate::metrics::{CacheSnapshot, LatencyBreakdown, Metrics, MetricsSnapshot};
 use crate::pool::{PoolError, SolveCache, SolvePool};
-use crossbeam::channel::{unbounded, Sender};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use thistle::canon::SolverFingerprint;
 use thistle::canon::{transpose_design_hw, CanonicalLayer, CanonicalQuery, FamilyKey};
-use thistle::{Deadline, DesignPoint, OptimizeError, Optimizer, SolveReport};
-use thistle_atlas::{compute_frontier, AtlasSnapshot, ParetoFrontier, DEFAULT_BUDGET_FRACTIONS};
+use thistle::{DesignPoint, OptimizeError, Optimizer, SolveReport};
+use thistle_atlas::AtlasSnapshot;
 use thistle_model::{ArchMode, ConvLayer, Objective};
 use thistle_obs::{
     take_thread_lock_wait, ExemplarSink, MetricsBridge, ObservedMutex, Registry, Sink, TraceCtx,
@@ -25,6 +24,10 @@ const REPORT_RETENTION: usize = 64;
 
 /// Trace records buffered while waiting for their request span to close.
 const EXEMPLAR_BUFFER: usize = 4096;
+
+/// Full span trees retained for the worst requests (slowest, degraded, or
+/// failed), served at `GET /debug/exemplars`.
+const EXEMPLAR_CAPACITY: usize = 8;
 
 /// Service construction knobs.
 #[derive(Clone)]
@@ -55,7 +58,8 @@ pub struct ServiceOptions {
     /// the full duration, the last one a fraction of it.
     pub breaker_retry_after: Duration,
     /// Hard cap on pool queue depth: a cache miss arriving with this many
-    /// jobs already queued is shed with `503` (0 disables the cap).
+    /// jobs already queued is shed with `503` (0 disables the cap). The
+    /// only hard cap; brown-out below it sheds cold misses alone.
     pub max_queue_depth: u64,
     /// Queue depth at which brown-out begins: cold misses are shed while
     /// cache hits and donor-backed near-miss solves keep being served.
@@ -63,36 +67,22 @@ pub struct ServiceOptions {
     /// Queue depth at which brown-out ends (hysteresis: must be at or below
     /// `queue_high_watermark`).
     pub queue_low_watermark: u64,
-    /// Assumed resident cost of one queued solve, for the memory watermark.
-    pub queue_memory_per_job: u64,
-    /// Shed when `queue_depth * queue_memory_per_job` would exceed this
-    /// budget (0 disables the memory watermark).
-    pub queue_memory_budget: u64,
     /// Base `Retry-After` hint attached to admission-control sheds; scaled
     /// up deterministically with queue pressure.
     pub shed_retry_after: Duration,
-    /// Full span trees retained for the worst requests (slowest, degraded,
-    /// or failed), served at `GET /debug/exemplars`.
-    pub exemplar_capacity: usize,
-    /// Snapshot file the design-point cache and Pareto frontiers persist
-    /// to. On construction the service restores whatever the file holds
-    /// (tolerating damaged records); `None` disables the atlas entirely.
+    /// Snapshot file the design-point cache persists to. On construction
+    /// the service restores whatever the file holds (tolerating damaged
+    /// records); `None` disables the atlas entirely.
     pub atlas_path: Option<PathBuf>,
     /// Fresh (non-coalesced, successful) solves between automatic atlas
     /// checkpoints. Count-based rather than timer-based so the cadence is
     /// deterministic under test; 0 checkpoints only on explicit
     /// [`Service::save_atlas`] calls.
     pub atlas_checkpoint_every: u64,
-    /// Precompute the area/energy/delay Pareto frontier of each new
-    /// workload family on a background thread, for `GET /pareto`.
-    pub pareto_precompute: bool,
-    /// Area-budget fractions of the Eyeriss baseline the frontier sweep
-    /// samples (three objective scalarizations per fraction).
-    pub pareto_budget_fractions: Vec<f64>,
     /// Record wait/hold time on every shared hot-path lock (the design
-    /// cache, single-flight table, breaker map, family index, report ring,
-    /// frontier map) into per-lock registry histograms. `false` builds the
-    /// same locks as plain pass-throughs. Also disabled by setting the
+    /// cache, single-flight table, breaker map, family index, report ring)
+    /// into per-lock registry histograms. `false` builds the same locks as
+    /// plain pass-throughs. Also disabled by setting the
     /// `THISTLE_NO_LOCK_OBS` environment variable, which is how the CI
     /// overhead guard compares instrumented vs uninstrumented builds.
     pub observe_locks: bool,
@@ -112,14 +102,9 @@ impl std::fmt::Debug for ServiceOptions {
             .field("max_queue_depth", &self.max_queue_depth)
             .field("queue_high_watermark", &self.queue_high_watermark)
             .field("queue_low_watermark", &self.queue_low_watermark)
-            .field("queue_memory_per_job", &self.queue_memory_per_job)
-            .field("queue_memory_budget", &self.queue_memory_budget)
             .field("shed_retry_after", &self.shed_retry_after)
-            .field("exemplar_capacity", &self.exemplar_capacity)
             .field("atlas_path", &self.atlas_path)
             .field("atlas_checkpoint_every", &self.atlas_checkpoint_every)
-            .field("pareto_precompute", &self.pareto_precompute)
-            .field("pareto_budget_fractions", &self.pareto_budget_fractions)
             .field("observe_locks", &self.observe_locks)
             .finish()
     }
@@ -139,14 +124,9 @@ impl Default for ServiceOptions {
             max_queue_depth: 256,
             queue_high_watermark: 64,
             queue_low_watermark: 16,
-            queue_memory_per_job: 1 << 20,
-            queue_memory_budget: 256 << 20,
             shed_retry_after: Duration::from_secs(1),
-            exemplar_capacity: 8,
             atlas_path: None,
             atlas_checkpoint_every: 32,
-            pareto_precompute: false,
-            pareto_budget_fractions: DEFAULT_BUDGET_FRACTIONS.to_vec(),
             observe_locks: true,
         }
     }
@@ -170,13 +150,13 @@ pub enum ServeError {
         retry_after: Duration,
     },
     /// Admission control shed the request to protect the service: the pool
-    /// queue hit its depth or memory cap, or brown-out mode rejected a cold
-    /// miss (cache hits and near-miss solves keep being served).
+    /// queue hit its depth cap, or brown-out mode rejected a cold miss
+    /// (cache hits and near-miss solves keep being served).
     Overloaded {
         /// Suggested client back-off, scaled with queue pressure.
         retry_after: Duration,
         /// `true` when this was a brown-out shed of a cold miss rather than
-        /// a hard queue/memory cap.
+        /// the hard queue-depth cap.
         brownout: bool,
     },
 }
@@ -285,8 +265,6 @@ pub struct Service {
     max_queue_depth: u64,
     queue_high_watermark: u64,
     queue_low_watermark: u64,
-    queue_memory_per_job: u64,
-    queue_memory_budget: u64,
     shed_retry_after: Duration,
     /// Brown-out latch for the watermark hysteresis: set when queue depth
     /// crosses the high watermark, cleared when it falls back to the low
@@ -296,7 +274,7 @@ pub struct Service {
     /// monotonically increasing solve id.
     reports: ObservedMutex<VecDeque<(u64, SolveReport)>>,
     next_solve_id: AtomicU64,
-    /// Snapshot file the cache and frontiers persist to (see
+    /// Snapshot file the cache persists to (see
     /// [`ServiceOptions::atlas_path`]).
     atlas_path: Option<PathBuf>,
     atlas_checkpoint_every: u64,
@@ -309,18 +287,6 @@ pub struct Service {
     families: ObservedMutex<HashMap<FamilyKey, CanonicalQuery>>,
     /// Capacity of `cache`.
     cache_capacity: usize,
-    /// Precomputed Pareto frontiers keyed by family name.
-    frontiers: Arc<ObservedMutex<HashMap<String, ParetoFrontier>>>,
-    /// Families already queued for (or holding) a frontier, so each is
-    /// computed at most once.
-    pareto_queued: Mutex<HashSet<String>>,
-    /// Frontier computations enqueued but not yet stored.
-    pareto_pending: Arc<AtomicUsize>,
-    /// Work queue feeding the frontier worker; `None` when pareto
-    /// precompute is disabled. Dropped (disconnecting the worker) before
-    /// the handle is joined.
-    pareto_tx: Option<Sender<ConvLayer>>,
-    pareto_worker: Option<std::thread::JoinHandle<()>>,
     /// Digest of the serving optimizer's [`SolverFingerprint`], stamped onto
     /// health responses.
     fingerprint: String,
@@ -345,7 +311,7 @@ impl Service {
         let exemplars = Arc::new(ExemplarSink::new(
             "request",
             EXEMPLAR_BUFFER,
-            options.exemplar_capacity.max(1),
+            EXEMPLAR_CAPACITY,
         ));
         let mut sinks: Vec<Arc<dyn Sink>> = vec![
             Arc::clone(&exemplars) as Arc<dyn Sink>,
@@ -372,8 +338,6 @@ impl Service {
         // the oldest if the capacity shrank in between). A missing file is
         // a cold start, not an error.
         let mut families: HashMap<FamilyKey, CanonicalQuery> = HashMap::new();
-        let mut frontiers: HashMap<String, ParetoFrontier> = HashMap::new();
-        let mut pareto_queued: HashSet<String> = HashSet::new();
         if let Some(path) = options.atlas_path.as_deref().filter(|p| p.exists()) {
             match AtlasSnapshot::load(path) {
                 Ok(load) => {
@@ -386,10 +350,6 @@ impl Service {
                         families.insert(query.family_key(), query.clone());
                         locked.insert(query, Arc::new(point));
                     }
-                    for frontier in load.snapshot.frontiers {
-                        pareto_queued.insert(frontier.workload.clone());
-                        frontiers.insert(frontier.workload.clone(), frontier);
-                    }
                 }
                 Err(_) => metrics.record_atlas_restore(0, 1),
             }
@@ -397,34 +357,6 @@ impl Service {
 
         let fingerprint =
             thistle_atlas::fingerprint_digest(&SolverFingerprint::of(&optimizer).encode_words());
-
-        let frontiers = Arc::new(ObservedMutex::maybe_observed(
-            "frontiers",
-            frontiers,
-            lock_registry.as_deref(),
-        ));
-        let pareto_pending = Arc::new(AtomicUsize::new(0));
-        let (pareto_tx, pareto_worker) = if options.pareto_precompute {
-            let (tx, rx) = unbounded::<ConvLayer>();
-            let optimizer = Arc::clone(&optimizer);
-            let frontiers = Arc::clone(&frontiers);
-            let pending = Arc::clone(&pareto_pending);
-            let fractions = options.pareto_budget_fractions.clone();
-            let worker = std::thread::Builder::new()
-                .name("thistle-pareto".into())
-                .spawn(move || {
-                    while let Ok(layer) = rx.recv() {
-                        let frontier =
-                            compute_frontier(&optimizer, &layer, &fractions, &Deadline::none());
-                        frontiers.lock().insert(frontier.workload.clone(), frontier);
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                })
-                .expect("spawn pareto thread");
-            (Some(tx), Some(worker))
-        } else {
-            (None, None)
-        };
 
         Service {
             optimizer,
@@ -448,8 +380,6 @@ impl Service {
             queue_low_watermark: options
                 .queue_low_watermark
                 .min(options.queue_high_watermark),
-            queue_memory_per_job: options.queue_memory_per_job,
-            queue_memory_budget: options.queue_memory_budget,
             shed_retry_after: options.shed_retry_after,
             brownout: AtomicBool::new(false),
             reports: ObservedMutex::maybe_observed(
@@ -463,11 +393,6 @@ impl Service {
             fresh_since_checkpoint: AtomicU64::new(0),
             families: ObservedMutex::maybe_observed("families", families, lock_registry.as_deref()),
             cache_capacity,
-            frontiers,
-            pareto_queued: Mutex::new(pareto_queued),
-            pareto_pending,
-            pareto_tx,
-            pareto_worker,
             fingerprint,
         }
     }
@@ -547,21 +472,15 @@ impl Service {
         self.cache.lock().len()
     }
 
-    /// The current durable state: every cached design point
-    /// (least-recently-used first, so a restore replays recency) plus every
-    /// finished Pareto frontier (sorted by family name for byte-stable
-    /// snapshots).
+    /// The current durable state: every cached design point,
+    /// least-recently-used first, so a restore replays recency.
     pub fn atlas_snapshot(&self) -> AtlasSnapshot {
-        let entries = {
-            let cache = self.cache.lock();
-            cache
-                .iter_lru()
-                .map(|(q, p)| (q.clone(), (**p).clone()))
-                .collect()
-        };
-        let mut frontiers: Vec<ParetoFrontier> = self.frontiers.lock().values().cloned().collect();
-        frontiers.sort_by(|a, b| a.workload.cmp(&b.workload));
-        AtlasSnapshot { entries, frontiers }
+        let cache = self.cache.lock();
+        let entries = cache
+            .iter_lru()
+            .map(|(q, p)| (q.clone(), (**p).clone()))
+            .collect();
+        AtlasSnapshot { entries }
     }
 
     /// Writes the atlas snapshot to the configured path (atomically, via
@@ -577,24 +496,6 @@ impl Service {
         };
         self.atlas_snapshot().save(path)?;
         Ok(true)
-    }
-
-    /// The precomputed Pareto frontier for `workload` (a family name as
-    /// produced by [`family_name`]), if one is stored.
-    pub fn pareto_frontier(&self, workload: &str) -> Option<ParetoFrontier> {
-        self.frontiers.lock().get(workload).cloned()
-    }
-
-    /// Family names with a stored frontier, sorted.
-    pub fn pareto_workloads(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.frontiers.lock().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Frontier computations enqueued but not yet stored.
-    pub fn pareto_pending(&self) -> usize {
-        self.pareto_pending.load(Ordering::Acquire)
     }
 
     /// Picks a near-miss donor for a cache miss: the most recent cached
@@ -625,25 +526,6 @@ impl Service {
         if families.len() > self.cache_capacity {
             let cache = self.cache.lock();
             families.retain(|_, q| cache.peek(q).is_some());
-        }
-    }
-
-    /// Queues a Pareto-frontier computation for the layer's family if the
-    /// worker is running and the family has not been queued before.
-    fn maybe_enqueue_pareto(&self, layer: &CanonicalLayer) {
-        let Some(tx) = &self.pareto_tx else { return };
-        let name = family_name(layer);
-        {
-            let mut queued = self.pareto_queued.lock().expect("pareto lock");
-            if !queued.insert(name.clone()) {
-                return;
-            }
-        }
-        let mut conv = canonical_conv_layer(layer);
-        conv.name = name;
-        self.pareto_pending.fetch_add(1, Ordering::AcqRel);
-        if tx.send(conv).is_err() {
-            self.pareto_pending.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -768,10 +650,8 @@ impl Service {
         }
         request_span.set("coalesced", coalesced);
         // The solve landed in the cache; index its family for future
-        // near-miss solves, kick off the family's frontier precompute,
-        // and advance the checkpoint cadence.
+        // near-miss solves and advance the checkpoint cadence.
         self.index_family(&query);
-        self.maybe_enqueue_pareto(&query.layer);
         if !coalesced {
             self.note_fresh_solve();
         }
@@ -806,7 +686,7 @@ impl Service {
     }
 
     /// Admission control for cache misses, run before the breaker. Samples
-    /// the pool queue depth, enforces the hard depth/memory caps, and drives
+    /// the pool queue depth, enforces the hard depth cap, and drives
     /// the brown-out hysteresis: crossing `queue_high_watermark` starts
     /// shedding cold misses (donor-backed near-misses stay admitted), and
     /// only falling back to `queue_low_watermark` ends it. Entirely
@@ -816,9 +696,7 @@ impl Service {
         self.metrics.record_queue_depth(depth);
         let injected = thistle_fault::fire("serve.queue.full", depth);
         let over_cap = self.max_queue_depth > 0 && depth >= self.max_queue_depth;
-        let over_memory = self.queue_memory_budget > 0
-            && depth.saturating_mul(self.queue_memory_per_job) >= self.queue_memory_budget;
-        if injected || over_cap || over_memory {
+        if injected || over_cap {
             self.metrics.record_shed();
             return Err(ServeError::Overloaded {
                 retry_after: self.shed_backoff(depth),
@@ -960,24 +838,9 @@ impl Service {
 
 impl Drop for Service {
     fn drop(&mut self) {
-        // Graceful drain: disconnect the frontier queue so the worker
-        // finishes its backlog and exits, then persist the atlas with every
-        // frontier included.
-        self.pareto_tx = None;
-        if let Some(worker) = self.pareto_worker.take() {
-            let _ = worker.join();
-        }
+        // Graceful drain: persist the atlas one last time.
         let _ = self.save_atlas();
     }
-}
-
-/// Stable name of a workload family — the batch-erased canonical layer
-/// shape — keying Pareto frontiers and the `GET /pareto?workload=` query.
-pub fn family_name(c: &CanonicalLayer) -> String {
-    format!(
-        "oc{}_ic{}_in{}x{}_k{}x{}_s{}_d{}",
-        c.out_channels, c.in_channels, c.in_h, c.in_w, c.kernel_h, c.kernel_w, c.stride, c.dilation
-    )
 }
 
 /// Rebuilds the `ConvLayer` a canonical key describes (canonical
@@ -1209,14 +1072,7 @@ mod tests {
         ];
         // `THISTLE_NO_LOCK_OBS` turns lock observation off; then the lock
         // series and keys are absent and nothing else changes.
-        let all_locks = [
-            "breakers",
-            "families",
-            "frontiers",
-            "inflight",
-            "reports",
-            "solve_cache",
-        ];
+        let all_locks = ["breakers", "families", "inflight", "reports", "solve_cache"];
         let locks: &[&str] = if snap.locks.is_empty() {
             &[]
         } else {

@@ -1,18 +1,14 @@
 //! Acceptance tests for the design-space atlas wiring in the serve layer:
 //! snapshot persistence across service restarts (bit-identical answers from
-//! the restored cache), near-miss routing on batch-size-only cache misses
-//! (from live and restored donors), and Pareto frontier precompute served
-//! over HTTP.
+//! the restored cache) and near-miss routing on batch-size-only cache
+//! misses (from live and restored donors).
 
-use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use thistle::{DesignPoint, Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, ConvLayer, Objective};
-use thistle_serve::{HttpServer, Json, Service, ServiceOptions};
+use thistle_serve::{Service, ServiceOptions};
 
 fn quick_optimizer() -> Optimizer {
     Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
@@ -56,28 +52,6 @@ fn eval_bits(point: &DesignPoint) -> [u64; 7] {
         e.pe_used,
         e.utilization.to_bits(),
     ]
-}
-
-/// Minimal HTTP/1.1 GET against a local server; returns (status, body).
-fn http_get(port: u16, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .expect("send request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
 }
 
 #[test]
@@ -283,82 +257,4 @@ fn batch_one_requests_never_use_a_donor() {
     service.optimize(&b1, Objective::Energy, &mode()).unwrap();
     // A batch-1 layer has no batch tiling variable, so it must solve cold.
     assert_eq!(service.metrics_snapshot().near_miss_hits, 0);
-}
-
-#[test]
-fn pareto_endpoint_serves_the_precomputed_frontier() {
-    let path = temp_atlas("pareto");
-    std::fs::remove_file(&path).ok();
-    let service = Arc::new(Service::new(
-        quick_optimizer(),
-        ServiceOptions {
-            atlas_path: Some(path.clone()),
-            pareto_precompute: true,
-            // One budget fraction (three scalarizations) keeps the sweep
-            // affordable under test.
-            pareto_budget_fractions: vec![1.0],
-            ..quick_options()
-        },
-    ));
-    let layer = ConvLayer::new("conv", 1, 16, 16, 18, 18, 3, 3, 1);
-    service
-        .optimize(&layer, Objective::Energy, &mode())
-        .unwrap();
-
-    // The frontier computes on a background thread; wait for it.
-    let deadline = Instant::now() + Duration::from_secs(600);
-    while service.pareto_pending() > 0 {
-        assert!(Instant::now() < deadline, "frontier never finished");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let workloads = service.pareto_workloads();
-    assert_eq!(workloads.len(), 1);
-    let family = workloads[0].clone();
-    assert_eq!(family, "oc16_ic16_in18x18_k3x3_s1_d1");
-
-    let server = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    let port = server.port();
-
-    let (status, body) = http_get(port, "/pareto");
-    assert_eq!(status, 200);
-    let index = Json::parse(&body).expect("index JSON");
-    let listed = index.get("workloads").unwrap().as_arr().unwrap();
-    assert_eq!(listed[0].as_str(), Some(family.as_str()));
-
-    let (status, body) = http_get(port, &format!("/pareto?workload={family}"));
-    assert_eq!(status, 200);
-    let frontier = Json::parse(&body).expect("frontier JSON");
-    assert_eq!(
-        frontier.get("workload").and_then(Json::as_str),
-        Some(family.as_str())
-    );
-    let points = frontier.get("points").unwrap().as_arr().unwrap();
-    assert!(
-        !points.is_empty(),
-        "frontier should hold at least one nondominated point: {body}"
-    );
-    let p0 = &points[0];
-    for field in ["area_um2", "energy_pj", "cycles", "pe_count"] {
-        assert!(p0.get(field).is_some(), "point missing {field}");
-    }
-
-    let (status, _) = http_get(port, "/pareto?workload=nonexistent");
-    assert_eq!(status, 404);
-
-    server.shutdown();
-
-    // The frontier persists: a restart restores it without recomputing.
-    drop(Arc::try_unwrap(service).ok().expect("sole reference"));
-    let restarted = Service::new(
-        quick_optimizer(),
-        ServiceOptions {
-            atlas_path: Some(path.clone()),
-            pareto_precompute: true,
-            pareto_budget_fractions: vec![1.0],
-            ..quick_options()
-        },
-    );
-    assert_eq!(restarted.pareto_workloads(), vec![family]);
-    assert_eq!(restarted.pareto_pending(), 0);
-    std::fs::remove_file(&path).ok();
 }

@@ -225,13 +225,15 @@ fn second_post_of_the_same_resnet_layer_is_a_cache_hit() {
     let (status, _) = http(port, "GET", "/debug/exemplars?id=9999", "");
     assert_eq!(status, 404);
 
-    // Unknown routes 404, the two retired debug views included; malformed
-    // bodies 400 with an error message.
+    // Unknown routes 404, the retired debug views and frontier route
+    // included; malformed bodies 400 with an error message.
     for path in [
         "/nope",
         "/debug/dashboard",
         "/debug/dashboard?diff=1,2",
         "/debug/timeseries",
+        "/pareto",
+        "/pareto?workload=x",
     ] {
         let (status, _) = http(port, "GET", path, "");
         assert_eq!(status, 404, "{path}");
