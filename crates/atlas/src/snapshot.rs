@@ -425,7 +425,9 @@ fn encode_report(w: &mut ByteWriter, rep: &SolveReport) {
     }
     w.put_u64(rep.prefiltered);
     w.put_u64(rep.rejected_infeasible);
-    w.put_u64(rep.rejected_utilization);
+    // Retired utilization-floor counter: always 0, kept so revision 4
+    // files keep their layout.
+    w.put_u64(0);
     match &rep.arena {
         Some(a) => {
             w.put_bool(true);
@@ -463,7 +465,8 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
     };
     let prefiltered = r.get_u64()?;
     let rejected_infeasible = r.get_u64()?;
-    let rejected_utilization = r.get_u64()?;
+    // Retired utilization-floor counter (see `encode_report`).
+    r.get_u64()?;
     let arena = if r.get_bool()? {
         let mut v = [0u64; 6];
         for slot in &mut v {
@@ -491,7 +494,6 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
         recovered_by,
         prefiltered,
         rejected_infeasible,
-        rejected_utilization,
         arena,
         warm_started: r.get_bool()?,
         warm_newton_saved: r.get_i64()?,

@@ -116,7 +116,6 @@ pub struct SolverFingerprint {
     gap_tolerance_bits: u64,
     newton_tolerance_bits: u64,
     max_newton_iterations: usize,
-    min_utilization_bits: u64,
     register_cost: RegisterCostModel,
     spatial_stencils: bool,
 }
@@ -151,7 +150,6 @@ impl SolverFingerprint {
             gap_tolerance_bits: o.solve_options.gap_tolerance.to_bits(),
             newton_tolerance_bits: o.solve_options.newton_tolerance.to_bits(),
             max_newton_iterations: o.solve_options.max_newton_iterations,
-            min_utilization_bits: o.min_utilization.to_bits(),
             register_cost: o.register_cost,
             spatial_stencils: o.spatial_stencils,
         }
@@ -160,6 +158,8 @@ impl SolverFingerprint {
     /// Flattens the fingerprint to a fixed-width word vector for external
     /// serialization (the atlas snapshot format). The layout is part of the
     /// snapshot format: changing it requires bumping the atlas version.
+    /// Word 17 is reserved and always 0 (it held the retired utilization
+    /// floor, which was 0 unless set).
     pub fn encode_words(&self) -> [u64; FINGERPRINT_WORDS] {
         let mut w = [0u64; FINGERPRINT_WORDS];
         w[..7].copy_from_slice(&self.tech_bits);
@@ -171,7 +171,6 @@ impl SolverFingerprint {
         w[14] = self.gap_tolerance_bits;
         w[15] = self.newton_tolerance_bits;
         w[16] = self.max_newton_iterations as u64;
-        w[17] = self.min_utilization_bits;
         w[18] = match self.register_cost {
             RegisterCostModel::PerPe => 0,
             RegisterCostModel::PaperEq3 => 1,
@@ -182,8 +181,11 @@ impl SolverFingerprint {
 
     /// Inverse of [`SolverFingerprint::encode_words`]. Returns `None` when a
     /// discriminant word holds an unknown value (snapshot from a future
-    /// format revision).
+    /// format revision) or the reserved word 17 is not 0.
     pub fn decode_words(w: &[u64; FINGERPRINT_WORDS]) -> Option<Self> {
+        if w[17] != 0 {
+            return None;
+        }
         let mut tech_bits = [0u64; 7];
         tech_bits.copy_from_slice(&w[..7]);
         let mut bandwidth_bits = [0u64; 3];
@@ -198,7 +200,6 @@ impl SolverFingerprint {
             gap_tolerance_bits: w[14],
             newton_tolerance_bits: w[15],
             max_newton_iterations: w[16] as usize,
-            min_utilization_bits: w[17],
             register_cost: match w[18] {
                 0 => RegisterCostModel::PerPe,
                 1 => RegisterCostModel::PaperEq3,
@@ -382,6 +383,25 @@ mod tests {
         });
         let (q5, _) = CanonicalQuery::new(&threaded, &layer, Objective::Energy, &fixed);
         assert_eq!(q1, q5);
+    }
+
+    #[test]
+    fn fingerprint_words_round_trip() {
+        let paper = optimizer().with_options(OptimizerOptions {
+            register_cost: RegisterCostModel::PaperEq3,
+            spatial_stencils: false,
+            ..OptimizerOptions::default()
+        });
+        for opt in [optimizer(), paper] {
+            let fingerprint = SolverFingerprint::of(&opt);
+            let mut words = fingerprint.encode_words();
+            assert_eq!(words[17], 0, "word 17 is reserved");
+            assert_eq!(SolverFingerprint::decode_words(&words), Some(fingerprint));
+            // A set reserved word comes from a configuration this build
+            // cannot reproduce.
+            words[17] = 0.25f64.to_bits();
+            assert_eq!(SolverFingerprint::decode_words(&words), None);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    to divisors of each chosen SRAM candidate, register-level tile sizes to
 //!    divisors of each chosen PE candidate;
 //! 3. crossing the per-variable candidates, filtering out combinations that
-//!    violate divisibility, area, or a minimum-utilization threshold;
+//!    violate divisibility, area, or capacity;
 //! 4. evaluating every survivor with the Timeloop model and keeping the
 //!    best.
 //!

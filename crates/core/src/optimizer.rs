@@ -52,9 +52,6 @@ pub struct OptimizerOptions {
     pub threads: usize,
     /// GP solver settings.
     pub solve_options: SolveOptions,
-    /// Discard integer candidates using less than this fraction of the PE
-    /// array (0 disables the filter).
-    pub min_utilization: f64,
     /// How register fills are charged in the GP objective (see
     /// [`RegisterCostModel`]).
     pub register_cost: RegisterCostModel,
@@ -75,7 +72,6 @@ impl Default for OptimizerOptions {
                 gap_tolerance: 1e-6,
                 ..SolveOptions::default()
             },
-            min_utilization: 0.0,
             register_cost: RegisterCostModel::default(),
             spatial_stencils: true,
         }
@@ -139,7 +135,7 @@ impl DesignPoint {
 pub enum OptimizeError {
     /// Every generated GP failed to solve.
     AllSolvesFailed(String),
-    /// No integer candidate passed capacity/area/utilization filtering.
+    /// No integer candidate passed capacity/area filtering.
     NoFeasibleDesign,
     /// A pipeline-level operation was asked about an empty layer list.
     EmptyPipeline,
@@ -223,7 +219,6 @@ impl SweepSolution {
             recovered_by: self.recovered_by.clone(),
             prefiltered: 0,
             rejected_infeasible: 0,
-            rejected_utilization: 0,
             arena: self.gp.problem.arena_stats(),
             ..SolveReport::default()
         }
@@ -995,7 +990,6 @@ impl Optimizer {
             rescore_span.set("evaluated", counts.evaluated);
             rescore_span.set("rejected_area", counts.rejected_area);
             rescore_span.set("rejected_infeasible", counts.rejected_infeasible);
-            rescore_span.set("rejected_utilization", counts.rejected_utilization);
             rescore_span.set("prefiltered", counts.prefiltered);
             rescore_span.set("traffic_counts", traffic_counts);
         }
@@ -1063,7 +1057,6 @@ impl Optimizer {
         let mut report = sol.report(workload);
         report.prefiltered = counts.prefiltered;
         report.rejected_infeasible = counts.rejected_infeasible;
-        report.rejected_utilization = counts.rejected_utilization;
         Ok(DesignPoint {
             workload_name: workload.name.clone(),
             arch: winner.arch,
@@ -1238,21 +1231,12 @@ impl Optimizer {
                     counts.prefiltered += 1;
                     continue;
                 }
-                let rejected = match counted[0].get_or_insert_with(|| count(0)) {
-                    Err(_) => Some(&mut counts.rejected_infeasible),
-                    Ok(traffic) if traffic.fits(spec).is_err() => {
-                        Some(&mut counts.rejected_infeasible)
-                    }
-                    Ok(traffic)
-                        if self.options.min_utilization > 0.0
-                            && traffic.utilization(spec) < self.options.min_utilization =>
-                    {
-                        Some(&mut counts.rejected_utilization)
-                    }
-                    Ok(_) => None,
+                let fits = match counted[0].get_or_insert_with(|| count(0)) {
+                    Ok(traffic) => traffic.fits(spec).is_ok(),
+                    Err(_) => false,
                 };
-                if let Some(rejected) = rejected {
-                    *rejected += 1;
+                if !fits {
+                    counts.rejected_infeasible += 1;
                     continue;
                 }
                 let class_of: &[usize] = combo_classes.get_or_insert_with(|| classes.of(&mappings));
@@ -1404,8 +1388,6 @@ struct RescoreCounts {
     rejected_area: u64,
     /// Candidates over capacity: prefiltered, or refused by the referee.
     rejected_infeasible: u64,
-    /// Candidates under `min_utilization`.
-    rejected_utilization: u64,
     /// Candidates the capacity prefilter dropped before the referee.
     prefiltered: u64,
 }
@@ -1415,7 +1397,6 @@ impl RescoreCounts {
         self.evaluated += other.evaluated;
         self.rejected_area += other.rejected_area;
         self.rejected_infeasible += other.rejected_infeasible;
-        self.rejected_utilization += other.rejected_utilization;
         self.prefiltered += other.prefiltered;
     }
 }

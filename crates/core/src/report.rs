@@ -38,8 +38,6 @@ pub struct SolveReport {
     /// Integer candidates the referee (or prefilter) found infeasible
     /// (whole sweep).
     pub rejected_infeasible: u64,
-    /// Integer candidates rejected by the utilization floor (whole sweep).
-    pub rejected_utilization: u64,
     /// Expression-arena hash-consing counters from the winning problem's
     /// model build, when the generator stamped them.
     pub arena: Option<ArenaStats>,

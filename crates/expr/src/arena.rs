@@ -393,27 +393,6 @@ fn quantized_eq(a: &[(Var, f64)], b: &[(Var, f64)]) -> bool {
             .all(|(&(va, ea), &(vb, eb))| va == vb && quantize(ea) == quantize(eb))
 }
 
-/// The result of [`ArenaSignomial::term_diff`]: how two signomials over the
-/// same arena relate, term by term.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TermDiff {
-    /// Terms present in both with bit-identical coefficients.
-    pub unchanged: usize,
-    /// Terms whose unit monomial (exponent row) matches but whose
-    /// coefficient changed — the signature of a near-miss query.
-    pub coeff_changed: usize,
-    /// Terms present in exactly one of the two signomials.
-    pub structural: usize,
-}
-
-impl TermDiff {
-    /// Whether the two signomials share their entire exponent structure
-    /// (only coefficients, if anything, differ).
-    pub fn same_structure(&self) -> bool {
-        self.structural == 0
-    }
-}
-
 /// A signomial whose terms live in an [`ExprArena`]: a flat list of
 /// `(coefficient, unit id)` pairs, canonically sorted by unit id with like
 /// terms merged.
@@ -504,44 +483,6 @@ impl ArenaSignomial {
     /// Iterates over `(coefficient, unit)` pairs in canonical (id) order.
     pub fn terms(&self) -> impl Iterator<Item = (f64, UnitId)> + '_ {
         self.terms.iter().copied()
-    }
-
-    /// Diffs two signomials over the same arena, term by term.
-    ///
-    /// Because unit monomials are hash-consed, exponent-row equality is a
-    /// single integer compare on [`UnitId`] and both term lists are sorted
-    /// by it, so the diff is one linear merge with no exponent walks. This
-    /// is what lets a near-miss re-lowering decide cheaply which compiled
-    /// CSR rows changed: a shared unit id means the exponent row is
-    /// bitwise identical and only the coefficient can differ.
-    pub fn term_diff(&self, other: &Self) -> TermDiff {
-        let mut diff = TermDiff::default();
-        let (mut i, mut j) = (0, 0);
-        while i < self.terms.len() && j < other.terms.len() {
-            let (ca, ua) = self.terms[i];
-            let (cb, ub) = other.terms[j];
-            match ua.cmp(&ub) {
-                std::cmp::Ordering::Equal => {
-                    if ca.to_bits() == cb.to_bits() {
-                        diff.unchanged += 1;
-                    } else {
-                        diff.coeff_changed += 1;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    diff.structural += 1;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    diff.structural += 1;
-                    j += 1;
-                }
-            }
-        }
-        diff.structural += (self.terms.len() - i) + (other.terms.len() - j);
-        diff
     }
 
     /// Whether any term mentions `v`.
@@ -779,30 +720,6 @@ mod tests {
         assert_eq!(delta, expected);
         assert_eq!(delta.intern_hits, per_arena.intern_hits);
         assert!(delta.total_ops() > 0);
-    }
-
-    #[test]
-    fn term_diff_classifies_changes() {
-        let (_, x, y) = setup();
-        let mut arena = ExprArena::new();
-        // a = 2*x^2*y + 3/x ; b = 5*x^2*y + 3/x + 7*y
-        let u_xy = arena.intern_sorted(&[(x, 2.0), (y, 1.0)]);
-        let u_inv = arena.intern_sorted(&[(x, -1.0)]);
-        let u_y = arena.var(y);
-        let a = ArenaSignomial::term(2.0, u_xy).add(&ArenaSignomial::term(3.0, u_inv));
-        let b = ArenaSignomial::term(5.0, u_xy)
-            .add(&ArenaSignomial::term(3.0, u_inv))
-            .add(&ArenaSignomial::term(7.0, u_y));
-        let diff = a.term_diff(&b);
-        assert_eq!(diff.unchanged, 1); // 3/x
-        assert_eq!(diff.coeff_changed, 1); // x^2*y coefficient 2 -> 5
-        assert_eq!(diff.structural, 1); // 7*y only in b
-        assert!(!diff.same_structure());
-        // Identical signomials diff to all-unchanged.
-        let self_diff = a.term_diff(&a);
-        assert_eq!(self_diff.unchanged, 2);
-        assert_eq!(self_diff.coeff_changed, 0);
-        assert!(self_diff.same_structure());
     }
 
     #[test]

@@ -15,14 +15,10 @@
 //! Variables are interned in a [`VarRegistry`]; expressions refer to them by
 //! the lightweight copyable handle [`Var`].
 //!
-//! Two further representations serve the hot paths:
-//!
-//! * [`ExprArena`] / [`ArenaSignomial`] — an arena-backed, hash-consed IR
-//!   for *building* large expression families: variable parts are interned
-//!   once into a shared slab and addressed by [`UnitId`], so repeated
-//!   subterms (halo factors, shared tile products) cost a hash lookup.
-//! * [`CompiledSignomial`] — a frozen CSR exponent matrix over the live
-//!   variables for fast repeated *evaluation* (candidate rescoring).
+//! [`ExprArena`] / [`ArenaSignomial`] is an arena-backed, hash-consed IR for
+//! *building* large expression families: variable parts are interned once
+//! into a shared slab and addressed by [`UnitId`], so repeated subterms (halo
+//! factors, shared tile products) cost a hash lookup.
 //!
 //! # Examples
 //!
@@ -47,15 +43,13 @@
 
 mod arena;
 mod assignment;
-mod compiled;
 mod monomial;
 mod posynomial;
 mod signomial;
 mod var;
 
-pub use arena::{thread_arena_stats, ArenaSignomial, ArenaStats, ExprArena, TermDiff, UnitId};
+pub use arena::{thread_arena_stats, ArenaSignomial, ArenaStats, ExprArena, UnitId};
 pub use assignment::Assignment;
-pub use compiled::{CompiledSignomial, EvalScratch};
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;
 pub use signomial::Signomial;

@@ -4,16 +4,14 @@
 //! evaluation — `eval(a op b) == eval(a) op eval(b)` at every point of the
 //! positive orthant.
 
-use crate::{
-    ArenaSignomial, Assignment, CompiledSignomial, ExprArena, Monomial, Posynomial, Signomial, Var,
-};
+use crate::{ArenaSignomial, Assignment, ExprArena, Monomial, Posynomial, Signomial, Var};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Reference evaluator matching the pre-arena representation: terms as
 /// `(coeff, BTreeMap<Var, f64>)`, evaluated with a `powf` per variable. The
 /// differential properties below pin every newer representation (sorted-run
-/// monomials, arena terms, compiled CSR rows) to this one.
+/// monomials, arena terms) to this one.
 fn naive_eval(terms: &[(f64, BTreeMap<Var, f64>)], point: &Assignment) -> f64 {
     terms
         .iter()
@@ -181,17 +179,10 @@ proptest! {
     }
 
     #[test]
-    fn compiled_signomial_matches_btreemap_reference(s in arb_signomial(), p in arb_point()) {
-        let reference = naive_eval(&naive_terms(&s), &p);
-        let direct = s.eval(&p);
-        let compiled = CompiledSignomial::compile(&s).eval(&p);
-        prop_assert!((direct - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
-        prop_assert!((compiled - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
-    }
-
-    #[test]
     fn arena_roundtrip_matches_btreemap_reference(s in arb_signomial(), p in arb_point()) {
         let reference = naive_eval(&naive_terms(&s), &p);
+        let direct = s.eval(&p);
+        prop_assert!((direct - reference).abs() <= 1e-12 * (1.0 + reference.abs()));
         let mut arena = ExprArena::new();
         let imported = ArenaSignomial::from_signomial(&mut arena, &s);
         let arena_eval = imported.eval(&arena, &p);

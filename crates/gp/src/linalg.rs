@@ -8,7 +8,6 @@
 //! * [`Matrix::solve`] — LU with partial pivoting (the one LU routine,
 //!   also run in place on the barrier solver's reused KKT buffer);
 //! * [`Matrix::cholesky_solve`] — for symmetric positive-definite systems;
-//! * [`Matrix::least_squares`] — Householder QR, minimum-residual solve;
 //! * [`Matrix::min_norm_solution`] — minimum-norm solution of an
 //!   underdetermined system (used to find a point on `Ay = b`).
 
@@ -122,22 +121,6 @@ impl Matrix {
         for (i, o) in out.iter_mut().enumerate() {
             let row = &self.data[i * self.cols..(i + 1) * self.cols];
             *o = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        out
-    }
-
-    /// Transposed matrix-vector product `A^T x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.rows()`.
-    pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "dimension mismatch in matvec_t");
-        let mut out = vec![0.0; self.cols];
-        for (xi, row) in x.iter().zip(self.data.chunks_exact(self.cols.max(1))) {
-            for (o, a) in out.iter_mut().zip(row) {
-                *o += a * xi;
-            }
         }
         out
     }
@@ -362,82 +345,6 @@ impl Matrix {
                 s -= l[k * n + i] * x[k];
             }
             x[i] = s / l[i * n + i];
-        }
-        Ok(x)
-    }
-
-    /// Least-squares solution of `A x ~ b` (for `rows >= cols`) via
-    /// Householder QR.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `A` is (numerically) rank deficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows < cols` or `b.len() != rows`.
-    pub fn least_squares(&self, b: &[f64]) -> Result<Vec<f64>, SolveMatrixError> {
-        assert!(
-            self.rows >= self.cols,
-            "least_squares requires rows >= cols"
-        );
-        assert_eq!(b.len(), self.rows);
-        let (m, n) = (self.rows, self.cols);
-        let mut a = self.data.clone();
-        let mut y = b.to_vec();
-
-        for k in 0..n {
-            // Householder vector for column k.
-            let mut norm = 0.0;
-            for i in k..m {
-                norm += a[i * n + k] * a[i * n + k];
-            }
-            let norm = norm.sqrt();
-            if norm < 1e-300 {
-                return Err(SolveMatrixError {
-                    what: "rank-deficient matrix in QR",
-                });
-            }
-            let alpha = if a[k * n + k] >= 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
-            v[k] = a[k * n + k] - alpha;
-            for i in k + 1..m {
-                v[i] = a[i * n + k];
-            }
-            let vtv: f64 = v[k..].iter().map(|x| x * x).sum();
-            if vtv < 1e-300 {
-                // Column already triangular.
-                a[k * n + k] = alpha;
-                continue;
-            }
-            // Apply H = I - 2 v v^T / (v^T v) to A and y.
-            for j in k..n {
-                let dot: f64 = (k..m).map(|i| v[i] * a[i * n + j]).sum();
-                let f = 2.0 * dot / vtv;
-                for i in k..m {
-                    a[i * n + j] -= f * v[i];
-                }
-            }
-            let dot: f64 = (k..m).map(|i| v[i] * y[i]).sum();
-            let f = 2.0 * dot / vtv;
-            for i in k..m {
-                y[i] -= f * v[i];
-            }
-        }
-        // Back substitution on the R factor.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= a[i * n + j] * x[j];
-            }
-            let d = a[i * n + i];
-            if d.abs() < 1e-300 {
-                return Err(SolveMatrixError {
-                    what: "rank-deficient matrix in QR back-substitution",
-                });
-            }
-            x[i] = s / d;
         }
         Ok(x)
     }
@@ -670,41 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn least_squares_exact_square() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, -1.0]]);
-        let x = a.least_squares(&[3.0, 1.0]).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_overdetermined_regression() {
-        // Fit y = 2t + 1 through noiseless samples.
-        let ts = [0.0, 1.0, 2.0, 3.0];
-        let rows: Vec<Vec<f64>> = ts.iter().map(|&t| vec![t, 1.0]).collect();
-        let a = Matrix::from_rows(&rows.iter().map(|r| r.as_slice()).collect::<Vec<_>>());
-        let b: Vec<f64> = ts.iter().map(|&t| 2.0 * t + 1.0).collect();
-        let x = a.least_squares(&b).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-10);
-        assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn least_squares_minimizes_residual() {
-        // Inconsistent system: residual of LS solution must not be improvable
-        // by small perturbations.
-        let a = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 0.0], &[0.0, 1.0]]);
-        let b = [0.0, 2.0, 3.0];
-        let x = a.least_squares(&b).unwrap();
-        let res = norm2(&axpy(&a.matvec(&x), -1.0, &b));
-        for dx in [[1e-3, 0.0], [0.0, 1e-3], [-1e-3, 1e-3]] {
-            let xp = [x[0] + dx[0], x[1] + dx[1]];
-            let rp = norm2(&axpy(&a.matvec(&xp), -1.0, &b));
-            assert!(rp >= res - 1e-12);
-        }
-    }
-
-    #[test]
     fn project_out_rowspace_lands_in_null_space() {
         // A = [1 1 0]: null space is {(a, -a, c)}.
         let a = Matrix::from_rows(&[&[1.0, 1.0, 0.0]]);
@@ -724,21 +596,6 @@ mod tests {
         let y = a.min_norm_solution(&[2.0]).unwrap();
         assert!((y[0] - 1.0).abs() < 1e-6);
         assert!((y[1] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut a = Matrix::zeros(3, 5);
-        for i in 0..3 {
-            for j in 0..5 {
-                a[(i, j)] = rng.gen_range(-1.0..1.0);
-            }
-        }
-        let x: Vec<f64> = (0..3).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let direct = a.matvec_t(&x);
-        let via_t = a.transpose().matvec(&x);
-        assert!(norm2(&axpy(&direct, -1.0, &via_t)) < 1e-12);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   and the linear area model bounds the total chip area.
 //!
 //! Signomial traffic/footprint expressions (convolution halo terms) enter the
-//! GP through their posynomial upper bounds; the exact signomials are kept on
-//! the generated problem for evaluating integerized candidates.
+//! GP through their posynomial upper bounds.
 
 use crate::perms;
 use crate::space::TilingSpace;
@@ -25,9 +24,7 @@ use crate::volumes::TrafficModel;
 use crate::workload::{Dim, Workload};
 use std::fmt;
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
-use thistle_expr::{
-    Assignment, CompiledSignomial, EvalScratch, Monomial, Posynomial, Signomial, Var,
-};
+use thistle_expr::{Assignment, Monomial, Posynomial, Signomial, Var};
 use thistle_gp::GpProblem;
 
 /// What to minimize.
@@ -154,13 +151,8 @@ pub struct GeneratedGp {
     pub arch_vars: Option<ArchVars>,
     /// The delay variable, if the objective is delay.
     pub delay_var: Option<Var>,
-    /// Exact (signomial) traffic model for candidate evaluation.
-    pub traffic: TrafficModel,
     objective: Objective,
     mode: ArchMode,
-    tech: TechnologyParams,
-    bandwidths: Bandwidths,
-    register_cost: RegisterCostModel,
     num_ops: f64,
 }
 
@@ -177,42 +169,6 @@ impl GeneratedGp {
             }
             (ArchMode::CoDesign(_), None) => unreachable!("co-design GPs carry arch vars"),
         }
-    }
-
-    /// Exact modeled energy (pJ) at a concrete point: the exact (signomial)
-    /// traffic totals, compiled on each call (no posynomial relaxation).
-    pub fn energy_at(&self, point: &Assignment) -> f64 {
-        let mut scratch = EvalScratch::default();
-        let totals = &self.traffic.totals;
-        let (_, regs, sram) = self.arch_at(point);
-        let eps_r = self.tech.register_energy_pj(regs);
-        let eps_s = self.tech.sram_energy_pj(sram);
-        let t_sr = CompiledSignomial::compile(&totals.sram_reg).eval_with(point, &mut scratch);
-        let t_ds = CompiledSignomial::compile(&totals.dram_sram).eval_with(point, &mut scratch);
-        let reg_side = match self.register_cost {
-            RegisterCostModel::PerPe => {
-                CompiledSignomial::compile(&totals.reg_fills).eval_with(point, &mut scratch)
-            }
-            RegisterCostModel::PaperEq3 => t_sr,
-        };
-        (4.0 * eps_r + self.tech.energy_mac_pj) * self.num_ops
-            + eps_r * reg_side
-            + eps_s * (t_sr + t_ds)
-            + self.tech.energy_dram_pj * t_ds
-    }
-
-    /// Exact modeled delay (cycles) at a concrete point: the max over
-    /// compute, SRAM-bandwidth, and DRAM-bandwidth components.
-    pub fn delay_at(&self, point: &Assignment) -> f64 {
-        let mut scratch = EvalScratch::default();
-        let totals = &self.traffic.totals;
-        let pes_used = self.traffic.pe_product.eval(point);
-        let t_sr = CompiledSignomial::compile(&totals.sram_reg).eval_with(point, &mut scratch);
-        let t_ds = CompiledSignomial::compile(&totals.dram_sram).eval_with(point, &mut scratch);
-        let compute = self.num_ops / pes_used;
-        let sram = (t_sr + t_ds) / self.bandwidths.sram_words_per_cycle;
-        let dram = t_ds / self.bandwidths.dram_words_per_cycle;
-        compute.max(sram).max(dram)
     }
 
     /// The objective this GP minimizes.
@@ -470,12 +426,8 @@ impl ProblemGenerator {
             perm3: perm3.to_vec(),
             arch_vars,
             delay_var,
-            traffic,
             objective,
             mode: mode.clone(),
-            tech: self.tech.clone(),
-            bandwidths: self.bandwidths.clone(),
-            register_cost: self.register_cost,
             num_ops,
         })
     }
@@ -493,6 +445,42 @@ mod tests {
 
     fn first_class(g: &ProblemGenerator) -> (Vec<Dim>, Vec<Dim>) {
         g.permutation_classes()[0].clone()
+    }
+
+    /// The exact (signomial) traffic model of `gp`'s permutation pair.
+    fn traffic(gp: &GeneratedGp) -> TrafficModel {
+        TrafficModel::build(&gp.space, &gp.perm1, &gp.perm3)
+    }
+
+    /// Exact modeled energy (pJ) at a concrete point under the default
+    /// register-cost model: the exact traffic totals, no posynomial
+    /// relaxation.
+    fn energy_at(gp: &GeneratedGp, point: &Assignment) -> f64 {
+        let totals = traffic(gp).totals;
+        let tech = tech();
+        let (_, regs, sram) = gp.arch_at(point);
+        let eps_r = tech.register_energy_pj(regs);
+        let eps_s = tech.sram_energy_pj(sram);
+        let t_sr = totals.sram_reg.eval(point);
+        let t_ds = totals.dram_sram.eval(point);
+        (4.0 * eps_r + tech.energy_mac_pj) * gp.num_ops()
+            + eps_r * totals.reg_fills.eval(point)
+            + eps_s * (t_sr + t_ds)
+            + tech.energy_dram_pj * t_ds
+    }
+
+    /// Exact modeled delay (cycles) at a concrete point under the default
+    /// bandwidths: the max over compute, SRAM-bandwidth, and
+    /// DRAM-bandwidth components.
+    fn delay_at(gp: &GeneratedGp, point: &Assignment) -> f64 {
+        let traffic = traffic(gp);
+        let bandwidths = Bandwidths::default();
+        let t_sr = traffic.totals.sram_reg.eval(point);
+        let t_ds = traffic.totals.dram_sram.eval(point);
+        let compute = gp.num_ops() / traffic.pe_product.eval(point);
+        let sram = (t_sr + t_ds) / bandwidths.sram_words_per_cycle;
+        let dram = t_ds / bandwidths.dram_words_per_cycle;
+        compute.max(sram).max(dram)
     }
 
     #[test]
@@ -515,7 +503,7 @@ mod tests {
             (4.0 * ArchConfig::eyeriss().register_energy_pj(&tech()) + 2.2) * 256.0f64.powi(3);
         assert!(sol.objective >= floor * 0.999);
         // Exact evaluation agrees with the GP objective within the relaxation.
-        let exact = gp.energy_at(&sol.assignment);
+        let exact = energy_at(&gp, &sol.assignment);
         assert!(exact <= sol.objective * 1.0 + 1e-6);
     }
 
@@ -560,8 +548,8 @@ mod tests {
         let d = gen.generate(&p1, &p3, Objective::Delay, &mode).unwrap();
         let es = e.problem.solve(&SolveOptions::default()).unwrap();
         let ds = d.problem.solve(&SolveOptions::default()).unwrap();
-        let pes_energy = e.traffic.pe_product.eval(&es.assignment);
-        let pes_delay = d.traffic.pe_product.eval(&ds.assignment);
+        let pes_energy = traffic(&e).pe_product.eval(&es.assignment);
+        let pes_delay = traffic(&d).pe_product.eval(&ds.assignment);
         assert!(
             pes_delay > pes_energy * 0.99,
             "delay mode should not use fewer PEs ({pes_delay} vs {pes_energy})"
@@ -584,7 +572,7 @@ mod tests {
             )
             .unwrap();
         let sol = gp.problem.solve(&SolveOptions::default()).unwrap();
-        let exact = gp.delay_at(&sol.assignment);
+        let exact = delay_at(&gp, &sol.assignment);
         // The GP objective upper-bounds the exact max-of-components (it uses
         // posynomial relaxations of the traffic).
         assert!(

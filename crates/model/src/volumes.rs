@@ -48,8 +48,7 @@ pub struct TrafficModel {
     pub tensors: Vec<TensorTraffic>,
     /// Product of spatial trip counts over all tiled dims (`P_used`).
     pub pe_product: Monomial,
-    /// Whole-workload sums, computed once at build time (the optimizer asks
-    /// for them per candidate).
+    /// Whole-workload sums, computed once at build time, inside the arena.
     pub(crate) totals: TrafficTotals,
 }
 

@@ -1,11 +1,11 @@
-//! Lock contention observatory: instrumented `Mutex`/`RwLock` wrappers.
+//! Lock contention observatory: an instrumented `Mutex` wrapper.
 //!
-//! The serve tier funnels every request through a handful of shared locks —
-//! the LRU design cache, the single-flight table, breaker state, the family
-//! index, the report ring. Spans attribute *time spent in a stage*; under
-//! oversubscription the tail is dominated by *wait time* on those locks,
-//! which no span can see. [`ObservedMutex`] and [`ObservedRwLock`] close that
-//! gap: same shape as `std::sync`, but each acquisition records
+//! The serve tier funnels every request through four shared locks — the LRU
+//! design cache, the single-flight table, the family index, the report ring.
+//! Spans attribute *time spent in a stage*; under oversubscription the tail
+//! is dominated by *wait time* on those locks, which no span can see.
+//! [`ObservedMutex`] closes that gap: same shape as `std::sync::Mutex`, but
+//! each acquisition records
 //!
 //! * **wait time** (request → grant) into a windowed histogram
 //!   `lock_wait_ms{lock=<name>}`,
@@ -34,8 +34,7 @@
 //! acquirer instead of cascading `PoisonError` unwraps through the server.
 
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::sync::{TryLockError, TryLockResult};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError, TryLockResult};
 use std::time::{Duration, Instant};
 
 use crate::registry::{Counter, Histogram, Registry};
@@ -193,17 +192,6 @@ impl<T> ObservedMutex<T> {
             held: Some((Instant::now(), metrics)),
         }
     }
-
-    /// Attempts the lock without blocking. Records an acquisition (with
-    /// zero wait) on success; a miss records nothing.
-    pub fn try_lock(&self) -> Option<ObservedMutexGuard<'_, T>> {
-        let guard = untangle_try(self.inner.try_lock())?;
-        let held = self.metrics.as_ref().map(|metrics| {
-            metrics.on_acquired(Duration::ZERO);
-            (Instant::now(), metrics)
-        });
-        Some(ObservedMutexGuard { guard, held })
-    }
 }
 
 impl<T: std::fmt::Debug> std::fmt::Debug for ObservedMutex<T> {
@@ -235,146 +223,6 @@ impl<T> std::ops::DerefMut for ObservedMutexGuard<'_, T> {
 }
 
 impl<T> Drop for ObservedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((since, metrics)) = self.held.take() {
-            metrics.on_released(since);
-        }
-    }
-}
-
-/// A `RwLock` that optionally accounts wait/hold time per acquisition.
-///
-/// Reader and writer acquisitions record into the same per-lock series:
-/// what matters for the critical path is how long *this* acquisition
-/// blocked, not which mode it used.
-pub struct ObservedRwLock<T> {
-    inner: RwLock<T>,
-    metrics: Option<LockMetrics>,
-}
-
-impl<T> ObservedRwLock<T> {
-    /// A plain pass-through rwlock; see [`ObservedMutex::unobserved`].
-    pub fn unobserved(value: T) -> ObservedRwLock<T> {
-        ObservedRwLock {
-            inner: RwLock::new(value),
-            metrics: None,
-        }
-    }
-
-    /// An instrumented rwlock recording into `registry` under `name`.
-    pub fn observed(name: &str, value: T, registry: &Registry) -> ObservedRwLock<T> {
-        ObservedRwLock {
-            inner: RwLock::new(value),
-            metrics: Some(LockMetrics::resolve(name, registry)),
-        }
-    }
-
-    /// Observed when a registry is supplied, a pass-through otherwise; see
-    /// [`ObservedMutex::maybe_observed`].
-    pub fn maybe_observed(name: &str, value: T, registry: Option<&Registry>) -> ObservedRwLock<T> {
-        match registry {
-            Some(registry) => ObservedRwLock::observed(name, value, registry),
-            None => ObservedRwLock::unobserved(value),
-        }
-    }
-
-    /// Acquires shared read access, blocking until granted.
-    pub fn read(&self) -> ObservedReadGuard<'_, T> {
-        let Some(metrics) = &self.metrics else {
-            return ObservedReadGuard {
-                guard: untangle(self.inner.read()),
-                held: None,
-            };
-        };
-        let (guard, wait) = match untangle_try(self.inner.try_read()) {
-            Some(guard) => (guard, Duration::ZERO),
-            None => {
-                let blocked = Instant::now();
-                let guard = untangle(self.inner.read());
-                (guard, blocked.elapsed())
-            }
-        };
-        metrics.on_acquired(wait);
-        ObservedReadGuard {
-            guard,
-            held: Some((Instant::now(), metrics)),
-        }
-    }
-
-    /// Acquires exclusive write access, blocking until granted.
-    pub fn write(&self) -> ObservedWriteGuard<'_, T> {
-        let Some(metrics) = &self.metrics else {
-            return ObservedWriteGuard {
-                guard: untangle(self.inner.write()),
-                held: None,
-            };
-        };
-        let (guard, wait) = match untangle_try(self.inner.try_write()) {
-            Some(guard) => (guard, Duration::ZERO),
-            None => {
-                let blocked = Instant::now();
-                let guard = untangle(self.inner.write());
-                (guard, blocked.elapsed())
-            }
-        };
-        metrics.on_acquired(wait);
-        ObservedWriteGuard {
-            guard,
-            held: Some((Instant::now(), metrics)),
-        }
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for ObservedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ObservedRwLock")
-            .field("observed", &self.metrics.is_some())
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// RAII shared-read guard for [`ObservedRwLock`].
-pub struct ObservedReadGuard<'a, T> {
-    guard: RwLockReadGuard<'a, T>,
-    held: Option<(Instant, &'a LockMetrics)>,
-}
-
-impl<T> std::ops::Deref for ObservedReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> Drop for ObservedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some((since, metrics)) = self.held.take() {
-            metrics.on_released(since);
-        }
-    }
-}
-
-/// RAII exclusive-write guard for [`ObservedRwLock`].
-pub struct ObservedWriteGuard<'a, T> {
-    guard: RwLockWriteGuard<'a, T>,
-    held: Option<(Instant, &'a LockMetrics)>,
-}
-
-impl<T> std::ops::Deref for ObservedWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T> std::ops::DerefMut for ObservedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
-impl<T> Drop for ObservedWriteGuard<'_, T> {
     fn drop(&mut self) {
         if let Some((since, metrics)) = self.held.take() {
             metrics.on_released(since);
@@ -463,38 +311,6 @@ mod tests {
         }
         assert_eq!(lock.lock().len(), 4);
         assert_eq!(take_thread_lock_wait(), Duration::ZERO);
-
-        let rw = ObservedRwLock::unobserved(7u64);
-        assert_eq!(*rw.read(), 7);
-        *rw.write() = 8;
-        assert_eq!(*rw.read(), 8);
-        assert_eq!(take_thread_lock_wait(), Duration::ZERO);
-    }
-
-    #[test]
-    fn rwlock_reader_blocked_by_writer_books_the_wait() {
-        let registry = Arc::new(Registry::new());
-        let lock = Arc::new(ObservedRwLock::observed("table", 0u64, &registry));
-        let hold_ms = 25u64;
-        let writer = {
-            let lock = Arc::clone(&lock);
-            let (armed_tx, armed_rx) = std::sync::mpsc::channel();
-            let handle = std::thread::spawn(move || {
-                let mut g = lock.write();
-                armed_tx.send(()).expect("armed");
-                std::thread::sleep(Duration::from_millis(hold_ms));
-                *g = 42;
-            });
-            armed_rx.recv().expect("writer armed");
-            handle
-        };
-        assert_eq!(*lock.read(), 42);
-        writer.join().expect("writer thread");
-
-        assert_eq!(counter(&registry, LOCK_ACQUISITIONS_TOTAL, "table"), 2);
-        assert_eq!(counter(&registry, LOCK_CONTENDED_TOTAL, "table"), 1);
-        let wait = sample(&registry, LOCK_WAIT_MS, "table").expect("wait histogram");
-        assert!(wait.p95 >= hold_ms as f64 * 0.5, "wait p95 {}", wait.p95);
     }
 
     #[test]
@@ -526,16 +342,5 @@ mod tests {
         assert!(panicker.join().is_err());
         *lock.lock() += 1;
         assert_eq!(*lock.lock(), 2);
-    }
-
-    #[test]
-    fn try_lock_misses_while_held_and_records_on_success() {
-        let registry = Arc::new(Registry::new());
-        let lock = ObservedMutex::observed("try", 0u64, &registry);
-        let g = lock.lock();
-        assert!(lock.try_lock().is_none());
-        drop(g);
-        assert!(lock.try_lock().is_some());
-        assert_eq!(counter(&registry, LOCK_ACQUISITIONS_TOTAL, "try"), 2);
     }
 }

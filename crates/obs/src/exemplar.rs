@@ -77,7 +77,7 @@ struct State {
 /// Bounded [`Sink`] retaining full span trees only for the slowest,
 /// degraded, and failed trigger spans in the recent window.
 pub struct ExemplarSink {
-    triggers: Vec<&'static str>,
+    trigger: &'static str,
     buffer_capacity: usize,
     max_exemplars: usize,
     next_id: AtomicU64,
@@ -97,26 +97,10 @@ impl ExemplarSink {
         buffer_capacity: usize,
         max_exemplars: usize,
     ) -> ExemplarSink {
-        ExemplarSink::with_triggers(&[trigger], buffer_capacity, max_exemplars)
-    }
-
-    /// A sink triggering on spans named by any entry of `triggers`. The
-    /// exemplar pool is shared across triggers: a slow `batch_solve` competes
-    /// for retention with a failed `gp_solve` on the same severity order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `triggers` is empty or either bound is zero.
-    pub fn with_triggers(
-        triggers: &[&'static str],
-        buffer_capacity: usize,
-        max_exemplars: usize,
-    ) -> ExemplarSink {
-        assert!(!triggers.is_empty(), "at least one trigger span required");
         assert!(buffer_capacity > 0, "buffer capacity must be positive");
         assert!(max_exemplars > 0, "exemplar capacity must be positive");
         ExemplarSink {
-            triggers: triggers.to_vec(),
+            trigger,
             buffer_capacity,
             max_exemplars,
             next_id: AtomicU64::new(0),
@@ -195,7 +179,7 @@ fn overlaps(record: &Record, start_ns: u64, end_ns: u64) -> bool {
 impl Sink for ExemplarSink {
     fn record(&self, record: Record) {
         let trigger_span = match &record {
-            Record::Span(s) if self.triggers.contains(&s.name) => Some(s.clone()),
+            Record::Span(s) if s.name == self.trigger => Some(s.clone()),
             _ => None,
         };
         let mut state = self.lock();

@@ -46,7 +46,7 @@ pub mod export;
 pub mod registry;
 pub mod sink;
 
-pub use contention::{take_thread_lock_wait, ObservedMutex, ObservedRwLock};
+pub use contention::{take_thread_lock_wait, ObservedMutex};
 pub use exemplar::{Exemplar, ExemplarClass, ExemplarSink};
 pub use registry::{
     Counter, CounterFamily, Gauge, Histogram, HistogramFamily, HistogramSummary, MetricsBridge,

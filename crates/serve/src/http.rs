@@ -311,7 +311,7 @@ enum Body {
 }
 
 /// A response: status, body, and optional extra headers (currently only
-/// `Retry-After`, attached to circuit-breaker fast-fails).
+/// `Retry-After`, attached to admission-control sheds).
 struct Reply {
     status: u16,
     body: Body,
@@ -719,10 +719,6 @@ fn solve_report_json(id: u64, r: &SolveReport) -> Json {
         ),
         ("prefiltered".into(), num_u64(r.prefiltered)),
         ("rejected_infeasible".into(), num_u64(r.rejected_infeasible)),
-        (
-            "rejected_utilization".into(),
-            num_u64(r.rejected_utilization),
-        ),
         ("warm_started".into(), Json::Bool(r.warm_started)),
         (
             "warm_newton_saved".into(),
@@ -801,11 +797,6 @@ fn handle_optimize(body: &str, service: &Service) -> Reply {
         Err(ServeError::Shutdown) => {
             Reply::new(503, Body::Json(error_json("service is shutting down")))
         }
-        Err(e @ ServeError::CircuitOpen { retry_after }) => Reply {
-            status: 503,
-            body: Body::Json(error_json(&e.to_string())),
-            retry_after_secs: Some(retry_after.as_secs().max(1)),
-        },
         Err(e @ ServeError::Overloaded { retry_after, .. }) => Reply {
             status: 503,
             body: Body::Json(error_json(&e.to_string())),

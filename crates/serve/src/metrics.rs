@@ -71,12 +71,10 @@ pub struct Metrics {
     worker_respawns: Counter,
     solve_retries: Counter,
     cancelled_solves: Counter,
-    breaker_opened: Counter,
-    breaker_fastfails: Counter,
     degraded_results: Counter,
     near_miss_hits: Counter,
-    /// Requests rejected with `503` to protect the service: hard queue-cap
-    /// sheds, brown-out sheds, and breaker fast-fails all count here.
+    /// Requests rejected with `503` by admission control: hard queue-cap
+    /// sheds and brown-out sheds both count here.
     shed: Counter,
     /// Subset of `shed`: cold misses rejected while the service is in
     /// brown-out (serving hits and near-miss solves only).
@@ -242,17 +240,13 @@ pub struct MetricsSnapshot {
     pub solve_retries: u64,
     /// Solves abandoned mid-run because every waiter left.
     pub cancelled_solves: u64,
-    /// Times a per-shape circuit breaker tripped open (including re-opens).
-    pub breaker_opened: u64,
-    /// Requests fast-failed by an open breaker.
-    pub breaker_fastfails: u64,
     /// Completed solves whose design point was marked degraded.
     pub degraded_results: u64,
     /// Cache misses answered by a near-miss solve of a donor's permutation
     /// pair instead of the full sweep.
     pub near_miss_hits: u64,
-    /// Requests rejected with `503` to protect the service (queue-cap sheds
-    /// + brown-out sheds + breaker fast-fails).
+    /// Requests rejected with `503` by admission control (queue-cap sheds
+    /// + brown-out sheds).
     pub shed: u64,
     /// Subset of `shed`: cold misses rejected while in brown-out.
     pub browned_out: u64,
@@ -317,8 +311,6 @@ impl MetricsSnapshot {
             ("worker_respawns".into(), num_u64(self.worker_respawns)),
             ("solve_retries".into(), num_u64(self.solve_retries)),
             ("cancelled_solves".into(), num_u64(self.cancelled_solves)),
-            ("breaker_opened".into(), num_u64(self.breaker_opened)),
-            ("breaker_fastfails".into(), num_u64(self.breaker_fastfails)),
             ("degraded_results".into(), num_u64(self.degraded_results)),
             ("near_miss_hits".into(), num_u64(self.near_miss_hits)),
             ("shed".into(), num_u64(self.shed)),
@@ -385,8 +377,6 @@ impl MetricsSnapshot {
             ("worker_respawns_total", self.worker_respawns),
             ("solve_retries_total", self.solve_retries),
             ("cancelled_solves_total", self.cancelled_solves),
-            ("breaker_opened_total", self.breaker_opened),
-            ("breaker_fastfails_total", self.breaker_fastfails),
             ("degraded_results_total", self.degraded_results),
             ("near_miss_hits_total", self.near_miss_hits),
             ("shed_total", self.shed),
@@ -629,8 +619,6 @@ impl Metrics {
             worker_respawns: registry.counter("worker_respawns_total"),
             solve_retries: registry.counter("solve_retries_total"),
             cancelled_solves: registry.counter("cancelled_solves_total"),
-            breaker_opened: registry.counter("breaker_opened_total"),
-            breaker_fastfails: registry.counter("breaker_fastfails_total"),
             degraded_results: registry.counter("degraded_results_total"),
             near_miss_hits: registry.counter("near_miss_hits_total"),
             shed: registry.counter("shed_total"),
@@ -691,17 +679,6 @@ impl Metrics {
 
     pub fn record_cancelled_solve(&self) {
         self.cancelled_solves.inc();
-    }
-
-    pub fn record_breaker_opened(&self) {
-        self.breaker_opened.inc();
-    }
-
-    /// A breaker fast-fail is one of the protective 503s, so it counts
-    /// toward the overall `shed` total as well.
-    pub fn record_breaker_fastfail(&self) {
-        self.breaker_fastfails.inc();
-        self.shed.inc();
     }
 
     /// Marks a request rejected by admission control (hard queue cap or
@@ -826,8 +803,6 @@ impl Metrics {
             worker_respawns: self.worker_respawns.get(),
             solve_retries: self.solve_retries.get(),
             cancelled_solves: self.cancelled_solves.get(),
-            breaker_opened: self.breaker_opened.get(),
-            breaker_fastfails: self.breaker_fastfails.get(),
             degraded_results: self.degraded_results.get(),
             near_miss_hits: self.near_miss_hits.get(),
             shed: self.shed.get(),

@@ -267,11 +267,6 @@ impl SolvePool {
         }
     }
 
-    /// Jobs currently being solved or queued.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.lock().len()
-    }
-
     /// Whether `query` already has a flight a new request would coalesce
     /// onto. Advisory (the flight may finish before the caller acts); used
     /// by brown-out admission, which serves coalescible requests since they

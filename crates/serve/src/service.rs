@@ -1,7 +1,7 @@
 //! The optimization service: canonical-request cache in front of the solve
 //! pool.
 
-use crate::lru::{LruCache, LruStats};
+use crate::lru::LruCache;
 use crate::metrics::{CacheSnapshot, LatencyBreakdown, Metrics, MetricsSnapshot};
 use crate::pool::{PoolError, SolveCache, SolvePool};
 use std::collections::{HashMap, VecDeque};
@@ -29,6 +29,16 @@ const EXEMPLAR_BUFFER: usize = 4096;
 /// failed), served at `GET /debug/exemplars`.
 const EXEMPLAR_CAPACITY: usize = 8;
 
+/// Transparent re-submissions of a failed solve before the error is
+/// returned (transient failures only: worker panics and cancelled flights;
+/// deterministic optimizer verdicts are never retried).
+const RETRY_LIMIT: u32 = 2;
+
+/// Base `Retry-After` hint attached to admission-control sheds (the accept
+/// loop's fast reject sends the same 1 s); scaled up deterministically with
+/// queue pressure.
+const SHED_RETRY_AFTER: Duration = Duration::from_secs(1);
+
 /// Service construction knobs.
 #[derive(Clone)]
 pub struct ServiceOptions {
@@ -42,21 +52,6 @@ pub struct ServiceOptions {
     /// fanned out alongside the built-in [`MetricsBridge`] that feeds
     /// `GET /metrics`. Every solve the service runs is traced into these.
     pub trace_sinks: Vec<Arc<dyn Sink>>,
-    /// Transparent re-submissions of a failed solve before the error is
-    /// returned (transient failures only: worker panics and cancelled
-    /// flights; deterministic optimizer verdicts are never retried).
-    pub retry_limit: u32,
-    /// Consecutive failures of one canonical shape that trip its circuit
-    /// breaker open (0 disables the breaker).
-    pub breaker_threshold: u64,
-    /// Requests fast-failed while a breaker is open before the next request
-    /// is admitted as a half-open probe. Request-count based, so breaker
-    /// behavior is deterministic under test.
-    pub breaker_cooldown: u64,
-    /// `Retry-After` hint attached to breaker fast-fails. The hint decays
-    /// with the cooldown: a fast-fail early in the cooldown reports nearly
-    /// the full duration, the last one a fraction of it.
-    pub breaker_retry_after: Duration,
     /// Hard cap on pool queue depth: a cache miss arriving with this many
     /// jobs already queued is shed with `503` (0 disables the cap). The
     /// only hard cap; brown-out below it sheds cold misses alone.
@@ -67,9 +62,6 @@ pub struct ServiceOptions {
     /// Queue depth at which brown-out ends (hysteresis: must be at or below
     /// `queue_high_watermark`).
     pub queue_low_watermark: u64,
-    /// Base `Retry-After` hint attached to admission-control sheds; scaled
-    /// up deterministically with queue pressure.
-    pub shed_retry_after: Duration,
     /// Snapshot file the design-point cache persists to. On construction
     /// the service restores whatever the file holds (tolerating damaged
     /// records); `None` disables the atlas entirely.
@@ -79,13 +71,6 @@ pub struct ServiceOptions {
     /// deterministic under test; 0 checkpoints only on explicit
     /// [`Service::save_atlas`] calls.
     pub atlas_checkpoint_every: u64,
-    /// Record wait/hold time on every shared hot-path lock (the design
-    /// cache, single-flight table, breaker map, family index, report ring)
-    /// into per-lock registry histograms. `false` builds the same locks as
-    /// plain pass-throughs. Also disabled by setting the
-    /// `THISTLE_NO_LOCK_OBS` environment variable, which is how the CI
-    /// overhead guard compares instrumented vs uninstrumented builds.
-    pub observe_locks: bool,
 }
 
 impl std::fmt::Debug for ServiceOptions {
@@ -95,17 +80,11 @@ impl std::fmt::Debug for ServiceOptions {
             .field("cache_capacity", &self.cache_capacity)
             .field("default_timeout", &self.default_timeout)
             .field("trace_sinks", &self.trace_sinks.len())
-            .field("retry_limit", &self.retry_limit)
-            .field("breaker_threshold", &self.breaker_threshold)
-            .field("breaker_cooldown", &self.breaker_cooldown)
-            .field("breaker_retry_after", &self.breaker_retry_after)
             .field("max_queue_depth", &self.max_queue_depth)
             .field("queue_high_watermark", &self.queue_high_watermark)
             .field("queue_low_watermark", &self.queue_low_watermark)
-            .field("shed_retry_after", &self.shed_retry_after)
             .field("atlas_path", &self.atlas_path)
             .field("atlas_checkpoint_every", &self.atlas_checkpoint_every)
-            .field("observe_locks", &self.observe_locks)
             .finish()
     }
 }
@@ -117,17 +96,11 @@ impl Default for ServiceOptions {
             cache_capacity: 256,
             default_timeout: Duration::from_secs(120),
             trace_sinks: Vec::new(),
-            retry_limit: 2,
-            breaker_threshold: 5,
-            breaker_cooldown: 8,
-            breaker_retry_after: Duration::from_secs(1),
             max_queue_depth: 256,
             queue_high_watermark: 64,
             queue_low_watermark: 16,
-            shed_retry_after: Duration::from_secs(1),
             atlas_path: None,
             atlas_checkpoint_every: 32,
-            observe_locks: true,
         }
     }
 }
@@ -142,13 +115,6 @@ pub enum ServeError {
     Optimize(OptimizeError),
     Timeout,
     Shutdown,
-    /// The shape's circuit breaker is open: recent requests for it failed
-    /// consecutively, so the service fast-fails instead of burning workers.
-    CircuitOpen {
-        /// Suggested client back-off (the HTTP layer renders it as a
-        /// `Retry-After` header).
-        retry_after: Duration,
-    },
     /// Admission control shed the request to protect the service: the pool
     /// queue hit its depth cap, or brown-out mode rejected a cold miss
     /// (cache hits and near-miss solves keep being served).
@@ -177,11 +143,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Optimize(e) => write!(f, "{e}"),
             ServeError::Timeout => write!(f, "request timed out"),
             ServeError::Shutdown => write!(f, "service is shutting down"),
-            ServeError::CircuitOpen { retry_after } => write!(
-                f,
-                "circuit breaker open for this layer shape (retry after {} ms)",
-                retry_after.as_millis()
-            ),
             ServeError::Overloaded {
                 retry_after,
                 brownout,
@@ -232,20 +193,6 @@ pub struct SolveResponse {
     pub breakdown: LatencyBreakdown,
 }
 
-/// Per-shape circuit breaker state. Transitions are driven by request
-/// counts, never wall clock, so breaker behavior replays deterministically:
-///
-/// `Closed` counts consecutive failures; at `breaker_threshold` it trips to
-/// `Open`, which fast-fails the next `breaker_cooldown` requests; the
-/// request after that is admitted as a `HalfOpen` probe — success closes
-/// the breaker, failure re-opens it for another cooldown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    Closed { consecutive_failures: u64 },
-    Open { fastfails_left: u64 },
-    HalfOpen,
-}
-
 /// A long-lived optimization service: canonicalizes requests, caches design
 /// points, and fans cache misses across a worker pool with single-flight
 /// deduplication.
@@ -257,15 +204,9 @@ pub struct Service {
     exemplars: Arc<ExemplarSink>,
     ctx: TraceCtx,
     default_timeout: Duration,
-    retry_limit: u32,
-    breaker_threshold: u64,
-    breaker_cooldown: u64,
-    breaker_retry_after: Duration,
-    breakers: ObservedMutex<HashMap<CanonicalQuery, BreakerState>>,
     max_queue_depth: u64,
     queue_high_watermark: u64,
     queue_low_watermark: u64,
-    shed_retry_after: Duration,
     /// Brown-out latch for the watermark hysteresis: set when queue depth
     /// crosses the high watermark, cleared when it falls back to the low
     /// one. While set, cold misses are shed and hits/near-misses served.
@@ -296,12 +237,12 @@ impl Service {
     pub fn new(optimizer: Optimizer, options: ServiceOptions) -> Self {
         let optimizer = Arc::new(optimizer);
         let metrics = Arc::new(Metrics::new());
-        // One switch arms the whole contention observatory: when off (or
-        // env-vetoed), every hot-path lock below is a plain pass-through.
-        let observe_locks =
-            options.observe_locks && std::env::var_os("THISTLE_NO_LOCK_OBS").is_none();
-        let lock_registry: Option<Arc<Registry>> =
-            observe_locks.then(|| Arc::clone(metrics.registry()));
+        // One switch arms the whole contention observatory: with
+        // `THISTLE_NO_LOCK_OBS` set, every hot-path lock below is a plain
+        // pass-through.
+        let lock_registry: Option<Arc<Registry>> = std::env::var_os("THISTLE_NO_LOCK_OBS")
+            .is_none()
+            .then(|| Arc::clone(metrics.registry()));
         let cache_capacity = options.cache_capacity.max(1);
         let cache: Arc<SolveCache> = Arc::new(ObservedMutex::maybe_observed(
             "solve_cache",
@@ -366,21 +307,11 @@ impl Service {
             exemplars,
             ctx,
             default_timeout: options.default_timeout,
-            retry_limit: options.retry_limit,
-            breaker_threshold: options.breaker_threshold,
-            breaker_cooldown: options.breaker_cooldown,
-            breaker_retry_after: options.breaker_retry_after,
-            breakers: ObservedMutex::maybe_observed(
-                "breakers",
-                HashMap::new(),
-                lock_registry.as_deref(),
-            ),
             max_queue_depth: options.max_queue_depth,
             queue_high_watermark: options.queue_high_watermark,
             queue_low_watermark: options
                 .queue_low_watermark
                 .min(options.queue_high_watermark),
-            shed_retry_after: options.shed_retry_after,
             brownout: AtomicBool::new(false),
             reports: ObservedMutex::maybe_observed(
                 "reports",
@@ -462,10 +393,6 @@ impl Service {
             evictions: stats.evictions,
         });
         snapshot
-    }
-
-    pub fn cache_stats(&self) -> LruStats {
-        self.cache.lock().stats()
     }
 
     pub fn cache_len(&self) -> usize {
@@ -610,11 +537,6 @@ impl Service {
             }
             return Err(e);
         }
-        if let Err(retry_after) = self.breaker_admit(&query) {
-            self.metrics.record_breaker_fastfail();
-            request_span.set("breaker_fastfail", true);
-            return Err(ServeError::CircuitOpen { retry_after });
-        }
         let canonical = canonical_conv_layer(&query.layer);
         // Bounded retry of *transient* failures only: a worker panic or a
         // flight cancelled under us (we joined a solve whose original
@@ -627,7 +549,7 @@ impl Service {
                 .solve(&query, &canonical, objective, mode, donor.clone(), timeout)
             {
                 Ok(ok) => break Ok(ok),
-                Err(e) if attempt < self.retry_limit && retryable(&e) => {
+                Err(e) if attempt < RETRY_LIMIT && retryable(&e) => {
                     attempt += 1;
                     self.metrics.record_solve_retry();
                 }
@@ -637,7 +559,6 @@ impl Service {
         if attempt > 0 {
             request_span.set("retries", attempt as usize);
         }
-        self.breaker_record(&query, solved.is_ok());
         let (point, coalesced, timings) = solved.map_err(|e| {
             if matches!(e, PoolError::Timeout) {
                 self.metrics.record_timeout(timeout);
@@ -685,8 +606,8 @@ impl Service {
         })
     }
 
-    /// Admission control for cache misses, run before the breaker. Samples
-    /// the pool queue depth, enforces the hard depth cap, and drives
+    /// Admission control for cache misses: the service's one refusal
+    /// policy. Samples the pool queue depth, enforces the hard depth cap, and drives
     /// the brown-out hysteresis: crossing `queue_high_watermark` starts
     /// shedding cold misses (donor-backed near-misses stay admitted), and
     /// only falling back to `queue_low_watermark` ends it. Entirely
@@ -723,90 +644,16 @@ impl Service {
         Ok(())
     }
 
-    /// `Retry-After` hint for a shed: the configured base, doubled (tripled,
-    /// ...) as depth overshoots multiples of the hard cap, so clients back
-    /// off harder the deeper the overload. Pure arithmetic on the sampled
-    /// depth — deterministic under replay.
+    /// `Retry-After` hint for a shed: the 1 s base, doubled (tripled, ...)
+    /// as depth overshoots multiples of the hard cap, so clients back off
+    /// harder the deeper the overload. Pure arithmetic on the sampled depth
+    /// — deterministic under replay.
     fn shed_backoff(&self, depth: u64) -> Duration {
         if self.max_queue_depth == 0 {
-            return self.shed_retry_after;
+            return SHED_RETRY_AFTER;
         }
         let scale = (1 + depth / self.max_queue_depth).min(8) as u32;
-        self.shed_retry_after * scale
-    }
-
-    /// `Retry-After` for the `fastfails_left`-th remaining fast-fail of an
-    /// open breaker: the configured hint scaled by how much cooldown
-    /// remains, so the hint counts down to the half-open probe instead of
-    /// promising a fixed wait that is usually wrong.
-    fn breaker_backoff(&self, fastfails_left: u64) -> Duration {
-        let steps = self.breaker_cooldown as u128 + 1;
-        let ns = self.breaker_retry_after.as_nanos() * (fastfails_left as u128 + 1) / steps;
-        Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
-    }
-
-    /// Admits or fast-fails a request under the shape's breaker. Returns
-    /// `Err(retry_after)` when the request must be fast-failed.
-    fn breaker_admit(&self, query: &CanonicalQuery) -> Result<(), Duration> {
-        if self.breaker_threshold == 0 {
-            return Ok(());
-        }
-        let mut breakers = self.breakers.lock();
-        match breakers.get_mut(query) {
-            Some(BreakerState::Open { fastfails_left }) => {
-                if *fastfails_left == 0 {
-                    // Cooldown spent: admit this request as the probe.
-                    breakers.insert(query.clone(), BreakerState::HalfOpen);
-                    Ok(())
-                } else {
-                    *fastfails_left -= 1;
-                    Err(self.breaker_backoff(*fastfails_left))
-                }
-            }
-            // At most one probe at a time while half-open; the hint is the
-            // shortest step — the probe outcome is imminent.
-            Some(BreakerState::HalfOpen) => Err(self.breaker_backoff(0)),
-            Some(BreakerState::Closed { .. }) | None => Ok(()),
-        }
-    }
-
-    /// Folds one admitted request's outcome into the shape's breaker.
-    fn breaker_record(&self, query: &CanonicalQuery, ok: bool) {
-        if self.breaker_threshold == 0 {
-            return;
-        }
-        let mut breakers = self.breakers.lock();
-        if ok {
-            breakers.remove(query);
-            return;
-        }
-        let state = breakers
-            .entry(query.clone())
-            .or_insert(BreakerState::Closed {
-                consecutive_failures: 0,
-            });
-        match state {
-            BreakerState::Closed {
-                consecutive_failures,
-            } => {
-                *consecutive_failures += 1;
-                if *consecutive_failures >= self.breaker_threshold {
-                    *state = BreakerState::Open {
-                        fastfails_left: self.breaker_cooldown,
-                    };
-                    self.metrics.record_breaker_opened();
-                }
-            }
-            // The half-open probe failed: straight back to open.
-            BreakerState::HalfOpen => {
-                *state = BreakerState::Open {
-                    fastfails_left: self.breaker_cooldown,
-                };
-                self.metrics.record_breaker_opened();
-            }
-            // Concurrent failure racing an open breaker; leave it be.
-            BreakerState::Open { .. } => {}
-        }
+        SHED_RETRY_AFTER * scale
     }
 
     /// Rewrites a canonical-orientation design point for the requesting
@@ -1072,7 +919,7 @@ mod tests {
         ];
         // `THISTLE_NO_LOCK_OBS` turns lock observation off; then the lock
         // series and keys are absent and nothing else changes.
-        let all_locks = ["breakers", "families", "inflight", "reports", "solve_cache"];
+        let all_locks = ["families", "inflight", "reports", "solve_cache"];
         let locks: &[&str] = if snap.locks.is_empty() {
             &[]
         } else {
@@ -1090,8 +937,6 @@ mod tests {
             "worker_respawns_total",
             "solve_retries_total",
             "cancelled_solves_total",
-            "breaker_opened_total",
-            "breaker_fastfails_total",
             "degraded_results_total",
             "near_miss_hits_total",
             "shed_total",
@@ -1150,7 +995,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(series.len(), 89 + 7 * locks.len());
+        assert_eq!(series.len(), 87 + 7 * locks.len());
         let text = snap.to_prometheus();
         let samples: Vec<&str> = text
             .lines()
@@ -1174,8 +1019,6 @@ mod tests {
             "worker_respawns",
             "solve_retries",
             "cancelled_solves",
-            "breaker_opened",
-            "breaker_fastfails",
             "degraded_results",
             "near_miss_hits",
             "shed",
@@ -1220,7 +1063,7 @@ mod tests {
                 keys.insert(format!("locks.{lock}.{leaf}"));
             }
         }
-        assert_eq!(keys.len(), 89 + 7 * locks.len());
+        assert_eq!(keys.len(), 87 + 7 * locks.len());
         let mut rendered = BTreeSet::new();
         json_leaf_keys(&snap.to_json(), "", &mut rendered);
         let missing: Vec<_> = keys.difference(&rendered).collect();

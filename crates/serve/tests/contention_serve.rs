@@ -200,29 +200,6 @@ fn queue_wait_grows_under_saturation_while_solve_stays_flat() {
     }
 }
 
-/// `observe_locks: false` turns the whole observatory into pass-through
-/// wrappers: no lock families registered, nothing in the snapshot.
-#[test]
-fn lock_observation_can_be_disabled() {
-    let service = Service::new(
-        quick_optimizer(),
-        ServiceOptions {
-            workers: 1,
-            cache_capacity: 8,
-            default_timeout: Duration::from_secs(300),
-            observe_locks: false,
-            ..ServiceOptions::default()
-        },
-    );
-    let response = service
-        .optimize(&distinct_layer(0), Objective::Energy, &mode())
-        .expect("solve");
-    // The breakdown still decomposes (queue/solve are pool timestamps),
-    // only the lock-wait accounting is off.
-    assert!(response.breakdown.solve_ms > 0.0);
-    assert!(service.metrics().snapshot().locks.is_empty());
-}
-
 /// End-to-end over HTTP: the response body carries the breakdown, both
 /// metrics formats export the phase and lock families, and
 /// `/debug/contention` renders the same story.

@@ -1,8 +1,8 @@
 //! Acceptance tests for admission control and brown-out shedding: a
 //! browned-out service refuses cold misses with `Overloaded` (503 +
 //! Retry-After over HTTP) while cache hits and donor-backed warm starts
-//! keep being served, the breaker's Retry-After tracks the cooldown
-//! remaining, and the overload counters land in the metrics snapshot.
+//! keep being served, and the overload counters land in the metrics
+//! snapshot.
 //!
 //! Brown-out is driven deterministically by `queue_high_watermark: 0`:
 //! with the high watermark at zero every admission check observes
@@ -90,7 +90,6 @@ fn browned_out_service_with_donor(tag: &str) -> Service {
         ServiceOptions {
             atlas_path: Some(path),
             queue_high_watermark: 0,
-            shed_retry_after: Duration::from_secs(2),
             ..quick_options()
         },
     )
@@ -116,7 +115,7 @@ fn brownout_sheds_cold_misses_but_serves_hits_and_warm_starts() {
             brownout,
         } => {
             assert!(brownout, "cold miss under brown-out, not a hard shed");
-            assert_eq!(retry_after, Duration::from_secs(2));
+            assert_eq!(retry_after, Duration::from_secs(1));
         }
         other => panic!("expected a brown-out shed, got {other:?}"),
     }
@@ -209,7 +208,7 @@ fn browned_out_server_returns_503_with_retry_after_and_stays_healthy() {
         .lines()
         .find_map(|l| l.strip_prefix("Retry-After: "))
         .expect("shed response carries Retry-After");
-    assert_eq!(retry_after.trim(), "2");
+    assert_eq!(retry_after.trim(), "1");
     let parsed = Json::parse(&body).expect("JSON error body");
     assert!(
         parsed
