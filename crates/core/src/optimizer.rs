@@ -28,7 +28,7 @@ use thistle_model::{
 };
 use thistle_obs::{span, TraceCtx};
 use timeloop_lite::{
-    capacity_needs, evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec, Traffic,
+    capacity_needs, compute_cycles, evaluate, ArchSpec, EvalResult, Mapping, ProblemSpec, Traffic,
 };
 
 /// Tuning knobs for the optimizer pipeline.
@@ -949,10 +949,11 @@ impl Optimizer {
             .flatten()
             .collect()
         };
-        let mut traffic_counts = 0;
+        let mut work = RescoreWork::default();
         let mut outcomes = Vec::with_capacity(solved.len());
         for group in finished {
-            traffic_counts += group.traffic_counts;
+            work.traffic_counts += group.work.traffic_counts;
+            work.pruned += group.work.pruned;
             outcomes.extend(group.members);
         }
         // A group nobody claimed was skipped by an expired deadline.
@@ -991,7 +992,8 @@ impl Optimizer {
             rescore_span.set("rejected_area", counts.rejected_area);
             rescore_span.set("rejected_infeasible", counts.rejected_infeasible);
             rescore_span.set("prefiltered", counts.prefiltered);
-            rescore_span.set("traffic_counts", traffic_counts);
+            rescore_span.set("traffic_counts", work.traffic_counts);
+            rescore_span.set("pruned", work.pruned);
         }
         drop(rescore_span);
         let mut candidates_evaluated = counts.evaluated as usize;
@@ -1114,7 +1116,7 @@ impl Optimizer {
             }))
             .ok()
         };
-        let (outcomes, traffic_counts) = shared.unwrap_or_default();
+        let (outcomes, work) = shared.unwrap_or_default();
         let mut outcomes = outcomes.into_iter();
         let members = group
             .iter()
@@ -1127,21 +1129,22 @@ impl Optimizer {
                 (index, outcome)
             })
             .collect();
-        GroupOutcome {
-            members,
-            traffic_counts,
-        }
+        GroupOutcome { members, work }
     }
 
     /// The shared work of [`Optimizer::rescore_group`]: one outcome per
-    /// `live` member, and the [`Traffic::count`] calls made. The integer
-    /// space is built once. The area filter and the capacity prefilter on
-    /// the referee's own needs ([`capacity_needs`]) run once per combination
-    /// and architecture choice: the needs, the PEs used and validity read no
-    /// loop order, so member 0's verdict serves all. Traffic is counted once
-    /// per [`LoopOrderClasses`] class, lazily, and priced once per class and
-    /// choice. A mapping is cloned, and a full evaluation built, only for a
-    /// member's new best; leaders clone the mapping. See DESIGN.md §14.
+    /// `live` member, and the work it took. The integer space is built once.
+    /// The area filter and the referee's verdict run once per combination
+    /// and architecture choice, on member 0's mapping and without a count:
+    /// validity, the capacity needs ([`capacity_needs`]) and the PEs used
+    /// read no loop order, so its verdict serves all. A member whose leaders
+    /// are full and whose last leader scores at most the combination's
+    /// [`score_floor`] is settled without a score: no price of that
+    /// candidate can place. Traffic is counted once per [`LoopOrderClasses`]
+    /// class with a member still live, lazily, and priced once per class
+    /// and choice; the other members' mappings are tiled only then. A
+    /// mapping is cloned, and a full evaluation built, only for a member's
+    /// new best; leaders clone the mapping. See DESIGN.md §14.
     #[allow(clippy::too_many_arguments)]
     fn rescore_members(
         &self,
@@ -1152,7 +1155,7 @@ impl Optimizer {
         group: &[usize],
         live: &[usize],
         ctx: &TraceCtx,
-    ) -> (Vec<RescoreOutcome>, u64) {
+    ) -> (Vec<RescoreOutcome>, RescoreWork) {
         let lead = &solved[live[0]];
         let space = {
             let mut int_span = span!(ctx, "integerize", solution = group[0]);
@@ -1166,7 +1169,7 @@ impl Optimizer {
         };
         let keep_leaders = objective != Objective::Energy;
         let mut counts = RescoreCounts::default();
-        let mut traffic_counts = 0;
+        let mut work = RescoreWork::default();
         let mut outs: Vec<RescoreOutcome> =
             live.iter().map(|_| RescoreOutcome::default()).collect();
         // Co-design overwrites each spec's PE count per combination; no other
@@ -1187,21 +1190,21 @@ impl Optimizer {
             .map(|&index| base_mapping(workload, &solved[index].gp, &space.tiled))
             .collect();
         let mut classes = LoopOrderClasses::default();
-        // Per member, reset per combination: the traffic of the class it
-        // leads, and that traffic's score under the current choice.
+        // Per class lead: its traffic, reset per combination, and that
+        // traffic's score, reset per choice. Per member: whether the floor
+        // settles it at the current choice.
         let mut counted = vec![None; live.len()];
         let mut scores: Vec<Option<f64>> = vec![None; live.len()];
+        let mut settled = vec![false; live.len()];
+        let macs = prob_spec.macs();
         for combo in &space.combos {
-            for mapping in &mut mappings {
-                set_tiling(mapping, &space.tiled, combo);
-            }
+            set_tiling(&mut mappings[0], &space.tiled, combo);
+            let mut all_tiled = mappings.len() == 1;
             let pes = mappings[0].pe_count();
             let (reg_need, sram_need) = capacity_needs(prob_spec, &mappings[0]);
+            let mut valid = None;
+            let floor = score_floor(objective, macs, pes);
             counted.fill(None);
-            let mut count = |m: usize| {
-                traffic_counts += 1;
-                Traffic::count(prob_spec, &mappings[m])
-            };
             let mut combo_classes = None;
             for (choice, spec) in space.arch_choices.iter().zip(&mut specs) {
                 let arch = match *choice {
@@ -1231,27 +1234,46 @@ impl Optimizer {
                     counts.prefiltered += 1;
                     continue;
                 }
-                let fits = match counted[0].get_or_insert_with(|| count(0)) {
-                    Ok(traffic) => traffic.fits(spec).is_ok(),
-                    Err(_) => false,
-                };
-                if !fits {
+                // The rest of the referee's verdict, [`Traffic::fits`] on a
+                // valid mapping: past the prefilter, only the PEs can fail.
+                if pes > spec.pe_count
+                    || !*valid.get_or_insert_with(|| mappings[0].validate(prob_spec).is_ok())
+                {
                     counts.rejected_infeasible += 1;
                     continue;
                 }
-                let class_of: &[usize] = combo_classes.get_or_insert_with(|| classes.of(&mappings));
-                for (m, out) in outs.iter_mut().enumerate() {
-                    let lead = class_of[m];
-                    if lead == m {
-                        scores[m] = counted[m]
-                            .get_or_insert_with(|| count(m))
-                            .as_ref()
-                            .ok()
-                            .map(|t| objective_score(objective, t.energy_pj(spec), t.cycles(spec)));
+                if let Some(floor) = floor {
+                    for (settled, out) in settled.iter_mut().zip(&outs) {
+                        *settled = out.settled_by(floor);
                     }
-                    let (Some(score), Some(Ok(traffic))) = (scores[lead], &counted[lead]) else {
+                    let pruned = settled.iter().filter(|&&s| s).count();
+                    work.pruned += pruned as u64;
+                    if pruned == outs.len() {
+                        continue;
+                    }
+                }
+                if !all_tiled {
+                    for mapping in &mut mappings[1..] {
+                        set_tiling(mapping, &space.tiled, combo);
+                    }
+                    all_tiled = true;
+                }
+                let class_of: &[usize] = combo_classes.get_or_insert_with(|| classes.of(&mappings));
+                scores.fill(None);
+                for (m, out) in outs.iter_mut().enumerate() {
+                    if settled[m] {
+                        continue;
+                    }
+                    let lead = class_of[m];
+                    let Ok(traffic) = counted[lead].get_or_insert_with(|| {
+                        work.traffic_counts += 1;
+                        Traffic::count(prob_spec, &mappings[lead])
+                    }) else {
                         continue;
                     };
+                    let score = *scores[lead].get_or_insert_with(|| {
+                        objective_score(objective, traffic.energy_pj(spec), traffic.cycles(spec))
+                    });
                     if keep_leaders {
                         push_leader(&mut out.leaders, score, || (arch, mappings[m].clone()));
                     }
@@ -1269,7 +1291,7 @@ impl Optimizer {
         for out in &mut outs {
             out.counts = counts.clone();
         }
-        (outs, traffic_counts)
+        (outs, work)
     }
 
     /// One relaxed solution's integer design space: the capped tile-size
@@ -1412,14 +1434,35 @@ struct RescoreOutcome {
     counts: RescoreCounts,
 }
 
+impl RescoreOutcome {
+    /// Whether no candidate scoring at least `floor` can change this
+    /// outcome: the leaders are full and the last scores at most `floor`.
+    /// Such a candidate goes after the last leader, so it does not get in,
+    /// and it cannot beat the best, which scores at most the last leader.
+    fn settled_by(&self, floor: f64) -> bool {
+        self.leaders
+            .get(LEADERS - 1)
+            .is_some_and(|&(last, _)| floor >= last)
+    }
+}
+
+/// The work behind a rescore, beyond its verdict counts.
+#[derive(Default)]
+struct RescoreWork {
+    /// [`Traffic::count`] calls: at most one per loop-order class of a tile
+    /// combination, shared by its architecture choices.
+    traffic_counts: u64,
+    /// Member candidates the referee accepts that [`score_floor`] settled
+    /// without a score.
+    pruned: u64,
+}
+
 /// What rescoring one content group produced.
 struct GroupOutcome {
     /// Each member's solution index and outcome, in solution order; `None`
     /// for a member that panicked.
     members: Vec<(usize, Option<RescoreOutcome>)>,
-    /// [`Traffic::count`] calls: at most one per loop-order class of a tile
-    /// combination, shared by its architecture choices.
-    traffic_counts: u64,
+    work: RescoreWork,
 }
 
 /// The loop-order classes of a content group's members at one tile
@@ -1488,6 +1531,18 @@ fn push_leader<T>(leaders: &mut Vec<(f64, T)>, score: f64, make: impl FnOnce() -
     if at < LEADERS {
         leaders.insert(at, (score, make()));
         leaders.truncate(LEADERS);
+    }
+}
+
+/// A floor on the score under `objective` of every candidate that uses `pes`
+/// PEs, whatever its loop orders and architecture: for delay, the referee's
+/// own compute cycles ([`compute_cycles`]), which its cycle count is a `max`
+/// over. Energy and the energy-delay product have none that is cheaper than
+/// a count.
+fn score_floor(objective: Objective, macs: u64, pes: u64) -> Option<f64> {
+    match objective {
+        Objective::Delay => Some(compute_cycles(macs, pes)),
+        Objective::Energy | Objective::EnergyDelayProduct => None,
     }
 }
 
@@ -2034,15 +2089,15 @@ mod tests {
                     let mut alone_counts = 0;
                     for (index, outcome) in &together.members {
                         let alone = rescore(&[*index]);
-                        alone_counts += alone.traffic_counts;
+                        alone_counts += alone.work.traffic_counts;
                         assert_eq!(
                             outcome_bits(outcome.as_ref().unwrap()),
                             outcome_bits(alone.members[0].1.as_ref().unwrap()),
                             "{context}: solution {index} of {group:?}"
                         );
                     }
-                    assert!(together.traffic_counts <= alone_counts, "{context}");
-                    fewer_counts |= together.traffic_counts < alone_counts;
+                    assert!(together.work.traffic_counts <= alone_counts, "{context}");
+                    fewer_counts |= together.work.traffic_counts < alone_counts;
                     scores_differ |= together
                         .members
                         .windows(2)
@@ -2077,6 +2132,156 @@ mod tests {
         }
         assert!(fewer_counts, "no group shared a traffic count");
         assert!(scores_differ, "no group's members scored differently");
+    }
+
+    /// The loop rescore must reproduce, written plainly: every combination
+    /// and architecture choice, a full [`evaluate`] of the solution's own
+    /// mapping for each candidate past the capacity prefilter, the best by
+    /// strict `<` and the leaders by [`push_leader`]. It also checks that
+    /// [`score_floor`] never exceeds a score. Returns the outcome, the
+    /// referee calls it made and the scores equal to their floor.
+    fn exhaustive_rescore(
+        opt: &Optimizer,
+        workload: &Workload,
+        prob_spec: &ProblemSpec,
+        objective: Objective,
+        sol: &SweepSolution,
+    ) -> (RescoreOutcome, u64, u64) {
+        let space = opt.integer_space(workload, &sol.gp, &sol.point);
+        let mut mapping = base_mapping(workload, &sol.gp, &space.tiled);
+        let mut out = RescoreOutcome::default();
+        let (mut referee_calls, mut at_floor) = (0, 0);
+        for combo in &space.combos {
+            set_tiling(&mut mapping, &space.tiled, combo);
+            for choice in &space.arch_choices {
+                let arch = match *choice {
+                    ArchChoice::Fixed(a) => a,
+                    ArchChoice::CoDesign {
+                        regs,
+                        sram,
+                        area_budget,
+                    } => {
+                        let arch = ArchConfig::new(mapping.pe_count(), regs, sram);
+                        if arch.area_um2(opt.tech()) > area_budget {
+                            out.counts.rejected_area += 1;
+                            continue;
+                        }
+                        arch
+                    }
+                };
+                out.counts.evaluated += 1;
+                let (reg_need, sram_need) = capacity_needs(prob_spec, &mapping);
+                if reg_need > arch.regs_per_pe || sram_need > arch.sram_words {
+                    out.counts.rejected_infeasible += 1;
+                    out.counts.prefiltered += 1;
+                    continue;
+                }
+                referee_calls += 1;
+                let spec =
+                    ArchSpec::from_config("candidate", &arch, opt.tech(), opt.bandwidths().clone());
+                let Ok(eval) = evaluate(prob_spec, &spec, &mapping) else {
+                    out.counts.rejected_infeasible += 1;
+                    continue;
+                };
+                let score = objective_score(objective, eval.energy_pj, eval.cycles);
+                if let Some(floor) = score_floor(objective, prob_spec.macs(), mapping.pe_count()) {
+                    assert!(floor <= score, "floor {floor} above score {score}");
+                    at_floor += u64::from(floor == score);
+                }
+                if objective != Objective::Energy {
+                    push_leader(&mut out.leaders, score, || (arch, mapping.clone()));
+                }
+                if out.best.as_ref().is_none_or(|b| score < b.score) {
+                    out.best = Some(Scored {
+                        score,
+                        arch,
+                        mapping: mapping.clone(),
+                        eval,
+                    });
+                }
+            }
+        }
+        (out, referee_calls, at_floor)
+    }
+
+    /// Rescore, with its shared verdicts, loop-order classes and score
+    /// floor, gives every member exactly what the exhaustive referee loop
+    /// gives its solution, in its content group and alone. Where the floor
+    /// bites (fixed Eyeriss, delay, full leader lists) a member alone counts
+    /// traffic for fewer candidates than the loop calls the referee on, and
+    /// the floor is tight: some scores equal it, so any higher floor would
+    /// exceed them. Energy has no floor.
+    #[test]
+    fn rescore_equals_the_exhaustive_referee_loop() {
+        // Holds off the fault plans other tests of this binary install.
+        #[cfg(feature = "fault-inject")]
+        let _guard = thistle_fault::FaultPlan::new().install();
+        let opt = Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
+            max_perm_pairs: 32,
+            candidate_limit: 1000,
+            top_solutions: 12,
+            threads: 2,
+            ..OptimizerOptions::default()
+        });
+        let workload = ConvLayer::new("t", 1, 32, 64, 28, 28, 3, 3, 1).workload();
+        let prob_spec = to_problem_spec(&workload);
+        let ctx = TraceCtx::disabled();
+        let same_area = CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), opt.tech());
+        for mode in [
+            ArchMode::Fixed(ArchConfig::eyeriss()),
+            ArchMode::CoDesign(same_area),
+        ] {
+            for objective in [Objective::Energy, Objective::Delay] {
+                let context = format!("{mode:?} {objective}");
+                let solved = top_solutions(&opt, &workload, objective, &mode);
+                let oracle: Vec<_> = solved
+                    .iter()
+                    .map(|sol| exhaustive_rescore(&opt, &workload, &prob_spec, objective, sol))
+                    .collect();
+                let rescore = |group: &[usize]| {
+                    opt.rescore_group(&workload, &prob_spec, objective, &solved, group, &ctx)
+                };
+                let mut alone_work = RescoreWork::default();
+                for group in content_groups(&solved) {
+                    let together = rescore(&group);
+                    for (index, outcome) in &together.members {
+                        let expected = outcome_bits(&oracle[*index].0);
+                        assert_eq!(
+                            outcome_bits(outcome.as_ref().unwrap()),
+                            expected,
+                            "{context}: solution {index} of {group:?}"
+                        );
+                        let alone = rescore(&[*index]);
+                        alone_work.traffic_counts += alone.work.traffic_counts;
+                        alone_work.pruned += alone.work.pruned;
+                        assert_eq!(
+                            outcome_bits(alone.members[0].1.as_ref().unwrap()),
+                            expected,
+                            "{context}: solution {index} alone"
+                        );
+                    }
+                }
+                let referee_calls: u64 = oracle.iter().map(|(_, calls, _)| calls).sum();
+                let at_floor: u64 = oracle.iter().map(|(.., at_floor)| at_floor).sum();
+                match (&mode, objective) {
+                    (_, Objective::Energy) => assert_eq!(alone_work.pruned, 0, "{context}"),
+                    (ArchMode::Fixed(_), _) => {
+                        assert!(at_floor > 0, "{context}: no score attains its floor");
+                        assert!(
+                            oracle.iter().all(|(out, ..)| out.leaders.len() == LEADERS),
+                            "{context}: a leader list is not full"
+                        );
+                        assert!(alone_work.pruned > 0, "{context}");
+                        assert!(
+                            alone_work.traffic_counts < referee_calls,
+                            "{context}: {} traffic counts for {referee_calls} referee calls",
+                            alone_work.traffic_counts
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     /// Classes are cached per unit-loop mask of both temporal levels. Two

@@ -24,7 +24,7 @@ use crate::volumes::TrafficModel;
 use crate::workload::{Dim, Workload};
 use std::fmt;
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
-use thistle_expr::{Assignment, Monomial, Posynomial, Signomial, Var};
+use thistle_expr::{Monomial, Posynomial, Signomial, Var};
 use thistle_gp::GpProblem;
 
 /// What to minimize.
@@ -151,39 +151,13 @@ pub struct GeneratedGp {
     pub arch_vars: Option<ArchVars>,
     /// The delay variable, if the objective is delay.
     pub delay_var: Option<Var>,
-    objective: Objective,
     mode: ArchMode,
-    num_ops: f64,
 }
 
 impl GeneratedGp {
-    /// The architecture at `point`: the fixed config, or the co-design
-    /// variables' (real-valued) values.
-    pub fn arch_at(&self, point: &Assignment) -> (f64, f64, f64) {
-        match (&self.mode, self.arch_vars) {
-            (ArchMode::Fixed(a), _) => {
-                (a.pe_count as f64, a.regs_per_pe as f64, a.sram_words as f64)
-            }
-            (ArchMode::CoDesign(_), Some(av)) => {
-                (point.get(av.pes), point.get(av.regs), point.get(av.sram))
-            }
-            (ArchMode::CoDesign(_), None) => unreachable!("co-design GPs carry arch vars"),
-        }
-    }
-
-    /// The objective this GP minimizes.
-    pub fn objective_kind(&self) -> Objective {
-        self.objective
-    }
-
     /// The architecture mode this GP was generated under.
     pub fn mode(&self) -> &ArchMode {
         &self.mode
-    }
-
-    /// Number of MACs in the workload.
-    pub fn num_ops(&self) -> f64 {
-        self.num_ops
     }
 }
 
@@ -426,9 +400,7 @@ impl ProblemGenerator {
             perm3: perm3.to_vec(),
             arch_vars,
             delay_var,
-            objective,
             mode: mode.clone(),
-            num_ops,
         })
     }
 }
@@ -437,6 +409,7 @@ impl ProblemGenerator {
 mod tests {
     use super::*;
     use crate::workload::{matmul_workload, ConvLayer};
+    use thistle_expr::Assignment;
     use thistle_gp::SolveOptions;
 
     fn tech() -> TechnologyParams {
@@ -452,32 +425,39 @@ mod tests {
         TrafficModel::build(&gp.space, &gp.perm1, &gp.perm3)
     }
 
-    /// Exact modeled energy (pJ) at a concrete point under the default
-    /// register-cost model: the exact traffic totals, no posynomial
-    /// relaxation.
-    fn energy_at(gp: &GeneratedGp, point: &Assignment) -> f64 {
+    /// Exact modeled energy (pJ) of `num_ops` MACs at a concrete point
+    /// under the default register-cost model: the exact traffic totals, no
+    /// posynomial relaxation, at the fixed architecture or the co-design
+    /// variables' real values.
+    fn energy_at(gp: &GeneratedGp, point: &Assignment, num_ops: f64) -> f64 {
         let totals = traffic(gp).totals;
         let tech = tech();
-        let (_, regs, sram) = gp.arch_at(point);
+        let (regs, sram) = match gp.mode() {
+            ArchMode::Fixed(a) => (a.regs_per_pe as f64, a.sram_words as f64),
+            ArchMode::CoDesign(_) => {
+                let av = gp.arch_vars.expect("co-design GPs carry arch vars");
+                (point.get(av.regs), point.get(av.sram))
+            }
+        };
         let eps_r = tech.register_energy_pj(regs);
         let eps_s = tech.sram_energy_pj(sram);
         let t_sr = totals.sram_reg.eval(point);
         let t_ds = totals.dram_sram.eval(point);
-        (4.0 * eps_r + tech.energy_mac_pj) * gp.num_ops()
+        (4.0 * eps_r + tech.energy_mac_pj) * num_ops
             + eps_r * totals.reg_fills.eval(point)
             + eps_s * (t_sr + t_ds)
             + tech.energy_dram_pj * t_ds
     }
 
-    /// Exact modeled delay (cycles) at a concrete point under the default
-    /// bandwidths: the max over compute, SRAM-bandwidth, and
-    /// DRAM-bandwidth components.
-    fn delay_at(gp: &GeneratedGp, point: &Assignment) -> f64 {
+    /// Exact modeled delay (cycles) of `num_ops` MACs at a concrete point
+    /// under the default bandwidths: the max over compute, SRAM-bandwidth,
+    /// and DRAM-bandwidth components.
+    fn delay_at(gp: &GeneratedGp, point: &Assignment, num_ops: f64) -> f64 {
         let traffic = traffic(gp);
         let bandwidths = Bandwidths::default();
         let t_sr = traffic.totals.sram_reg.eval(point);
         let t_ds = traffic.totals.dram_sram.eval(point);
-        let compute = gp.num_ops() / traffic.pe_product.eval(point);
+        let compute = num_ops / traffic.pe_product.eval(point);
         let sram = (t_sr + t_ds) / bandwidths.sram_words_per_cycle;
         let dram = t_ds / bandwidths.dram_words_per_cycle;
         compute.max(sram).max(dram)
@@ -486,7 +466,7 @@ mod tests {
     #[test]
     fn fixed_energy_gp_solves_and_is_feasible() {
         let wl = matmul_workload(256, 256, 256);
-        let gen = ProblemGenerator::new(wl, tech(), Bandwidths::default());
+        let gen = ProblemGenerator::new(wl.clone(), tech(), Bandwidths::default());
         let (p1, p3) = first_class(&gen);
         let gp = gen
             .generate(
@@ -503,7 +483,7 @@ mod tests {
             (4.0 * ArchConfig::eyeriss().register_energy_pj(&tech()) + 2.2) * 256.0f64.powi(3);
         assert!(sol.objective >= floor * 0.999);
         // Exact evaluation agrees with the GP objective within the relaxation.
-        let exact = energy_at(&gp, &sol.assignment);
+        let exact = energy_at(&gp, &sol.assignment, wl.num_ops());
         assert!(exact <= sol.objective * 1.0 + 1e-6);
     }
 
@@ -555,13 +535,13 @@ mod tests {
             "delay mode should not use fewer PEs ({pes_delay} vs {pes_energy})"
         );
         // Delay is bounded below by N_ops / P.
-        assert!(ds.objective >= e.num_ops() / 168.0 * 0.999);
+        assert!(ds.objective >= layer.workload().num_ops() / 168.0 * 0.999);
     }
 
     #[test]
     fn delay_objective_matches_component_max() {
         let wl = matmul_workload(128, 128, 128);
-        let gen = ProblemGenerator::new(wl, tech(), Bandwidths::default());
+        let gen = ProblemGenerator::new(wl.clone(), tech(), Bandwidths::default());
         let (p1, p3) = first_class(&gen);
         let gp = gen
             .generate(
@@ -572,7 +552,7 @@ mod tests {
             )
             .unwrap();
         let sol = gp.problem.solve(&SolveOptions::default()).unwrap();
-        let exact = delay_at(&gp, &sol.assignment);
+        let exact = delay_at(&gp, &sol.assignment, wl.num_ops());
         // The GP objective upper-bounds the exact max-of-components (it uses
         // posynomial relaxations of the traffic).
         assert!(

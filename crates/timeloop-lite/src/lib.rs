@@ -48,5 +48,7 @@ pub use arch::ArchSpec;
 pub use gamma::{GammaOptions, GammaResult, GeneticMapper};
 pub use mapper::{Mapper, MapperOptions, MapperResult};
 pub use mapping::Mapping;
-pub use model::{capacity_needs, evaluate, evaluate_traced, EvalError, EvalResult, Traffic};
+pub use model::{
+    capacity_needs, compute_cycles, evaluate, evaluate_traced, EvalError, EvalResult, Traffic,
+};
 pub use problem::ProblemSpec;

@@ -222,6 +222,13 @@ pub fn capacity_needs(prob: &ProblemSpec, mapping: &Mapping) -> (u64, u64) {
     (need(register_tile), need(sram_tile))
 }
 
+/// The compute component of [`Traffic::cycles`]: `macs` spread over
+/// `pe_used` PEs. It reads no loop order and no architecture, and the cycles
+/// are a `max` over it, so it is a floor on them, bit for bit.
+pub fn compute_cycles(macs: u64, pe_used: u64) -> f64 {
+    macs as f64 / pe_used as f64
+}
+
 /// One tensor's counts for a validated mapping, the single counting helper
 /// behind [`tensor_traffic`] and [`Traffic::count`]: register fill words per
 /// PE per SRAM tile, SRAM fill words in total, and the PEs needing distinct
@@ -394,7 +401,7 @@ impl Traffic {
     /// bandwidth components. Equals [`EvalResult::cycles`].
     pub fn cycles(&self, arch: &ArchSpec) -> f64 {
         let bw = &arch.bandwidths;
-        let compute_cycles = self.macs as f64 / self.pe_used as f64;
+        let compute_cycles = compute_cycles(self.macs, self.pe_used);
         let sram_cycles = self.sram.total() / bw.sram_words_per_cycle;
         let dram_cycles = self.dram.total() / bw.dram_words_per_cycle;
         let reg_cycles = self.reg_fill_per_pe / bw.reg_words_per_cycle_per_pe;

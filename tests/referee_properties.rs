@@ -8,7 +8,8 @@ use rand::seq::SliceRandom as _;
 use rand::{Rng as _, SeedableRng as _};
 use thistle_repro::timeloop_lite::mapping::MapLevel;
 use thistle_repro::timeloop_lite::{
-    evaluate, model, problem, ArchSpec, EvalError, EvalResult, Mapping, Traffic,
+    capacity_needs, compute_cycles, evaluate, model, problem, ArchSpec, EvalError, EvalResult,
+    Mapping, Traffic,
 };
 
 /// Random valid mapping for a problem, from a seed.
@@ -381,6 +382,45 @@ proptest! {
                 prop_assert_eq!(t.cycles(arch).to_bits(), e.cycles.to_bits());
                 prop_assert_eq!(t.utilization(arch).to_bits(), e.utilization.to_bits());
             }
+        }
+    }
+
+    /// The compute cycles read no loop order and no architecture, and they
+    /// never exceed the cycle count, bit for bit: the delay floor rescore
+    /// settles candidates with.
+    #[test]
+    fn compute_cycles_floor_the_cycle_count(
+        conv in 0u8..2, a in 1u64..7, b in 1u64..7, c in 2u64..9, seed in 0u64..1_000_000,
+    ) {
+        let (prob, m, archs) = referee_case(conv == 1, a, b, c, seed);
+        let Ok(counted) = Traffic::count(&prob, &m) else {
+            return Ok(());
+        };
+        let floor = compute_cycles(prob.macs(), m.pe_count());
+        for arch in &archs {
+            let cycles = counted.cycles(arch);
+            prop_assert!(floor <= cycles, "floor {} above cycles {}", floor, cycles);
+        }
+    }
+
+    /// The referee's verdict read without a count (a valid mapping whose
+    /// capacity needs and PEs fit) is a count followed by `fits`, case for
+    /// case.
+    #[test]
+    fn count_free_verdict_equals_counted_fits(
+        conv in 0u8..2, a in 1u64..7, b in 1u64..7, c in 2u64..9, seed in 0u64..1_000_000,
+    ) {
+        let (prob, m, archs) = referee_case(conv == 1, a, b, c, seed);
+        let counted = Traffic::count(&prob, &m);
+        for arch in &archs {
+            let count_free = m.validate(&prob).is_ok() && {
+                let (reg_need, sram_need) = capacity_needs(&prob, &m);
+                reg_need <= arch.regs_per_pe
+                    && sram_need <= arch.sram_words
+                    && m.pe_count() <= arch.pe_count
+            };
+            let fits = counted.as_ref().is_ok_and(|t| t.fits(arch).is_ok());
+            prop_assert_eq!(count_free, fits);
         }
     }
 
