@@ -33,7 +33,6 @@ use thistle::{
     SolverFingerprint, FINGERPRINT_WORDS,
 };
 use thistle_arch::ArchConfig;
-use thistle_expr::ArenaStats;
 use thistle_model::{Dim, Objective};
 use timeloop_lite::model::LevelStats;
 use timeloop_lite::{EvalResult, Mapping};
@@ -428,22 +427,9 @@ fn encode_report(w: &mut ByteWriter, rep: &SolveReport) {
     // Retired utilization-floor counter: always 0, kept so revision 4
     // files keep their layout.
     w.put_u64(0);
-    match &rep.arena {
-        Some(a) => {
-            w.put_bool(true);
-            for v in [
-                a.intern_hits,
-                a.intern_misses,
-                a.mul_hits,
-                a.mul_misses,
-                a.subst_hits,
-                a.subst_misses,
-            ] {
-                w.put_u64(v);
-            }
-        }
-        None => w.put_bool(false),
-    }
+    // Retired expression-arena counters: always absent, so revision 4
+    // files keep their layout.
+    w.put_bool(false);
     w.put_bool(rep.warm_started);
     w.put_i64(rep.warm_newton_saved);
     w.put_u32(rep.batch_classes);
@@ -467,22 +453,13 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
     let rejected_infeasible = r.get_u64()?;
     // Retired utilization-floor counter (see `encode_report`).
     r.get_u64()?;
-    let arena = if r.get_bool()? {
-        let mut v = [0u64; 6];
-        for slot in &mut v {
-            *slot = r.get_u64()?;
+    // Retired expression-arena counters: older files may carry the six
+    // words (see `encode_report`).
+    if r.get_bool()? {
+        for _ in 0..6 {
+            r.get_u64()?;
         }
-        Some(ArenaStats {
-            intern_hits: v[0],
-            intern_misses: v[1],
-            mul_hits: v[2],
-            mul_misses: v[3],
-            subst_hits: v[4],
-            subst_misses: v[5],
-        })
-    } else {
-        None
-    };
+    }
     Ok(SolveReport {
         workload,
         status,
@@ -494,7 +471,6 @@ fn decode_report(r: &mut ByteReader) -> Result<SolveReport, CodecError> {
         recovered_by,
         prefiltered,
         rejected_infeasible,
-        arena,
         warm_started: r.get_bool()?,
         warm_newton_saved: r.get_i64()?,
         batch_classes: r.get_u32()?,

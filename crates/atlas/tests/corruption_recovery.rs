@@ -159,3 +159,41 @@ fn retired_frontier_records_are_skipped_without_loss() {
     assert_eq!(loaded.skipped_records, 0);
     assert_eq!(loaded.snapshot, snapshot);
 }
+
+#[test]
+fn retired_arena_counters_are_skipped_without_loss() {
+    // Revision-4 files written while solve reports carried expression-arena
+    // counters end each entry's report with the arena flag set and six
+    // words. Rewrite one entry that way: it loads, and every other field of
+    // the report reads back unchanged.
+    let snapshot = entry_snapshot(1);
+    let path = temp_path("arena");
+    snapshot.save(&path).expect("save");
+    let bytes = std::fs::read(&path).expect("read");
+    let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let payload = &bytes[24..24 + len];
+    // The report closes the entry: the arena flag, then `warm_started` (1
+    // byte), `warm_newton_saved` (8), `batch_classes` (4), `batch_members` (4).
+    let flag = payload.len() - 18;
+    assert_eq!(payload[flag], 0, "the arena flag is written unset");
+
+    let mut w = ByteWriter::new();
+    w.put_u8(1);
+    for v in [120, 80, 900, 300, 40, 10] {
+        w.put_u64(v);
+    }
+    let mut old_payload = payload[..flag].to_vec();
+    old_payload.extend_from_slice(&w.into_bytes());
+    old_payload.extend_from_slice(&payload[flag + 1..]);
+    let mut patched = bytes[..16].to_vec();
+    patched.extend_from_slice(&(old_payload.len() as u32).to_le_bytes());
+    patched.extend_from_slice(&crc32(&old_payload).to_le_bytes());
+    patched.extend_from_slice(&old_payload);
+    patched.extend_from_slice(&bytes[24 + len..]);
+    std::fs::write(&path, &patched).expect("rewrite");
+
+    let loaded = AtlasSnapshot::load(&path).expect("load");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.skipped_records, 0);
+    assert_eq!(loaded.snapshot, snapshot);
+}

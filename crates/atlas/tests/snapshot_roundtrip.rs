@@ -140,7 +140,6 @@ fn synth_point(rng: &mut StdRng) -> DesignPoint {
             recovered_by: rng.gen_bool(0.3).then(|| "TikhonovRidge".to_string()),
             prefiltered: rng.gen_range(0u64..1000),
             rejected_infeasible: rng.gen_range(0u64..1000),
-            arena: None,
             warm_started: rng.gen_bool(0.3),
             warm_newton_saved: rng.gen_range(-50i64..200),
             batch_classes: rng.gen_range(0u32..32),

@@ -118,8 +118,7 @@ pub struct DesignPoint {
     /// Per-cause failure and recovery counts for the whole sweep.
     pub ledger: FailureLedger,
     /// Convergence profile of the winning solve (Newton iterations per
-    /// centering step, gap trajectory, recovery effort, arena hash-consing
-    /// counters).
+    /// centering step, gap trajectory, recovery effort).
     pub report: SolveReport,
 }
 
@@ -219,7 +218,6 @@ impl SweepSolution {
             recovered_by: self.recovered_by.clone(),
             prefiltered: 0,
             rejected_infeasible: 0,
-            arena: self.gp.problem.arena_stats(),
             ..SolveReport::default()
         }
     }
@@ -1791,7 +1789,6 @@ mod tests {
             point.report.newton_iterations
         );
         assert!(point.report.final_gap().is_some_and(|g| g < 1e-5));
-        assert!(point.report.arena.is_some(), "generator stamps arena stats");
         // The integer design can never beat the relaxed bound by more than
         // the relaxation slack; sanity: same order of magnitude.
         assert!(point.eval.energy_pj >= point.relaxed_objective * 0.5);

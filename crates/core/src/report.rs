@@ -3,13 +3,11 @@
 //! A [`DesignPoint`](crate::DesignPoint) answers *what* design won; a
 //! [`SolveReport`] answers *how hard the solver worked to find it*: Newton
 //! iterations per centering step, the barrier duality-gap trajectory,
-//! whether the recovery ladder fired, what the rescore prefilter rejected,
-//! and the expression arena's hash-consing hit rates during model build.
+//! whether the recovery ladder fired, and what the rescore prefilter
+//! rejected.
 //! The serving layer retains recent reports for `GET /debug/solves/<id>`
 //! and aggregates them into the integer-only [`ConvergenceRollup`] carried
 //! by [`PipelineStats`](crate::PipelineStats).
-
-use thistle_expr::ArenaStats;
 
 /// Convergence and effort profile of the winning solve of one workload
 /// optimization.
@@ -38,9 +36,6 @@ pub struct SolveReport {
     /// Integer candidates the referee (or prefilter) found infeasible
     /// (whole sweep).
     pub rejected_infeasible: u64,
-    /// Expression-arena hash-consing counters from the winning problem's
-    /// model build, when the generator stamped them.
-    pub arena: Option<ArenaStats>,
     /// Whether the design was answered by the near-miss route: only a
     /// same-family donor's permutation pair was solved, not the whole sweep
     /// (see `Optimizer::optimize_layer_near_miss_deadline`).

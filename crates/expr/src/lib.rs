@@ -15,10 +15,9 @@
 //! Variables are interned in a [`VarRegistry`]; expressions refer to them by
 //! the lightweight copyable handle [`Var`].
 //!
-//! [`ExprArena`] / [`ArenaSignomial`] is an arena-backed, hash-consed IR for
-//! *building* large expression families: variable parts are interned once
-//! into a shared slab and addressed by [`UnitId`], so repeated subterms (halo
-//! factors, shared tile products) cost a hash lookup.
+//! The model builds Algorithm 1's footprint and volume expressions with
+//! these types' own operators: `+`, `*`, [`Signomial::mul_monomial`] and
+//! [`Signomial::substitute`].
 //!
 //! # Examples
 //!
@@ -41,14 +40,12 @@
 
 #![deny(missing_docs)]
 
-mod arena;
 mod assignment;
 mod monomial;
 mod posynomial;
 mod signomial;
 mod var;
 
-pub use arena::{thread_arena_stats, ArenaSignomial, ArenaStats, ExprArena, UnitId};
 pub use assignment::Assignment;
 pub use monomial::Monomial;
 pub use posynomial::Posynomial;

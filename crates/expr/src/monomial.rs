@@ -8,11 +8,11 @@ use std::ops::{Div, Mul};
 /// Quantization factor for exponent comparison: exponents in our models are
 /// small rationals, so rounding to multiples of `2^-32` makes like terms
 /// produced by identical algebra compare equal.
-pub(crate) const KEY_SCALE: f64 = 4294967296.0;
+const KEY_SCALE: f64 = 4294967296.0;
 
 /// Quantizes one exponent for like-term comparison.
 #[inline]
-pub(crate) fn quantize(a: f64) -> i64 {
+fn quantize(a: f64) -> i64 {
     (a * KEY_SCALE).round() as i64
 }
 
@@ -20,9 +20,8 @@ pub(crate) fn quantize(a: f64) -> i64 {
 /// exponents, the atom of geometric programming.
 ///
 /// Monomials are closed under multiplication, division, and real powers.
-/// The exponents are stored as a single sorted `(Var, f64)` run — the same
-/// layout the arena IR ([`crate::ExprArena`]) interns into its shared slab —
-/// so iteration is a cache-friendly slice walk rather than a pointer chase.
+/// The exponents are stored as a single sorted `(Var, f64)` run, so
+/// iteration is a cache-friendly slice walk rather than a pointer chase.
 ///
 /// # Examples
 ///
@@ -106,11 +105,6 @@ impl Monomial {
     /// Iterates over `(variable, exponent)` pairs in variable order.
     pub fn powers(&self) -> impl Iterator<Item = (Var, f64)> + '_ {
         self.exponents.iter().copied()
-    }
-
-    /// The sorted `(variable, exponent)` run backing this monomial.
-    pub fn runs(&self) -> &[(Var, f64)] {
-        &self.exponents
     }
 
     /// Whether this monomial mentions `v` with a nonzero exponent.
@@ -388,7 +382,7 @@ mod tests {
     fn runs_are_sorted_and_deduped() {
         let (_, x, y) = xy();
         let m = Monomial::new(2.0, [(y, 1.0), (x, 2.0), (y, 0.5)]);
-        assert_eq!(m.runs(), &[(x, 2.0), (y, 1.5)]);
+        assert_eq!(m.powers().collect::<Vec<_>>(), [(x, 2.0), (y, 1.5)]);
     }
 
     #[test]

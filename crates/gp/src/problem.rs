@@ -5,7 +5,7 @@ use crate::solver::{
     phase_one_point, solve_transformed, BarrierOptions, GpError, PhaseOnePoint, Solution,
 };
 use crate::transform::{Fnv128, TransformedProblem};
-use thistle_expr::{ArenaStats, Assignment, Monomial, Posynomial, Var, VarRegistry};
+use thistle_expr::{Assignment, Monomial, Posynomial, Var, VarRegistry};
 
 /// Solver configuration exposed to callers.
 ///
@@ -59,10 +59,6 @@ pub struct GpProblem {
     objective: Option<Posynomial>,
     inequalities: Vec<Posynomial>,
     equalities: Vec<Monomial>,
-    /// Hash-consing counters from the arena(s) that built this problem's
-    /// expressions, stamped by the generator. Reported on the
-    /// `expr_compile` trace span and in solve reports.
-    arena_stats: Option<ArenaStats>,
 }
 
 impl GpProblem {
@@ -73,22 +69,7 @@ impl GpProblem {
             objective: None,
             inequalities: Vec::new(),
             equalities: Vec::new(),
-            arena_stats: None,
         }
-    }
-
-    /// Records the [`ArenaStats`] accumulated while this problem's
-    /// expressions were built (the generator stamps the delta of
-    /// [`thistle_expr::thread_arena_stats`] around the model build).
-    pub fn set_arena_stats(&mut self, stats: ArenaStats) -> &mut Self {
-        self.arena_stats = Some(stats);
-        self
-    }
-
-    /// Arena hash-consing counters from this problem's construction, if the
-    /// builder recorded them.
-    pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.arena_stats
     }
 
     /// The variable registry this problem was built over.
@@ -223,15 +204,6 @@ impl GpProblem {
             if span.enabled() {
                 span.set("vars", n);
                 span.set("inequalities", self.inequalities.len());
-                if let Some(st) = self.arena_stats {
-                    span.set("arena_intern_hits", st.intern_hits);
-                    span.set("arena_intern_misses", st.intern_misses);
-                    span.set("arena_mul_hits", st.mul_hits);
-                    span.set("arena_mul_misses", st.mul_misses);
-                    span.set("arena_subst_hits", st.subst_hits);
-                    span.set("arena_subst_misses", st.subst_misses);
-                    span.set("arena_intern_hit_rate", st.intern_hit_rate());
-                }
             }
             tp
         };

@@ -541,6 +541,14 @@ fn barrier(
     };
 
     for outer in 0..opts.max_centering_steps {
+        if thistle_fault::fire("gp.solve.hold", fault_key) {
+            // Chaos: stall until the deadline expires, so a waiter's timeout
+            // always lands mid-solve; the poll below then stops the solve.
+            // Arm it only for solves whose deadline can expire.
+            while !deadline.expired() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
         if deadline.expired() {
             return Err(GpError::Cancelled);
         }

@@ -16,7 +16,7 @@
 
 use crate::space::{Level, TilingSpace, TripCount};
 use crate::workload::{Dim, TensorAccess};
-use thistle_expr::{ArenaSignomial, ExprArena, Monomial, Signomial};
+use thistle_expr::{Monomial, Signomial};
 
 /// The data footprint `DF^0` of a tensor tile at the register level.
 ///
@@ -31,19 +31,7 @@ use thistle_expr::{ArenaSignomial, ExprArena, Monomial, Signomial};
 /// assert!(!df0.is_zero());
 /// ```
 pub fn register_footprint(space: &TilingSpace, tensor: &TensorAccess) -> Signomial {
-    let mut arena = ExprArena::new();
-    register_footprint_in(&mut arena, space, tensor).to_signomial(&arena)
-}
-
-/// Arena-native [`register_footprint`]: builds `DF^0` inside `arena` so a
-/// caller constructing many expressions (the whole traffic model) shares one
-/// interned unit slab.
-pub(crate) fn register_footprint_in(
-    arena: &mut ExprArena,
-    space: &TilingSpace,
-    tensor: &TensorAccess,
-) -> ArenaSignomial {
-    footprint_through_in(arena, space, tensor, Level::Register)
+    footprint_through(space, tensor, Level::Register)
 }
 
 /// Closed-form footprint of a tensor tile spanning all levels through
@@ -54,42 +42,30 @@ pub(crate) fn register_footprint_in(
 /// Algorithm 1's incremental rewriting reproduces exactly this expression;
 /// the closed form exists so the two can be checked against each other.
 pub fn footprint_through(space: &TilingSpace, tensor: &TensorAccess, level: Level) -> Signomial {
-    let mut arena = ExprArena::new();
-    footprint_through_in(&mut arena, space, tensor, level).to_signomial(&arena)
-}
-
-/// Arena-native [`footprint_through`].
-pub(crate) fn footprint_through_in(
-    arena: &mut ExprArena,
-    space: &TilingSpace,
-    tensor: &TensorAccess,
-    level: Level,
-) -> ArenaSignomial {
-    let mut df = ArenaSignomial::constant(arena, 1.0);
+    let mut df = Signomial::constant(1.0);
     for index_expr in &tensor.projection {
-        let extent = extent_signomial_in(arena, space, index_expr, level);
-        df = ArenaSignomial::mul(arena, &df, &extent);
+        df = &df * &extent_signomial(space, index_expr, level);
     }
     df
 }
 
-fn extent_signomial_in(
-    arena: &mut ExprArena,
-    space: &TilingSpace,
-    index_expr: &[(Dim, f64)],
-    level: Level,
-) -> ArenaSignomial {
-    let mut extent = ArenaSignomial::zero();
+fn extent_signomial(space: &TilingSpace, index_expr: &[(Dim, f64)], level: Level) -> Signomial {
+    let mut extent = Signomial::zero();
     let mut coef_sum = 0.0;
     for &(d, coef) in index_expr {
         if coef == 0.0 {
             continue;
         }
         let term = space.tile_extent(level, d).scale(coef);
-        extent = extent.add(&ArenaSignomial::from_monomial(arena, &term));
+        // Build the unit with coefficient exactly one, then scale:
+        // `Signomial::from` divides the coefficient back out, and
+        // `c * (1 / c)` is not 1 for some `c` (49, for one). The solver's
+        // lowering reads the unit's coefficient.
+        let unit = Signomial::from(Monomial::new(1.0, term.powers()));
+        extent = &extent + &unit.scale(term.coeff());
         coef_sum += coef;
     }
-    extent.add(&ArenaSignomial::constant(arena, 1.0 - coef_sum))
+    &extent + &Signomial::constant(1.0 - coef_sum)
 }
 
 /// The two expressions Algorithm 1 produces for one (tensor, level).
@@ -120,32 +96,6 @@ pub fn construct_level_exprs(
     perm_outer_to_inner: &[Dim],
     df_lower: &Signomial,
 ) -> LevelExprs {
-    let mut arena = ExprArena::new();
-    let df_lower = ArenaSignomial::from_signomial(&mut arena, df_lower);
-    let (df, dv) = construct_level_exprs_in(
-        &mut arena,
-        space,
-        tensor,
-        level,
-        perm_outer_to_inner,
-        &df_lower,
-    );
-    LevelExprs {
-        df: df.to_signomial(&arena),
-        dv: dv.to_signomial(&arena),
-    }
-}
-
-/// Arena-native [`construct_level_exprs`]: returns `(DF^l, DV^l)` built
-/// inside `arena`, with the lower-level footprint already interned there.
-pub(crate) fn construct_level_exprs_in(
-    arena: &mut ExprArena,
-    space: &TilingSpace,
-    tensor: &TensorAccess,
-    level: Level,
-    perm_outer_to_inner: &[Dim],
-    df_lower: &ArenaSignomial,
-) -> (ArenaSignomial, ArenaSignomial) {
     assert!(
         matches!(level, Level::PeTemporal | Level::Outer),
         "Algorithm 1 applies to temporal tiling levels"
@@ -166,19 +116,19 @@ pub(crate) fn construct_level_exprs_in(
                 // Innermost present iterator: the copy lands just above this
                 // loop; the moved tile grows along `d`.
                 can_hoist = false;
-                df = lift_dim_in(arena, space, &df, level, d, trip);
-                dv = lift_dim_in(arena, space, &dv, level, d, trip);
+                df = lift_dim(space, &df, level, d, trip);
+                dv = lift_dim(space, &dv, level, d, trip);
             }
             // Absent iterators below the copy point are hoisted past freely.
         } else {
             if present {
-                df = lift_dim_in(arena, space, &df, level, d, trip);
+                df = lift_dim(space, &df, level, d, trip);
             }
             // Every loop surrounding the copy repeats it, present or not.
-            dv = dv.mul_monomial(arena, &trip.monomial());
+            dv = dv.mul_monomial(&trip.monomial());
         }
     }
-    (df, dv)
+    LevelExprs { df, dv }
 }
 
 /// The spatial level: footprints grow along present dimensions; the volume
@@ -192,19 +142,6 @@ pub fn spatial_lift(
     tensor: &TensorAccess,
     df_lower: &Signomial,
 ) -> (Signomial, Monomial) {
-    let mut arena = ExprArena::new();
-    let df_lower = ArenaSignomial::from_signomial(&mut arena, df_lower);
-    let (df, factor) = spatial_lift_in(&mut arena, space, tensor, &df_lower);
-    (df.to_signomial(&arena), factor)
-}
-
-/// Arena-native [`spatial_lift`].
-pub(crate) fn spatial_lift_in(
-    arena: &mut ExprArena,
-    space: &TilingSpace,
-    tensor: &TensorAccess,
-    df_lower: &ArenaSignomial,
-) -> (ArenaSignomial, Monomial) {
     let mut df = df_lower.clone();
     let mut factor = Monomial::one();
     for d in (0..space.workload().dims.len()).map(Dim) {
@@ -212,7 +149,7 @@ pub(crate) fn spatial_lift_in(
             continue;
         }
         let trip = space.trip(Level::Spatial, d);
-        df = lift_dim_in(arena, space, &df, Level::Spatial, d, trip);
+        df = lift_dim(space, &df, Level::Spatial, d, trip);
         factor = &factor * &trip.monomial();
     }
     (df, factor)
@@ -221,14 +158,13 @@ pub(crate) fn spatial_lift_in(
 /// Rewrites `expr` so dimension `d`'s tile extent absorbs this level's trip
 /// count: occurrences of the nearest lower-level trip-count variable `c` are
 /// replaced by `c_level * c` (the paper's `replace(expr, c^{l-1}, c^l c^{l-1})`).
-fn lift_dim_in(
-    arena: &mut ExprArena,
+fn lift_dim(
     space: &TilingSpace,
-    expr: &ArenaSignomial,
+    expr: &Signomial,
     level: Level,
     d: Dim,
     trip: TripCount,
-) -> ArenaSignomial {
+) -> Signomial {
     match trip {
         TripCount::Fixed(c) => {
             assert!(
@@ -246,13 +182,9 @@ fn lift_dim_in(
             let target = (0..level.index())
                 .rev()
                 .filter_map(|l| space.trip(crate::space::Level::ALL[l], d).var())
-                .find(|&v| expr.contains(arena, v))
+                .find(|&v| expr.contains(v))
                 .expect("tiled dimension must occur in the footprint being lifted");
-            expr.substitute(
-                arena,
-                target,
-                &Monomial::new(1.0, [(target, 1.0), (cv, 1.0)]),
-            )
+            expr.substitute(target, &Monomial::new(1.0, [(target, 1.0), (cv, 1.0)]))
         }
     }
 }

@@ -266,9 +266,6 @@ impl ProblemGenerator {
         objective: Objective,
         mode: &ArchMode,
     ) -> Result<GeneratedGp, GenError> {
-        // Bracket the whole model build (several transient arenas) so the
-        // problem carries exactly this pair's hash-consing counters.
-        let arena_mark = thistle_expr::thread_arena_stats();
         let space = TilingSpace::with_spatial_stencils(&self.workload, self.spatial_stencils);
         let traffic = TrafficModel::build(&space, perm1, perm3);
 
@@ -392,7 +389,6 @@ impl ProblemGenerator {
             }
         }
 
-        prob.set_arena_stats(thistle_expr::thread_arena_stats().delta_since(&arena_mark));
         Ok(GeneratedGp {
             problem: prob,
             space,
@@ -568,5 +564,56 @@ mod tests {
         let gen = ProblemGenerator::new(wl.clone(), tech(), Bandwidths::default());
         let level = perms::level_classes(&wl).len();
         assert_eq!(gen.permutation_classes().len(), level * level);
+    }
+
+    /// Generated GP bytes are pinned across commits. Every permutation pair
+    /// of three small layers (a 3×3, a batch-2 stride-2 and a 1×1),
+    /// generated as the optimizer generates them (spatial stencils on), in
+    /// all four mode × objective settings, folds into one digest: each GP's
+    /// `content_fingerprint`, plus the unit-monomial coefficient of every
+    /// term and the coefficient of every equality, which the solver's
+    /// lowering reads and the fingerprint does not. A change that moves any
+    /// generated coefficient, exponent, term or constraint changes the
+    /// digest; only a change meant to move generated GPs may re-record it.
+    #[test]
+    fn generated_gps_are_pinned() {
+        let layers = [
+            ConvLayer::new("k3", 1, 16, 8, 14, 14, 3, 3, 1),
+            ConvLayer::new("b2s2", 2, 16, 8, 15, 15, 3, 3, 2),
+            ConvLayer::new("k1", 1, 32, 16, 14, 14, 1, 1, 1),
+        ];
+        let modes = [
+            ArchMode::Fixed(ArchConfig::eyeriss()),
+            ArchMode::CoDesign(CoDesignSpec::same_area_as(&ArchConfig::eyeriss(), &tech())),
+        ];
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |word: u64| digest = (digest ^ word).wrapping_mul(0x0100_0000_01b3);
+        let mut generated = 0;
+        for layer in &layers {
+            let gen = ProblemGenerator::new(layer.workload(), tech(), Bandwidths::default())
+                .with_spatial_stencils(true);
+            for (p1, p3) in gen.permutation_classes() {
+                for mode in &modes {
+                    for objective in [Objective::Energy, Objective::Delay] {
+                        let gp = gen.generate(&p1, &p3, objective, mode).expect("generates");
+                        let prob = &gp.problem;
+                        let (hi, lo) = thistle_gp::content_fingerprint(prob);
+                        fold(hi);
+                        fold(lo);
+                        for g in prob.objective().into_iter().chain(prob.inequalities()) {
+                            for (_, unit) in g.terms() {
+                                fold(unit.coeff().to_bits());
+                            }
+                        }
+                        for m in prob.equalities() {
+                            fold(m.coeff().to_bits());
+                        }
+                        generated += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(generated, 2112);
+        assert_eq!(digest, 0x8578_bfda_77fd_7b6b, "digest {digest:#018x}");
     }
 }

@@ -14,10 +14,10 @@
 //! compositions reproduce Eq. 1 and Eq. 2 of the paper exactly (see the
 //! `eq1_*`/`eq2_*` tests).
 
-use crate::footprint::{construct_level_exprs_in, register_footprint_in, spatial_lift_in};
+use crate::footprint::{construct_level_exprs, register_footprint, spatial_lift};
 use crate::space::{Level, TilingSpace};
 use crate::workload::Dim;
-use thistle_expr::{ArenaSignomial, ExprArena, Monomial, Signomial};
+use thistle_expr::{Monomial, Signomial};
 
 /// Total traffic of one tensor under a fixed permutation pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ pub struct TrafficModel {
     pub tensors: Vec<TensorTraffic>,
     /// Product of spatial trip counts over all tiled dims (`P_used`).
     pub pe_product: Monomial,
-    /// Whole-workload sums, computed once at build time, inside the arena.
+    /// Whole-workload sums, computed once at build time.
     pub(crate) totals: TrafficTotals,
 }
 
@@ -65,11 +65,6 @@ pub(crate) struct TrafficTotals {
 impl TrafficModel {
     /// Builds the model for permutations `perm1` (PE-temporal level) and
     /// `perm3` (outer level), both outermost-iterator-first.
-    ///
-    /// The whole per-tensor chain — register footprint, Algorithm 1 at both
-    /// temporal levels, the spatial lift — runs inside one [`ExprArena`], so
-    /// structurally repeated subterms (tile extents, lifted halo factors) are
-    /// interned once and the products/substitutions hit the arena caches.
     pub fn build(space: &TilingSpace, perm1: &[Dim], perm3: &[Dim]) -> Self {
         let workload = space.workload();
         // Products span every dimension: loops without variables have trip
@@ -79,49 +74,39 @@ impl TrafficModel {
         let outer_all: Monomial = space.level_product(Level::Outer, &all_dims);
 
         let spatial_all = space.level_product(Level::Spatial, &all_dims);
-        let arena = &mut ExprArena::new();
-        let mut sums = [
-            ArenaSignomial::zero(), // sram_reg
-            ArenaSignomial::zero(), // reg_fills
-            ArenaSignomial::zero(), // dram_sram
-            ArenaSignomial::zero(), // register_footprint
-            ArenaSignomial::zero(), // sram_footprint
-        ];
+        // sram_reg, reg_fills, dram_sram, register and SRAM footprints.
+        let mut sums: [Signomial; 5] = Default::default();
         let tensors = workload
             .tensors
             .iter()
             .map(|tensor| {
-                let df0 = register_footprint_in(arena, space, tensor);
-                let (df1, dv1) =
-                    construct_level_exprs_in(arena, space, tensor, Level::PeTemporal, perm1, &df0);
-                let (df2, multicast) = spatial_lift_in(arena, space, tensor, &df1);
-                let sram_reg = dv1
-                    .mul_monomial(arena, &multicast)
-                    .mul_monomial(arena, &outer_all);
-                let reg_fills = dv1
-                    .mul_monomial(arena, &spatial_all)
-                    .mul_monomial(arena, &outer_all);
-                let (_, dram_sram) =
-                    construct_level_exprs_in(arena, space, tensor, Level::Outer, perm3, &df2);
+                let df0 = register_footprint(space, tensor);
+                let level1 = construct_level_exprs(space, tensor, Level::PeTemporal, perm1, &df0);
+                let (df2, multicast) = spatial_lift(space, tensor, &level1.df);
+                let sram_reg = level1.dv.mul_monomial(&multicast).mul_monomial(&outer_all);
+                let reg_fills = level1
+                    .dv
+                    .mul_monomial(&spatial_all)
+                    .mul_monomial(&outer_all);
+                let dram_sram = construct_level_exprs(space, tensor, Level::Outer, perm3, &df2).dv;
                 for (sum, part) in sums
                     .iter_mut()
                     .zip([&sram_reg, &reg_fills, &dram_sram, &df0, &df2])
                 {
-                    *sum = sum.add(part);
+                    *sum = &*sum + part;
                 }
                 TensorTraffic {
                     name: tensor.name.clone(),
-                    sram_reg: sram_reg.to_signomial(arena),
-                    reg_fills: reg_fills.to_signomial(arena),
-                    dram_sram: dram_sram.to_signomial(arena),
-                    register_footprint: df0.to_signomial(arena),
-                    sram_footprint: df2.to_signomial(arena),
+                    sram_reg,
+                    reg_fills,
+                    dram_sram,
+                    register_footprint: df0,
+                    sram_footprint: df2,
                 }
             })
             .collect();
 
-        let [sram_reg, reg_fills, dram_sram, register_footprint, sram_footprint] =
-            sums.map(|s| s.to_signomial(arena));
+        let [sram_reg, reg_fills, dram_sram, register_footprint, sram_footprint] = sums;
         TrafficModel {
             tensors,
             pe_product: spatial_all,

@@ -363,27 +363,22 @@ fn cmd_report(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     println!(
-        "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10} {:>7}",
-        "layer", "status", "newton", "center", "recovery", "final gap", "arena%"
+        "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10}",
+        "layer", "status", "newton", "center", "recovery", "final gap"
     );
     for point in &result.layers {
         let r = &point.report;
         let final_gap = r
             .final_gap()
             .map_or_else(|| "-".to_string(), |g| format!("{g:.1e}"));
-        let arena = r.arena.map_or_else(
-            || "-".to_string(),
-            |a| format!("{:.1}", a.intern_hit_rate() * 100.0),
-        );
         println!(
-            "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10} {:>7}",
+            "{:<14} {:<9} {:>7} {:>7} {:>9} {:>10}",
             point.workload_name,
             r.status,
             r.newton_iterations,
             r.centering_steps(),
             r.recovered_by.as_deref().unwrap_or("-"),
             final_gap,
-            arena,
         );
     }
     let c = result.stats.convergence;
@@ -427,11 +422,6 @@ fn report_json(result: &thistle::pipeline::PipelineResult) -> Json {
                         .map_or(Json::Null, |s| Json::Str(s.to_string())),
                 ),
                 ("final_gap", r.final_gap().map_or(Json::Null, Json::Num)),
-                (
-                    "arena_intern_hit_rate",
-                    r.arena
-                        .map_or(Json::Null, |a| Json::Num(a.intern_hit_rate())),
-                ),
                 ("pj_per_mac", Json::Num(point.eval.pj_per_mac)),
                 ("cycles", Json::Num(point.eval.cycles)),
                 ("ipc", Json::Num(point.eval.ipc)),

@@ -20,7 +20,7 @@
 //!   `?id=N` returns one trace as a Chrome `trace_event` document.
 //! * `GET /debug/solves` and `GET /debug/solves/<id>` — convergence reports
 //!   of recent fresh solves (Newton iterations per centering step, gap
-//!   trajectory, recovery, prefilter and arena counters).
+//!   trajectory, recovery and prefilter counters).
 //!
 //! One thread per connection (`Connection: close`). The accept thread
 //! blocks in `accept`; past the connection cap, sockets park in a bounded
@@ -679,7 +679,7 @@ fn handle_solve(id: &str, service: &Service) -> Reply {
 
 /// JSON rendering of one [`SolveReport`].
 fn solve_report_json(id: u64, r: &SolveReport) -> Json {
-    let mut fields = vec![
+    Json::Obj(vec![
         ("id".into(), num_u64(id)),
         ("workload".into(), Json::Str(r.workload.clone())),
         ("status".into(), Json::Str(r.status.clone())),
@@ -726,22 +726,7 @@ fn solve_report_json(id: u64, r: &SolveReport) -> Json {
         ),
         ("batch_classes".into(), num_u64(r.batch_classes.into())),
         ("batch_members".into(), num_u64(r.batch_members.into())),
-    ];
-    if let Some(a) = r.arena {
-        fields.push((
-            "arena".into(),
-            Json::Obj(vec![
-                ("intern_hits".into(), num_u64(a.intern_hits)),
-                ("intern_misses".into(), num_u64(a.intern_misses)),
-                ("mul_hits".into(), num_u64(a.mul_hits)),
-                ("mul_misses".into(), num_u64(a.mul_misses)),
-                ("subst_hits".into(), num_u64(a.subst_hits)),
-                ("subst_misses".into(), num_u64(a.subst_misses)),
-                ("intern_hit_rate".into(), Json::Num(a.intern_hit_rate())),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
+    ])
 }
 
 /// First value of `name` in an (unescaped) query string, if present.

@@ -34,6 +34,10 @@ const EXEMPLAR_CAPACITY: usize = 8;
 /// deterministic optimizer verdicts are never retried).
 const RETRY_LIMIT: u32 = 2;
 
+/// How long [`Service::optimize`] waits for a solve; callers that need a
+/// different bound pass it to [`Service::optimize_with_timeout`].
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Base `Retry-After` hint attached to admission-control sheds (the accept
 /// loop's fast reject sends the same 1 s); scaled up deterministically with
 /// queue pressure.
@@ -46,8 +50,6 @@ pub struct ServiceOptions {
     pub workers: usize,
     /// Design points kept in the LRU cache.
     pub cache_capacity: usize,
-    /// Deadline applied when a request does not carry its own.
-    pub default_timeout: Duration,
     /// Extra trace sinks (e.g. a [`thistle_obs::sink::JsonlSink`])
     /// fanned out alongside the built-in [`MetricsBridge`] that feeds
     /// `GET /metrics`. Every solve the service runs is traced into these.
@@ -78,7 +80,6 @@ impl std::fmt::Debug for ServiceOptions {
         f.debug_struct("ServiceOptions")
             .field("workers", &self.workers)
             .field("cache_capacity", &self.cache_capacity)
-            .field("default_timeout", &self.default_timeout)
             .field("trace_sinks", &self.trace_sinks.len())
             .field("max_queue_depth", &self.max_queue_depth)
             .field("queue_high_watermark", &self.queue_high_watermark)
@@ -94,7 +95,6 @@ impl Default for ServiceOptions {
         ServiceOptions {
             workers: 4,
             cache_capacity: 256,
-            default_timeout: Duration::from_secs(120),
             trace_sinks: Vec::new(),
             max_queue_depth: 256,
             queue_high_watermark: 64,
@@ -203,7 +203,6 @@ pub struct Service {
     metrics: Arc<Metrics>,
     exemplars: Arc<ExemplarSink>,
     ctx: TraceCtx,
-    default_timeout: Duration,
     max_queue_depth: u64,
     queue_high_watermark: u64,
     queue_low_watermark: u64,
@@ -306,7 +305,6 @@ impl Service {
             metrics,
             exemplars,
             ctx,
-            default_timeout: options.default_timeout,
             max_queue_depth: options.max_queue_depth,
             queue_high_watermark: options.queue_high_watermark,
             queue_low_watermark: options
@@ -477,7 +475,7 @@ impl Service {
         objective: Objective,
         mode: &ArchMode,
     ) -> Result<SolveResponse, ServeError> {
-        self.optimize_with_timeout(layer, objective, mode, self.default_timeout)
+        self.optimize_with_timeout(layer, objective, mode, DEFAULT_TIMEOUT)
     }
 
     /// Solves one layer, waiting at most `timeout`. The solve itself is not
@@ -738,7 +736,6 @@ mod tests {
             ServiceOptions {
                 workers: 2,
                 cache_capacity,
-                default_timeout: Duration::from_secs(300),
                 ..ServiceOptions::default()
             },
         )

@@ -4,7 +4,6 @@
 //! misses (from live and restored donors).
 
 use std::path::PathBuf;
-use std::time::Duration;
 use thistle::{DesignPoint, Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, ConvLayer, Objective};
@@ -24,7 +23,6 @@ fn quick_options() -> ServiceOptions {
     ServiceOptions {
         workers: 2,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     }
 }

@@ -48,7 +48,6 @@ fn panicked_worker_is_respawned_and_the_request_retried_transparently() {
     let service = service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     });
     let first = service
@@ -74,7 +73,6 @@ fn without_retries_the_panic_surfaces_as_a_clean_error() {
     let service = service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     });
     let err = service
@@ -105,7 +103,6 @@ fn a_failing_shape_is_answered_every_time() {
     let service = service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     });
     let (layer, mode) = (layer(), mode());
@@ -137,7 +134,6 @@ fn queue_full_fault_sheds_the_request_with_retry_after() {
     let service = service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     });
     let err = service
@@ -175,7 +171,6 @@ fn slow_read_fault_closes_the_connection_with_408_and_recovers() {
     let service = Arc::new(service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     }));
     let server = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
@@ -229,7 +224,6 @@ fn recovered_nan_solve_is_introspectable_via_the_debug_endpoints() {
     let service = Arc::new(service(ServiceOptions {
         workers: 1,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     }));
     let server = HttpServer::start(Arc::clone(&service), "127.0.0.1:0").expect("bind");
@@ -296,11 +290,11 @@ fn recovered_nan_solve_is_introspectable_via_the_debug_endpoints() {
 
 #[test]
 fn abandoned_solve_is_cancelled_not_leaked() {
-    // Full-size sweep so the solve reliably outlives the request timeout;
-    // no fault plan needed — this exercises the cancellation token alone.
-    // The empty plan still serializes it against the armed tests, whose
-    // hit windows its pool solves would otherwise consume.
-    let _guard = FaultPlan::new().install();
+    // The solve's first barrier loop holds until its cancellation token
+    // fires, so the request times out mid-solve however fast the solve
+    // would otherwise finish; the barrier's own deadline poll then stops
+    // it. The hold fires once, so the fresh solve below runs free.
+    let _guard = FaultPlan::parse("gp.solve.hold@1").unwrap().install();
     let optimizer =
         Optimizer::new(TechnologyParams::cgo2022_45nm()).with_options(OptimizerOptions {
             threads: 2,
@@ -311,7 +305,6 @@ fn abandoned_solve_is_cancelled_not_leaked() {
         ServiceOptions {
             workers: 1,
             cache_capacity: 16,
-            default_timeout: Duration::from_secs(300),
             ..ServiceOptions::default()
         },
     );
@@ -342,7 +335,7 @@ fn abandoned_solve_is_cancelled_not_leaked() {
     }
     // The flight was cleaned up: the same shape solves fresh afterwards.
     let ok = service
-        .optimize(&layer, Objective::Energy, &mode())
+        .optimize_with_timeout(&layer, Objective::Energy, &mode(), Duration::from_secs(300))
         .unwrap();
     assert!(!ok.cache_hit);
 }

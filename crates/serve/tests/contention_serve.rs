@@ -113,7 +113,6 @@ fn queue_wait_grows_under_saturation_while_solve_stays_flat() {
         ServiceOptions {
             workers: 1,
             cache_capacity: 16,
-            default_timeout: Duration::from_secs(300),
             ..ServiceOptions::default()
         },
     ));
@@ -210,7 +209,6 @@ fn contention_surfaces_over_http() {
         ServiceOptions {
             workers: 2,
             cache_capacity: 16,
-            default_timeout: Duration::from_secs(300),
             ..ServiceOptions::default()
         },
     ));

@@ -31,7 +31,6 @@ fn quick_service() -> Service {
         ServiceOptions {
             workers: 1,
             cache_capacity: 8,
-            default_timeout: Duration::from_secs(300),
             ..ServiceOptions::default()
         },
     )

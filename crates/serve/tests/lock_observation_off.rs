@@ -4,7 +4,6 @@
 //! environment is shared by every test in a binary, so this test has its
 //! binary to itself.
 
-use std::time::Duration;
 use thistle::{Optimizer, OptimizerOptions};
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, ConvLayer, Objective};
@@ -26,7 +25,6 @@ fn lock_observation_can_be_disabled() {
         ServiceOptions {
             workers: 1,
             cache_capacity: 8,
-            default_timeout: Duration::from_secs(300),
             ..ServiceOptions::default()
         },
     );

@@ -33,7 +33,6 @@ fn quick_options() -> ServiceOptions {
     ServiceOptions {
         workers: 2,
         cache_capacity: 16,
-        default_timeout: Duration::from_secs(300),
         ..ServiceOptions::default()
     }
 }

@@ -1,7 +1,6 @@
-//! Thread-count invariance of the optimizer sweep: the symbolic traffic
-//! model is built in a hash-consing arena and the sweep fans out over
-//! worker threads, and the winner must stay bit-identical however many
-//! threads run it.
+//! Thread-count invariance of the optimizer sweep: each worker thread
+//! builds its pairs' symbolic traffic models, and the winner must stay
+//! bit-identical however many threads run the sweep.
 
 use thistle_arch::{ArchConfig, TechnologyParams};
 use thistle_model::{ArchMode, CoDesignSpec, ConvLayer, Objective};

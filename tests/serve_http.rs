@@ -26,7 +26,6 @@ fn quick_service() -> Service {
         ServiceOptions {
             workers: 2,
             cache_capacity: 32,
-            default_timeout: Duration::from_secs(600),
             ..ServiceOptions::default()
         },
     )
