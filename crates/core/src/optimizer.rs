@@ -17,7 +17,7 @@ use crate::report::SolveReport;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use thistle_arch::{ArchConfig, Bandwidths, TechnologyParams};
 use thistle_gp::{
     content_fingerprint, Deadline, GpError, PhaseOnePoint, Solution, SolveOptions, SolveStatus,
@@ -48,7 +48,8 @@ pub struct OptimizerOptions {
     /// promises no more accuracy than that, so a cut inside such a tie
     /// would be decided by rounding noise.
     pub top_solutions: usize,
-    /// Worker threads for the GP sweep and rescore.
+    /// Worker threads for the GP sweep, rescore and a pipeline's layer
+    /// solves; with one, the work runs inline on the caller's thread.
     pub threads: usize,
     /// GP solver settings.
     pub solve_options: SolveOptions,
@@ -132,14 +133,20 @@ impl DesignPoint {
 /// Optimizer pipeline failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OptimizeError {
-    /// Every generated GP failed to solve.
+    /// Every generated GP failed to solve. From the sweep, the message is
+    /// its last failure in the order one thread meets them: generation
+    /// panics in pair order, then `core.sweep.solve` gate failures in pair
+    /// order, then group solve failures in group order. It is the same at
+    /// any thread count.
     AllSolvesFailed(String),
     /// No integer candidate passed capacity/area filtering.
     NoFeasibleDesign,
     /// A pipeline-level operation was asked about an empty layer list.
     EmptyPipeline,
-    /// A worker panicked or an invariant broke; the message carries the
-    /// panic payload. The process survives — one sweep fails, not the run.
+    /// A contained panic outside the sweep's own containment: a pipeline
+    /// layer solve that panicked, or a serve pool worker that panicked
+    /// mid-solve. The message carries the panic payload. The process
+    /// survives — one solve fails, not the run.
     Internal(String),
     /// The caller's deadline expired or was cancelled mid-optimization.
     Cancelled,
@@ -183,6 +190,43 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 impl std::error::Error for OptimizeError {}
 
+/// Maps `f` over `0..n` on up to `threads` scoped threads and returns the
+/// results in index order. Workers claim indices in order off one counter;
+/// with one thread or one index the map runs inline. Every caller contains
+/// its own panics, so one that escapes `f` re-raises here.
+pub(crate) fn fan_out<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // The counter only hands out indices (hence `Relaxed`); results come
+    // back through `join`.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                return done;
+            }
+            done.push((index, f(index)));
+        }
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(claim)).collect();
+        workers
+            .into_iter()
+            .flat_map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            })
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
 /// One surviving relaxed solve from the permutation sweep. `pair_index` is
 /// the stable sweep index (the sort key tiebreak); `group` is the sweep's
 /// content group, shared by exactly the pairs whose GPs are byte-identical;
@@ -204,6 +248,39 @@ struct SweepSolution {
 }
 
 impl SweepSolution {
+    /// Pair `pair_index`'s solution: `sol`, the solve of its content
+    /// `group`. Tallies the solve's recovery and status into `ledger` once
+    /// per pair, exactly as if each duplicate had been solved on its own.
+    fn new(
+        pair_index: usize,
+        group: usize,
+        gp: GeneratedGp,
+        sol: Solution,
+        ledger: &mut FailureLedger,
+    ) -> Self {
+        if sol.recovery.recovered_by.is_some() {
+            ledger.recovered += 1;
+        }
+        match sol.status {
+            SolveStatus::Degraded => ledger.degraded_solves += 1,
+            SolveStatus::Inaccurate => ledger.stalled_solves += 1,
+            SolveStatus::Optimal => {}
+        }
+        SweepSolution {
+            objective: sol.objective,
+            pair_index,
+            group,
+            gp,
+            point: sol.assignment,
+            status: sol.status,
+            newton_iterations: sol.newton_iterations,
+            newton_per_center: sol.newton_per_center,
+            gap_trajectory: sol.gap_trajectory,
+            recovery_attempts: sol.recovery.attempts,
+            recovered_by: sol.recovery.recovered_by.map(|r| r.to_string()),
+        }
+    }
+
     /// The winning solve's convergence profile (sweep-wide prefilter counts
     /// are patched in after rescoring).
     fn report(&self, workload: &Workload) -> SolveReport {
@@ -227,11 +304,23 @@ impl SweepSolution {
 struct SweepOutcome {
     solved: Vec<SweepSolution>,
     ledger: FailureLedger,
+    /// The last failure's message (see [`OptimizeError::AllSolvesFailed`]).
     last_error: Option<String>,
     /// Distinct GP contents solved (one exact solve each).
     groups: u32,
     /// Pairs that entered deduplication (generated and past the solve gate).
     members: u32,
+}
+
+/// What one duplicate group's exact solve produced.
+#[derive(Default)]
+struct GroupSolve {
+    /// The solution, and the position in the group of the member that
+    /// produced it: that member and every later one share it.
+    solution: Option<(usize, Solution)>,
+    ledger: FailureLedger,
+    /// The group's last failure message.
+    error: Option<String>,
 }
 
 /// Tallies a failed solve into the ledger by error cause.
@@ -480,27 +569,7 @@ impl Optimizer {
         }
 
         let mut ledger = FailureLedger::default();
-        if sol.recovery.recovered_by.is_some() {
-            ledger.recovered += 1;
-        }
-        match sol.status {
-            SolveStatus::Degraded => ledger.degraded_solves += 1,
-            SolveStatus::Inaccurate => ledger.stalled_solves += 1,
-            SolveStatus::Optimal => {}
-        }
-        let solution = SweepSolution {
-            objective: sol.objective,
-            pair_index: donor.perm_pair,
-            group: 0,
-            gp,
-            point: sol.assignment,
-            status: sol.status,
-            newton_iterations: newton,
-            newton_per_center: sol.newton_per_center,
-            gap_trajectory: sol.gap_trajectory,
-            recovery_attempts: sol.recovery.attempts,
-            recovered_by: sol.recovery.recovered_by.map(|r| r.to_string()),
-        };
+        let solution = SweepSolution::new(donor.perm_pair, 0, gp, sol, &mut ledger);
         let result = self.rescore_and_pick(
             &workload,
             objective,
@@ -545,7 +614,7 @@ impl Optimizer {
             last_error,
             groups,
             members,
-        } = self.sweep(&generator, &pairs, objective, mode, deadline, ctx)?;
+        } = self.sweep(&generator, &pairs, objective, mode, deadline, ctx);
         sweep.set("solved", solved.len());
         sweep.set("classes", groups as usize);
         sweep.set("batch_members", members as usize);
@@ -595,8 +664,9 @@ impl Optimizer {
 
     /// The permutation sweep with exact-content deduplication.
     ///
-    /// 1. Generate every pair's GP in parallel (`core.sweep.panic` fires
-    ///    per pair, keyed by its sweep index).
+    /// 1. Generate every pair's GP, fanned out over `options.threads`
+    ///    ([`fan_out`]; `core.sweep.panic` fires per pair, keyed by its
+    ///    sweep index).
     /// 2. Apply the per-pair `core.sweep.solve` gate, then group the
     ///    survivors by [`content_fingerprint`] in first-seen pair order.
     ///    Permutation pairs the upstream class pruner cannot collapse
@@ -607,11 +677,14 @@ impl Optimizer {
     ///    the rows phase I reads and its start, so every group's solve that
     ///    fingerprints the same starts phase II from this point, and returns
     ///    bit for bit what running phase I itself would (DESIGN.md §10).
-    /// 4. Workers claim groups off a shared counter and give each one exact
-    ///    solve ([`Optimizer::solve_duplicate_group`]); every member gets a
-    ///    clone of the result. The solver is deterministic, so a clone is
-    ///    bit-for-bit what solving the duplicate itself would produce, at any
-    ///    thread count. See DESIGN.md §14.
+    /// 4. Give each group one exact solve, fanned out the same way
+    ///    ([`Optimizer::solve_duplicate_group`]); every member gets a clone
+    ///    of the result. The solver is deterministic, so a clone is
+    ///    bit-for-bit what solving the duplicate itself would produce.
+    ///
+    /// Every result is folded in pair or group order, so the solutions, the
+    /// ledger and the last failure's message are the same at any thread
+    /// count. See DESIGN.md §14.
     fn sweep(
         &self,
         generator: &ProblemGenerator,
@@ -620,80 +693,58 @@ impl Optimizer {
         mode: &ArchMode,
         deadline: &Deadline,
         ctx: &TraceCtx,
-    ) -> Result<SweepOutcome, OptimizeError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
+    ) -> SweepOutcome {
+        let threads = self.options.threads;
         let mut ledger = FailureLedger::default();
-        let last_error: Mutex<Option<String>> = Mutex::new(None);
-        let threads = self.options.threads.max(1);
+        let mut last_error = None;
 
-        // Step 1: generate and fingerprint every pair's GP.
-        type Generated = (usize, (u64, u64), GeneratedGp);
-        let gen_results: Mutex<Vec<Generated>> = Mutex::new(Vec::new());
-        let gen_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let chunk = pairs.len().div_ceil(threads).max(1);
-        crossbeam::scope(|scope| {
-            for (chunk_index, work) in pairs.chunks(chunk).enumerate() {
-                let gen_results = &gen_results;
-                let gen_ledger = &gen_ledger;
-                let last_error = &last_error;
-                scope.spawn(move |_| {
-                    // Per-worker ledger, merged once at the end: failure
-                    // counts never contend with generation.
-                    let mut ledger = FailureLedger::default();
-                    for (offset, (p1, p3)) in work.iter().enumerate() {
-                        let pair_index = chunk_index * chunk + offset;
-                        if deadline.expired() {
-                            break;
-                        }
-                        // A panicking generation (model bug) fails this pair
-                        // only; the sweep carries on with the survivors.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                thistle_fault::panic_if("core.sweep.panic", pair_index as u64);
-                                match generator.generate(p1, p3, objective, mode) {
-                                    Ok(gp) => {
-                                        let fp = content_fingerprint(&gp.problem);
-                                        gen_results
-                                            .lock()
-                                            .expect("gen lock")
-                                            .push((pair_index, fp, gp));
-                                    }
-                                    Err(_) => ledger.generation_failures += 1,
-                                }
-                            }));
-                        if let Err(payload) = outcome {
-                            ledger.solver_panics += 1;
-                            *last_error.lock().expect("err lock") = Some(format!(
-                                "sweep worker panicked on pair {pair_index}: {}",
-                                panic_message(payload)
-                            ));
-                        }
-                    }
-                    gen_ledger.lock().expect("ledger lock").merge(&ledger);
-                });
-            }
-        })
-        .map_err(|p| {
-            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
-        })?;
-        ledger.merge(&gen_ledger.into_inner().expect("ledger lock"));
-        let mut generated = gen_results.into_inner().expect("gen lock");
-        generated.sort_by_key(|&(pair_index, ..)| pair_index);
+        // Step 1: generate and fingerprint every pair's GP. A panicking
+        // generation (model bug) fails this pair only; the sweep carries on
+        // with the survivors. A pair the deadline skipped comes back `None`.
+        let generated = fan_out(threads, pairs.len(), |pair_index| {
+            let (p1, p3) = &pairs[pair_index];
+            (!deadline.expired()).then(|| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    thistle_fault::panic_if("core.sweep.panic", pair_index as u64);
+                    let gp = generator.generate(p1, p3, objective, mode).ok()?;
+                    Some((content_fingerprint(&gp.problem), gp))
+                }))
+            })
+        });
+        let mut gen_map: Vec<Option<GeneratedGp>> = Vec::with_capacity(pairs.len());
+        let mut fingerprints = Vec::with_capacity(pairs.len());
+        for (pair_index, outcome) in generated.into_iter().enumerate() {
+            gen_map.push(match outcome {
+                Some(Ok(Some((fp, gp)))) => {
+                    fingerprints.push((pair_index, fp));
+                    Some(gp)
+                }
+                Some(Ok(None)) => {
+                    ledger.generation_failures += 1;
+                    None
+                }
+                Some(Err(payload)) => {
+                    ledger.solver_panics += 1;
+                    last_error = Some(format!(
+                        "sweep worker panicked on pair {pair_index}: {}",
+                        panic_message(payload)
+                    ));
+                    None
+                }
+                None => None,
+            });
+        }
 
         // Step 2: the solve gate fires once per pair, in pair order, so a
         // killed pair fails alone and its duplicates carry on. Survivors
         // group by content in first-seen order.
-        let mut gen_map: Vec<Option<GeneratedGp>> = (0..pairs.len()).map(|_| None).collect();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut group_of: std::collections::HashMap<(u64, u64), usize> =
-            std::collections::HashMap::new();
+        let mut group_of: HashMap<(u64, u64), usize> = HashMap::new();
         let mut members = 0u32;
-        for (pair_index, fp, gp) in generated {
-            gen_map[pair_index] = Some(gp);
+        for (pair_index, fp) in fingerprints {
             if thistle_fault::fire("core.sweep.solve", pair_index as u64) {
                 ledger.numerical += 1;
-                *last_error.lock().expect("err lock") = Some(
+                last_error = Some(
                     GpError::NumericalFailure("injected sweep solve failure".into()).to_string(),
                 );
                 continue;
@@ -728,109 +779,53 @@ impl Optimizer {
             point
         });
 
-        // Step 4: one exact solve per group. Groups are claimed off a shared
-        // counter rather than pre-chunked, because their costs vary; the
-        // results are sorted downstream, so claim order cannot matter.
-        let solved_acc: Mutex<Vec<(usize, usize, Solution)>> = Mutex::new(Vec::new());
-        let solve_ledger: Mutex<FailureLedger> = Mutex::new(FailureLedger::default());
-        let next_group = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                let groups = &groups;
-                let gen_map = &gen_map;
-                let next_group = &next_group;
-                let phase_one = phase_one.as_ref();
-                let solved_acc = &solved_acc;
-                let solve_ledger = &solve_ledger;
-                let last_error = &last_error;
-                scope.spawn(move |_| {
-                    let mut ledger = FailureLedger::default();
-                    loop {
-                        let g = next_group.fetch_add(1, Ordering::Relaxed);
-                        let Some(group) = groups.get(g) else { break };
-                        if deadline.expired() {
-                            break;
-                        }
-                        self.solve_duplicate_group(
-                            (g, group),
-                            phase_one,
-                            &mut ledger,
-                            gen_map,
-                            solved_acc,
-                            last_error,
-                            deadline,
-                            ctx,
-                        );
-                    }
-                    solve_ledger.lock().expect("ledger lock").merge(&ledger);
-                });
+        // Step 4: one exact solve per group.
+        let solves = fan_out(threads, groups.len(), |g| {
+            self.solve_duplicate_group(&groups[g], phase_one.as_ref(), &gen_map, deadline, ctx)
+        });
+        let mut solved = Vec::with_capacity(members as usize);
+        for (g, (group, outcome)) in groups.iter().zip(solves).enumerate() {
+            ledger.merge(&outcome.ledger);
+            if outcome.error.is_some() {
+                last_error = outcome.error;
             }
-        })
-        .map_err(|p| {
-            OptimizeError::Internal(format!("GP sweep thread died: {}", panic_message(p)))
-        })?;
-        ledger.merge(&solve_ledger.into_inner().expect("ledger lock"));
-
-        // Assemble. Status and recovery tallies count per member, exactly
-        // as if each duplicate had been solved on its own.
-        let results = solved_acc.into_inner().expect("solved lock");
-        let mut solved: Vec<SweepSolution> = Vec::with_capacity(results.len());
-        for (group, pair_index, sol) in results {
-            if sol.recovery.recovered_by.is_some() {
-                ledger.recovered += 1;
+            if let Some((source, sol)) = outcome.solution {
+                for &pair_index in &group[source..] {
+                    let gp = gen_map[pair_index].take().expect("generated member");
+                    let solution = SweepSolution::new(pair_index, g, gp, sol.clone(), &mut ledger);
+                    solved.push(solution);
+                }
             }
-            match sol.status {
-                SolveStatus::Degraded => ledger.degraded_solves += 1,
-                SolveStatus::Inaccurate => ledger.stalled_solves += 1,
-                SolveStatus::Optimal => {}
-            }
-            let gp = gen_map[pair_index].take().expect("generated member");
-            solved.push(SweepSolution {
-                objective: sol.objective,
-                pair_index,
-                group,
-                gp,
-                point: sol.assignment,
-                status: sol.status,
-                newton_iterations: sol.newton_iterations,
-                newton_per_center: sol.newton_per_center,
-                gap_trajectory: sol.gap_trajectory,
-                recovery_attempts: sol.recovery.attempts,
-                recovered_by: sol.recovery.recovered_by.map(|r| r.to_string()),
-            });
         }
-        Ok(SweepOutcome {
+        SweepOutcome {
             solved,
             ledger,
-            last_error: last_error.into_inner().expect("err lock"),
+            last_error,
             groups: groups.len() as u32,
             members,
-        })
+        }
     }
 
-    /// Solves duplicate group `g` — members whose GPs are byte-identical —
+    /// Solves one duplicate group — members whose GPs are byte-identical —
     /// with one exact solve under a `batch_solve` span. The first member
-    /// that solves becomes the source and every other member receives a
-    /// clone of its solution. A panicking source solve (e.g. an injected
-    /// kill) fails that member alone and promotes the next duplicate; a
-    /// clean solver error is deterministic for identical bytes and is
-    /// tallied once per remaining member without re-solving.
-    #[allow(clippy::too_many_arguments)]
+    /// that solves becomes the source, and it and every later member get
+    /// its solution. A panicking source solve (e.g. an injected kill) fails
+    /// that member alone and promotes the next duplicate; a clean solver
+    /// error is deterministic for identical bytes and is tallied once per
+    /// remaining member without re-solving.
     fn solve_duplicate_group(
         &self,
-        (g, group): (usize, &[usize]),
+        group: &[usize],
         phase_one: Option<&PhaseOnePoint>,
-        ledger: &mut FailureLedger,
         gen_map: &[Option<GeneratedGp>],
-        solved_acc: &Mutex<Vec<(usize, usize, Solution)>>,
-        last_error: &Mutex<Option<String>>,
         deadline: &Deadline,
         ctx: &TraceCtx,
-    ) {
+    ) -> GroupSolve {
+        let mut out = GroupSolve::default();
         let mut solve = span!(ctx, "batch_solve", members = group.len());
         for (attempt, &pair_index) in group.iter().enumerate() {
             if deadline.expired() {
-                return;
+                break;
             }
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut gp_span = span!(ctx, "gp_solve", perm_pair = pair_index);
@@ -857,28 +852,26 @@ impl Optimizer {
                         solve.set("source", pair_index);
                         solve.set("objective", sol.objective);
                     }
-                    let mut solved = solved_acc.lock().expect("solved lock");
-                    for &dup in &group[attempt..] {
-                        solved.push((g, dup, sol.clone()));
-                    }
-                    return;
+                    out.solution = Some((attempt, sol));
+                    break;
                 }
                 Ok(Err(e)) => {
                     for _ in attempt..group.len() {
-                        record_failure(ledger, &e);
+                        record_failure(&mut out.ledger, &e);
                     }
-                    *last_error.lock().expect("err lock") = Some(e.to_string());
-                    return;
+                    out.error = Some(e.to_string());
+                    break;
                 }
                 Err(payload) => {
-                    ledger.solver_panics += 1;
-                    *last_error.lock().expect("err lock") = Some(format!(
+                    out.ledger.solver_panics += 1;
+                    out.error = Some(format!(
                         "sweep worker panicked on pair {pair_index}: {}",
                         panic_message(payload)
                     ));
                 }
             }
         }
+        out
     }
 
     /// Integerizes and referee-evaluates a non-empty set of relaxed sweep
@@ -886,15 +879,15 @@ impl Optimizer {
     /// the full permutation sweep and the near-miss route (which feeds
     /// exactly one solution, a group of one).
     ///
-    /// The solutions are grouped by their sweep content group, and workers
-    /// claim whole groups off a shared counter, largest first, up to
-    /// `options.threads` (one thread runs inline). Each member of a group
-    /// yields a [`RescoreOutcome`] ([`Optimizer::rescore_group`]). The
-    /// outcomes are folded here in solution order, so the winner, the
-    /// leaders and every count are identical at any thread count. A lower
-    /// referee score wins, and an equal one goes to the lower pair index, so
-    /// the winner does not depend on the relaxed order of tied solutions.
-    /// A packed leader must beat the winner strictly.
+    /// The solutions are grouped by their sweep content group, and the
+    /// groups, largest first, fan out over `options.threads` ([`fan_out`]).
+    /// Each member of a group yields a [`RescoreOutcome`]
+    /// ([`Optimizer::rescore_group`]). The outcomes are folded here in
+    /// solution order, so the winner, the leaders and every count are
+    /// identical at any thread count. A lower referee score wins, and an
+    /// equal one goes to the lower pair index, so the winner does not depend
+    /// on the relaxed order of tied solutions. A packed leader must beat the
+    /// winner strictly.
     #[allow(clippy::too_many_arguments)]
     fn rescore_and_pick(
         &self,
@@ -907,56 +900,27 @@ impl Optimizer {
         deadline: &Deadline,
         ctx: &TraceCtx,
     ) -> Result<DesignPoint, OptimizeError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
         let prob_spec = to_problem_spec(workload);
         // Per-candidate referee calls are too hot to trace individually; one
         // `rescore` span per solve carries the verdict totals instead.
         let mut rescore_span = span!(ctx, "rescore", solutions = solved.len());
 
         let groups = content_groups(solved);
-        // The counter only hands out indices (hence `Relaxed`); outcomes come
-        // back through `join`.
-        let next = AtomicUsize::new(0);
-        let claim = || {
-            let mut done = Vec::new();
-            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-                if deadline.expired() {
-                    break;
-                }
-                done.push(self.rescore_group(workload, &prob_spec, objective, solved, group, ctx));
-            }
-            done
-        };
-        let threads = self.options.threads.clamp(1, groups.len());
-        let finished: Vec<GroupOutcome> = if threads == 1 {
-            claim()
-        } else {
-            crossbeam::scope(|scope| {
-                let workers: Vec<_> = (0..threads).map(|_| scope.spawn(|_| claim())).collect();
-                workers
-                    .into_iter()
-                    .map(|worker| worker.join())
-                    .collect::<Result<Vec<_>, _>>()
+        // A group the deadline skipped comes back `None`.
+        let finished = fan_out(self.options.threads, groups.len(), |g| {
+            (!deadline.expired()).then(|| {
+                self.rescore_group(workload, &prob_spec, objective, solved, &groups[g], ctx)
             })
-            .and_then(|joined| joined)
-            .map_err(|p| {
-                OptimizeError::Internal(format!("rescore thread died: {}", panic_message(p)))
-            })?
-            .into_iter()
-            .flatten()
-            .collect()
-        };
+        });
         let mut work = RescoreWork::default();
         let mut outcomes = Vec::with_capacity(solved.len());
         for group in finished {
+            let Some(group) = group else {
+                return Err(OptimizeError::Cancelled);
+            };
             work.traffic_counts += group.work.traffic_counts;
             work.pruned += group.work.pruned;
             outcomes.extend(group.members);
-        }
-        // A group nobody claimed was skipped by an expired deadline.
-        if outcomes.len() < solved.len() {
-            return Err(OptimizeError::Cancelled);
         }
         outcomes.sort_by_key(|&(index, _)| index);
 
@@ -1918,7 +1882,6 @@ mod tests {
         let ctx = TraceCtx::disabled();
         let deadline = Deadline::none();
         opt.sweep(&generator, &pairs, objective, mode, &deadline, &ctx)
-            .unwrap()
             .solved
     }
 

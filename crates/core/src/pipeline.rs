@@ -18,11 +18,9 @@
 use crate::canon::{transpose_design_hw, CanonicalQuery};
 use crate::convert::to_problem_spec;
 use crate::ledger::FailureLedger;
-use crate::optimizer::{DesignPoint, OptimizeError, Optimizer};
+use crate::optimizer::{fan_out, panic_message, DesignPoint, OptimizeError, Optimizer};
 use crate::report::ConvergenceRollup;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use thistle_arch::ArchConfig;
 use thistle_model::{ArchMode, ConvLayer, Objective};
 use thistle_obs::{span, TraceCtx};
@@ -157,71 +155,24 @@ fn optimize_pipeline_inner(
     }
 
     // Solve one representative per group, fanned across worker threads.
-    let representatives: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-    let solves: Mutex<Vec<Option<Result<DesignPoint, OptimizeError>>>> =
-        Mutex::new(vec![None; representatives.len()]);
-    let next = AtomicUsize::new(0);
-    let workers = optimizer
-        .options()
-        .threads
-        .max(1)
-        .min(representatives.len().max(1));
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            let solves = &solves;
-            let next = &next;
-            let representatives = &representatives;
-            scope.spawn(move |_| loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= representatives.len() {
-                    break;
-                }
-                // Contain a panicking layer solve to its own slot so the
-                // other layers still resolve (or report their own errors).
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    optimizer.optimize_layer_traced(
-                        &layers[representatives[slot]],
-                        objective,
-                        mode,
-                        ctx,
-                    )
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(OptimizeError::Internal(format!(
-                        "layer solve panicked: {}",
-                        crate::optimizer::panic_message(payload)
-                    )))
-                });
-                solves.lock().expect("solve slots lock")[slot] = Some(result);
-            });
-        }
+    // Representatives are in input order, so the first error collected is
+    // the earliest in input order, matching the sequential contract.
+    let by_group = fan_out(optimizer.options().threads, groups.len(), |group| {
+        // Contain a panicking layer solve to its own group so the other
+        // layers still resolve (or report their own errors).
+        let layer = &layers[groups[group][0]];
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            optimizer.optimize_layer_traced(layer, objective, mode, ctx)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(OptimizeError::Internal(format!(
+                "layer solve panicked: {}",
+                panic_message(payload)
+            )))
+        })
     })
-    .map_err(|p| {
-        OptimizeError::Internal(format!(
-            "pipeline worker died: {}",
-            crate::optimizer::panic_message(p)
-        ))
-    })?;
-    let solves = solves.into_inner().expect("solve slots lock");
-
-    // Propagate the earliest failure in input order, matching the sequential
-    // contract.
-    let mut by_group: Vec<&DesignPoint> = Vec::with_capacity(groups.len());
-    let mut first_error: Option<(usize, OptimizeError)> = None;
-    for (group, result) in solves.iter().enumerate() {
-        match result.as_ref().expect("every slot solved") {
-            Ok(point) => by_group.push(point),
-            Err(e) => {
-                let layer_index = representatives[group];
-                if first_error.as_ref().is_none_or(|(i, _)| layer_index < *i) {
-                    first_error = Some((layer_index, e.clone()));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     // Merge failure accounting across the unique solves before expansion so
     // shared solves are counted once.
@@ -237,7 +188,7 @@ fn optimize_pipeline_inner(
     let mut reused = 0usize;
     for (group, members) in groups.iter().enumerate() {
         let representative = members[0];
-        let solved = by_group[group];
+        let solved = &by_group[group];
         for &i in members {
             let mut point = if swapped[i] == swapped[representative] {
                 solved.clone()

@@ -121,28 +121,49 @@ fn panicking_losing_pairs_are_contained_and_counted() {
     assert_eq!(point.ledger.numerical, 0);
 }
 
+/// Under `plan` every pair fails, so the sweep is `AllSolvesFailed`, and
+/// its message is the one a one-thread sweep reports, in each of 20 runs at
+/// 2 and at 4 threads.
+fn all_solves_failed_reads_the_same_at_any_thread_count(plan: &str) {
+    let (layer, mode) = (layer(), mode());
+    let _guard = FaultPlan::parse(plan).unwrap().install();
+    let message =
+        |threads| match optimizer(threads).optimize_layer(&layer, Objective::Energy, &mode) {
+            Err(OptimizeError::AllSolvesFailed(message)) => message,
+            other => panic!("{plan} at threads={threads}: got {other:?}"),
+        };
+    let one_thread = message(1);
+    for threads in [2, 4] {
+        for run in 0..20 {
+            assert_eq!(
+                message(threads),
+                one_thread,
+                "{plan} at threads={threads}, run {run}"
+            );
+        }
+    }
+}
+
 #[test]
 fn every_pair_failing_is_all_solves_failed() {
-    let _guard = FaultPlan::parse("core.sweep.solve*").unwrap().install();
-    let err = optimizer(2)
-        .optimize_layer(&layer(), Objective::Energy, &mode())
-        .unwrap_err();
-    assert!(
-        matches!(err, OptimizeError::AllSolvesFailed(_)),
-        "got {err:?}"
-    );
+    for plan in [
+        "core.sweep.solve*",
+        // Gate failures and generation panics in one sweep.
+        "core.sweep.solve=0,1,2;core.sweep.panic=3,4,5,6,7,8",
+    ] {
+        all_solves_failed_reads_the_same_at_any_thread_count(plan);
+    }
 }
 
 #[test]
 fn every_pair_panicking_is_all_solves_failed_not_a_crash() {
-    let _guard = FaultPlan::parse("core.sweep.panic*").unwrap().install();
-    let err = optimizer(4)
-        .optimize_layer(&layer(), Objective::Energy, &mode())
-        .unwrap_err();
-    assert!(
-        matches!(err, OptimizeError::AllSolvesFailed(_)),
-        "got {err:?}"
-    );
+    // Every pair panics in generation, so the solve gate never sees one.
+    for plan in [
+        "core.sweep.panic*",
+        "core.sweep.solve=0,1,2;core.sweep.panic*",
+    ] {
+        all_solves_failed_reads_the_same_at_any_thread_count(plan);
+    }
 }
 
 /// An integerization panic on the best relaxed solution must not sink the

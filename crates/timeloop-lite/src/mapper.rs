@@ -92,12 +92,12 @@ impl Mapper {
         let started = Instant::now();
         let per_thread = self.opts.max_trials / self.opts.threads.max(1);
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for tid in 0..self.opts.threads.max(1) {
                 let best = &best;
                 let evaluated = &evaluated;
                 let valid = &valid;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = StdRng::seed_from_u64(
                         self.opts.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1)),
                     );
@@ -132,8 +132,7 @@ impl Mapper {
                     }
                 });
             }
-        })
-        .expect("mapper threads panicked");
+        });
 
         let best = best
             .into_inner()

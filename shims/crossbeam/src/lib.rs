@@ -1,47 +1,11 @@
 //! Offline stand-in for `crossbeam`.
 //!
 //! The build environment cannot reach crates.io, so this shim implements the
-//! two pieces of crossbeam the workspace relies on, on top of `std`:
-//!
-//! * [`scope`] — structured scoped threads, backed by [`std::thread::scope`]
-//!   with crossbeam's closure-takes-a-scope-argument calling convention;
-//! * [`channel`] — multi-producer **multi-consumer** channels (std's `mpsc`
-//!   receivers cannot be cloned), built from a mutexed ring + condvars, with
-//!   optional capacity bounds and `recv_timeout`.
-
-use std::any::Any;
-
-/// Wrapper over [`std::thread::Scope`] mirroring crossbeam's `Scope` API
-/// surface used in this workspace (`spawn` with a by-ref scope argument).
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a scoped thread. The closure receives a placeholder argument
-    /// to match crossbeam's `|scope| ...` convention (all call sites in this
-    /// workspace ignore it).
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(&()) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        self.inner.spawn(move || f(&()))
-    }
-}
-
-/// Creates a scope for spawning threads that may borrow from the caller.
-///
-/// All spawned threads are joined before `scope` returns. Unlike crossbeam,
-/// a panicking child re-panics in the parent (std semantics) rather than
-/// surfacing through the returned `Result`; the `Result` wrapper is kept so
-/// call sites written against crossbeam's signature compile unchanged.
-pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
+//! one piece of crossbeam the workspace relies on, on top of `std`:
+//! [`channel`] — multi-producer **multi-consumer** channels (std's `mpsc`
+//! receivers cannot be cloned), built from a mutexed ring + condvars, with
+//! optional capacity bounds and `recv_timeout`. The serve tier's worker pool
+//! runs on them. Scoped threads come from [`std::thread::scope`].
 
 pub mod channel {
     //! Multi-producer multi-consumer FIFO channels.
@@ -348,24 +312,5 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(2));
             handle.join().unwrap();
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scope_joins_and_borrows() {
-        let data = [1u64, 2, 3, 4];
-        let total = std::sync::Mutex::new(0u64);
-        super::scope(|scope| {
-            for chunk in data.chunks(2) {
-                let total = &total;
-                scope.spawn(move |_| {
-                    *total.lock().unwrap() += chunk.iter().sum::<u64>();
-                });
-            }
-        })
-        .expect("scope");
-        assert_eq!(*total.lock().unwrap(), 10);
     }
 }
